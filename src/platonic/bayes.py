@@ -414,7 +414,7 @@ def semistatic_direct_price(
     """
     from .lpsolve import GE, OPTIMAL, LinearProgram, solve
     from .market import generator_matrix
-    from .numeric import all_exact, pick_tol
+    from .numeric import all_exact, pick_tol, solver_tol
 
     claim = as_random_variable(claim)
     full = frozenset(model.assets)
@@ -445,7 +445,7 @@ def semistatic_direct_price(
         constraints=[([1] + [col[w] for col in cols], GE, claim[w]) for w in range(n)],
         bounds=[(None, None)] + [pos_bounds] * k,
     )
-    sol = solve(lp, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:
         raise UnboundedSemiStaticError(f"direct semi-static LP ended with status {sol.status}")
     return sol.objective
@@ -637,7 +637,11 @@ def free_lunch_truncation(n: int, expanded: bool = False) -> tuple[MarketModel, 
 
 
 def free_lunch_sweep(max_n: int, expanded: bool = False) -> list[dict]:
-    """Verdicts and exact gaps for every truncation up to ``max_n``."""
+    """Verdicts and exact gaps for every truncation up to ``max_n``.
+
+    ``min_mass`` is the smallest mass of the verdict's measure certificate,
+    not the largest minimum mass over all martingale measures.
+    """
     from .ftap import ftap_verdict
 
     rows = []

@@ -2,7 +2,13 @@
 machine-readable reports.
 
 Exit codes: 0 success, 1 unparseable scenario, 2 model fails validation,
-3 internal inconsistency between the arbitrage and measure searches.
+3 a certificate failed its check (internal inconsistency), 4 no certified
+answer (the market admits arbitrage, the float backend refused, or the
+instance exceeds a brute-force size guard).
+
+``min_mass`` in a measure report is the smallest mass of the certificate
+returned, not the largest minimum mass over all measures; ``project
+--measure search`` uses the measure search that maximizes the minimum mass.
 """
 from __future__ import annotations
 
@@ -23,6 +29,8 @@ from .ftap import (
     ftap_verdict,
     project_prices,
 )
+from .hedging import UnpricedMarketError
+from .lpsolve import DimensionGuardError, FloatModeError
 from .market import MarketModel, as_float_model, validate
 from .numeric import format_number
 from .probspace import RandomVariable
@@ -32,6 +40,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
+EXIT_NO_ANSWER = 4
 
 
 def _fmt(value):
@@ -375,6 +384,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FtapInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except (UnpricedMarketError, FloatModeError, DimensionGuardError) as exc:
+        print(f"no certified answer: {exc}", file=sys.stderr)
+        return EXIT_NO_ANSWER
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
-"""Both sides of the fundamental theorem on a finite space: search the claim
-cone for an arbitrage, and search the probability simplex for a full-support
-measure that turns every admissible projection of prices into a
-(super)martingale. Exactly one of the two searches can succeed; the verdict
-function raises when the solver pair ever disagrees with that.
+"""Both sides of the fundamental theorem on a finite space, read off one LP.
+
+The arbitrage LP maximizes the mass of a nonnegative terminal gain dominated
+by a zero-cost wealth. A positive optimum is an arbitrage. At a zero optimum
+the multipliers y of its outcome rows satisfy G^T y = 0 (<= 0 for long-only
+trading) and y >= 1, so y / sum(y) is a full-support measure that turns every
+admissible projection of prices into a (super)martingale: the separating
+measure is the dual of the no-arbitrage LP. The verdict checks that measure
+against the generators and raises when exact arithmetic ever breaks the
+dichotomy. ``find_measure`` keeps the independent search over the probability
+simplex, which maximizes the minimum mass.
 """
 from __future__ import annotations
 
@@ -10,15 +16,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, FloatModeError, LinearProgram, solve
 from .market import (
+    CACHE_SIZE,
     MarketModel,
     Strategy,
     generator_matrix,
     strategy_from_coefficients,
     validate,
 )
-from .numeric import Num, all_exact, pick_tol
+from .numeric import Num, all_exact, pick_tol, solver_tol
 from .probspace import RandomVariable, conditional_expectation
 
 
@@ -29,7 +36,7 @@ class InvalidModelError(ValueError):
 
 
 class FtapInconsistencyError(RuntimeError):
-    """Arbitrage search and measure search both succeeded or both failed."""
+    """Neither an arbitrage nor a checked full-support measure came back."""
 
     def __init__(self, message: str, arbitrage, measure):
         super().__init__(message)
@@ -52,6 +59,22 @@ class MeasureCertificate:
 
     def density(self, reference: Sequence[Num]) -> RandomVariable:
         return RandomVariable(tuple(q / p for q, p in zip(self.q_values, reference)))
+
+
+def checked_measure(
+    q: Sequence[Num], cols: Sequence[tuple[Num, ...]], kind: str, tol: Num
+) -> MeasureCertificate | None:
+    """``q`` as a certificate when it is a probability vector under which every
+    generator column has expectation 0 (martingale) or at most 0
+    (supermartingale), all within ``tol``; None when any of that fails."""
+    if any(v < -tol for v in q) or abs(sum(q) - 1) > tol:
+        return None
+    verification = tuple(sum(qi * ci for qi, ci in zip(q, col)) for col in cols)
+    if kind == "martingale":
+        ok = all(abs(e) <= tol for e in verification)
+    else:
+        ok = all(e <= tol for e in verification)
+    return MeasureCertificate(tuple(q), kind, min(q), verification) if ok else None
 
 
 @dataclass(frozen=True)
@@ -104,11 +127,16 @@ def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = Non
     The gain is capped by 1 outcome-wise: the cone is scale-invariant, so the
     cap only makes the search bounded.
     """
-    return _find_arbitrage(model, mode, tol)
+    return _arbitrage_lp(model, model.arithmetic, mode, tol)[0]
 
 
-@lru_cache(maxsize=None)
-def _find_arbitrage(model: MarketModel, mode: str, tol: Num | None) -> ArbitrageCertificate | None:
+@lru_cache(maxsize=CACHE_SIZE)
+def _arbitrage_lp(
+    model: MarketModel, _arithmetic: str, mode: str, tol: Num | None
+) -> tuple[ArbitrageCertificate | None, MeasureCertificate | None]:
+    """Solve the arbitrage LP once and read both sides of the dichotomy off
+    it: the arbitrage at a positive optimum; at a zero optimum the dual
+    measure, or None when it fails its check."""
     _require_valid(model, tol)
     lp_mode, eff_tol = _mode_and_tol(model, tol)
     gens, cols = generator_matrix(model, mode)
@@ -123,11 +151,18 @@ def _find_arbitrage(model: MarketModel, mode: str, tol: Num | None) -> Arbitrage
         coeffs[k + w] = -1
         constraints.append((coeffs, GE, 0))
     lp = LinearProgram.build(objective, "max", constraints, bounds)
-    sol = solve(lp, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
         raise RuntimeError(f"arbitrage search ended with status {sol.status}")
     if sol.objective <= eff_tol:
-        return None
+        # The solver reports -y for the >= rows of this max problem.
+        y = [-d for d in sol.duals]
+        total = sum(y)
+        if not total > 0:
+            return None, None
+        kind = "martingale" if mode == "free" else "supermartingale"
+        measure = checked_measure([v / total for v in y], cols, kind, eff_tol)
+        return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
     wealth = [sum(c * col[w] for c, col in zip(lam, cols)) for w in range(n)]
@@ -137,7 +172,7 @@ def _find_arbitrage(model: MarketModel, mode: str, tol: Num | None) -> Arbitrage
         terminal_gain=RandomVariable(tuple(gain)),
         consumption=RandomVariable(tuple(consumption)),
         lambdas=tuple(lam),
-    )
+    ), None
 
 
 def martingale_polytope_constraints(
@@ -162,11 +197,11 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
     """
     if kind not in ("martingale", "supermartingale"):
         raise ValueError("kind must be 'martingale' or 'supermartingale'")
-    return _find_measure(model, kind, tol)
+    return _find_measure(model, model.arithmetic, kind, tol)
 
 
-@lru_cache(maxsize=None)
-def _find_measure(model: MarketModel, kind: str, tol: Num | None) -> MeasureCertificate | None:
+@lru_cache(maxsize=CACHE_SIZE)
+def _find_measure(model: MarketModel, _arithmetic: str, kind: str, tol: Num | None) -> MeasureCertificate | None:
     _require_valid(model, tol)
     lp_mode, eff_tol = _mode_and_tol(model, tol)
     mode = "free" if kind == "martingale" else "long_only"
@@ -181,7 +216,7 @@ def _find_measure(model: MarketModel, kind: str, tol: Num | None) -> MeasureCert
     objective = [0] * n + [1]
     bounds = [(0, None)] * n + [(0, None)]
     lp = LinearProgram.build(objective, "max", constraints, bounds)
-    sol = solve(lp, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status == INFEASIBLE:
         return None
     if sol.status != OPTIMAL:  # pragma: no cover - epsilon is bounded by 1/n
@@ -191,8 +226,6 @@ def _find_measure(model: MarketModel, kind: str, tol: Num | None) -> MeasureCert
         if eps == 0:
             return None
     else:
-        from .lpsolve import FloatModeError
-
         # Numerically zero means no full-support measure; a genuinely positive
         # minimum mass below the tolerance cannot be certified either way.
         if abs(eps) <= eff_tol * 1e-3:
@@ -207,18 +240,25 @@ def _find_measure(model: MarketModel, kind: str, tol: Num | None) -> MeasureCert
 
 
 def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None) -> FtapVerdict:
-    """Run both searches; exactly one may succeed, anything else is an error
-    carrying the raw certificates for diagnosis."""
-    arbitrage = find_arbitrage(model, mode, tol)
-    kind = "martingale" if mode == "free" else "supermartingale"
-    measure = find_measure(model, kind, tol)
-    if (arbitrage is None) == (measure is None):
-        state = "both" if arbitrage is not None else "neither"
-        raise FtapInconsistencyError(
-            f"{state} of arbitrage and full-support measure found", arbitrage, measure
-        )
+    """Arbitrage or full-support (super)martingale measure, from one LP.
+
+    The arbitrage LP is solved once (and cached per model, arithmetic, mode
+    and tolerance). Without an arbitrage, its dual multipliers give the
+    measure, which is checked against every generator before it is returned.
+    In exact mode a failed check raises :class:`FtapInconsistencyError`; in
+    float mode rounding may spoil the multipliers, and the verdict falls back
+    to :func:`find_measure`, which may refuse with ``FloatModeError``.
+    """
+    arbitrage, measure = _arbitrage_lp(model, model.arithmetic, mode, tol)
     if arbitrage is not None:
         return FtapVerdict("ARBITRAGE", arbitrage, None)
+    if measure is None and _mode_and_tol(model, tol)[0] == "float":
+        kind = "martingale" if mode == "free" else "supermartingale"
+        measure = find_measure(model, kind, tol)
+    if measure is None:
+        raise FtapInconsistencyError(
+            "no arbitrage found, yet no full-support measure passed its check", None, None
+        )
     return FtapVerdict("NO_ARBITRAGE", None, measure)
 
 

@@ -15,7 +15,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
-from .ftap import MeasureCertificate, find_measure, martingale_polytope_constraints
+from .ftap import (
+    MeasureCertificate,
+    checked_measure,
+    ftap_verdict,
+    martingale_polytope_constraints,
+)
 from .lpsolve import (
     EQ,
     GE,
@@ -23,12 +28,13 @@ from .lpsolve import (
     LE,
     OPTIMAL,
     DimensionGuardError,
+    FloatModeError,
     LinearProgram,
     enumerate_vertices,
     solve,
 )
 from .market import MarketModel, generator_matrix, validate
-from .numeric import Num, all_exact, pick_tol
+from .numeric import Num, all_exact, pick_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
 
 
@@ -94,8 +100,9 @@ def _context(model: MarketModel, claim: RandomVariable, tol: Num | None):
     return lp_mode, eff
 
 
-def _measure_or_refuse(model: MarketModel, kind: str, tol: Num | None) -> MeasureCertificate:
-    cert = find_measure(model, kind, tol)
+def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> MeasureCertificate:
+    """The (cached) verdict's full-support measure; refuses on arbitrage."""
+    cert = ftap_verdict(model, mode, tol).measure
     if cert is None:
         raise UnpricedMarketError(
             "the market admits arbitrage; superreplication prices are not defined"
@@ -112,13 +119,17 @@ def superreplicate(
     """Cheapest dominating hedge and the dual measure certifying its price.
 
     Primal: minimize x such that x plus some reachable wealth dominates the
-    claim everywhere. Dual: maximize the claim's expectation over the measure
-    polytope. Exact mode returns equal objective values and checks
-    complementary slackness between the two solutions.
+    claim everywhere; it is the only LP solved (the arbitrage refusal reuses
+    the cached verdict). The dual measure is read off the primal's duals: the
+    free price column forces them to sum to 1 and the generator columns make
+    every generator's expectation 0 (at most 0 long-only), so they are an
+    optimizer of the claim's expectation over the measure polytope. The
+    measure is checked against the generators, and the duality gap and
+    complementary slackness with the hedge are checked, exactly in exact mode.
     """
     claim = as_random_variable(claim)
     kind = "martingale" if mode == "free" else "supermartingale"
-    _measure_or_refuse(model, kind, tol)
+    _measure_or_refuse(model, mode, tol)
     lp_mode, eff_tol = _context(model, claim, tol)
     gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
@@ -135,7 +146,7 @@ def superreplicate(
         ],
         bounds=[(None, None)] + [lam_bounds] * k,
     )
-    psol = solve(primal, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    psol = solve(primal, lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # pragma: no cover - dual feasibility makes it bounded
         raise RuntimeError(f"superreplication primal ended with status {psol.status}")
     price = psol.objective
@@ -143,25 +154,19 @@ def superreplicate(
     wealth = [sum(c * col[w] for c, col in zip(lambdas, cols)) for w in range(n)]
     consumption = RandomVariable(tuple(price + wv - cv for wv, cv in zip(wealth, claim)))
 
-    dual = LinearProgram.build(
-        objective=list(claim.values),
-        sense="max",
-        constraints=martingale_polytope_constraints(cols, n, kind),
-        bounds=[(0, None)] * n,
-    )
-    dsol = solve(dual, lp_mode, float(eff_tol) if eff_tol else 1e-9)
-    if dsol.status != OPTIMAL:  # pragma: no cover - polytope nonempty and bounded
-        raise RuntimeError(f"superreplication dual ended with status {dsol.status}")
-    gap = price - dsol.objective
+    # The solver certifies the gap but not dual feasibility: check the measure.
+    dual_cert = checked_measure(psol.duals, cols, kind, eff_tol)
+    if dual_cert is None:
+        failure = RuntimeError if lp_mode == "exact" else FloatModeError
+        raise failure(f"the hedge's dual multipliers are not a {kind} measure")
+    q = dual_cert.q_values
+    gap = price - sum(qe * ce for qe, ce in zip(q, claim))
     if abs(gap) > eff_tol * (1 + abs(price)):
         raise RuntimeError(f"duality gap {gap} between hedge price and dual value")
-    q = tuple(dsol.x)
     scale = max((abs(v) for v in claim.values), default=1)
     for qe, ce in zip(q, consumption):
         if qe > eff_tol and abs(ce) > eff_tol * (1 + scale):
             raise RuntimeError("complementary slackness fails between hedge and dual")
-    verification = tuple(sum(qi * ci for qi, ci in zip(q, col)) for col in cols)
-    dual_cert = MeasureCertificate(q, kind, min(q), verification)
     hedge = HedgeCertificate(
         price=price,
         lambdas=lambdas,
@@ -196,7 +201,7 @@ def _attained_by_full_support(cols, n, kind, claim, bound, lp_mode, eff_tol) -> 
         constraints=constraints,
         bounds=[(0, None)] * (n + 1),
     )
-    sol = solve(lp, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # pragma: no cover
         raise RuntimeError("attainment probe failed")
     return sol.objective > eff_tol, sol.objective
@@ -228,13 +233,13 @@ def price_interval(
     (verified, not assumed) yet are approachable within ``eta`` by mixing.
     """
     claim = as_random_variable(claim)
-    base_cert = _measure_or_refuse(model, "martingale", tol)
+    base_cert = _measure_or_refuse(model, "free", tol)
     lp_mode, eff_tol = _context(model, claim, tol)
     _gens, cols = generator_matrix(model, "free")
     n = model.n_outcomes
 
-    up = solve(_bound_lp(cols, n, "martingale", claim, "max"), lp_mode, float(eff_tol) if eff_tol else 1e-9)
-    lo = solve(_bound_lp(cols, n, "martingale", claim, "min"), lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    up = solve(_bound_lp(cols, n, "martingale", claim, "max"), lp_mode, solver_tol(eff_tol))
+    lo = solve(_bound_lp(cols, n, "martingale", claim, "min"), lp_mode, solver_tol(eff_tol))
     if up.status != OPTIMAL or lo.status != OPTIMAL:  # pragma: no cover
         raise RuntimeError("price interval LPs did not solve")
     upper, lower = up.objective, lo.objective
@@ -287,7 +292,7 @@ def polar_cone_check(
     if n > 6:
         raise DimensionGuardError("polar cone check supports at most 6 outcomes")
     kind = "martingale" if mode == "free" else "supermartingale"
-    _measure_or_refuse(model, kind, tol)
+    _measure_or_refuse(model, mode, tol)
     _gens, cols = generator_matrix(model, mode)
 
     polar_rows: list[tuple[list[Num], str, Num]] = [([1] * n, EQ, 1)]
@@ -370,7 +375,7 @@ def _cone_feasible(cols, n, target, lp_mode, eff_tol) -> bool:
         constraints=[([col[w] for col in cols], GE, target[w]) for w in range(n)],
         bounds=[(None, None)] * k,
     )
-    sol = solve(lp, lp_mode, float(eff_tol) if eff_tol else 1e-9)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status == INFEASIBLE:
         return False
     return True

@@ -41,6 +41,14 @@ class DimensionGuardError(ValueError):
     """Vertex enumeration requested beyond the supported problem size."""
 
 
+def _unreachable(message: str, mode: str) -> RuntimeError:
+    """A state exact arithmetic never reaches: a solver bug in exact mode,
+    lost precision (a refusal) in float mode."""
+    if mode == "exact":
+        return RuntimeError(message)
+    return FloatModeError(message + "; retry exact")
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple[Num, ...]
@@ -303,7 +311,7 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
         cost1 = _reduced_cost_row(c_phase1, rows, basis)
         status = _pivot_loop(rows, cost1, basis, frozenset(), tol_piv)
         if status != OPTIMAL:
-            raise RuntimeError("phase 1 cannot be unbounded")  # pragma: no cover
+            raise _unreachable("phase 1 cannot be unbounded", mode)
         if -cost1[-1] > tol_cert:
             return LpSolution(INFEASIBLE, None, None, None, None)
         # Drive leftover artificials out of the basis. A row whose non-artificial
@@ -349,8 +357,8 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     bt = [[pristine[kept[i]][basis[k]] for i in range(m_kept)] for k in range(m_kept)]
     c_b = [c_full[bc] for bc in basis]
     y = _linalg.solve_unique(bt, c_b, tol_piv) if m_kept else []
-    if y is None:  # pragma: no cover - the final basis matrix is invertible
-        raise RuntimeError("singular basis while extracting duals")
+    if y is None:
+        raise _unreachable("singular basis while extracting duals", mode)
     y_full = [conv(0)] * m
     for pos, row_idx in enumerate(kept):
         y_full[row_idx] = y[pos]

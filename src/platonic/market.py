@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .numeric import Num, pick_tol
+from .numeric import Num, all_exact, pick_tol
 from .probspace import (
     FiniteSpace,
     Filtration,
@@ -20,6 +20,11 @@ from .probspace import (
     as_random_variable,
     is_sub_filtration,
 )
+
+
+# Bound of every model-keyed cache: a long-lived process keeps at most this
+# many recent models per cache.
+CACHE_SIZE = 256
 
 
 class NonMeasurableHoldings(ValueError):
@@ -94,6 +99,15 @@ class MarketModel:
                 vals.extend(rv.values)
         return vals
 
+    @property
+    def arithmetic(self) -> str:
+        """``"exact"`` when every probability and price is exact, else ``"float"``.
+
+        Part of every model-keyed cache key: equality and hashing treat 1/2
+        and 0.5 alike, so an exact and a float model can compare equal.
+        """
+        return "exact" if all_exact(self.all_values()) else "float"
+
 
 def build_market(
     space: FiniteSpace,
@@ -166,11 +180,11 @@ class Generator:
 
 def validate(model: MarketModel, tol: Num | None = None) -> list[str]:
     """Semantic invariant check; returns violations as data, never raises."""
-    return list(_validate(model, tol))
+    return list(_validate(model, model.arithmetic, tol))
 
 
-@lru_cache(maxsize=None)
-def _validate(model: MarketModel, tol: Num | None) -> tuple[str, ...]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _validate(model: MarketModel, _arithmetic: str, tol: Num | None) -> tuple[str, ...]:
     tol = pick_tol(model.all_values(), tol)
     violations: list[str] = []
     grid = model.times
@@ -265,8 +279,8 @@ def wealth_process(model: MarketModel, strat: Strategy, tol: Num | None = None) 
     return out
 
 
-@lru_cache(maxsize=None)
-def _generators(model: MarketModel, mode: str) -> tuple[Generator, ...]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Generator, ...]:
     grid = model.times
     n = model.n_outcomes
     one_sided = mode == "long_only"
@@ -299,7 +313,7 @@ def enumerate_generators(model: MarketModel, mode: str = "free") -> tuple[Genera
     """
     if mode not in ("free", "long_only"):
         raise ValueError("mode must be 'free' or 'long_only'")
-    return _generators(model, mode)
+    return _generators(model, model.arithmetic, mode)
 
 
 @dataclass(frozen=True)
@@ -313,10 +327,6 @@ class ConeDescription:
     wealth_cone: str
     claim_cone: str
     closed: bool = True
-
-    def matrix_rows(self) -> list[list[Num]]:
-        n = len(self.columns[0]) if self.columns else 0
-        return [[col[i] for col in self.columns] for i in range(n)]
 
 
 def terminal_cone_description(model: MarketModel, mode: str = "free") -> ConeDescription:

@@ -31,6 +31,11 @@ def pick_tol(values: Iterable[Num], tol: Num | None = None) -> Num:
     return 0 if all_exact(values) else DEFAULT_FLOAT_TOL
 
 
+def solver_tol(eff_tol: Num) -> float:
+    """Float-backend tolerance for an effective tolerance (the default when it is 0)."""
+    return float(eff_tol) if eff_tol else DEFAULT_FLOAT_TOL
+
+
 def parse_number(raw: object) -> Fraction:
     """Exact parse of scenario numbers.
 

@@ -8,6 +8,7 @@ regardless of the trading filtrations drawn.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -185,3 +186,28 @@ def resample_reference(rng: random.Random, model: MarketModel) -> MarketModel:
         space, model.big_filtration, model.assets, model.prices,
         model.admissible_sets, model.trading_filtrations,
     )
+
+
+def binomial_tree(steps: int, trading: str = "full") -> MarketModel:
+    """One stock on a non-recombining binomial tree: S0 = 100, moves 2 and
+    1/2, uniform reference probabilities. ``trading`` is ``"full"`` (the tree
+    filtration), ``"delayed"`` (one step late) or ``"gridded"`` (observes
+    every second grid time only). Arbitrage-free under every choice."""
+    paths = list(itertools.product("ud", repeat=steps))
+    times = tuple(Fraction(k, steps) for k in range(steps + 1))
+    big = Filtration.generated(times, [[p[:k] for p in paths] for k in range(steps + 1)])
+    prices = [
+        tuple(100 * Fraction(2) ** (p[:k].count("u") - p[:k].count("d")) for p in paths)
+        for k in range(steps + 1)
+    ]
+    if trading == "full":
+        filt = big
+    elif trading == "delayed":
+        filt = delayed_filtration(big, times[1])
+    elif trading == "gridded":
+        filt = Filtration(times, tuple(big.partitions[k - k % 2] for k in range(steps + 1)))
+    else:
+        raise ValueError(trading)
+    n = len(paths)
+    space = FiniteSpace(tuple("".join(p) for p in paths), (Fraction(1, n),) * n)
+    return build_market(space, big, {"stock": prices}, trading_filtrations=filt)

@@ -189,3 +189,62 @@ class TestExitCodes:
         code, report = run(capsys, "superhedge", scenario_path("noisy_price"), "--claim", "call")
         assert code == 0
         assert report["price"] == "33/85"
+
+
+class TestNoCertifiedAnswer:
+    """Refusals end in exit code 4 with one line on stderr."""
+
+    @staticmethod
+    def _arbitrage_scenario(tmp_path, scenario_path):
+        doc = json.loads(open(scenario_path("binomial")).read())
+        doc["assets"]["stock"][1] = ["2", "1"]
+        path = tmp_path / "arbitrage.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_superhedge_on_arbitrage_without_traceback(self, tmp_path, scenario_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "platonic.cli", "superhedge",
+             self._arbitrage_scenario(tmp_path, scenario_path), "--claim", "call"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("no certified answer:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_interval_on_arbitrage(self, capsys, tmp_path, scenario_path):
+        code = main(["interval", self._arbitrage_scenario(tmp_path, scenario_path), "--claim", "call"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("no certified answer:")
+
+    def test_check_duality_beyond_vertex_guard(self, capsys, tmp_path):
+        from _factories import binomial_tree
+        from platonic import RandomVariable
+
+        model = binomial_tree(4)
+        terminal = model.price_path("stock")[-1]
+        claim = RandomVariable(tuple(max(v - 100, 0) for v in terminal))
+        path = tmp_path / "tree16.json"
+        path.write_text(json.dumps(serialize_model(model, {"call": claim}, name="tree16")))
+        code = main(["check-duality", str(path)])
+        assert code == 4
+        assert "exceeds the guard" in capsys.readouterr().err
+
+    def test_float_refusal(self, capsys, monkeypatch, scenario_path):
+        from platonic import FloatModeError, hedging
+
+        def refuse(*args, **kwargs):
+            raise FloatModeError("boundary case; retry exact")
+
+        monkeypatch.setattr(hedging, "superreplicate", refuse)
+        code = main(["superhedge", scenario_path("binomial"), "--float", "--claim", "call"])
+        assert code == 4
+        assert capsys.readouterr().err == "no certified answer: boundary case; retry exact\n"

@@ -3,21 +3,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _factories import random_market, resample_reference
+from _factories import binomial_tree, random_market, resample_reference
 from platonic import (
     FiniteSpace,
     Filtration,
+    FloatModeError,
     InvalidModelError,
     Partition,
     build_market,
     delayed_filtration,
+    as_float_model,
     enumerate_generators,
     find_arbitrage,
     find_measure,
     find_separating_density,
+    free_lunch_truncation,
     ftap_verdict,
     project_prices,
+    superreplicate,
     wealth_process,
 )
 from platonic.probspace import conditional_expectation
@@ -271,3 +277,146 @@ class TestFloatMode:
         assert v.kind == "NO_ARBITRAGE"
         assert abs(v.measure.q_values[0] - 1 / 3) < 1e-9
         assert max(abs(r) for r in v.measure.verification) <= 1e-9
+
+
+def _measure_holds(q, model, mode, tol, full_support=True):
+    """q is a (full-support) probability vector killing (free) or dominating
+    (long-only) every generator payoff, recomputed here from the payoffs."""
+    if not all(v > 0 if full_support else v >= -tol for v in q) or abs(sum(q) - 1) > tol:
+        return False
+    for g in enumerate_generators(model, mode):
+        e = sum(qi * gi for qi, gi in zip(q, g.payoff.values))
+        if (abs(e) if mode == "free" else e) > tol:
+            return False
+    return True
+
+
+def _numbers(values):
+    return {type(v) for v in values}
+
+
+def _dyadic_binomial(s0):
+    """Binomial market whose values float exactly, so its float copy compares
+    equal to it; ``s0`` makes it distinct from every other test's model."""
+    space = FiniteSpace(("u", "d"), (F(1, 4), F(3, 4)))
+    big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
+    return build_market(space, big, {"s": [(s0, s0), (2 * s0, s0 / 2)]})
+
+
+class TestArithmeticInCacheKeys:
+    """Exact and float models compare equal when their values do; no cache may
+    hand one the other's certificates, whichever is asked first."""
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_free_lunch_measure(self, float_first):
+        m, _ = free_lunch_truncation(3)
+        fm = as_float_model(m)
+        assert fm == m
+        order = [fm, m] if float_first else [m, fm]
+        certs = {id(model): find_measure(model) for model in order}
+        assert _numbers(certs[id(m)].q_values) <= {F, int}
+        assert _numbers(certs[id(fm)].q_values) == {float}
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_verdict_and_generators(self, float_first):
+        m = _dyadic_binomial(F(5 + float_first, 8))
+        fm = as_float_model(m)
+        assert fm == m
+        for model in ([fm, m] if float_first else [m, fm]):
+            ftap_verdict(model)
+            enumerate_generators(model)
+        assert _numbers(ftap_verdict(m).measure.q_values) == {F}
+        assert _numbers(ftap_verdict(fm).measure.q_values) == {float}
+        assert _numbers(enumerate_generators(m)[0].payoff.values) <= {F, int}
+        assert _numbers(enumerate_generators(fm)[0].payoff.values) == {float}
+
+
+class TestSolvesPerQuestion:
+    """The verdict solves one LP; superreplicate reuses it and solves one more."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import platonic.ftap
+        import platonic.hedging
+
+        calls = []
+
+        def counting(module):
+            inner = module.solve
+
+            def solve(*args, **kwargs):
+                calls.append(module.__name__)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve", solve)
+
+        counting(platonic.ftap)
+        counting(platonic.hedging)
+        return calls
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    @pytest.mark.parametrize("mode", ["free", "long_only"])
+    @pytest.mark.parametrize("kind", ["ARBITRAGE", "NO_ARBITRAGE"])
+    def test_verdict_one_solve(self, solves, arithmetic, mode, kind):
+        # a fresh scale per case keeps every model out of the caches
+        s0 = F(3 + ["free", "long_only"].index(mode), 17 + (arithmetic == "float"))
+        m = _dyadic_binomial(s0)
+        if kind == "ARBITRAGE":
+            m = build_market(m.space, m.big_filtration, {"s": [(s0, s0), (2 * s0, 2 * s0)]})
+        if arithmetic == "float":
+            m = as_float_model(m)
+        v = ftap_verdict(m, mode)
+        assert v.kind == kind
+        assert solves == ["platonic.ftap"]
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    @pytest.mark.parametrize("mode", ["free", "long_only"])
+    def test_superreplicate_after_verdict_one_solve(self, solves, arithmetic, mode):
+        m = _dyadic_binomial(F(7 + ["free", "long_only"].index(mode), 31))
+        if arithmetic == "float":
+            m = as_float_model(m)
+        ftap_verdict(m, mode)
+        solves.clear()
+        hedge, dual = superreplicate(m, (1, 0), mode)
+        assert solves == ["platonic.hedging"]
+        assert _measure_holds(dual.q_values, m, mode, 1e-9, full_support=False)
+
+
+class TestVerdictAgainstMeasureSearch:
+    """The one-LP verdict against the old two-search dichotomy as oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        arithmetic=st.sampled_from(["exact", "float"]),
+        mode=st.sampled_from(["free", "long_only"]),
+    )
+    def test_measure_checks_and_dichotomy_agrees(self, seed, arithmetic, mode):
+        model = random_market(random.Random(seed))
+        tol = 0
+        if arithmetic == "float":
+            model, tol = as_float_model(model), 1e-9
+        verdict = ftap_verdict(model, mode)
+        kind = "martingale" if mode == "free" else "supermartingale"
+        assert (verdict.kind == "NO_ARBITRAGE") == (find_measure(model, kind) is not None)
+        if verdict.measure is not None:
+            assert verdict.measure.kind == kind
+            assert _measure_holds(verdict.measure.q_values, model, mode, tol)
+            assert _numbers(verdict.measure.q_values) == ({F} if tol == 0 else {float})
+
+
+class TestFloatSixStepTrees:
+    """Float trees where the max-min-mass search loses precision: the verdict
+    still answers, and the measure search refuses instead of crashing."""
+
+    @pytest.mark.parametrize("trading,mode", [("delayed", "free"), ("gridded", "long_only")])
+    def test_verdict_answers(self, trading, mode):
+        model = as_float_model(binomial_tree(6, trading))
+        verdict = ftap_verdict(model, mode)
+        assert verdict.kind == "NO_ARBITRAGE"
+        assert _measure_holds(verdict.measure.q_values, model, mode, 1e-9)
+
+    def test_measure_search_refuses(self):
+        model = as_float_model(binomial_tree(6, "gridded"))
+        with pytest.raises(FloatModeError):
+            find_measure(model, "supermartingale")
