@@ -62,42 +62,29 @@ def rank(matrix: Sequence[Sequence[Num]], tol: Num = 0) -> int:
     return len(rref(rows, tol))
 
 
-def solve(matrix: Sequence[Sequence[Num]], rhs: Sequence[Num], tol: Num = 0) -> list[Num] | None:
-    """One solution of ``A x = b`` with free variables at zero; None if inconsistent."""
+def _eliminate(matrix: Sequence[Sequence[Num]], rhs: Sequence[Num], tol: Num) -> tuple[list[Num] | None, int]:
+    """Reduce ``[A | b]``: one solution of ``A x = b`` with free variables at
+    zero (None if inconsistent) and the number of pivots in ``A``.
+
+    A remaining row with ``|b| > tol`` would pivot in the last column, so
+    inconsistency shows as that pivot."""
+    n = len(matrix[0]) if matrix else 0
     rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    if not rows:
-        return []
-    n = len(matrix[0])
     pivots = rref(rows, tol)
     if pivots and pivots[-1] == n:
-        return None
-    for row in rows[len(pivots):]:
-        if abs(row[-1]) > tol:
-            return None
+        return None, len(pivots) - 1
     x: list[Num] = [0] * n
     for r, c in enumerate(pivots):
         x[c] = rows[r][-1]
-    return x
+    return x, len(pivots)
 
 
 def solve_unique(matrix: Sequence[Sequence[Num]], rhs: Sequence[Num], tol: Num = 0) -> list[Num] | None:
     """The solution of ``A x = b`` when it exists and is unique; None otherwise."""
     if not matrix:
         return [] if not rhs else None
-    n = len(matrix[0])
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = rref(rows, tol)
-    if pivots and pivots[-1] == n:
-        return None
-    if len(pivots) < n:
-        return None
-    for row in rows[len(pivots):]:
-        if abs(row[-1]) > tol:
-            return None
-    x: list[Num] = [0] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return x
+    x, rank = _eliminate(matrix, rhs, tol)
+    return x if x is not None and rank == len(x) else None
 
 
 def column_span_solve(
@@ -108,4 +95,4 @@ def column_span_solve(
     if any(len(col) != n for col in columns):
         raise ValueError("columns and target must have equal length")
     matrix = [[col[i] for col in columns] for i in range(n)]
-    return solve(matrix, list(target), tol)
+    return _eliminate(matrix, target, tol)[0]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .ftap import InvalidModelError
 from .market import MarketModel, build_market, validate
 from .numeric import Num, parse_number
 from .probspace import (
@@ -150,6 +151,8 @@ def observation_filtration(
     grid_set = set(grid)
     if any(t not in grid_set for t in obs_times):
         raise ValueError("observation times must lie on the grid")
+    if not prices:
+        raise ValueError("observation needs at least one price process")
     assets = sorted(prices)
     index_of = {t: k for k, t in enumerate(grid)}
     n = len(next(iter(prices.values()))[0])
@@ -234,8 +237,8 @@ def build_product_market(
     small = observation_filtration(grid, lifted, obs)
     model = build_market(space, big, lifted, trading_filtrations=small)
     violations = validate(model)
-    if violations:  # pragma: no cover - construction keeps the invariants
-        raise RuntimeError("product market failed validation: " + "; ".join(violations))
+    if violations:
+        raise InvalidModelError(violations)
     return model
 
 
@@ -274,8 +277,8 @@ def build_mixture_market(
     small = observation_filtration(grid, lifted, obs)
     model = build_market(space, big, lifted, trading_filtrations=small)
     violations = validate(model)
-    if violations:  # pragma: no cover
-        raise RuntimeError("mixture market failed validation: " + "; ".join(violations))
+    if violations:
+        raise InvalidModelError(violations)
     return model
 
 
@@ -411,10 +414,13 @@ def semistatic_direct_price(
     Independent formulation used to cross-check the embedded one: option j
     contributes one position variable per trading time and block, paying the
     quote difference to the next trading time (or the payoff after the last).
+    These columns join the model's generators in the shared superhedge
+    primal, :func:`platonic.hedging.superhedge_lp`.
     """
-    from .lpsolve import GE, OPTIMAL, LinearProgram, solve
+    from .hedging import superhedge_lp
+    from .lpsolve import OPTIMAL, solve
     from .market import generator_matrix
-    from .numeric import all_exact, pick_tol, solver_tol
+    from .numeric import lp_mode_and_tol, solver_tol
 
     claim = as_random_variable(claim)
     full = frozenset(model.assets)
@@ -434,18 +440,8 @@ def semistatic_direct_price(
                 col = tuple(diff[i] if i in block else 0 for i in range(n))
                 if any(v != 0 for v in col):
                     cols.append(col)
-    values = model.all_values() + list(claim.values)
-    eff_tol = pick_tol(values, tol)
-    lp_mode = "exact" if all_exact(values) and eff_tol == 0 else "float"
-    k = len(cols)
-    pos_bounds = (0, None) if mode == "long_only" else (None, None)
-    lp = LinearProgram.build(
-        objective=[1] + [0] * k,
-        sense="min",
-        constraints=[([1] + [col[w] for col in cols], GE, claim[w]) for w in range(n)],
-        bounds=[(None, None)] + [pos_bounds] * k,
-    )
-    sol = solve(lp, lp_mode, solver_tol(eff_tol))
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    sol = solve(superhedge_lp(cols, claim, mode), lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:
         raise UnboundedSemiStaticError(f"direct semi-static LP ended with status {sol.status}")
     return sol.objective
@@ -528,8 +524,8 @@ def build_uncertain_price(
     small = observation_filtration(grid, observed, obs)
     model = build_market(prod_space, big, noisy_prices, trading_filtrations=small)
     violations = validate(model)
-    if violations:  # pragma: no cover
-        raise RuntimeError("noisy market failed validation: " + "; ".join(violations))
+    if violations:
+        raise InvalidModelError(violations)
     return model
 
 

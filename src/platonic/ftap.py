@@ -25,7 +25,7 @@ from .market import (
     strategy_from_coefficients,
     validate,
 )
-from .numeric import Num, all_exact, pick_tol, solver_tol
+from .numeric import Num, lp_mode_and_tol, pick_tol, solver_tol
 from .probspace import RandomVariable, conditional_expectation
 
 
@@ -113,12 +113,6 @@ def _require_valid(model: MarketModel, tol: Num | None) -> None:
         raise InvalidModelError(violations)
 
 
-def _mode_and_tol(model: MarketModel, tol: Num | None) -> tuple[str, Num]:
-    exact = all_exact(model.all_values())
-    eff = pick_tol(model.all_values(), tol)
-    return ("exact" if exact and eff == 0 else "float"), eff
-
-
 def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = None) -> ArbitrageCertificate | None:
     """Maximize the mass of a nonnegative terminal gain dominated by a
     zero-cost wealth; a positive optimum is an arbitrage and zero decides
@@ -138,7 +132,7 @@ def _arbitrage_lp(
     it: the arbitrage at a positive optimum; at a zero optimum the dual
     measure, or None when it fails its check."""
     _require_valid(model, tol)
-    lp_mode, eff_tol = _mode_and_tol(model, tol)
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values(), tol)
     gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
     k = len(cols)
@@ -203,7 +197,7 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
 @lru_cache(maxsize=CACHE_SIZE)
 def _find_measure(model: MarketModel, _arithmetic: str, kind: str, tol: Num | None) -> MeasureCertificate | None:
     _require_valid(model, tol)
-    lp_mode, eff_tol = _mode_and_tol(model, tol)
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values(), tol)
     mode = "free" if kind == "martingale" else "long_only"
     _gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
@@ -252,7 +246,7 @@ def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None)
     arbitrage, measure = _arbitrage_lp(model, model.arithmetic, mode, tol)
     if arbitrage is not None:
         return FtapVerdict("ARBITRAGE", arbitrage, None)
-    if measure is None and _mode_and_tol(model, tol)[0] == "float":
+    if measure is None and lp_mode_and_tol(model.all_values(), tol)[0] == "float":
         kind = "martingale" if mode == "free" else "supermartingale"
         measure = find_measure(model, kind, tol)
     if measure is None:

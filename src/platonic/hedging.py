@@ -3,9 +3,11 @@
 The cheapest dominating hedge of a claim equals the largest expectation of the
 claim over the polytope of measures under which every admissible projection of
 prices is a (super)martingale; in exact mode the two optimal values coincide
-as rational numbers. Price intervals, the polar-cone identity and the
-attainability trichotomy are verified with the same machinery plus a
-brute-force vertex oracle on small instances.
+as rational numbers. A price interval is two superhedges, of the claim and of
+its negative, and the hedges' consumption certifies that an optimizer has no
+full support. The polar-cone identity and the attainability trichotomy are
+verified with the same machinery plus a brute-force vertex oracle on small
+instances.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .lpsolve import (
     solve,
 )
 from .market import MarketModel, generator_matrix, validate
-from .numeric import Num, all_exact, pick_tol, solver_tol
+from .numeric import Num, lp_mode_and_tol, pick_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
 
 
@@ -61,7 +63,13 @@ class HedgeCertificate:
 
 @dataclass(frozen=True)
 class BoundWitness:
-    """Why an un-attained bound is still approachable by full-support measures."""
+    """Why an un-attained bound is still approachable by full-support measures.
+
+    ``optimizer`` is the bound's hedge's dual measure; ``null_outcomes`` are
+    where its mass is at most the tolerance (0 in exact mode), and
+    ``mixture`` mixes it with the verdict's full-support measure to land
+    ``achieved`` within ``eta`` of the bound.
+    """
 
     optimizer: tuple[Num, ...]
     null_outcomes: tuple[int, ...]
@@ -72,11 +80,13 @@ class BoundWitness:
 
 @dataclass(frozen=True)
 class PriceInterval:
-    """Dual expectations of a claim: [lower, upper] with attainment flags.
+    """Price bounds of a claim: [lower, upper] with attainment flags.
 
-    Zero width means the claim is replicable; ``replication`` then holds the
-    exact (price, coefficients) pair. Otherwise neither bound is attained by a
-    full-support measure and the witnesses exhibit mixtures coming within
+    ``upper`` is the superreplication price of the claim and ``lower`` minus
+    that of its negative. Zero width means the claim is replicable;
+    ``replication`` then holds the upper hedge's exact (price, coefficients)
+    pair. Otherwise each hedge consumes somewhere, so no full-support measure
+    attains either bound, and the witnesses exhibit mixtures coming within
     ``eta`` of the bounds.
     """
 
@@ -93,13 +103,6 @@ class PriceInterval:
         return self.upper - self.lower
 
 
-def _context(model: MarketModel, claim: RandomVariable, tol: Num | None):
-    values = model.all_values() + list(claim.values)
-    eff = pick_tol(values, tol)
-    lp_mode = "exact" if all_exact(values) and eff == 0 else "float"
-    return lp_mode, eff
-
-
 def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> MeasureCertificate:
     """The (cached) verdict's full-support measure; refuses on arbitrage."""
     cert = ftap_verdict(model, mode, tol).measure
@@ -108,6 +111,22 @@ def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> Measur
             "the market admits arbitrage; superreplication prices are not defined"
         )
     return cert
+
+
+def superhedge_lp(
+    cols: Sequence[Sequence[Num]], claim: Sequence[Num], mode: str
+) -> LinearProgram:
+    """Superhedge primal over (x, lambda): minimize x such that x plus the
+    wealth sum_j lambda_j cols[j] dominates the claim at every outcome, with
+    lambda >= 0 for long-only trading."""
+    k = len(cols)
+    lam_bounds = (0, None) if mode == "long_only" else (None, None)
+    return LinearProgram.build(
+        objective=[1] + [0] * k,
+        sense="min",
+        constraints=[([1] + [col[w] for col in cols], GE, c) for w, c in enumerate(claim)],
+        bounds=[(None, None)] + [lam_bounds] * k,
+    )
 
 
 def superreplicate(
@@ -130,23 +149,13 @@ def superreplicate(
     claim = as_random_variable(claim)
     kind = "martingale" if mode == "free" else "supermartingale"
     _measure_or_refuse(model, mode, tol)
-    lp_mode, eff_tol = _context(model, claim, tol)
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
     gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
-    k = len(cols)
     if len(claim) != n:
         raise ValueError("claim lives on a different space")
 
-    lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    primal = LinearProgram.build(
-        objective=[1] + [0] * k,
-        sense="min",
-        constraints=[
-            ([1] + [col[w] for col in cols], GE, claim[w]) for w in range(n)
-        ],
-        bounds=[(None, None)] + [lam_bounds] * k,
-    )
-    psol = solve(primal, lp_mode, solver_tol(eff_tol))
+    psol = solve(superhedge_lp(cols, claim, mode), lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # pragma: no cover - dual feasibility makes it bounded
         raise RuntimeError(f"superreplication primal ended with status {psol.status}")
     price = psol.objective
@@ -177,37 +186,7 @@ def superreplicate(
     return hedge, dual_cert
 
 
-def _bound_lp(cols, n, kind, claim, sense):
-    return LinearProgram.build(
-        objective=list(claim.values),
-        sense=sense,
-        constraints=martingale_polytope_constraints(cols, n, kind),
-        bounds=[(0, None)] * n,
-    )
-
-
-def _attained_by_full_support(cols, n, kind, claim, bound, lp_mode, eff_tol) -> tuple[bool, Num]:
-    """Maximize the minimum mass over optimizers of the bound."""
-    constraints = [(c + [0], rel, rhs) for c, rel, rhs in martingale_polytope_constraints(cols, n, kind)]
-    constraints.append((list(claim.values) + [0], EQ, bound))
-    for w in range(n):
-        row = [0] * (n + 1)
-        row[w] = 1
-        row[n] = -1
-        constraints.append((row, GE, 0))
-    lp = LinearProgram.build(
-        objective=[0] * n + [1],
-        sense="max",
-        constraints=constraints,
-        bounds=[(0, None)] * (n + 1),
-    )
-    sol = solve(lp, lp_mode, solver_tol(eff_tol))
-    if sol.status != OPTIMAL:  # pragma: no cover
-        raise RuntimeError("attainment probe failed")
-    return sol.objective > eff_tol, sol.objective
-
-
-def _mixing_witness(q_star, base_cert, claim, bound, eta) -> BoundWitness:
+def _mixing_witness(q_star, base_cert, claim, bound, eta, eff_tol) -> BoundWitness:
     """Full-support mixture of the optimizer with a full-support feasible
     measure, landing within eta of the bound."""
     base = base_cert.q_values
@@ -216,7 +195,7 @@ def _mixing_witness(q_star, base_cert, claim, bound, eta) -> BoundWitness:
     alpha = 1 if gap == 0 else min(1, Fraction(eta) / gap if isinstance(gap, Fraction) else eta / gap)
     mix = tuple((1 - alpha) * qs + alpha * qb for qs, qb in zip(q_star, base))
     achieved = sum(q * c for q, c in zip(mix, claim.values))
-    nulls = tuple(i for i, q in enumerate(q_star) if q == 0)
+    nulls = tuple(i for i, q in enumerate(q_star) if q <= eff_tol)
     return BoundWitness(tuple(q_star), nulls, mix, eta, achieved)
 
 
@@ -226,34 +205,31 @@ def price_interval(
     eta: Num = Fraction(1, 10**6),
     tol: Num | None = None,
 ) -> PriceInterval:
-    """Dual price bounds of a claim with the attainability dichotomy resolved.
+    """Price bounds of a claim as two superhedges, with attainability resolved.
 
-    Zero width: the claim is replicable and the exact replication is returned.
-    Positive width: the bounds are not attained by any full-support measure
-    (verified, not assumed) yet are approachable within ``eta`` by mixing.
+    The upper bound is the superreplication price of the claim and the lower
+    bound minus that of its negative; each bound's optimizer is its hedge's
+    checked dual measure. Zero width: the claim is replicable and the upper
+    hedge is the exact replication. Positive width: a bound is attained by a
+    full-support measure only if its hedge consumes nowhere, since by
+    complementary slackness every optimizer puts no mass where the hedge
+    consumes; an un-attained bound is approached within ``eta`` by mixing.
     """
     claim = as_random_variable(claim)
     base_cert = _measure_or_refuse(model, "free", tol)
-    lp_mode, eff_tol = _context(model, claim, tol)
-    _gens, cols = generator_matrix(model, "free")
-    n = model.n_outcomes
-
-    up = solve(_bound_lp(cols, n, "martingale", claim, "max"), lp_mode, solver_tol(eff_tol))
-    lo = solve(_bound_lp(cols, n, "martingale", claim, "min"), lp_mode, solver_tol(eff_tol))
-    if up.status != OPTIMAL or lo.status != OPTIMAL:  # pragma: no cover
-        raise RuntimeError("price interval LPs did not solve")
-    upper, lower = up.objective, lo.objective
+    eff_tol = pick_tol(model.all_values() + list(claim.values), tol)
+    up_hedge, up_dual = superreplicate(model, claim, "free", tol)
+    lo_hedge, lo_dual = superreplicate(model, -claim, "free", tol)
+    upper, lower = up_hedge.price, -lo_hedge.price
+    att_up, att_lo = (all(abs(v) <= eff_tol for v in h.consumption) for h in (up_hedge, lo_hedge))
 
     if abs(upper - lower) <= eff_tol * (1 + abs(upper)):
-        coeffs = _linalg.column_span_solve([list(c) for c in cols], [v - lower for v in claim.values], eff_tol)
-        if coeffs is None:  # pragma: no cover - zero width forces replicability
+        if not att_up:  # pragma: no cover - zero width forces replicability
             raise RuntimeError("zero-width interval without an exact replication")
-        return PriceInterval(lower, upper, True, True, (lower, tuple(coeffs)), None, None)
+        return PriceInterval(lower, upper, True, True, (upper, up_hedge.lambdas), None, None)
 
-    att_up, _ = _attained_by_full_support(cols, n, "martingale", claim, upper, lp_mode, eff_tol)
-    att_lo, _ = _attained_by_full_support(cols, n, "martingale", claim, lower, lp_mode, eff_tol)
-    up_witness = None if att_up else _mixing_witness(tuple(up.x), base_cert, claim, upper, eta)
-    lo_witness = None if att_lo else _mixing_witness(tuple(lo.x), base_cert, claim, lower, eta)
+    up_witness = None if att_up else _mixing_witness(up_dual.q_values, base_cert, claim, upper, eta, eff_tol)
+    lo_witness = None if att_lo else _mixing_witness(lo_dual.q_values, base_cert, claim, lower, eta, eff_tol)
     return PriceInterval(lower, upper, att_lo, att_up, None, lo_witness, up_witness)
 
 
@@ -395,7 +371,7 @@ def attainability_set_check(
     """
     claim = as_random_variable(claim)
     interval = price_interval(model, claim, tol=tol)
-    lp_mode, eff_tol = _context(model, claim, tol)
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
     _gens, cols = generator_matrix(model, "free")
     n = model.n_outcomes
     x = interval.upper

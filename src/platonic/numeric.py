@@ -31,6 +31,14 @@ def pick_tol(values: Iterable[Num], tol: Num | None = None) -> Num:
     return 0 if all_exact(values) else DEFAULT_FLOAT_TOL
 
 
+def lp_mode_and_tol(values: Iterable[Num], tol: Num | None = None) -> tuple[str, Num]:
+    """LP arithmetic and comparison tolerance for data ``values``: ``"exact"``
+    when every value is exact and the tolerance is 0, ``"float"`` otherwise."""
+    values = list(values)
+    eff = pick_tol(values, tol)
+    return ("exact" if eff == 0 and all_exact(values) else "float"), eff
+
+
 def solver_tol(eff_tol: Num) -> float:
     """Float-backend tolerance for an effective tolerance (the default when it is 0)."""
     return float(eff_tol) if eff_tol else DEFAULT_FLOAT_TOL

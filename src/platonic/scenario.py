@@ -6,6 +6,7 @@ options) both produce a ready model plus named claims.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from .bayes import (
     embed_semistatic,
     split_product_label,
 )
+from .ftap import InvalidModelError
 from .market import MarketModel, build_market
 from .numeric import format_number, parse_number
 from .probspace import FiniteSpace, Filtration, Partition, RandomVariable
@@ -31,6 +33,21 @@ SCHEMA_VERSION = 1
 
 class ScenarioError(ValueError):
     """Malformed scenario document; the message carries the JSON location."""
+
+
+@contextmanager
+def _section(where: str):
+    """Report a builder's failure on malformed input as a :class:`ScenarioError`
+    naming the section, so that no such input ends in a traceback. A built
+    model that fails validation stays an :class:`InvalidModelError`."""
+    try:
+        yield
+    except (ScenarioError, InvalidModelError):
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -103,6 +120,8 @@ def _observation(raw, where: str) -> ObservationSpec:
 def _claim_values(raw, model: MarketModel, where: str) -> RandomVariable:
     n = model.n_outcomes
     if isinstance(raw, list):
+        if len(raw) != n:
+            raise ScenarioError(f"{where}: expected {n} values, one per outcome")
         return RandomVariable(_numbers(raw, where))
     if isinstance(raw, dict) and "call_on" in raw:
         asset = raw["call_on"]
@@ -158,9 +177,12 @@ def _parse_plain(doc: dict) -> MarketModel:
             raise ScenarioError(f"assets.{asset}: need one value list per grid time")
         prices[asset] = [RandomVariable(_numbers(vals, f"assets.{asset}[{k}]")) for k, vals in enumerate(path)]
 
+    named_doc = doc.get("filtrations", {})
+    if not isinstance(named_doc, dict):
+        raise ScenarioError("filtrations: expected an object of named filtrations")
     named = {
         name: _filtration(raw, times, index, f"filtrations.{name}")
-        for name, raw in doc.get("filtrations", {}).items()
+        for name, raw in named_doc.items()
     }
     admissible = doc.get("admissible_sets")
     sets = None
@@ -295,18 +317,25 @@ def parse_scenario(source: str | Path | dict) -> Scenario:
 
     claims: dict[str, RandomVariable] = {}
     if "bayes" in doc:
-        model, claims = _parse_bayes(doc)
+        with _section("bayes"):
+            model, claims = _parse_bayes(doc)
     elif "noise" in doc:
-        model = _parse_noise(doc)
+        with _section("noise"):
+            model = _parse_noise(doc)
     else:
-        model = _parse_plain(doc)
+        with _section("market"):
+            model = _parse_plain(doc)
 
+    claims_doc = doc.get("claims", {})
+    if not isinstance(claims_doc, dict):
+        raise ScenarioError("claims: expected an object of named claims")
     option_specs = []
     if "options" in doc:
-        for cname, raw in doc.get("claims", {}).items():
+        for cname, raw in claims_doc.items():
             claims.setdefault(cname, _claim_values(raw, model, f"claims.{cname}"))
-        model, option_specs = _apply_options(model, doc, claims)
-    for cname, raw in doc.get("claims", {}).items():
+        with _section("options"):
+            model, option_specs = _apply_options(model, doc, claims)
+    for cname, raw in claims_doc.items():
         if cname not in claims:
             claims[cname] = _claim_values(raw, model, f"claims.{cname}")
     return Scenario(name=name, model=model, claims=claims, raw=doc, option_specs=tuple(option_specs))

@@ -1,6 +1,18 @@
 import json
+from pathlib import Path
 
-from platonic.cli import main
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from platonic.cli import (
+    EXIT_INCONSISTENT,
+    EXIT_INVALID,
+    EXIT_NO_ANSWER,
+    EXIT_OK,
+    EXIT_PARSE,
+    main,
+)
 from platonic.scenario import parse_scenario, serialize_model
 
 
@@ -69,6 +81,19 @@ class TestIntervalCommand:
         assert code == 0
         assert report["lower"] == report["upper"] == "0"
         assert "replication" in report
+
+    def test_float_null_outcomes_match_exact(self, capsys, scenario_path):
+        # the float optimizer keeps rounding-level mass where its hedge consumes
+        reports = [
+            run(capsys, "interval", scenario_path("noisy_price"), "--claim", "call", *flag)[1]
+            for flag in ((), ("--float",))
+        ]
+        exact, rounded = (
+            {side: r[f"{side}_openness"]["optimizer_null_outcomes"] for side in ("lower", "upper")}
+            for r in reports
+        )
+        assert rounded == exact
+        assert all(len(nulls) == 2 for nulls in exact.values())
 
 
 class TestValidateCommand:
@@ -248,3 +273,72 @@ class TestNoCertifiedAnswer:
         code = main(["superhedge", scenario_path("binomial"), "--float", "--claim", "call"])
         assert code == 4
         assert capsys.readouterr().err == "no certified answer: boundary case; retry exact\n"
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+DROP = object()  # mutation that deletes the key instead of replacing its value
+
+
+class TestMalformedScenarios:
+    """A golden scenario with one key dropped or one value of the wrong type
+    ends in a documented exit code and a one-line message, never in a
+    traceback."""
+
+    DOCUMENTED = {EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_INCONSISTENT, EXIT_NO_ANSWER}
+    WRONG = (None, True, 5, -1, "x", "1/0", [], [1], [[]], {}, {"x": 1})
+
+    @staticmethod
+    def _validate(tmp_path, scenario_path, name, path, value):
+        doc = json.loads(Path(scenario_path(name)).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        mutated = tmp_path / "mutated.json"
+        mutated.write_text(json.dumps(doc))
+        return main(["validate", str(mutated)])
+
+    @pytest.mark.parametrize("name,path,value,message", [
+        ("two_theta", ("bayes", "models"), DROP, "scenario error: bayes: missing key 'models'"),
+        ("binomial", ("admissible_sets",), [["S", "ZZZ"]], "scenario error: market: admissible set"),
+        ("two_theta", ("bayes", "thetas"), 5, "scenario error: bayes:"),
+        ("noisy_price", ("noise", "base"), DROP, "scenario error: noise:"),
+        ("semistatic_call", ("options", 0, "name"), DROP, "scenario error: options: missing key 'name'"),
+        ("binomial", ("filtrations",), [1], "scenario error: filtrations:"),
+        ("two_theta", ("bayes", "prices", "stock", 0, 0), "5", "invalid model: "),
+    ])
+    def test_reported_inputs(self, capsys, tmp_path, scenario_path, name, path, value, message):
+        code = self._validate(tmp_path, scenario_path, name, path, value)
+        err = capsys.readouterr().err
+        assert code == (EXIT_INVALID if message.startswith("invalid") else EXIT_PARSE)
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_validate_exits_with_documented_code(self, data, tmp_path, capsys, scenario_path):
+        names = sorted(p.stem for p in Path(scenario_path("binomial")).parent.glob("*.json"))
+        name = data.draw(st.sampled_from(names))
+        doc = json.loads(Path(scenario_path(name)).read_text())
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(st.sampled_from((DROP,) + self.WRONG))
+        assert self._validate(tmp_path, scenario_path, name, path, value) in self.DOCUMENTED
+        capsys.readouterr()

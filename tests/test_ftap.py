@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import binomial_tree, random_market, resample_reference
+from _factories import binomial_tree, random_claim, random_market, resample_reference
 from platonic import (
+    EQ,
+    GE,
     FiniteSpace,
     Filtration,
     FloatModeError,
     InvalidModelError,
+    LinearProgram,
     Partition,
+    RandomVariable,
+    attainability_set_check,
     build_market,
     delayed_filtration,
     as_float_model,
@@ -22,10 +27,14 @@ from platonic import (
     find_separating_density,
     free_lunch_truncation,
     ftap_verdict,
+    price_interval,
     project_prices,
+    solve,
     superreplicate,
     wealth_process,
 )
+from platonic.ftap import martingale_polytope_constraints
+from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
 
 
@@ -332,7 +341,8 @@ class TestArithmeticInCacheKeys:
 
 
 class TestSolvesPerQuestion:
-    """The verdict solves one LP; superreplicate reuses it and solves one more."""
+    """The verdict solves one LP; superreplicate reuses it and solves one more,
+    and a price interval is two superhedges."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -381,6 +391,21 @@ class TestSolvesPerQuestion:
         assert solves == ["platonic.hedging"]
         assert _measure_holds(dual.q_values, m, mode, 1e-9, full_support=False)
 
+    @pytest.mark.parametrize("replicable", [True, False])
+    def test_interval_after_verdict_two_solves(self, solves, replicable):
+        m = binomial_tree(2, "delayed")
+        terminal = m.price_path("stock")[-1]
+        claim = terminal if replicable else RandomVariable(tuple(max(v - 100, 0) for v in terminal))
+        ftap_verdict(m)
+        solves.clear()
+        interval = price_interval(m, claim)
+        assert (interval.replication is not None) == replicable
+        assert solves == ["platonic.hedging"] * 2
+        solves.clear()
+        report = attainability_set_check(m, claim)
+        assert report.consistent and report.zero_width == replicable
+        assert solves == ["platonic.hedging"] * 4
+
 
 class TestVerdictAgainstMeasureSearch:
     """The one-LP verdict against the old two-search dichotomy as oracle."""
@@ -403,6 +428,58 @@ class TestVerdictAgainstMeasureSearch:
             assert verdict.measure.kind == kind
             assert _measure_holds(verdict.measure.q_values, model, mode, tol)
             assert _numbers(verdict.measure.q_values) == ({F} if tol == 0 else {float})
+
+
+def _max_min_mass(cols, n, claim, bound):
+    """Largest minimum mass over the measures attaining ``bound``."""
+    constraints = [
+        (row + [0], rel, rhs)
+        for row, rel, rhs in martingale_polytope_constraints(cols, n, "martingale")
+    ]
+    constraints.append((list(claim) + [0], EQ, bound))
+    for w in range(n):
+        row = [0] * (n + 1)
+        row[w], row[n] = 1, -1
+        constraints.append((row, GE, 0))
+    return solve(LinearProgram.build([0] * n + [1], "max", constraints, [(0, None)] * (n + 1))).objective
+
+
+class TestIntervalAgainstBoundLps:
+    """The interval as two superhedges against the direct formulation as
+    oracle: the optima of E_q[c] over the martingale polytope, and at a
+    positive width the max-min-mass probe at each bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bounds_attainment_and_witnesses(self, seed):
+        rng = random.Random(seed)
+        model = random_market(rng, na_bias=1.0)
+        claim = random_claim(rng, model.n_outcomes)
+        assert ftap_verdict(model).kind == "NO_ARBITRAGE"
+        interval = price_interval(model, claim)
+        _gens, cols = generator_matrix(model, "free")
+        n = model.n_outcomes
+        polytope = martingale_polytope_constraints(cols, n, "martingale")
+        oracle = [
+            solve(LinearProgram.build(list(claim), sense, polytope, [(0, None)] * n)).objective
+            for sense in ("min", "max")
+        ]
+        assert [interval.lower, interval.upper] == oracle
+        if interval.width == 0:
+            x, lambdas = interval.replication
+            for w, c in enumerate(claim):
+                assert x + sum(lam * col[w] for lam, col in zip(lambdas, cols)) == c
+            return
+        assert [_max_min_mass(cols, n, claim, b) for b in oracle] == [0, 0]
+        assert not interval.attained_lower and not interval.attained_upper
+        for bound, witness in ((interval.lower, interval.lower_witness),
+                               (interval.upper, interval.upper_witness)):
+            assert _measure_holds(witness.optimizer, model, "free", 0, full_support=False)
+            assert sum(q * c for q, c in zip(witness.optimizer, claim)) == bound
+            assert witness.null_outcomes
+            assert all(witness.optimizer[i] == 0 for i in witness.null_outcomes)
+            assert _measure_holds(witness.mixture, model, "free", 0)
+            assert abs(witness.achieved - bound) <= witness.eta
 
 
 class TestFloatSixStepTrees:

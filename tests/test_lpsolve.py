@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from platonic import _linalg
 from platonic import (
     EQ,
     GE,
@@ -158,3 +159,25 @@ class TestDegenerateSystems:
         )
         sol = solve(problem)
         assert sol.status == "optimal" and sol.objective == 0
+
+
+class TestElimination:
+    """One elimination serves both the unique and the span solve."""
+
+    def test_unique_solution(self):
+        assert _linalg.solve_unique([[2, 1], [1, 1]], [3, 2]) == [1, 1]
+
+    @pytest.mark.parametrize("matrix,rhs", [
+        ([[1, 1], [2, 2]], [1, 2]),  # consistent but singular
+        ([[1, 1], [2, 2]], [1, 3]),  # inconsistent
+    ])
+    def test_unique_refuses(self, matrix, rhs):
+        assert _linalg.solve_unique(matrix, rhs) is None
+
+    def test_span_solve_takes_free_variables_at_zero(self):
+        cols = [(1, 0, 1), (2, 0, 2), (0, 1, 0)]
+        assert _linalg.column_span_solve(cols, [3, 4, 3]) == [3, 0, 4]
+        assert _linalg.column_span_solve(cols, [1, 0, 0]) is None
+        # a residual within the float tolerance counts as inside the span
+        assert _linalg.column_span_solve([(1.0, 0.0)], [0.5, 1e-12], 1e-9) == [0.5]
+        assert _linalg.column_span_solve([(1.0, 0.0)], [0.5, 1e-6], 1e-9) is None
