@@ -1,10 +1,13 @@
-"""Dense Gaussian elimination used by the LP engine and the polyhedral checks.
+"""Gaussian elimination used by the LP engine and the polyhedral checks.
 
-Works over Fractions (exact, first-nonzero pivoting) and floats (largest
-pivot, tolerance-aware). Problem sizes here are tiny, so clarity wins.
+The dense routines work over Fractions (exact, first-nonzero pivoting) and
+floats (largest pivot, tolerance-aware); problem sizes there are tiny, so
+clarity wins. ``solve_sparse`` is the exact square solve behind the LP's
+basis certificate, where most columns are unit vectors.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 from .numeric import Num
@@ -96,3 +99,61 @@ def column_span_solve(
         raise ValueError("columns and target must have equal length")
     matrix = [[col[i] for col in columns] for i in range(n)]
     return _eliminate(matrix, target, tol)[0]
+
+
+def solve_sparse(rows: Sequence[dict[int, Num]], rhs: Sequence[Num]) -> list[Num] | None:
+    """The solution of the square system ``A x = b`` whose rows are given as
+    ``{column: nonzero value}`` maps, exactly; None when ``A`` is singular.
+
+    Elimination pivots on the shortest remaining row, in the column with the
+    fewest remaining entries (Markowitz), so unit columns cost one step and
+    the fill-in stays small. Only nonzero entries are ever touched."""
+    n = len(rows)
+    rows = [dict(row) for row in rows]
+    rhs = list(rhs)
+    holders: dict[int, set[int]] = {}  # column -> unpivoted rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(queue)
+    done = [False] * n
+    order: list[tuple[int, int]] = []
+    while queue:
+        length, i = heapq.heappop(queue)
+        if done[i] or length != len(rows[i]):
+            continue  # a stale entry: the row was pivoted or changed length
+        prow = rows[i]
+        if not prow:
+            return None
+        done[i] = True
+        for j in prow:
+            holders[j].discard(i)
+        col = min(prow, key=lambda j: len(holders[j]))
+        pivot = prow[col]
+        for k in list(holders[col]):
+            row = rows[k]
+            factor = row[col] / pivot
+            for j, v in prow.items():
+                new = row.get(j, 0) - factor * v
+                if new:
+                    if j not in row:
+                        holders[j].add(k)
+                    row[j] = new
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(k)
+            rhs[k] -= factor * rhs[i]
+            heapq.heappush(queue, (len(row), k))
+        order.append((i, col))
+    if len(order) != n:
+        return None
+    x: list[Num] = [0] * n
+    for i, col in reversed(order):
+        row = rows[i]
+        acc = rhs[i]
+        for j, v in row.items():
+            if j != col:
+                acc -= v * x[j]
+        x[col] = acc / row[col]
+    return x

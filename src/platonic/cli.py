@@ -1,10 +1,11 @@
 """Command-line front end: scenario ingestion, command dispatch and
 machine-readable reports.
 
-Exit codes: 0 success, 1 unparseable scenario, 2 model fails validation,
-3 a certificate failed its check (internal inconsistency), 4 no certified
-answer (the market admits arbitrage, the float backend refused, or the
-instance exceeds a brute-force size guard).
+Exit codes: 0 success, 1 unparseable scenario (or an asset set it does not
+admit), 2 model fails validation, 3 a certificate failed its check (internal
+inconsistency), 4 no certified answer (the market admits arbitrage, the float
+backend refused, or the instance exceeds a brute-force size guard). Each
+warning the library raises is printed to stderr as one ``warning: ...`` line.
 
 ``min_mass`` in a measure report is the smallest mass of the certificate
 returned, not the largest minimum mass over all measures; ``project
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -162,10 +164,13 @@ def cmd_ftap(args) -> int:
 def cmd_project(args) -> int:
     scenario, report = _load(args)
     asset_set = frozenset(args.set.split(","))
+    if asset_set not in scenario.model.admissible_sets:
+        admissible = "; ".join(",".join(sorted(s)) for s in scenario.model.admissible_sets)
+        raise ScenarioError(f"--set {args.set}: not an admissible asset set (admissible: {admissible})")
     if args.measure == "search":
         cert = find_measure(scenario.model, "martingale", _tol_arg(args))
         if cert is None:
-            raise FtapInconsistencyError("no martingale measure exists; nothing to project", None, None)
+            raise UnpricedMarketError("the market admits arbitrage: no martingale measure to project with")
     else:
         loaded = json.loads(Path(args.measure).read_text())
         q_doc = loaded["measure"]["q"]
@@ -367,9 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args._started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ScenarioError as exc:

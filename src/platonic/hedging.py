@@ -41,7 +41,8 @@ from .probspace import RandomVariable, as_random_variable
 
 
 class UnpricedMarketError(RuntimeError):
-    """Superreplication requested in a market that admits arbitrage."""
+    """Superreplication or a price projection requested in a market that
+    admits arbitrage."""
 
 
 @dataclass(frozen=True)

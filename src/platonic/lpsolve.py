@@ -1,12 +1,26 @@
-"""Dense two-phase simplex with exact-rational and float backends, plus a
+"""Two-phase simplex with exact-rational and float backends, plus a
 brute-force vertex enumerator for small polytopes.
 
-The exact backend pivots on Fractions with Bland's anti-cycling rule, so every
-reported status is a certificate: optimal solutions come with exact primal
-feasibility, an exact dual vector and a zero duality gap, and complementary
-slackness holds exactly. The float backend runs the same pivoting with
-tolerances and re-certifies the result; when certification fails it raises
-:class:`FloatModeError` instead of ever returning a wrong status.
+A solve has three stages: the standard form, Bland pivoting on a dense
+tableau from a given basis, and the extraction and certification of the
+answer. Both backends share them.
+
+Exact mode finds its basis in float and certifies it once, exactly. A float
+simplex runs on a float copy of the exact standard form; its final basis B is
+then checked in rationals by one sparse solve of ``B x_B = b`` and one of
+``B^T y = c_B``: ``x_B >= 0``, every equation dropped as redundant holds at
+``x``, and every non-artificial column has reduced cost ``c_j - y.A_j >= 0``.
+Those checks prove the basis optimal, and ``y`` is its dual vector. When a
+check fails, or the float stage refuses or ends elsewhere than at an optimum,
+exact Bland pivoting takes over: from the float basis when it is exactly
+feasible, otherwise from the slack and artificial start. So every status
+exact mode reports is proved in rationals: an optimum by the basis checks
+and a zero duality gap with complementary slackness, infeasibility and
+unboundedness by exact pivoting.
+
+The float backend runs the same pivoting with tolerances and re-certifies
+the result; when certification fails it raises :class:`FloatModeError`
+instead of ever returning a wrong status.
 
 Determinism: entering and leaving variables are chosen by lowest index, so
 identical inputs always produce identical outputs.
@@ -179,150 +193,168 @@ def _pivot_loop(
     raise FloatModeError("simplex did not terminate within the pivot budget")
 
 
-def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL) -> LpSolution:
-    """Solve ``lp``; see the module docstring for the guarantees per mode."""
-    if mode == "exact":
-        conv = Fraction
-        tol_piv: Num = 0
-        tol_cert: Num = 0
-    elif mode == "float":
-        conv = float
-        tol_piv = _PIVOT_TOL
-        tol_cert = tol
-    else:
-        raise ValueError("mode must be 'exact' or 'float'")
+@dataclass
+class _StandardForm:
+    """``min cost.x`` s.t. ``A x = b``, ``x >= 0`` with ``b >= 0``, built from a
+    :class:`LinearProgram` in one arithmetic.
 
-    nvars = len(lp.objective)
-    maximize = lp.sense == "max"
-    c_user = [conv(v) for v in lp.objective]
-    c_min = [-v for v in c_user] if maximize else list(c_user)
+    Finite lower bounds are shifted to zero, free variables split into two
+    columns, upper bounds become rows after the constraints. The columns are
+    the structural ones, a slack per inequality row, then an artificial per
+    row whose slack cannot start basic (``n_real`` counts the columns before
+    the artificials). ``start`` picks each row's +1 slack or artificial, a
+    basis on which ``A`` is the identity."""
 
-    # Variable transform: shift finite lower bounds to zero, split free
-    # variables into positive and negative parts, turn upper bounds into rows.
+    rows: list[dict[int, Num]]  # A, nonzero entries only
+    rhs: list[Num]              # b
+    cost: list[Num]             # per column; 0 on slacks and artificials
+    start: list[int]
+    n_real: int
+    art_rows: list[int]         # the row that created each artificial
+    # the way back to the caller's LP
+    col_map: list[tuple]
+    signs: list[int]            # -1 where a row was negated to make b >= 0
+    constraint: list[int | None]  # the LP constraint behind each row; None for bounds
+    obj_shift: Num
+
+
+def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
+    """The standard form of ``lp``; None when an empty box makes it infeasible."""
+    c_min = [conv(v) for v in lp.objective]
+    if lp.sense == "max":
+        c_min = [-v for v in c_min]
+
     col_map: list[tuple] = []
     n_struct = 0
-    extra_rows: list[tuple[list[tuple[int, Num]], str, Num, tuple]] = []
-    for j, (lo, hi) in enumerate(lp.bounds):
+    bound_rows: list[tuple[dict[int, Num], Num]] = []
+    for lo, hi in lp.bounds:
         if lo is None:
             col_map.append(("split", n_struct, n_struct + 1))
-            cols = [(n_struct, conv(1)), (n_struct + 1, conv(-1))]
+            cols = {n_struct: conv(1), n_struct + 1: conv(-1)}
             n_struct += 2
             shift = conv(0)
         else:
             shift = conv(lo)
             col_map.append(("plain", n_struct, shift))
-            cols = [(n_struct, conv(1))]
+            cols = {n_struct: conv(1)}
             n_struct += 1
         if hi is not None:
             hi_c = conv(hi)
             if lo is not None and hi_c < shift:
-                return LpSolution(INFEASIBLE, None, None, None, None)
-            extra_rows.append((cols, LE, hi_c - shift, ("bound", j)))
+                return None
+            bound_rows.append((cols, hi_c - shift))
 
-    def expand(coeffs: Sequence[Num]) -> tuple[list[Num], Num]:
-        """Row coefficients over structural columns and the rhs shift it causes."""
-        row = [conv(0)] * n_struct
+    std_rows: list[tuple[dict[int, Num], str, Num, int | None]] = []
+    for i, con in enumerate(lp.constraints):
+        row: dict[int, Num] = {}
         shift_amount = conv(0)
-        for j, v in enumerate(coeffs):
+        for j, v in enumerate(con.coeffs):
             if v == 0:
                 continue
             v = conv(v)
             spec = col_map[j]
+            row[spec[1]] = v
             if spec[0] == "plain":
-                row[spec[1]] += v
                 shift_amount += v * spec[2]
             else:
-                row[spec[1]] += v
-                row[spec[2]] -= v
-        return row, shift_amount
+                row[spec[2]] = -v
+        std_rows.append((row, con.relation, conv(con.rhs) - shift_amount, i))
+    for cols, rhs in bound_rows:
+        std_rows.append((cols, LE, rhs, None))
 
-    std_rows: list[tuple[list[Num], str, Num, tuple]] = []
-    for i, con in enumerate(lp.constraints):
-        row, shift_amount = expand(con.coeffs)
-        std_rows.append((row, con.relation, conv(con.rhs) - shift_amount, ("user", i)))
-    for cols, rel, rhs, meta in extra_rows:
-        row = [conv(0)] * n_struct
-        for col, v in cols:
-            row[col] = v
-        std_rows.append((row, rel, rhs, meta))
-
-    c_struct = [conv(0)] * n_struct
+    cost = [conv(0)] * n_struct
     obj_shift = conv(0)
     for j, v in enumerate(c_min):
         spec = col_map[j]
+        cost[spec[1]] += v
         if spec[0] == "plain":
-            c_struct[spec[1]] += v
             obj_shift += v * spec[2]
         else:
-            c_struct[spec[1]] += v
-            c_struct[spec[2]] -= v
+            cost[spec[2]] -= v
 
-    # Equality standard form with slack columns, rhs made nonnegative.
-    m = len(std_rows)
-    n_slack = sum(1 for _, rel, _, _ in std_rows if rel != EQ)
-    needs_art: list[bool] = []
+    # Slack columns, then artificials for the rows whose slack is not +1
+    # once the row is negated to make its rhs nonnegative.
+    n_real = n_struct + sum(1 for _, rel, _, _ in std_rows if rel != EQ)
+    rows: list[dict[int, Num]] = []
+    rhs_out: list[Num] = []
+    start: list[int] = []
     signs: list[int] = []
-    slack_col_of: list[int | None] = []
+    art_rows: list[int] = []
     scol = n_struct
-    for row, rel, rhs, _meta in std_rows:
+    for i, (row, rel, rhs, _con) in enumerate(std_rows):
         negate = rhs < 0
-        signs.append(-1 if negate else 1)
-        if rel == EQ:
-            slack_col_of.append(None)
-            needs_art.append(True)
-        else:
-            slack_col_of.append(scol)
-            scol += 1
+        plus_slack = False
+        if rel != EQ:
+            row[scol] = conv(1) if rel == LE else conv(-1)
             plus_slack = (rel == LE) != negate
-            needs_art.append(not plus_slack)
-    n_art = sum(needs_art)
-    ncols = n_struct + n_slack + n_art
+            if plus_slack:
+                start.append(scol)
+            scol += 1
+        if negate:
+            row = {j: -v for j, v in row.items()}
+            rhs = -rhs
+        if not plus_slack:
+            acol = n_real + len(art_rows)
+            row[acol] = conv(1)
+            start.append(acol)
+            art_rows.append(i)
+        rows.append(row)
+        rhs_out.append(rhs)
+        signs.append(-1 if negate else 1)
+    cost += [conv(0)] * (n_real + len(art_rows) - n_struct)
+    return _StandardForm(
+        rows, rhs_out, cost, start, n_real, art_rows, col_map, signs,
+        [con for _, _, _, con in std_rows], obj_shift,
+    )
 
-    rows: list[list[Num]] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    art_home: dict[int, int] = {}  # artificial column -> row that created it
-    acol = n_struct + n_slack
-    for i, (row, rel, rhs, _meta) in enumerate(std_rows):
-        full = list(row) + [conv(0)] * (n_slack + n_art) + [rhs]
-        s = slack_col_of[i]
-        if s is not None:
-            full[s] = conv(1) if rel == LE else conv(-1)
-        if signs[i] < 0:
-            full = [-v for v in full]
-        if needs_art[i]:
-            full[acol] = conv(1)
-            basis.append(acol)
-            art_cols.append(acol)
-            art_home[acol] = i
-            acol += 1
-        else:
-            basis.append(s)  # slack enters with +1 after sign normalization
+
+@dataclass
+class _Tableau:
+    """Dense ``[A | b]`` rows canonical for ``basis`` (one basic column per
+    row) and the phase-2 cost. ``kept`` lists the standard-form rows the
+    tableau still represents: a redundant equation leaves with its row."""
+
+    rows: list[list[Num]]
+    cost: list[Num]
+    basis: list[int]
+    kept: list[int]
+
+
+def _start_tableau(form: _StandardForm, conv) -> _Tableau:
+    """The tableau of ``form`` on its slack and artificial basis, in ``conv``."""
+    ncols = len(form.cost)
+    rows = []
+    for row, rhs in zip(form.rows, form.rhs):
+        full = [conv(0)] * ncols + [conv(rhs)]
+        for j, v in row.items():
+            full[j] = conv(v)
         rows.append(full)
+    return _Tableau(rows, [conv(v) for v in form.cost], list(form.start), list(range(len(rows))))
 
-    pristine = [row[:-1] for row in rows]  # pre-pivot equality system, for duals
-    kept = list(range(m))
-    blocked = frozenset(art_cols)
 
-    if art_cols:
-        c_phase1 = [conv(0)] * ncols
-        for j in art_cols:
-            c_phase1[j] = conv(1)
-        cost1 = _reduced_cost_row(c_phase1, rows, basis)
+def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mode: str) -> str:
+    """Two-phase Bland simplex from the tableau's basis, in place; returns a
+    status. Phase 1 runs while an artificial is basic."""
+    n_real = form.n_real
+    ncols = len(tab.cost)
+    rows, basis = tab.rows, tab.basis
+    blocked = frozenset(range(n_real, ncols))
+    if any(j in blocked for j in basis):
+        cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), rows, basis)
         status = _pivot_loop(rows, cost1, basis, frozenset(), tol_piv)
         if status != OPTIMAL:
             raise _unreachable("phase 1 cannot be unbounded", mode)
         if -cost1[-1] > tol_cert:
-            return LpSolution(INFEASIBLE, None, None, None, None)
+            return INFEASIBLE
         # Drive leftover artificials out of the basis. A row whose non-artificial
         # part vanished states "artificial = 0" only, i.e. the equation that
         # created this artificial is redundant: drop the tableau row and take
         # that creating equation out of the dual bookkeeping.
         drop: list[int] = []
-        for i in range(m):
+        for i in range(len(rows)):
             if basis[i] in blocked:
                 pivot_col = -1
-                for j in range(n_struct + n_slack):
+                for j in range(n_real):
                     if abs(rows[i][j]) > tol_piv:
                         pivot_col = j
                         break
@@ -330,56 +362,172 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
                     _do_pivot(rows, cost1, basis, i, pivot_col)
                 else:
                     drop.append(i)
-        if drop:
-            for i in reversed(drop):
-                kept.remove(art_home[basis[i]])
-                del rows[i], basis[i]
+        for i in reversed(drop):
+            tab.kept.remove(form.art_rows[basis[i] - n_real])
+            del rows[i], basis[i]
+    cost = _reduced_cost_row(tab.cost, rows, basis)
+    return _pivot_loop(rows, cost, basis, blocked, tol_piv)
 
-    c_full = list(c_struct) + [conv(0)] * (n_slack + n_art)
-    cost = _reduced_cost_row(c_full, rows, basis)
-    status = _pivot_loop(rows, cost, basis, blocked, tol_piv)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, None)
 
-    x_struct = [conv(0)] * ncols
-    for i, bc in enumerate(basis):
-        x_struct[bc] = rows[i][-1]
-    x_user: list[Num] = []
-    for spec in col_map:
-        if spec[0] == "plain":
-            x_user.append(x_struct[spec[1]] + spec[2])
-        else:
-            x_user.append(x_struct[spec[1]] - x_struct[spec[2]])
-    objective = sum(cv * xv for cv, xv in zip(c_user, x_user))
+def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], transpose: bool):
+    """Exactly solve ``B x_B = b`` (or ``B^T y = c_B``) for the basis matrix
+    ``B``: the kept rows of ``A`` restricted to the basic columns."""
+    position = {col: k for k, col in enumerate(basis)}
+    eqs: list[dict[int, Num]] = [{} for _ in kept]
+    for i, r in enumerate(kept):
+        for j, v in form.rows[r].items():
+            k = position.get(j)
+            if k is not None:
+                if transpose:
+                    eqs[k][i] = v
+                else:
+                    eqs[i][k] = v
+    rhs = [form.cost[j] for j in basis] if transpose else [form.rhs[r] for r in kept]
+    return _linalg.solve_sparse(eqs, rhs)
 
-    # Duals from the final basis: solve B^T y = c_B on the pristine rows.
-    m_kept = len(rows)
-    bt = [[pristine[kept[i]][basis[k]] for i in range(m_kept)] for k in range(m_kept)]
-    c_b = [c_full[bc] for bc in basis]
-    y = _linalg.solve_unique(bt, c_b, tol_piv) if m_kept else []
+
+def _primal(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num] | None:
+    """The basic solution x_B, exactly, when it is feasible: B nonsingular
+    and free of artificials, x_B >= 0, and every dropped row holds at it."""
+    if any(j >= form.n_real for j in basis):
+        return None
+    x_b = _basis_solve(form, basis, kept, transpose=False)
+    if x_b is None or any(v < 0 for v in x_b):
+        return None
+    value = dict(zip(basis, x_b))
+    kept_set = set(kept)
+    for r, row in enumerate(form.rows):
+        if r not in kept_set and sum(v * value.get(j, 0) for j, v in row.items()) != form.rhs[r]:
+            return None
+    return x_b
+
+
+def _dual(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num] | None:
+    """The basis duals y (B^T y = c_B) exactly, when every non-artificial
+    column has reduced cost c_j - y.A_j >= 0; None otherwise."""
+    y = _basis_solve(form, basis, kept, transpose=True)
     if y is None:
-        raise _unreachable("singular basis while extracting duals", mode)
-    y_full = [conv(0)] * m
-    for pos, row_idx in enumerate(kept):
-        y_full[row_idx] = y[pos]
+        return None
+    reduced = form.cost[:form.n_real]
+    for y_i, r in zip(y, kept):
+        if y_i:
+            for j, v in form.rows[r].items():
+                if j < form.n_real:
+                    reduced[j] -= y_i * v
+    return y if all(d >= 0 for d in reduced) else None
 
-    duals_min = [conv(0)] * len(lp.constraints)
-    dual_obj_min = obj_shift
-    for i, (_row, _rel, rhs, meta) in enumerate(std_rows):
-        y_i = y_full[i]
-        rhs_post = rhs if signs[i] > 0 else -rhs
-        dual_obj_min += y_i * rhs_post
-        if meta[0] == "user":
-            duals_min[meta[1]] = y_i * signs[i]
 
-    if maximize:
+def _canonical(form: _StandardForm, basis: list[int], kept: list[int]) -> _Tableau | None:
+    """The exact tableau of ``basis`` (nonsingular on the kept rows), to pivot
+    on from there; None when a dropped row is not implied by the kept ones."""
+    tab = _start_tableau(form, Fraction)
+    rows = tab.rows
+    no_cost = [0] * (len(tab.cost) + 1)
+    placed = list(tab.basis)
+    free = list(kept)
+    for col in basis:
+        r = next(i for i in free if rows[i][col] != 0)
+        _do_pivot(rows, no_cost, placed, r, col)
+        free.remove(r)
+    kept_set = set(kept)
+    if any(any(rows[r]) for r in range(len(rows)) if r not in kept_set):
+        return None
+    return _Tableau([rows[r] for r in kept], tab.cost, [placed[r] for r in kept], list(kept))
+
+
+def _exact_optimum(form: _StandardForm):
+    """Status and, at an optimum, the certified (basis, kept, x_B, y).
+
+    A float simplex picks the basis; one exact solve of its basis system
+    certifies it. Exact Bland pivoting takes over from that basis when the
+    check finds it exactly feasible but not optimal, and from the slack and
+    artificial start when the float stage refused, ended elsewhere than at
+    an optimum, or left a basis that is not exactly feasible."""
+    tab = _start_tableau(form, float)
+    try:
+        guided = _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL
+    except FloatModeError:
+        guided = False
+    start = None
+    if guided:
+        x_b = _primal(form, tab.basis, tab.kept)
+        if x_b is not None:
+            y = _dual(form, tab.basis, tab.kept)
+            if y is not None:
+                return OPTIMAL, (tab.basis, tab.kept, x_b, y)
+            start = _canonical(form, tab.basis, tab.kept)
+    tab = start if start is not None else _start_tableau(form, Fraction)
+    status = _simplex(form, tab, 0, 0, "exact")
+    if status != OPTIMAL:
+        return status, None
+    x_b = _primal(form, tab.basis, tab.kept)
+    y = _dual(form, tab.basis, tab.kept) if x_b is not None else None
+    if y is None:  # pragma: no cover - exact pivoting ends on a certified basis
+        raise RuntimeError("exact simplex ended on a basis that fails its check")
+    return OPTIMAL, (tab.basis, tab.kept, x_b, y)
+
+
+def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL) -> LpSolution:
+    """Solve ``lp``; see the module docstring for the guarantees per mode."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    exact = mode == "exact"
+    form = _standard_form(lp, Fraction if exact else float)
+    if form is None:
+        return LpSolution(INFEASIBLE, None, None, None, None)
+    if exact:
+        status, optimum = _exact_optimum(form)
+        if status != OPTIMAL:
+            return LpSolution(status, None, None, None, None)
+        basis, kept, x_b, y = optimum
+        tol_cert: Num = 0
+    else:
+        tab = _start_tableau(form, float)
+        status = _simplex(form, tab, _PIVOT_TOL, tol, mode)
+        if status != OPTIMAL:
+            return LpSolution(status, None, None, None, None)
+        basis, kept = tab.basis, tab.kept
+        x_b = [row[-1] for row in tab.rows]
+        # Duals from the final basis: solve B^T y = c_B on the pristine rows.
+        bt = [[form.rows[r].get(bc, 0.0) for r in kept] for bc in basis]
+        y = _linalg.solve_unique(bt, [form.cost[bc] for bc in basis], _PIVOT_TOL) if kept else []
+        if y is None:
+            raise _unreachable("singular basis while extracting duals", mode)
+        tol_cert = tol
+    return _solution(lp, form, basis, kept, x_b, y, tol_cert, mode)
+
+
+def _solution(lp, form, basis, kept, x_b, y, tol, mode) -> LpSolution:
+    """The caller's x, duals and objectives from a basic solution, certified."""
+    conv = Fraction if mode == "exact" else float
+    zero = conv(0)
+    value = dict(zip(basis, x_b))
+    x_user: list[Num] = []
+    for spec in form.col_map:
+        if spec[0] == "plain":
+            x_user.append(value.get(spec[1], zero) + spec[2])
+        else:
+            x_user.append(value.get(spec[1], zero) - value.get(spec[2], zero))
+    objective = sum(conv(cv) * xv for cv, xv in zip(lp.objective, x_user))
+
+    y_full = [zero] * len(form.rows)
+    for pos, r in enumerate(kept):
+        y_full[r] = y[pos]
+    duals_min = [zero] * len(lp.constraints)
+    dual_obj_min = form.obj_shift
+    for i, y_i in enumerate(y_full):
+        dual_obj_min += y_i * form.rhs[i]
+        if form.constraint[i] is not None:
+            duals_min[form.constraint[i]] = y_i * form.signs[i]
+
+    if lp.sense == "max":
         duals_user = tuple(-d for d in duals_min)
         dual_objective = -dual_obj_min
     else:
         duals_user = tuple(duals_min)
         dual_objective = dual_obj_min
 
-    _certify(lp, x_user, duals_user, objective, dual_objective, tol_cert, mode)
+    _certify(lp, x_user, duals_user, objective, dual_objective, tol, mode)
     return LpSolution(OPTIMAL, tuple(x_user), duals_user, objective, dual_objective)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,16 @@ def run(capsys, *argv):
 
 def without_timing(report):
     return {k: v for k, v in report.items() if k != "timing_ms"}
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, for what reaches the real stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "platonic.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestFtapCommand:
@@ -140,6 +153,12 @@ class TestProjectCommand:
         assert code == 0
         assert projected["measure"]["kind"] == "martingale"
 
+    def test_set_not_admissible(self, capsys, scenario_path):
+        code = main(["project", scenario_path("binomial"), "--set", "nosuch"])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err == "scenario error: --set nosuch: not an admissible asset set (admissible: stock)\n"
+
 
 class TestBuilders:
     def test_two_theta_build_roundtrip(self, capsys, tmp_path, scenario_path):
@@ -157,6 +176,15 @@ class TestBuilders:
     def test_noisy_scenario(self, capsys, scenario_path):
         code, report = run(capsys, "ftap", scenario_path("noisy_price"))
         assert code == 0 and report["verdict"] == "NO_ARBITRAGE"
+
+    def test_noise_mean_warning_is_one_line(self, tmp_path, scenario_path):
+        doc = json.loads(Path(scenario_path("noisy_price")).read_text())
+        doc["noise"]["values"] = ["1/5", "-1/10"]
+        biased = tmp_path / "biased.json"
+        biased.write_text(json.dumps(doc))
+        proc = run_process("validate", str(biased))
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == "warning: noise mean is 1/20, not zero\n"
 
     def test_free_lunch_scenario(self, capsys, scenario_path):
         code, report = run(capsys, "ftap", scenario_path("free_lunch_3"))
@@ -228,22 +256,20 @@ class TestNoCertifiedAnswer:
         return str(path)
 
     def test_superhedge_on_arbitrage_without_traceback(self, tmp_path, scenario_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "platonic.cli", "superhedge",
-             self._arbitrage_scenario(tmp_path, scenario_path), "--claim", "call"],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_process(
+            "superhedge", self._arbitrage_scenario(tmp_path, scenario_path), "--claim", "call"
         )
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("no certified answer:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_project_search_on_arbitrage(self, capsys, tmp_path, scenario_path):
+        code = main(["project", self._arbitrage_scenario(tmp_path, scenario_path), "--set", "stock"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NO_ANSWER
+        assert err.startswith("no certified answer: the market admits arbitrage")
+        assert err.count("\n") == 1
 
     def test_interval_on_arbitrage(self, capsys, tmp_path, scenario_path):
         code = main(["interval", self._arbitrage_scenario(tmp_path, scenario_path), "--claim", "call"])

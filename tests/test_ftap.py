@@ -33,7 +33,7 @@ from platonic import (
     superreplicate,
     wealth_process,
 )
-from platonic.ftap import martingale_polytope_constraints
+from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
 
@@ -497,3 +497,20 @@ class TestFloatSixStepTrees:
         model = as_float_model(binomial_tree(6, "gridded"))
         with pytest.raises(FloatModeError):
             find_measure(model, "supermartingale")
+
+
+class TestExactVerdictsAtScale:
+    """Exact verdicts on 128 and 256 outcomes, in about a second each."""
+
+    @pytest.mark.parametrize("name", ["bin7", "fl8"])
+    def test_measure_checks(self, name):
+        if name == "bin7":
+            model = binomial_tree(7)
+        else:
+            model, _ = free_lunch_truncation(8, expanded=True)
+        verdict = ftap_verdict(model)
+        assert verdict.kind == "NO_ARBITRAGE"
+        _gens, cols = generator_matrix(model, "free")
+        cert = checked_measure(verdict.measure.q_values, cols, "martingale", 0)
+        assert cert is not None and cert.full_support
+        assert _numbers(cert.q_values) == {F}

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from platonic import _linalg
+from platonic import _linalg, ftap, lpsolve
 from platonic import (
     EQ,
     GE,
@@ -12,8 +15,10 @@ from platonic import (
     FloatModeError,
     LinearProgram,
     enumerate_vertices,
+    ftap_verdict,
     solve,
 )
+from platonic.scenario import parse_scenario
 
 
 def lp(objective, sense, constraints, bounds=None):
@@ -181,3 +186,145 @@ class TestElimination:
         # a residual within the float tolerance counts as inside the span
         assert _linalg.column_span_solve([(1.0, 0.0)], [0.5, 1e-12], 1e-9) == [0.5]
         assert _linalg.column_span_solve([(1.0, 0.0)], [0.5, 1e-6], 1e-9) is None
+
+    def test_sparse_solve_matches_dense(self):
+        rng = random.Random(5)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            entries = (0, 0, 0, 1, -1, 2, F(1, 3))
+            matrix = [[F(rng.choice(entries)) for _ in range(n)] for _ in range(n)]
+            rhs = [F(rng.randint(-3, 3)) for _ in range(n)]
+            rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+            x = _linalg.solve_sparse(rows, rhs)
+            assert x == _linalg.solve_unique(matrix, rhs)
+            singular += x is None
+        assert singular > 20
+
+
+EPS = F(1, 2**60)
+# 1 and 1 + 2^-60 are one float: data that float arithmetic cannot separate
+VALUES = (F(0), F(1), F(-1), F(2), F(-3), F(1, 2), 1 + EPS, -1 - EPS, EPS)
+
+
+@st.composite
+def boxed_lps(draw):
+    """Small LPs whose variables all lie in finite boxes, so they are bounded."""
+    value = st.sampled_from(VALUES) | st.integers(-4, 4).map(F)
+    n = draw(st.integers(1, 4))
+    constraints = [
+        ([draw(value) for _ in range(n)], draw(st.sampled_from((LE, GE, EQ))), draw(value))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    bounds = []
+    for _ in range(n):
+        lo = draw(value)
+        bounds.append((lo, lo + abs(draw(value))))
+    return lp([draw(value) for _ in range(n)], draw(st.sampled_from(("max", "min"))),
+              constraints, bounds)
+
+
+def _violation(problem, x):
+    """Largest violation of a constraint or bound of ``problem`` at ``x``."""
+    x = [F(v) for v in x]
+    worst = F(0)
+    for con in problem.constraints:
+        gap = sum(c * v for c, v in zip(con.coeffs, x)) - con.rhs
+        worst = max(worst, {LE: gap, GE: -gap, EQ: abs(gap)}[con.relation])
+    for (lo, hi), v in zip(problem.bounds, x):
+        worst = max(worst, lo - v, v - hi)
+    return worst
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Every call of the pivot stage: its arithmetic, and for exact calls
+    whether it started from the slack and artificial basis."""
+    calls = []
+    inner = lpsolve._simplex
+
+    def spy(form, tab, tol_piv, tol_cert, mode):
+        calls.append((mode, tab.basis == form.start))
+        return inner(form, tab, tol_piv, tol_cert, mode)
+
+    monkeypatch.setattr(lpsolve, "_simplex", spy)
+    return calls
+
+
+# Float bases that fail the exact check, with the exact stage that follows:
+# whether it starts from the slack and artificial basis.
+FLOAT_BASIS_REFUSED = {
+    # max x1 + (1 + eps) x2 on x1 + x2 <= 1: float sees a tie and keeps x1,
+    # an exactly feasible basis that is not optimal; pivoting resumes there
+    "tie": (lp([1, 1 + EPS], "max", [([1, 1], LE, 1)], [(0, 1), (0, 1)]), 1 + EPS, False),
+    # x >= 1 + eps and x <= 1: float finds x = 1, exactly infeasible
+    "split hair": (lp([1], "max", [([1], GE, 1 + EPS), ([1], LE, 1)], [(0, 2)]), None, True),
+    # x + y = 1 and x + (1 + eps) y = 1 are one row to float, which drops the
+    # second; at its optimum y = 1 the dropped row fails exactly
+    "twin rows": (lp([0, 1], "max", [([1, 1], EQ, 1), ([1, 1 + EPS], EQ, 1)],
+                     [(0, 2), (0, 2)]), 0, True),
+    # the same rows: float stops at x = 1, feasible but priced without the
+    # dropped row, which the kept row does not imply exactly
+    "twin rows, tie": (lp([1, 1 + EPS], "max", [([1, 1], EQ, 1), ([1, 1 + EPS], EQ, 1)],
+                          [(0, 2), (0, 2)]), 1, True),
+}
+
+
+def test_exact_and_float_solve_against_vertex_enumeration(stages):
+    """The exact optimum is the best vertex, whether the float basis was
+    accepted or exact pivoting took over. Float agrees within its tol: its
+    optimum is feasible within tol and no worse than the exact one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=boxed_lps())
+    @example(problem=FLOAT_BASIS_REFUSED["tie"][0])
+    @example(problem=FLOAT_BASIS_REFUSED["twin rows"][0])
+    def check(problem):
+        exact = solve(problem)
+        vertices = enumerate_vertices(problem)
+        if not vertices:
+            assert exact.status == "infeasible"
+        else:
+            values = [sum(c * v for c, v in zip(problem.objective, vx)) for vx in vertices]
+            best = max(values) if problem.sense == "max" else min(values)
+            assert exact.status == "optimal"
+            assert exact.objective == exact.dual_objective == best
+            assert exact.x in vertices
+        try:
+            approx = solve(problem, "float", 1e-8)
+        except FloatModeError:
+            return  # a refusal, never a wrong answer
+        if approx.status == "optimal":
+            # float solves the problem up to its tolerance, which may admit
+            # more points than the exact one, never fewer
+            assert _violation(problem, approx.x) <= 1e-8
+            if vertices:
+                loss = approx.objective - float(best)
+                loss = -loss if problem.sense == "max" else loss
+                assert loss <= 1e-8 * (1 + abs(float(best)))
+        else:
+            assert approx.status == exact.status
+
+    check()
+    exact_starts = {from_start for mode, from_start in stages if mode == "exact"}
+    assert exact_starts == {True, False}  # from the float basis and from scratch
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BASIS_REFUSED))
+def test_refused_float_basis_hands_over_to_exact_pivoting(stages, name):
+    problem, objective, from_start = FLOAT_BASIS_REFUSED[name]
+    sol = solve(problem)
+    assert sol.objective == objective
+    assert sol.status == ("infeasible" if objective is None else "optimal")
+    assert stages == [("float", True), ("exact", from_start)]
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json")
+), ids=lambda p: p.stem)
+def test_golden_verdicts_take_the_float_basis(stages, path):
+    model = parse_scenario(str(path)).model
+    ftap._arbitrage_lp.cache_clear()
+    for mode in ("free", "long_only"):
+        ftap_verdict(model, mode)
+    assert stages == [("float", True)] * 2  # no exact pivot
