@@ -61,6 +61,13 @@ class MeasureCertificate:
         return RandomVariable(tuple(q / p for q, p in zip(self.q_values, reference)))
 
 
+def _expectations(q: Sequence[Num], cols: Sequence[tuple[Num, ...]]) -> tuple[Num, ...]:
+    """E_q of every generator column, summed over its nonzero entries (each
+    column lives on one block of a partition)."""
+    zero = q[0] - q[0]  # 0 in q's arithmetic
+    return tuple(sum((q[i] * c for i, c in enumerate(col) if c), zero) for col in cols)
+
+
 def checked_measure(
     q: Sequence[Num], cols: Sequence[tuple[Num, ...]], kind: str, tol: Num
 ) -> MeasureCertificate | None:
@@ -69,7 +76,7 @@ def checked_measure(
     (supermartingale), all within ``tol``; None when any of that fails."""
     if any(v < -tol for v in q) or abs(sum(q) - 1) > tol:
         return None
-    verification = tuple(sum(qi * ci for qi, ci in zip(q, col)) for col in cols)
+    verification = _expectations(q, cols)
     if kind == "martingale":
         ok = all(abs(e) <= tol for e in verification)
     else:
@@ -229,7 +236,7 @@ def _find_measure(model: MarketModel, _arithmetic: str, kind: str, tol: Num | No
                 f"minimum mass {eps} is below the tolerance; boundary case, rerun exact"
             )
     q = tuple(sol.x[:n])
-    verification = tuple(sum(qi * ci for qi, ci in zip(q, col)) for col in cols)
+    verification = _expectations(q, cols)
     return MeasureCertificate(q, kind, min(q), verification)
 
 

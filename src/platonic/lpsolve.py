@@ -1,9 +1,25 @@
 """Two-phase simplex with exact-rational and float backends, plus a
 brute-force vertex enumerator for small polytopes.
 
-A solve has three stages: the standard form, Bland pivoting on a dense
-tableau from a given basis, and the extraction and certification of the
-answer. Both backends share them.
+A solve has three stages: the standard form, pivoting on a dense tableau
+from a given basis, and the extraction and certification of the answer. Both
+backends share them.
+
+Start. Every row starts on a +1 slack when it has one after the row is
+negated to make its right-hand side nonnegative; a ``>=`` row with
+right-hand side 0 is negated too, so its slack starts basic. The other rows
+(equations, and inequalities whose slack is -1 after the negation) get an
+artificial, and phase 1 runs only while one is basic. Every row of the
+arbitrage LP ``G lambda - g >= 0`` starts feasible this way.
+
+Pricing. The entering column has the most negative reduced cost (Dantzig),
+ties to the lowest index; the leaving row has the minimum ratio, ties to the
+lowest basic index. Dantzig's rule can cycle on degenerate LPs (Beale's
+example), so after as many degenerate pivots in a row as the tableau has
+rows, Bland's first-negative rule takes over until the next nondegenerate
+pivot. Each nondegenerate pivot strictly improves the objective, which takes
+finitely many values at bases, and Bland's rule cannot cycle inside a
+degenerate run: exact pivoting terminates.
 
 Exact mode finds its basis in float and certifies it once, exactly. A float
 simplex runs on a float copy of the exact standard form; its final basis B is
@@ -12,18 +28,22 @@ then checked in rationals by one sparse solve of ``B x_B = b`` and one of
 ``x``, and every non-artificial column has reduced cost ``c_j - y.A_j >= 0``.
 Those checks prove the basis optimal, and ``y`` is its dual vector. When a
 check fails, or the float stage refuses or ends elsewhere than at an optimum,
-exact Bland pivoting takes over: from the float basis when it is exactly
-feasible, otherwise from the slack and artificial start. So every status
-exact mode reports is proved in rationals: an optimum by the basis checks
-and a zero duality gap with complementary slackness, infeasibility and
-unboundedness by exact pivoting.
+exact pivoting takes over: from the float basis when it is exactly feasible,
+otherwise from the slack and artificial start. So every status exact mode
+reports is proved in rationals: an optimum by the basis checks and a zero
+duality gap with complementary slackness, infeasibility and unboundedness by
+exact pivoting.
 
-The float backend runs the same pivoting with tolerances and re-certifies
-the result; when certification fails it raises :class:`FloatModeError`
-instead of ever returning a wrong status.
+The float backend runs the same pivoting with tolerances. It reads its duals
+off the final phase-2 cost row: each row's start column is a unit column of
+cost 0, so its reduced cost is minus that row's dual, also for a row dropped
+as redundant. It then certifies the result (feasibility, gap and
+complementary slackness within its tolerance); when certification fails, or
+the pivot budget runs out, it raises :class:`FloatModeError` instead of ever
+returning a wrong status.
 
-Determinism: entering and leaving variables are chosen by lowest index, so
-identical inputs always produce identical outputs.
+Determinism: ties are broken by lowest index, so identical inputs always
+produce identical outputs.
 """
 from __future__ import annotations
 
@@ -42,7 +62,7 @@ _RELATIONS = (LE, EQ, GE)
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _PIVOT_TOL = 1e-10          # float-mode pivot threshold
-_MAX_PIVOTS = 200_000       # safety net; Bland terminates long before this
+_MAX_PIVOTS = 200_000       # float safety net; exact pivoting terminates
 
 Bounds = tuple[Num | None, Num | None]
 
@@ -142,19 +162,19 @@ def _do_pivot(rows: list[list[Num]], cost: list[Num], basis: list[int], r: int, 
     pivot = prow[c]
     if pivot != 1:
         rows[r] = prow = [v / pivot for v in prow]
-    nz = [j for j, v in enumerate(prow) if v != 0]
+    nz = [(j, v) for j, v in enumerate(prow) if v != 0]
     for row in rows:
         if row is prow:
             continue
         factor = row[c]
         if factor != 0:
-            for j in nz:
-                row[j] -= factor * prow[j]
+            for j, v in nz:
+                row[j] -= factor * v
             row[c] = 0
     factor = cost[c]
     if factor != 0:
-        for j in nz:
-            cost[j] -= factor * prow[j]
+        for j, v in nz:
+            cost[j] -= factor * v
         cost[c] = 0
     basis[r] = c
 
@@ -163,18 +183,24 @@ def _pivot_loop(
     rows: list[list[Num]],
     cost: list[Num],
     basis: list[int],
-    blocked: frozenset[int],
+    n_enter: int,
     tol: Num,
 ) -> str:
-    """Bland's rule simplex on a feasible canonical tableau; returns a status."""
-    ncols = len(cost) - 1
+    """Simplex on a feasible canonical tableau, where only the first
+    ``n_enter`` columns may enter the basis; returns a status.
+
+    The entering column has the most negative reduced cost (Dantzig), ties to
+    the lowest index. After ``len(rows)`` degenerate pivots (ratio 0) in a
+    row, Bland's first-negative rule takes over until the next nondegenerate
+    pivot, so the loop cannot cycle."""
+    columns = range(n_enter)
+    degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(ncols):
-            if j not in blocked and cost[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        if degenerate < len(rows):
+            enter = min(columns, key=cost.__getitem__, default=-1)
+        else:
+            enter = next((j for j in columns if cost[j] < -tol), -1)
+        if enter < 0 or not cost[enter] < -tol:
             return OPTIMAL
         leave = -1
         best = None
@@ -187,8 +213,9 @@ def _pivot_loop(
                     leave = i
         if leave < 0:
             return UNBOUNDED
+        degenerate = degenerate + 1 if best == 0 else 0
         _do_pivot(rows, cost, basis, leave, enter)
-    if tol == 0:  # pragma: no cover - Bland's rule terminates
+    if tol == 0:  # pragma: no cover - the Bland guard terminates
         raise RuntimeError("exact simplex exceeded the pivot budget")
     raise FloatModeError("simplex did not terminate within the pivot budget")
 
@@ -213,7 +240,7 @@ class _StandardForm:
     art_rows: list[int]         # the row that created each artificial
     # the way back to the caller's LP
     col_map: list[tuple]
-    signs: list[int]            # -1 where a row was negated to make b >= 0
+    signs: list[int]            # -1 where a row was negated (b < 0, or a ">=" row with b = 0)
     constraint: list[int | None]  # the LP constraint behind each row; None for bounds
     obj_shift: Num
 
@@ -273,7 +300,8 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
             cost[spec[2]] -= v
 
     # Slack columns, then artificials for the rows whose slack is not +1
-    # once the row is negated to make its rhs nonnegative.
+    # once the row is negated to make its rhs nonnegative. A ">=" row with
+    # rhs 0 is negated too, so that its slack starts basic.
     n_real = n_struct + sum(1 for _, rel, _, _ in std_rows if rel != EQ)
     rows: list[dict[int, Num]] = []
     rhs_out: list[Num] = []
@@ -282,7 +310,7 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     art_rows: list[int] = []
     scol = n_struct
     for i, (row, rel, rhs, _con) in enumerate(std_rows):
-        negate = rhs < 0
+        negate = rhs < 0 or (rhs == 0 and rel == GE)
         plus_slack = False
         if rel != EQ:
             row[scol] = conv(1) if rel == LE else conv(-1)
@@ -312,12 +340,15 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
 class _Tableau:
     """Dense ``[A | b]`` rows canonical for ``basis`` (one basic column per
     row) and the phase-2 cost. ``kept`` lists the standard-form rows the
-    tableau still represents: a redundant equation leaves with its row."""
+    tableau still represents: a redundant equation leaves with its row.
+    ``reduced`` is the phase-2 cost row ``[c - y.A | -objective]``, set by
+    :func:`_simplex` and kept canonical by its pivots."""
 
     rows: list[list[Num]]
     cost: list[Num]
     basis: list[int]
     kept: list[int]
+    reduced: list[Num] | None = None
 
 
 def _start_tableau(form: _StandardForm, conv) -> _Tableau:
@@ -333,15 +364,14 @@ def _start_tableau(form: _StandardForm, conv) -> _Tableau:
 
 
 def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mode: str) -> str:
-    """Two-phase Bland simplex from the tableau's basis, in place; returns a
+    """Two-phase simplex from the tableau's basis, in place; returns a
     status. Phase 1 runs while an artificial is basic."""
     n_real = form.n_real
     ncols = len(tab.cost)
     rows, basis = tab.rows, tab.basis
-    blocked = frozenset(range(n_real, ncols))
-    if any(j in blocked for j in basis):
+    if any(j >= n_real for j in basis):
         cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), rows, basis)
-        status = _pivot_loop(rows, cost1, basis, frozenset(), tol_piv)
+        status = _pivot_loop(rows, cost1, basis, ncols, tol_piv)
         if status != OPTIMAL:
             raise _unreachable("phase 1 cannot be unbounded", mode)
         if -cost1[-1] > tol_cert:
@@ -352,7 +382,7 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
         # that creating equation out of the dual bookkeeping.
         drop: list[int] = []
         for i in range(len(rows)):
-            if basis[i] in blocked:
+            if basis[i] >= n_real:
                 pivot_col = -1
                 for j in range(n_real):
                     if abs(rows[i][j]) > tol_piv:
@@ -365,8 +395,8 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
         for i in reversed(drop):
             tab.kept.remove(form.art_rows[basis[i] - n_real])
             del rows[i], basis[i]
-    cost = _reduced_cost_row(tab.cost, rows, basis)
-    return _pivot_loop(rows, cost, basis, blocked, tol_piv)
+    tab.reduced = _reduced_cost_row(tab.cost, rows, basis)
+    return _pivot_loop(rows, tab.reduced, basis, n_real, tol_piv)
 
 
 def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], transpose: bool):
@@ -439,7 +469,7 @@ def _exact_optimum(form: _StandardForm):
     """Status and, at an optimum, the certified (basis, kept, x_B, y).
 
     A float simplex picks the basis; one exact solve of its basis system
-    certifies it. Exact Bland pivoting takes over from that basis when the
+    certifies it. Exact pivoting takes over from that basis when the
     check finds it exactly feasible but not optimal, and from the slack and
     artificial start when the float stage refused, ended elsewhere than at
     an optimum, or left a basis that is not exactly feasible."""
@@ -480,25 +510,28 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
         if status != OPTIMAL:
             return LpSolution(status, None, None, None, None)
         basis, kept, x_b, y = optimum
+        y_full = [Fraction(0)] * len(form.rows)
+        for r, y_r in zip(kept, y):
+            y_full[r] = y_r
         tol_cert: Num = 0
     else:
         tab = _start_tableau(form, float)
         status = _simplex(form, tab, _PIVOT_TOL, tol, mode)
         if status != OPTIMAL:
             return LpSolution(status, None, None, None, None)
-        basis, kept = tab.basis, tab.kept
+        basis = tab.basis
         x_b = [row[-1] for row in tab.rows]
-        # Duals from the final basis: solve B^T y = c_B on the pristine rows.
-        bt = [[form.rows[r].get(bc, 0.0) for r in kept] for bc in basis]
-        y = _linalg.solve_unique(bt, [form.cost[bc] for bc in basis], _PIVOT_TOL) if kept else []
-        if y is None:
-            raise _unreachable("singular basis while extracting duals", mode)
+        # Row r's start column is the unit column e_r of cost 0, so its
+        # final reduced cost is -y_r; dropped rows included. 0.0 - d is a
+        # float, never -0.0, also where a pivot left an int 0.
+        y_full = [0.0 - tab.reduced[j] for j in form.start]
         tol_cert = tol
-    return _solution(lp, form, basis, kept, x_b, y, tol_cert, mode)
+    return _solution(lp, form, basis, x_b, y_full, tol_cert, mode)
 
 
-def _solution(lp, form, basis, kept, x_b, y, tol, mode) -> LpSolution:
-    """The caller's x, duals and objectives from a basic solution, certified."""
+def _solution(lp, form, basis, x_b, y_full, tol, mode) -> LpSolution:
+    """The caller's x, duals and objectives from a basic solution and the
+    duals of every standard-form row, certified."""
     conv = Fraction if mode == "exact" else float
     zero = conv(0)
     value = dict(zip(basis, x_b))
@@ -510,9 +543,6 @@ def _solution(lp, form, basis, kept, x_b, y, tol, mode) -> LpSolution:
             x_user.append(value.get(spec[1], zero) - value.get(spec[2], zero))
     objective = sum(conv(cv) * xv for cv, xv in zip(lp.objective, x_user))
 
-    y_full = [zero] * len(form.rows)
-    for pos, r in enumerate(kept):
-        y_full[r] = y[pos]
     duals_min = [zero] * len(lp.constraints)
     dual_obj_min = form.obj_shift
     for i, y_i in enumerate(y_full):

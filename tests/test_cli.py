@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _factories import random_claim, random_market
 from platonic.cli import (
     EXIT_INCONSISTENT,
     EXIT_INVALID,
@@ -217,6 +219,17 @@ class TestRoundTripAndDeterminism:
         again = parse_scenario(doc)
         assert again.model == scenario.model
         assert again.claims == scenario.claims
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_random_markets(self, seed):
+        rng = random.Random(seed)
+        model = random_market(rng)
+        claims = {"c": random_claim(rng, model.n_outcomes)}
+        doc = json.loads(json.dumps(serialize_model(model, claims, name="rt")))
+        again = parse_scenario(doc)
+        assert again.model == model
+        assert again.claims == claims
 
     def test_report_determinism(self, capsys, scenario_path):
         _, a = run(capsys, "ftap", scenario_path("delayed_binomial"), "--seed", "7")

@@ -12,7 +12,6 @@ from platonic import (
     GE,
     FiniteSpace,
     Filtration,
-    FloatModeError,
     InvalidModelError,
     LinearProgram,
     Partition,
@@ -482,21 +481,27 @@ class TestIntervalAgainstBoundLps:
             assert abs(witness.achieved - bound) <= witness.eta
 
 
-class TestFloatSixStepTrees:
-    """Float trees where the max-min-mass search loses precision: the verdict
-    still answers, and the measure search refuses instead of crashing."""
+SIX_STEP_TREES = [("delayed", "free"), ("gridded", "long_only")]
 
-    @pytest.mark.parametrize("trading,mode", [("delayed", "free"), ("gridded", "long_only")])
+
+class TestFloatSixStepTrees:
+    """Float 6-step trees, delayed and gridded: the verdict and the
+    max-min-mass search both answer with a measure that passes its check."""
+
+    @pytest.mark.parametrize("trading,mode", SIX_STEP_TREES)
     def test_verdict_answers(self, trading, mode):
         model = as_float_model(binomial_tree(6, trading))
         verdict = ftap_verdict(model, mode)
         assert verdict.kind == "NO_ARBITRAGE"
         assert _measure_holds(verdict.measure.q_values, model, mode, 1e-9)
 
-    def test_measure_search_refuses(self):
-        model = as_float_model(binomial_tree(6, "gridded"))
-        with pytest.raises(FloatModeError):
-            find_measure(model, "supermartingale")
+    @pytest.mark.parametrize("trading,mode", SIX_STEP_TREES)
+    def test_measure_search_answers(self, trading, mode):
+        model = as_float_model(binomial_tree(6, trading))
+        kind = "martingale" if mode == "free" else "supermartingale"
+        cert = find_measure(model, kind)
+        assert cert is not None and cert.kind == kind
+        assert _measure_holds(cert.q_values, model, mode, 1e-9)
 
 
 class TestExactVerdictsAtScale:

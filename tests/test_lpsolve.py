@@ -14,9 +14,11 @@ from platonic import (
     DimensionGuardError,
     FloatModeError,
     LinearProgram,
+    as_float_model,
     enumerate_vertices,
     ftap_verdict,
     solve,
+    superreplicate,
 )
 from platonic.scenario import parse_scenario
 
@@ -164,6 +166,49 @@ class TestDegenerateSystems:
         )
         sol = solve(problem)
         assert sol.status == "optimal" and sol.objective == 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_beale_cycling_lp_terminates(self, mode):
+        """Beale's (1955) LP, on which the most-negative-cost rule cycles
+        without a guard; the Bland guard breaks the degenerate run."""
+        problem = lp(
+            [F(-3, 4), 20, F(-1, 2), 6], "min",
+            [([F(1, 4), -8, -1, 9], LE, 0), ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
+             ([0, 0, 1, 0], LE, 1)],
+            [(0, None)] * 4,
+        )
+        best = min(sum(c * v for c, v in zip(problem.objective, x))
+                   for x in enumerate_vertices(problem))
+        assert best == F(-5, 4)
+        sol = solve(problem, mode)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - best) <= 1e-9 and abs(sol.dual_objective - best) <= 1e-9
+
+    def test_float_duals_with_a_dropped_row(self, monkeypatch):
+        """A repeated equation leaves the float tableau as redundant; the duals
+        read off the final cost row still cover it, certify, and price the
+        exact optimum."""
+        problem = lp(
+            [1, 2], "min",
+            [([1, 1], EQ, 2), ([1, 1], EQ, 2), ([1, 0], GE, F(1, 2))],
+            [(0, None), (0, None)],
+        )
+        exact = solve(problem)
+        sizes = []
+        inner = lpsolve._simplex
+
+        def spy(form, tab, *args):
+            status = inner(form, tab, *args)
+            sizes.append((len(tab.kept), len(form.rows)))
+            return status
+
+        monkeypatch.setattr(lpsolve, "_simplex", spy)
+        tol = 1e-9
+        sol = solve(problem, "float", tol)
+        assert sizes == [(2, 3)]  # one of the twin rows was dropped
+        assert sol.status == "optimal"
+        assert abs(sol.objective - exact.objective) <= tol
+        assert abs(sol.dual_objective - exact.objective) <= tol
 
 
 class TestElimination:
@@ -319,12 +364,38 @@ def test_refused_float_basis_hands_over_to_exact_pivoting(stages, name):
     assert stages == [("float", True), ("exact", from_start)]
 
 
-@pytest.mark.parametrize("path", sorted(
-    (Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json")
-), ids=lambda p: p.stem)
+GOLDEN = sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_golden_verdicts_take_the_float_basis(stages, path):
     model = parse_scenario(str(path)).model
     ftap._arbitrage_lp.cache_clear()
     for mode in ("free", "long_only"):
         ftap_verdict(model, mode)
     assert stages == [("float", True)] * 2  # no exact pivot
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_golden_pivot_counts(monkeypatch, arithmetic):
+    """Pivots of every golden-scenario verdict and superhedge, free and
+    long-only: a deterministic counter that moves with the pricing rule and
+    the start basis. Exact answers take the float basis here, so both
+    arithmetics pivot alike."""
+    count = [0]
+    inner = lpsolve._do_pivot
+
+    def spy(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lpsolve, "_do_pivot", spy)
+    ftap._arbitrage_lp.cache_clear()
+    for path in GOLDEN:
+        scenario = parse_scenario(str(path))
+        model = scenario.model if arithmetic == "exact" else as_float_model(scenario.model)
+        for mode in ("free", "long_only"):
+            ftap_verdict(model, mode)
+            for claim in scenario.claims.values():
+                superreplicate(model, claim, mode)
+    assert count[0] == 210
