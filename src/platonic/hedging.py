@@ -36,7 +36,7 @@ from .lpsolve import (
     solve,
 )
 from .market import MarketModel, generator_matrix, validate
-from .numeric import Num, lp_mode_and_tol, pick_tol, solver_tol
+from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
 
 
@@ -193,7 +193,7 @@ def _mixing_witness(q_star, base_cert, claim, bound, eta, eff_tol) -> BoundWitne
     base = base_cert.q_values
     base_value = sum(q * c for q, c in zip(base, claim.values))
     gap = abs(bound - base_value)
-    alpha = 1 if gap == 0 else min(1, Fraction(eta) / gap if isinstance(gap, Fraction) else eta / gap)
+    alpha = 1 if gap == 0 else min(1, eta / gap)
     mix = tuple((1 - alpha) * qs + alpha * qb for qs, qb in zip(q_star, base))
     achieved = sum(q * c for q, c in zip(mix, claim.values))
     nulls = tuple(i for i, q in enumerate(q_star) if q <= eff_tol)
@@ -218,7 +218,8 @@ def price_interval(
     """
     claim = as_random_variable(claim)
     base_cert = _measure_or_refuse(model, "free", tol)
-    eff_tol = pick_tol(model.all_values() + list(claim.values), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    eta = Fraction(eta) if lp_mode == "exact" else float(eta)  # the hedges' arithmetic
     up_hedge, up_dual = superreplicate(model, claim, "free", tol)
     lo_hedge, lo_dual = superreplicate(model, -claim, "free", tol)
     upper, lower = up_hedge.price, -lo_hedge.price

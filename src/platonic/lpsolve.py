@@ -1,46 +1,62 @@
-"""Two-phase simplex with exact-rational and float backends, plus a
-brute-force vertex enumerator for small polytopes.
+"""Two-phase bounded-variable simplex with exact-rational and float
+backends, plus a brute-force vertex enumerator for small polytopes.
 
 A solve has three stages: the standard form, pivoting on a dense tableau
 from a given basis, and the extraction and certification of the answer. Both
 backends share them.
+
+Bounds. Each caller column stays one column with bounds ``[0, u]``,
+``[0, oo)`` or free, after a shift to its lower bound (or a mirror at its
+upper bound when it has no lower one); no bound becomes a row and no free
+column is split. A nonbasic column sits at either bound, a free one at 0,
+and the last tableau column holds the values of the basic columns. A free
+column may enter in either direction and never leaves again; the ratio test
+stops a basic column at 0 or at its upper bound, and stops the entering one
+at its own other bound, where it only flips (Dantzig's upper-bounding
+technique, Econometrica 23, 1955).
 
 Start. Every row starts on a +1 slack when it has one after the row is
 negated to make its right-hand side nonnegative; a ``>=`` row with
 right-hand side 0 is negated too, so its slack starts basic. The other rows
 (equations, and inequalities whose slack is -1 after the negation) get an
 artificial, and phase 1 runs only while one is basic. Every row of the
-arbitrage LP ``G lambda - g >= 0`` starts feasible this way.
+arbitrage LP ``G lambda - g >= 0`` starts feasible this way; its gains
+``0 <= g <= 1`` start at 0.
 
-Pricing. The entering column has the most negative reduced cost (Dantzig),
-ties to the lowest index; the leaving row has the minimum ratio, ties to the
-lowest basic index. Dantzig's rule can cycle on degenerate LPs (Beale's
-example), so after as many degenerate pivots in a row as the tableau has
-rows, Bland's first-negative rule takes over until the next nondegenerate
-pivot. Each nondegenerate pivot strictly improves the objective, which takes
-finitely many values at bases, and Bland's rule cannot cycle inside a
-degenerate run: exact pivoting terminates.
+Pricing. The entering column improves the objective most per unit move
+(Dantzig), ties to the lowest index; the step stops at the minimum ratio,
+ties to the lowest index. Dantzig's rule can cycle on degenerate LPs
+(Beale's example), so after as many degenerate steps in a row as the
+problem would have rows with every upper bound a row, Bland's rule takes
+over until the next nondegenerate step. Each nondegenerate step strictly
+improves the objective, which takes finitely many values at bases, and
+Bland's rule cannot cycle inside a degenerate run: exact pivoting
+terminates.
 
 Exact mode finds its basis in float and certifies it once, exactly. A float
-simplex runs on a float copy of the exact standard form; its final basis B is
-then checked in rationals by one sparse solve of ``B x_B = b`` and one of
-``B^T y = c_B``: ``x_B >= 0``, every equation dropped as redundant holds at
-``x``, and every non-artificial column has reduced cost ``c_j - y.A_j >= 0``.
-Those checks prove the basis optimal, and ``y`` is its dual vector. When a
-check fails, or the float stage refuses or ends elsewhere than at an optimum,
-exact pivoting takes over: from the float basis when it is exactly feasible,
-otherwise from the slack and artificial start. So every status exact mode
-reports is proved in rationals: an optimum by the basis checks and a zero
-duality gap with complementary slackness, infeasibility and unboundedness by
-exact pivoting.
+simplex runs on a float copy of the exact standard form; its final basis B
+and the set U of columns at their upper bound are then checked in rationals
+by one sparse solve of ``B x_B = b - sum_{j in U} u_j A_j`` and one of
+``B^T y = c_B``: ``x_B`` within its bounds, every equation dropped as
+redundant holds at ``x``, and every non-artificial column's reduced cost
+``c_j - y.A_j`` is >= 0 at its lower bound, <= 0 at its upper bound and 0 on
+a free nonbasic column. Those checks prove the basis optimal, and ``y`` is
+its dual vector. When a check fails, or the float stage refuses or ends
+elsewhere than at an optimum, exact pivoting takes over: from the float
+basis and U when they are exactly feasible, otherwise from the slack and
+artificial start. So every status exact mode reports is proved in
+rationals: an optimum by the basis checks and a zero duality gap with
+complementary slackness, infeasibility and unboundedness by exact pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
 off the final phase-2 cost row: each row's start column is a unit column of
-cost 0, so its reduced cost is minus that row's dual, also for a row dropped
-as redundant. It then certifies the result (feasibility, gap and
-complementary slackness within its tolerance); when certification fails, or
-the pivot budget runs out, it raises :class:`FloatModeError` instead of ever
-returning a wrong status.
+cost 0, never bounded above, so its reduced cost is minus that row's dual,
+also for a row dropped as redundant. Both backends add ``sum_{j in U} u_j
+d_j`` to the dual objective, the bounds' share of it. The float backend
+then certifies the result (feasibility, gap and complementary slackness
+within its tolerance); when certification fails, or the pivot budget runs
+out, it raises :class:`FloatModeError` instead of ever returning a wrong
+status.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs.
@@ -144,13 +160,17 @@ class LpSolution:
     dual_objective: Num | None
 
 
-def _reduced_cost_row(c: list[Num], rows: list[list[Num]], basis: list[int]) -> list[Num]:
-    """Cost row [reduced costs | -objective] for a tableau canonical w.r.t. basis."""
+def _reduced_cost_row(c: list[Num], tab: "_Tableau") -> list[Num]:
+    """Cost row ``[reduced costs | -objective]`` of the tableau's basis, with
+    the columns at their upper bound counted in the objective."""
     cost = list(c) + [0]
-    for i, bc in enumerate(basis):
+    for j, s in enumerate(tab.state):
+        if s < 0:
+            cost[-1] -= c[j] * tab.upper[j]
+    for i, bc in enumerate(tab.basis):
         factor = cost[bc]
         if factor != 0:
-            row = rows[i]
+            row = tab.rows[i]
             for j, v in enumerate(row):
                 if v != 0:
                     cost[j] -= factor * v
@@ -179,42 +199,93 @@ def _do_pivot(rows: list[list[Num]], cost: list[Num], basis: list[int], r: int, 
     basis[r] = c
 
 
-def _pivot_loop(
-    rows: list[list[Num]],
-    cost: list[Num],
-    basis: list[int],
-    n_enter: int,
-    tol: Num,
-) -> str:
-    """Simplex on a feasible canonical tableau, where only the first
-    ``n_enter`` columns may enter the basis; returns a status.
+def _flip(tab: "_Tableau", cost: list[Num], j: int) -> None:
+    """Move the nonbasic column ``j`` to its other bound; the basic values
+    and the objective follow it."""
+    step = tab.upper[j] if tab.state[j] > 0 else -tab.upper[j]
+    tab.state[j] = -tab.state[j]
+    if step:
+        for row in tab.rows:
+            a = row[j]
+            if a != 0:
+                row[-1] -= step * a
+        cost[-1] -= step * cost[j]
 
-    The entering column has the most negative reduced cost (Dantzig), ties to
-    the lowest index. After ``len(rows)`` degenerate pivots (ratio 0) in a
-    row, Bland's first-negative rule takes over until the next nondegenerate
-    pivot, so the loop cannot cycle."""
+
+def _exchange(tab: "_Tableau", cost: list[Num], r: int, enter: int, to_upper: bool) -> None:
+    """Basis change: ``enter`` takes row ``r``, whose basic column leaves at
+    its upper bound when ``to_upper``, else at 0.
+
+    A column at its upper bound is measured from that bound while it is
+    basic on one side of the pivot: the leaving column as ``x - u``, which
+    leaves at 0, and an entering one from ``u``, which is added back to its
+    row after the pivot. Both cost one entry, not a column."""
+    rows, state = tab.rows, tab.state
+    if to_upper:
+        leave = tab.basis[r]
+        rows[r][-1] -= tab.upper[leave]
+        state[leave] = -1
+    _do_pivot(rows, cost, tab.basis, r, enter)
+    if state[enter] < 0:
+        rows[r][-1] += tab.upper[enter]
+        state[enter] = 1
+
+
+def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> str:
+    """Bounded-variable simplex on a feasible canonical tableau, where only
+    the first ``n_enter`` columns may enter the basis; returns a status.
+
+    A nonbasic column at its lower bound may enter upward, one at its upper
+    bound downward, a free one either way: whichever way its reduced cost
+    improves the objective. The entering column has the largest improvement
+    per unit (Dantzig), ties to the lowest index. The step ends at the first
+    basic column to reach one of its bounds (free columns never do) or at the
+    entering column's own other bound, where it only flips. Ties go to the
+    lowest index of the column that stops the step, a column leaving at its
+    upper bound just after the same column at its lower bound, so that
+    Bland's rule reads as on the problem with every upper bound a row. After
+    as many degenerate steps (length 0, flips included) in a row as that
+    problem has rows, Bland's first-improving rule takes over until the next
+    nondegenerate step, so the loop cannot cycle."""
+    rows, basis, upper, state = tab.rows, tab.basis, tab.upper, tab.state
     columns = range(n_enter)
+    patience = len(rows) + sum(u is not None for u in upper)
     degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        if degenerate < len(rows):
-            enter = min(columns, key=cost.__getitem__, default=-1)
+        # minus the improvement per unit move in the improving direction
+        score = [d if s > 0 else -d if s < 0 else -abs(d) for d, s in zip(cost, state)]
+        if degenerate < patience:
+            enter = min(columns, key=score.__getitem__, default=-1)
         else:
-            enter = next((j for j in columns if cost[j] < -tol), -1)
-        if enter < 0 or not cost[enter] < -tol:
+            enter = next((j for j in columns if score[j] < -tol), -1)
+        if enter < 0 or not score[enter] < -tol:
             return OPTIMAL
+        up = cost[enter] < 0
+        best = upper[enter]
+        stop = 2 * enter + up  # the entering column stops itself at its other bound
         leave = -1
-        best = None
         for i, row in enumerate(rows):
-            a = row[enter]
+            a = row[enter] if up else -row[enter]
+            b = basis[i]
             if a > tol:
+                if not state[b]:
+                    continue
                 ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+                key = 2 * b
+            elif a < -tol and upper[b] is not None:
+                ratio = (upper[b] - row[-1]) / -a
+                key = 2 * b + 1
+            else:
+                continue
+            if best is None or ratio < best or (ratio == best and key < stop):
+                best, stop, leave = ratio, key, i
+        if best is None:
             return UNBOUNDED
         degenerate = degenerate + 1 if best == 0 else 0
-        _do_pivot(rows, cost, basis, leave, enter)
+        if leave < 0:
+            _flip(tab, cost, enter)
+        else:
+            _exchange(tab, cost, leave, enter, stop % 2 == 1)
     if tol == 0:  # pragma: no cover - the Bland guard terminates
         raise RuntimeError("exact simplex exceeded the pivot budget")
     raise FloatModeError("simplex did not terminate within the pivot budget")
@@ -222,94 +293,78 @@ def _pivot_loop(
 
 @dataclass
 class _StandardForm:
-    """``min cost.x`` s.t. ``A x = b``, ``x >= 0`` with ``b >= 0``, built from a
-    :class:`LinearProgram` in one arithmetic.
+    """``min cost.x`` s.t. ``A x = b`` with ``b >= 0`` and a bound pair per
+    column, built from a :class:`LinearProgram` in one arithmetic.
 
-    Finite lower bounds are shifted to zero, free variables split into two
-    columns, upper bounds become rows after the constraints. The columns are
-    the structural ones, a slack per inequality row, then an artificial per
-    row whose slack cannot start basic (``n_real`` counts the columns before
-    the artificials). ``start`` picks each row's +1 slack or artificial, a
-    basis on which ``A`` is the identity."""
+    Caller column ``j`` is column ``j`` here, ``x_j = shift + sign * x'_j``:
+    a finite lower bound is shifted to 0 (``sign`` 1, ``x'`` in ``[0, u]`` or
+    ``[0, oo)``), a column bounded only above is mirrored at its bound
+    (``sign`` -1, ``x'`` in ``[0, oo)``), and a free column stays free. Rows
+    are the caller's constraints, in order. After the caller's columns come
+    a slack per inequality row, then an artificial per row whose slack cannot
+    start basic (``n_real`` counts the columns before the artificials).
+    ``start`` picks each row's +1 slack or artificial, a basis on which ``A``
+    is the identity."""
 
     rows: list[dict[int, Num]]  # A, nonzero entries only
     rhs: list[Num]              # b
     cost: list[Num]             # per column; 0 on slacks and artificials
+    upper: list[Num | None]     # per column; None when unbounded above
+    free: list[bool]            # per column; True when unbounded below
     start: list[int]
     n_real: int
     art_rows: list[int]         # the row that created each artificial
     # the way back to the caller's LP
-    col_map: list[tuple]
+    col_map: list[tuple[int, Num]]  # (sign, shift) per caller column
     signs: list[int]            # -1 where a row was negated (b < 0, or a ">=" row with b = 0)
-    constraint: list[int | None]  # the LP constraint behind each row; None for bounds
     obj_shift: Num
 
 
 def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     """The standard form of ``lp``; None when an empty box makes it infeasible."""
-    c_min = [conv(v) for v in lp.objective]
-    if lp.sense == "max":
-        c_min = [-v for v in c_min]
-
-    col_map: list[tuple] = []
-    n_struct = 0
-    bound_rows: list[tuple[dict[int, Num], Num]] = []
+    col_map: list[tuple[int, Num]] = []
+    upper: list[Num | None] = []
     for lo, hi in lp.bounds:
-        if lo is None:
-            col_map.append(("split", n_struct, n_struct + 1))
-            cols = {n_struct: conv(1), n_struct + 1: conv(-1)}
-            n_struct += 2
-            shift = conv(0)
+        if lo is None and hi is not None:  # mirrored at its upper bound
+            sign, shift, u = -1, conv(hi), None
         else:
-            shift = conv(lo)
-            col_map.append(("plain", n_struct, shift))
-            cols = {n_struct: conv(1)}
-            n_struct += 1
-        if hi is not None:
-            hi_c = conv(hi)
-            if lo is not None and hi_c < shift:
+            sign, shift = 1, conv(0 if lo is None else lo)
+            u = None if hi is None else conv(hi) - shift
+            if u is not None and u < 0:
                 return None
-            bound_rows.append((cols, hi_c - shift))
+        col_map.append((sign, shift))
+        upper.append(u)
+    free = [lo is None and hi is None for lo, hi in lp.bounds]
 
-    std_rows: list[tuple[dict[int, Num], str, Num, int | None]] = []
-    for i, con in enumerate(lp.constraints):
-        row: dict[int, Num] = {}
-        shift_amount = conv(0)
-        for j, v in enumerate(con.coeffs):
-            if v == 0:
-                continue
-            v = conv(v)
-            spec = col_map[j]
-            row[spec[1]] = v
-            if spec[0] == "plain":
-                shift_amount += v * spec[2]
-            else:
-                row[spec[2]] = -v
-        std_rows.append((row, con.relation, conv(con.rhs) - shift_amount, i))
-    for cols, rhs in bound_rows:
-        std_rows.append((cols, LE, rhs, None))
-
-    cost = [conv(0)] * n_struct
+    cost: list[Num] = []
     obj_shift = conv(0)
-    for j, v in enumerate(c_min):
-        spec = col_map[j]
-        cost[spec[1]] += v
-        if spec[0] == "plain":
-            obj_shift += v * spec[2]
-        else:
-            cost[spec[2]] -= v
+    for v, (sign, shift) in zip(lp.objective, col_map):
+        v = conv(v)
+        if lp.sense == "max":
+            v = -v
+        cost.append(v if sign > 0 else -v)
+        obj_shift += v * shift
 
     # Slack columns, then artificials for the rows whose slack is not +1
     # once the row is negated to make its rhs nonnegative. A ">=" row with
     # rhs 0 is negated too, so that its slack starts basic.
-    n_real = n_struct + sum(1 for _, rel, _, _ in std_rows if rel != EQ)
+    n_real = len(col_map) + sum(1 for con in lp.constraints if con.relation != EQ)
     rows: list[dict[int, Num]] = []
     rhs_out: list[Num] = []
     start: list[int] = []
     signs: list[int] = []
     art_rows: list[int] = []
-    scol = n_struct
-    for i, (row, rel, rhs, _con) in enumerate(std_rows):
+    scol = len(col_map)
+    for i, con in enumerate(lp.constraints):
+        row: dict[int, Num] = {}
+        rhs = conv(con.rhs)
+        for j, v in enumerate(con.coeffs):
+            if v != 0:
+                v = conv(v)
+                sign, shift = col_map[j]
+                row[j] = v if sign > 0 else -v
+                rhs -= v * shift
+        rel = con.relation
         negate = rhs < 0 or (rhs == 0 and rel == GE)
         plus_slack = False
         if rel != EQ:
@@ -329,30 +384,39 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         rows.append(row)
         rhs_out.append(rhs)
         signs.append(-1 if negate else 1)
-    cost += [conv(0)] * (n_real + len(art_rows) - n_struct)
+    extra = n_real + len(art_rows) - len(col_map)
     return _StandardForm(
-        rows, rhs_out, cost, start, n_real, art_rows, col_map, signs,
-        [con for _, _, _, con in std_rows], obj_shift,
+        rows, rhs_out, cost + [conv(0)] * extra, upper + [None] * extra,
+        free + [False] * extra, start, n_real, art_rows, col_map, signs, obj_shift,
     )
 
 
 @dataclass
 class _Tableau:
-    """Dense ``[A | b]`` rows canonical for ``basis`` (one basic column per
-    row) and the phase-2 cost. ``kept`` lists the standard-form rows the
-    tableau still represents: a redundant equation leaves with its row.
-    ``reduced`` is the phase-2 cost row ``[c - y.A | -objective]``, set by
-    :func:`_simplex` and kept canonical by its pivots."""
+    """Dense ``[A | x_B]`` rows canonical for ``basis`` (one basic column per
+    row) and the phase-2 cost. ``state`` is 1 for a column at its lower
+    bound or basic, -1 for one at its upper bound and 0 for a free column;
+    ``upper`` holds the bounds in the tableau's arithmetic. The last entry
+    of a row is the value of its basic column. ``kept`` lists the
+    standard-form rows the tableau still represents: a redundant equation
+    leaves with its row. ``reduced`` is the phase-2 cost row ``[c - y.A |
+    -objective]``, set by :func:`_simplex` and kept canonical by its steps."""
 
     rows: list[list[Num]]
     cost: list[Num]
     basis: list[int]
     kept: list[int]
+    upper: list[Num | None]
+    state: list[int]
     reduced: list[Num] | None = None
+
+    def at_upper(self) -> list[int]:
+        return [j for j, s in enumerate(self.state) if s < 0]
 
 
 def _start_tableau(form: _StandardForm, conv) -> _Tableau:
-    """The tableau of ``form`` on its slack and artificial basis, in ``conv``."""
+    """The tableau of ``form`` on its slack and artificial basis, every
+    other column at 0, in ``conv``."""
     ncols = len(form.cost)
     rows = []
     for row, rhs in zip(form.rows, form.rhs):
@@ -360,7 +424,10 @@ def _start_tableau(form: _StandardForm, conv) -> _Tableau:
         for j, v in row.items():
             full[j] = conv(v)
         rows.append(full)
-    return _Tableau(rows, [conv(v) for v in form.cost], list(form.start), list(range(len(rows))))
+    return _Tableau(
+        rows, [conv(v) for v in form.cost], list(form.start), list(range(len(rows))),
+        [None if u is None else conv(u) for u in form.upper], [0 if f else 1 for f in form.free],
+    )
 
 
 def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mode: str) -> str:
@@ -370,8 +437,8 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
     ncols = len(tab.cost)
     rows, basis = tab.rows, tab.basis
     if any(j >= n_real for j in basis):
-        cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), rows, basis)
-        status = _pivot_loop(rows, cost1, basis, ncols, tol_piv)
+        cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), tab)
+        status = _pivot_loop(tab, cost1, ncols, tol_piv)
         if status != OPTIMAL:
             raise _unreachable("phase 1 cannot be unbounded", mode)
         if -cost1[-1] > tol_cert:
@@ -389,19 +456,19 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
                         pivot_col = j
                         break
                 if pivot_col >= 0:
-                    _do_pivot(rows, cost1, basis, i, pivot_col)
+                    _exchange(tab, cost1, i, pivot_col, False)
                 else:
                     drop.append(i)
         for i in reversed(drop):
             tab.kept.remove(form.art_rows[basis[i] - n_real])
             del rows[i], basis[i]
-    tab.reduced = _reduced_cost_row(tab.cost, rows, basis)
-    return _pivot_loop(rows, tab.reduced, basis, n_real, tol_piv)
+    tab.reduced = _reduced_cost_row(tab.cost, tab)
+    return _pivot_loop(tab, tab.reduced, n_real, tol_piv)
 
 
-def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], transpose: bool):
-    """Exactly solve ``B x_B = b`` (or ``B^T y = c_B``) for the basis matrix
-    ``B``: the kept rows of ``A`` restricted to the basic columns."""
+def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], rhs: list[Num], transpose: bool):
+    """Exactly solve ``B x_B = rhs`` (or ``B^T y = rhs``) for the basis
+    matrix ``B``: the kept rows of ``A`` restricted to the basic columns."""
     position = {col: k for k, col in enumerate(basis)}
     eqs: list[dict[int, Num]] = [{} for _ in kept]
     for i, r in enumerate(kept):
@@ -412,19 +479,26 @@ def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], transpo
                     eqs[k][i] = v
                 else:
                     eqs[i][k] = v
-    rhs = [form.cost[j] for j in basis] if transpose else [form.rhs[r] for r in kept]
     return _linalg.solve_sparse(eqs, rhs)
 
 
-def _primal(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num] | None:
-    """The basic solution x_B, exactly, when it is feasible: B nonsingular
-    and free of artificials, x_B >= 0, and every dropped row holds at it."""
+def _primal(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]) -> list[Num] | None:
+    """The basic solution ``x_B = B^-1 (b - sum of u_j A_j over the columns
+    at their upper bound)``, exactly, when it is feasible: B nonsingular and
+    free of artificials, x_B within its bounds, and every dropped row holds
+    at it."""
     if any(j >= form.n_real for j in basis):
         return None
-    x_b = _basis_solve(form, basis, kept, transpose=False)
-    if x_b is None or any(v < 0 for v in x_b):
+    value = {j: form.upper[j] for j in at_upper}
+    rhs = [form.rhs[r] - sum(v * value[j] for j, v in form.rows[r].items() if j in value)
+           for r in kept]
+    x_b = _basis_solve(form, basis, kept, rhs, transpose=False)
+    if x_b is None or any(
+        not form.free[j] and (v < 0 or (form.upper[j] is not None and v > form.upper[j]))
+        for j, v in zip(basis, x_b)
+    ):
         return None
-    value = dict(zip(basis, x_b))
+    value.update(zip(basis, x_b))
     kept_set = set(kept)
     for r, row in enumerate(form.rows):
         if r not in kept_set and sum(v * value.get(j, 0) for j, v in row.items()) != form.rhs[r]:
@@ -432,10 +506,12 @@ def _primal(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num]
     return x_b
 
 
-def _dual(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num] | None:
-    """The basis duals y (B^T y = c_B) exactly, when every non-artificial
-    column has reduced cost c_j - y.A_j >= 0; None otherwise."""
-    y = _basis_solve(form, basis, kept, transpose=True)
+def _dual(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]):
+    """The basis duals y (``B^T y = c_B``) exactly, with ``sum u_j d_j`` over
+    the columns at their upper bound, when every non-artificial reduced cost
+    ``d_j = c_j - y.A_j`` has its sign: >= 0 at the lower bound, <= 0 at the
+    upper bound, 0 on a free column; None otherwise."""
+    y = _basis_solve(form, basis, kept, [form.cost[j] for j in basis], transpose=True)
     if y is None:
         return None
     reduced = form.cost[:form.n_real]
@@ -444,12 +520,17 @@ def _dual(form: _StandardForm, basis: list[int], kept: list[int]) -> list[Num] |
             for j, v in form.rows[r].items():
                 if j < form.n_real:
                     reduced[j] -= y_i * v
-    return y if all(d >= 0 for d in reduced) else None
+    up = set(at_upper)
+    if any((d < 0 and j not in up) or (d > 0 and (j in up or form.free[j]))
+           for j, d in enumerate(reduced)):
+        return None
+    return y, sum(form.upper[j] * reduced[j] for j in at_upper)
 
 
-def _canonical(form: _StandardForm, basis: list[int], kept: list[int]) -> _Tableau | None:
-    """The exact tableau of ``basis`` (nonsingular on the kept rows), to pivot
-    on from there; None when a dropped row is not implied by the kept ones."""
+def _canonical(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]) -> _Tableau | None:
+    """The exact tableau of ``basis`` (nonsingular on the kept rows) with the
+    ``at_upper`` columns at their upper bound, to pivot on from there; None
+    when a dropped row is not implied by the kept ones."""
     tab = _start_tableau(form, Fraction)
     rows = tab.rows
     no_cost = [0] * (len(tab.cost) + 1)
@@ -462,17 +543,24 @@ def _canonical(form: _StandardForm, basis: list[int], kept: list[int]) -> _Table
     kept_set = set(kept)
     if any(any(rows[r]) for r in range(len(rows)) if r not in kept_set):
         return None
-    return _Tableau([rows[r] for r in kept], tab.cost, [placed[r] for r in kept], list(kept))
+    tab.rows = [rows[r] for r in kept]
+    tab.basis = [placed[r] for r in kept]
+    tab.kept = list(kept)
+    for j in at_upper:
+        _flip(tab, no_cost, j)
+    return tab
 
 
 def _exact_optimum(form: _StandardForm):
-    """Status and, at an optimum, the certified (basis, kept, x_B, y).
+    """Status and, at an optimum, the certified (basis, kept, at_upper, x_B,
+    y, sum u_j d_j over at_upper).
 
-    A float simplex picks the basis; one exact solve of its basis system
-    certifies it. Exact pivoting takes over from that basis when the
-    check finds it exactly feasible but not optimal, and from the slack and
-    artificial start when the float stage refused, ended elsewhere than at
-    an optimum, or left a basis that is not exactly feasible."""
+    A float simplex picks the basis and the columns at their upper bound;
+    one exact solve of its basis system certifies them. Exact pivoting takes
+    over from that basis when the check finds it exactly feasible but not
+    optimal, and from the slack and artificial start when the float stage
+    refused, ended elsewhere than at an optimum, or left a basis that is not
+    exactly feasible."""
     tab = _start_tableau(form, float)
     try:
         guided = _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL
@@ -480,21 +568,23 @@ def _exact_optimum(form: _StandardForm):
         guided = False
     start = None
     if guided:
-        x_b = _primal(form, tab.basis, tab.kept)
+        at_upper = tab.at_upper()
+        x_b = _primal(form, tab.basis, tab.kept, at_upper)
         if x_b is not None:
-            y = _dual(form, tab.basis, tab.kept)
-            if y is not None:
-                return OPTIMAL, (tab.basis, tab.kept, x_b, y)
-            start = _canonical(form, tab.basis, tab.kept)
+            dual = _dual(form, tab.basis, tab.kept, at_upper)
+            if dual is not None:
+                return OPTIMAL, (tab.basis, tab.kept, at_upper, x_b, *dual)
+            start = _canonical(form, tab.basis, tab.kept, at_upper)
     tab = start if start is not None else _start_tableau(form, Fraction)
     status = _simplex(form, tab, 0, 0, "exact")
     if status != OPTIMAL:
         return status, None
-    x_b = _primal(form, tab.basis, tab.kept)
-    y = _dual(form, tab.basis, tab.kept) if x_b is not None else None
-    if y is None:  # pragma: no cover - exact pivoting ends on a certified basis
+    at_upper = tab.at_upper()
+    x_b = _primal(form, tab.basis, tab.kept, at_upper)
+    dual = _dual(form, tab.basis, tab.kept, at_upper) if x_b is not None else None
+    if dual is None:  # pragma: no cover - exact pivoting ends on a certified basis
         raise RuntimeError("exact simplex ended on a basis that fails its check")
-    return OPTIMAL, (tab.basis, tab.kept, x_b, y)
+    return OPTIMAL, (tab.basis, tab.kept, at_upper, x_b, *dual)
 
 
 def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL) -> LpSolution:
@@ -509,7 +599,7 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
         status, optimum = _exact_optimum(form)
         if status != OPTIMAL:
             return LpSolution(status, None, None, None, None)
-        basis, kept, x_b, y = optimum
+        basis, kept, at_upper, x_b, y, bound_value = optimum
         y_full = [Fraction(0)] * len(form.rows)
         for r, y_r in zip(kept, y):
             y_full[r] = y_r
@@ -519,36 +609,35 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
         status = _simplex(form, tab, _PIVOT_TOL, tol, mode)
         if status != OPTIMAL:
             return LpSolution(status, None, None, None, None)
-        basis = tab.basis
+        basis, at_upper = tab.basis, tab.at_upper()
         x_b = [row[-1] for row in tab.rows]
-        # Row r's start column is the unit column e_r of cost 0, so its
-        # final reduced cost is -y_r; dropped rows included. 0.0 - d is a
-        # float, never -0.0, also where a pivot left an int 0.
+        # Row r's start column is the unit column e_r of cost 0, never
+        # bounded above, so its final reduced cost is -y_r; dropped rows
+        # included. 0.0 - d is a float, never -0.0, also where a pivot left
+        # an int 0.
         y_full = [0.0 - tab.reduced[j] for j in form.start]
+        bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
         tol_cert = tol
-    return _solution(lp, form, basis, x_b, y_full, tol_cert, mode)
+    return _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol_cert, mode)
 
 
-def _solution(lp, form, basis, x_b, y_full, tol, mode) -> LpSolution:
-    """The caller's x, duals and objectives from a basic solution and the
-    duals of every standard-form row, certified."""
+def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) -> LpSolution:
+    """The caller's x, duals and objectives from a basic solution, the
+    columns at their upper bound, the duals of every standard-form row and
+    ``sum u_j d_j`` over those columns, certified."""
     conv = Fraction if mode == "exact" else float
     zero = conv(0)
-    value = dict(zip(basis, x_b))
-    x_user: list[Num] = []
-    for spec in form.col_map:
-        if spec[0] == "plain":
-            x_user.append(value.get(spec[1], zero) + spec[2])
-        else:
-            x_user.append(value.get(spec[1], zero) - value.get(spec[2], zero))
+    value = {j: form.upper[j] for j in at_upper}
+    value.update(zip(basis, x_b))
+    x_user = [shift + value.get(j, zero) if sign > 0 else shift - value.get(j, zero)
+              for j, (sign, shift) in enumerate(form.col_map)]
     objective = sum(conv(cv) * xv for cv, xv in zip(lp.objective, x_user))
 
-    duals_min = [zero] * len(lp.constraints)
-    dual_obj_min = form.obj_shift
-    for i, y_i in enumerate(y_full):
-        dual_obj_min += y_i * form.rhs[i]
-        if form.constraint[i] is not None:
-            duals_min[form.constraint[i]] = y_i * form.signs[i]
+    # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at upper
+    dual_obj_min = form.obj_shift + bound_value
+    for y_i, rhs in zip(y_full, form.rhs):
+        dual_obj_min += y_i * rhs
+    duals_min = [y_i * sign for y_i, sign in zip(y_full, form.signs)]
 
     if lp.sense == "max":
         duals_user = tuple(-d for d in duals_min)

@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,9 @@ from platonic import (
     price_interval,
     superreplicate,
 )
+from platonic import as_float_model
 from platonic.ftap import martingale_polytope_constraints
+from platonic.scenario import parse_scenario
 
 
 def part(*blocks):
@@ -248,3 +252,32 @@ def test_long_only_pricing_survives_free_arbitrage():
     hedge, dual = superreplicate(model, (1, 0), "long_only")
     assert dual.kind == "supermartingale"
     assert hedge.price == sum(q * v for q, v in zip(dual.q_values, (1, 0)))
+
+
+def _numbers(obj):
+    """Every number held by an answer: dataclass fields, tuples, recursively."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, field.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _numbers(item)
+    elif isinstance(obj, (int, float, F)) and not isinstance(obj, bool):
+        yield obj
+
+
+def test_float_intervals_hold_no_fraction():
+    """A float price interval is float throughout, its witnesses' ``eta``
+    included, whatever type the ``eta`` argument has."""
+    witnesses = 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json")):
+        scenario = parse_scenario(str(path))
+        model = as_float_model(scenario.model)
+        for claim in scenario.claims.values():
+            try:
+                interval = price_interval(model, claim, tol=1e-9)
+            except UnpricedMarketError:
+                continue
+            assert not any(isinstance(v, F) for v in _numbers(interval)), path.stem
+            witnesses += (interval.lower_witness is not None) + (interval.upper_witness is not None)
+    assert witnesses == 8

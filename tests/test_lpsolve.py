@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _factories import binomial_tree
 from platonic import _linalg, ftap, lpsolve
+from platonic.market import generator_matrix
 from platonic import (
     EQ,
     GE,
@@ -254,7 +256,11 @@ VALUES = (F(0), F(1), F(-1), F(2), F(-3), F(1, 2), 1 + EPS, -1 - EPS, EPS)
 
 @st.composite
 def boxed_lps(draw):
-    """Small LPs whose variables all lie in finite boxes, so they are bounded."""
+    """Small LPs whose variables all lie in finite boxes, so they are bounded.
+
+    A box is the variable's bound pair, or part or all of it is a constraint
+    row instead, so that the variable is free, bounded on one side only, or
+    fixed (a box of width 0) as the solver sees it."""
     value = st.sampled_from(VALUES) | st.integers(-4, 4).map(F)
     n = draw(st.integers(1, 4))
     constraints = [
@@ -262,9 +268,21 @@ def boxed_lps(draw):
         for _ in range(draw(st.integers(0, 4)))
     ]
     bounds = []
-    for _ in range(n):
+    for j in range(n):
         lo = draw(value)
-        bounds.append((lo, lo + abs(draw(value))))
+        hi = lo + abs(draw(value))
+        kind = draw(st.sampled_from(("box", "free", "lower", "upper", "fixed")))
+        if kind == "fixed":
+            bounds.append((lo, lo))
+            continue
+        bounds.append((lo if kind in ("box", "lower") else None,
+                       hi if kind in ("box", "upper") else None))
+        unit = [F(0)] * n
+        unit[j] = F(1)
+        if bounds[-1][0] is None:
+            constraints.append((unit, GE, lo))
+        if bounds[-1][1] is None:
+            constraints.append((unit, LE, hi))
     return lp([draw(value) for _ in range(n)], draw(st.sampled_from(("max", "min"))),
               constraints, bounds)
 
@@ -277,7 +295,10 @@ def _violation(problem, x):
         gap = sum(c * v for c, v in zip(con.coeffs, x)) - con.rhs
         worst = max(worst, {LE: gap, GE: -gap, EQ: abs(gap)}[con.relation])
     for (lo, hi), v in zip(problem.bounds, x):
-        worst = max(worst, lo - v, v - hi)
+        if lo is not None:
+            worst = max(worst, lo - v)
+        if hi is not None:
+            worst = max(worst, v - hi)
     return worst
 
 
@@ -334,7 +355,11 @@ def test_exact_and_float_solve_against_vertex_enumeration(stages):
             best = max(values) if problem.sense == "max" else min(values)
             assert exact.status == "optimal"
             assert exact.objective == exact.dual_objective == best
-            assert exact.x in vertices
+            if any(bound == (None, None) for bound in problem.bounds):
+                # a free column may end nonbasic at 0, between its rows
+                assert _violation(problem, exact.x) == 0
+            else:
+                assert exact.x in vertices
         try:
             approx = solve(problem, "float", 1e-8)
         except FloatModeError:
@@ -378,18 +403,20 @@ def test_golden_verdicts_take_the_float_basis(stages, path):
 
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
 def test_golden_pivot_counts(monkeypatch, arithmetic):
-    """Pivots of every golden-scenario verdict and superhedge, free and
-    long-only: a deterministic counter that moves with the pricing rule and
-    the start basis. Exact answers take the float basis here, so both
-    arithmetics pivot alike."""
-    count = [0]
-    inner = lpsolve._do_pivot
+    """Simplex steps of every golden-scenario verdict and superhedge, free
+    and long-only: basis changes (``_do_pivot``) plus bound flips
+    (``_flip``), a deterministic counter that moves with the pricing rule,
+    the start basis and the bound handling. Exact answers take the float
+    basis here, so both arithmetics pivot alike."""
+    counts = {"_do_pivot": 0, "_flip": 0}
+    for name in counts:
+        inner = getattr(lpsolve, name)
 
-    def spy(*args):
-        count[0] += 1
-        return inner(*args)
+        def spy(*args, _name=name, _inner=inner):
+            counts[_name] += 1
+            return _inner(*args)
 
-    monkeypatch.setattr(lpsolve, "_do_pivot", spy)
+        monkeypatch.setattr(lpsolve, name, spy)
     ftap._arbitrage_lp.cache_clear()
     for path in GOLDEN:
         scenario = parse_scenario(str(path))
@@ -398,4 +425,50 @@ def test_golden_pivot_counts(monkeypatch, arithmetic):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert count[0] == 210
+    assert counts == {"_do_pivot": 186, "_flip": 0}
+
+
+def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch):
+    """The long-only arbitrage LP of the 7-step tree is degenerate at every
+    step (its optimum is 0 at the start vertex). Dantzig pricing ends it in
+    215 steps; the Bland guard waits as many steps as the problem has rows
+    with every upper bound counted as one, and Bland's rule alone would
+    still be pivoting after thousands of steps."""
+    count = [0]
+    inner = lpsolve._do_pivot
+
+    def spy(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lpsolve, "_do_pivot", spy)
+    model = as_float_model(binomial_tree(7))
+    ftap._arbitrage_lp.cache_clear()
+    assert ftap_verdict(model, "long_only").kind == "NO_ARBITRAGE"
+    assert count[0] == 215
+
+
+@pytest.mark.parametrize("mode", ["free", "long_only"])
+def test_standard_form_shape(monkeypatch, mode):
+    """Columns stay whole and bounds take no row. On an n-outcome model with
+    k generators, the arbitrage LP has n rows and k + n caller columns plus
+    a slack per row and no artificial; the superhedge LP has n rows and
+    1 + k caller columns plus a slack per row."""
+    forms = []
+    inner = lpsolve._standard_form
+
+    def spy(problem, conv):
+        forms.append(inner(problem, conv))
+        return forms[-1]
+
+    monkeypatch.setattr(lpsolve, "_standard_form", spy)
+    model = binomial_tree(3)
+    n, k = model.n_outcomes, len(generator_matrix(model, mode)[1])
+    ftap._arbitrage_lp.cache_clear()
+    ftap_verdict(model, mode)
+    superreplicate(model, [F(w) for w in range(n)], mode)
+    arbitrage, hedge = forms
+    assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, k + n)
+    assert arbitrage.n_real == len(arbitrage.cost) == k + 2 * n
+    assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k)
+    assert hedge.n_real == 1 + k + n
