@@ -441,10 +441,11 @@ def semistatic_direct_price(
                 if any(v != 0 for v in col):
                     cols.append(col)
     lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
-    sol = solve(superhedge_lp(cols, claim, mode), lp_mode, solver_tol(eff_tol))
+    lp, offset = superhedge_lp(cols, claim, mode)
+    sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:
         raise UnboundedSemiStaticError(f"direct semi-static LP ended with status {sol.status}")
-    return sol.objective
+    return offset + sol.objective
 
 
 class UnboundedSemiStaticError(RuntimeError):

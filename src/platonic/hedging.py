@@ -116,18 +116,27 @@ def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> Measur
 
 def superhedge_lp(
     cols: Sequence[Sequence[Num]], claim: Sequence[Num], mode: str
-) -> LinearProgram:
-    """Superhedge primal over (x, lambda): minimize x such that x plus the
-    wealth sum_j lambda_j cols[j] dominates the claim at every outcome, with
-    lambda >= 0 for long-only trading."""
+) -> tuple[LinearProgram, Num]:
+    """Superhedge primal and its price offset ``m = max(claim)``.
+
+    Minimize x such that x plus the wealth sum_j lambda_j cols[j] dominates
+    the claim at every outcome, with lambda >= 0 for long-only trading. The
+    LP is written in the translated price ``x' = x - m``: its rows are
+    ``x' + sum_j lambda_j cols[j] >= claim - m``, whose right-hand sides are
+    all <= 0, so every row starts on its slack at the cash hedge (hold m,
+    do not trade; x' = 0, lambda = 0) and no phase 1 runs. The translation
+    keeps the feasible set, the duals and the optimal set of the LP in x;
+    a caller adds ``m`` back to the optimal value and to ``x'``."""
     k = len(cols)
+    offset = max(claim, default=0)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    return LinearProgram.build(
+    lp = LinearProgram.build(
         objective=[1] + [0] * k,
         sense="min",
-        constraints=[([1] + [col[w] for col in cols], GE, c) for w, c in enumerate(claim)],
+        constraints=[([1] + [col[w] for col in cols], GE, c - offset) for w, c in enumerate(claim)],
         bounds=[(None, None)] + [lam_bounds] * k,
     )
+    return lp, offset
 
 
 def superreplicate(
@@ -156,12 +165,18 @@ def superreplicate(
     if len(claim) != n:
         raise ValueError("claim lives on a different space")
 
-    psol = solve(superhedge_lp(cols, claim, mode), lp_mode, solver_tol(eff_tol))
+    lp, offset = superhedge_lp(cols, claim, mode)
+    psol = solve(lp, lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # pragma: no cover - dual feasibility makes it bounded
         raise RuntimeError(f"superreplication primal ended with status {psol.status}")
-    price = psol.objective
+    price = offset + psol.objective
     lambdas = tuple(psol.x[1:])
-    wealth = [sum(c * col[w] for c, col in zip(lambdas, cols)) for w in range(n)]
+    wealth = [0 * price] * n
+    for lam, col in zip(lambdas, cols):
+        if lam:
+            for w, v in enumerate(col):
+                if v:
+                    wealth[w] += lam * v
     consumption = RandomVariable(tuple(price + wv - cv for wv, cv in zip(wealth, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.

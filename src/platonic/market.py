@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
@@ -37,7 +37,8 @@ class MarketModel:
 
     ``prices[k]`` belongs to ``assets[k]``; ``trading_filtrations[k]`` belongs
     to ``admissible_sets[k]``. Instances are immutable and hashable, which the
-    generator cache relies on.
+    model-keyed caches rely on; the hash is computed once per instance, not
+    at every cache lookup.
     """
 
     space: FiniteSpace
@@ -77,6 +78,20 @@ class MarketModel:
             raise ValueError("one trading filtration per admissible set required")
         if any(f.n_outcomes != n for f in self.trading_filtrations):
             raise ValueError("trading filtration lives on a different space")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.big_filtration, self.assets, self.prices,
+                     self.admissible_sets, self.trading_filtrations))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy rehashes
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def times(self) -> tuple[Fraction, ...]:

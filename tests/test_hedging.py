@@ -21,10 +21,12 @@ from platonic import (
     ftap_verdict,
     polar_cone_check,
     price_interval,
+    solve,
     superreplicate,
 )
 from platonic import as_float_model
-from platonic.ftap import martingale_polytope_constraints
+from platonic.ftap import checked_measure, martingale_polytope_constraints
+from platonic.market import generator_matrix
 from platonic.scenario import parse_scenario
 
 
@@ -63,6 +65,17 @@ def dual_vertices(model, claim_len):
     return enumerate_vertices(lp)
 
 
+# Claims whose cash hedge is a degenerate start of the superhedge LP: a
+# constant (already optimal), an all-negative claim, and a maximum reached on
+# several outcomes (several rows start tight).
+DEGENERATE_CLAIMS = [
+    (F(7, 3),) * 4,
+    (-1, -3, F(-1, 2), -5),
+    (2, 0, 2, 1),
+    (1, 1, 0, 1),
+]
+
+
 class TestSuperreplicate:
     def test_constant_claim_costs_its_value(self, binomial):
         hedge, dual = superreplicate(binomial, (F(5, 2), F(5, 2)))
@@ -93,8 +106,8 @@ class TestSuperreplicate:
     def test_dominates_claim_everywhere(self, delayed_canonical):
         rng = random.Random(42)
         gens = enumerate_generators(delayed_canonical)
-        for _ in range(10):
-            claim = random_claim(rng, 4)
+        claims = [random_claim(rng, 4) for _ in range(10)]
+        for claim in claims + [RandomVariable(c) for c in DEGENERATE_CLAIMS]:
             hedge, dual = superreplicate(delayed_canonical, claim)
             wealth = [
                 sum(c * g.payoff.values[i] for c, g in zip(hedge.lambdas, gens))
@@ -104,6 +117,32 @@ class TestSuperreplicate:
                 hedge.price + w >= cv for w, cv in zip(wealth, claim.values)
             )
             assert hedge.price == sum(q * c for q, c in zip(dual.q_values, claim.values))
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    @pytest.mark.parametrize("mode", ["free", "long_only"])
+    @pytest.mark.parametrize("claim", DEGENERATE_CLAIMS)
+    def test_degenerate_starts_match_polytope_oracle(self, delayed_canonical, claim, mode, arithmetic):
+        """The price is the largest expectation over the measure polytope,
+        solved exactly as its own LP, and the dual is a checked measure."""
+        n = delayed_canonical.n_outcomes
+        kind = "martingale" if mode == "free" else "supermartingale"
+        _gens, exact_cols = generator_matrix(delayed_canonical, mode)
+        polytope = martingale_polytope_constraints(exact_cols, n, kind)
+        oracle = solve(LinearProgram.build(list(claim), "max", polytope, [(0, None)] * n)).objective
+        model, tol = delayed_canonical, 0
+        if arithmetic == "float":
+            model, tol, claim = as_float_model(model), 1e-9, tuple(float(c) for c in claim)
+        hedge, dual = superreplicate(model, claim, mode)
+        if tol == 0:
+            assert hedge.price == oracle
+        else:
+            assert isinstance(hedge.price, float) and abs(hedge.price - oracle) <= 1e-9
+        if len(set(claim)) == 1:
+            assert hedge.price == claim[0]
+        _gens, cols = generator_matrix(model, mode)
+        assert checked_measure(dual.q_values, cols, kind, tol) is not None
+        assert abs(hedge.price - sum(q * c for q, c in zip(dual.q_values, claim))) <= tol
+        assert all(v >= -tol for v in hedge.consumption)
 
 
 class TestPriceInterval:

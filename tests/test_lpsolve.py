@@ -425,7 +425,7 @@ def test_golden_pivot_counts(monkeypatch, arithmetic):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert counts == {"_do_pivot": 186, "_flip": 0}
+    assert counts == {"_do_pivot": 168, "_flip": 0}
 
 
 def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch):
@@ -453,7 +453,7 @@ def test_standard_form_shape(monkeypatch, mode):
     """Columns stay whole and bounds take no row. On an n-outcome model with
     k generators, the arbitrage LP has n rows and k + n caller columns plus
     a slack per row and no artificial; the superhedge LP has n rows and
-    1 + k caller columns plus a slack per row."""
+    1 + k caller columns plus a slack per row and no artificial either."""
     forms = []
     inner = lpsolve._standard_form
 
@@ -471,4 +471,35 @@ def test_standard_form_shape(monkeypatch, mode):
     assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, k + n)
     assert arbitrage.n_real == len(arbitrage.cost) == k + 2 * n
     assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k)
-    assert hedge.n_real == 1 + k + n
+    assert hedge.n_real == len(hedge.cost) == 1 + k + n
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_superhedges_run_no_phase_1(monkeypatch, arithmetic):
+    """Every golden superhedge, free and long-only, starts at the cash hedge:
+    its LP has no artificial, so the simplex never enters phase 1 (a pivot
+    loop that runs before the phase-2 cost row exists)."""
+    forms, phase_1 = [], []
+    inner_form, inner_loop = lpsolve._standard_form, lpsolve._pivot_loop
+
+    def form_spy(problem, conv):
+        forms.append(inner_form(problem, conv))
+        return forms[-1]
+
+    def loop_spy(tab, cost, n_enter, tol):
+        if tab.reduced is None:
+            phase_1.append(n_enter)
+        return inner_loop(tab, cost, n_enter, tol)
+
+    for path in GOLDEN:
+        scenario = parse_scenario(str(path))
+        model = scenario.model if arithmetic == "exact" else as_float_model(scenario.model)
+        for mode in ("free", "long_only"):
+            ftap_verdict(model, mode)
+            monkeypatch.setattr(lpsolve, "_standard_form", form_spy)
+            monkeypatch.setattr(lpsolve, "_pivot_loop", loop_spy)
+            for claim in scenario.claims.values():
+                superreplicate(model, claim, mode)
+            monkeypatch.undo()
+    assert phase_1 == []
+    assert forms and all(len(form.cost) == form.n_real for form in forms)
