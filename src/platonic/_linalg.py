@@ -3,11 +3,16 @@
 The dense routines work over Fractions (exact, first-nonzero pivoting) and
 floats (largest pivot, tolerance-aware); problem sizes there are tiny, so
 clarity wins. ``solve_sparse`` is the exact square solve behind the LP's
-basis certificate, where most columns are unit vectors.
+basis certificate, where most columns are unit vectors. It is fraction-free:
+each equation is scaled to integers and eliminated in Python ints, and
+Fractions are built only in back substitution, so no entry update pays for a
+``Fraction`` and its gcd.
 """
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from .numeric import Num
@@ -101,59 +106,91 @@ def column_span_solve(
     return _eliminate(matrix, target, tol)[0]
 
 
-def solve_sparse(rows: Sequence[dict[int, Num]], rhs: Sequence[Num]) -> list[Num] | None:
+def solve_sparse(
+    rows: Sequence[dict[int, int | Fraction]], rhs: Sequence[int | Fraction]
+) -> list[Fraction] | None:
     """The solution of the square system ``A x = b`` whose rows are given as
     ``{column: nonzero value}`` maps, exactly; None when ``A`` is singular.
+    Takes ints and Fractions and returns Fractions.
 
-    Elimination pivots on the shortest remaining row, in the column with the
-    fewest remaining entries (Markowitz), so unit columns cost one step and
-    the fill-in stays small. Only nonzero entries are ever touched."""
+    Each equation is scaled by the lcm of its denominators, so elimination
+    runs on Python ints. It pivots on the shortest remaining row, in the
+    column with the fewest remaining entries (Markowitz), so unit columns
+    cost one step and the fill-in stays small; only nonzero entries are ever
+    touched. A row holding the pivot column is cross-multiplied,
+    ``(p/g) row - (f/g) prow`` with ``g = gcd(p, f)`` for the pivot ``p`` and
+    the row's entry ``f``, and then divided by the gcd of its entries and its
+    right-hand side. Each step multiplies a row by a nonzero number, so the
+    zero pattern, the pivot order and the singularity verdict are those of
+    elimination in rationals. Back substitution builds the Fractions."""
     n = len(rows)
-    rows = [dict(row) for row in rows]
-    rhs = list(rhs)
+    eqs: list[dict[int, int]] = []
+    b: list[int] = []
+    for row, r in zip(rows, rhs):
+        ratios = [v.as_integer_ratio() for v in row.values()]
+        r_num, r_den = r.as_integer_ratio()
+        scale = math.lcm(r_den, *[d for _, d in ratios])
+        eqs.append(dict(zip(row, [q * (scale // d) for q, d in ratios])))
+        b.append(r_num * (scale // r_den))
     holders: dict[int, set[int]] = {}  # column -> unpivoted rows with an entry there
-    for i, row in enumerate(rows):
+    for i, row in enumerate(eqs):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    queue = [(len(row), i) for i, row in enumerate(rows)]
+    queue = [(len(row), i) for i, row in enumerate(eqs)]
     heapq.heapify(queue)
     done = [False] * n
     order: list[tuple[int, int]] = []
     while queue:
         length, i = heapq.heappop(queue)
-        if done[i] or length != len(rows[i]):
+        if done[i] or length != len(eqs[i]):
             continue  # a stale entry: the row was pivoted or changed length
-        prow = rows[i]
+        prow = eqs[i]
         if not prow:
             return None
         done[i] = True
         for j in prow:
             holders[j].discard(i)
         col = min(prow, key=lambda j: len(holders[j]))
-        pivot = prow[col]
+        p, b_i = prow[col], b[i]
         for k in list(holders[col]):
-            row = rows[k]
-            factor = row[col] / pivot
+            row = eqs[k]
+            g = math.gcd(p, row[col])
+            scale, factor = p // g, row[col] // g
+            if scale < 0:
+                scale, factor = -scale, -factor
+            if scale != 1:
+                for j, v in row.items():
+                    row[j] = v * scale
             for j, v in prow.items():
-                new = row.get(j, 0) - factor * v
-                if new:
-                    if j not in row:
-                        holders[j].add(k)
-                    row[j] = new
-                elif j in row:
-                    del row[j]
-                    holders[j].discard(k)
-            rhs[k] -= factor * rhs[i]
+                if j in row:
+                    new = row[j] - factor * v
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+                        holders[j].discard(k)
+                else:
+                    row[j] = -factor * v
+                    holders[j].add(k)
+            b_k = b[k] * scale - factor * b_i
+            content = math.gcd(b_k, *row.values())
+            if content > 1:
+                for j, v in row.items():
+                    row[j] = v // content
+                b_k //= content
+            b[k] = b_k
             heapq.heappush(queue, (len(row), k))
         order.append((i, col))
     if len(order) != n:
         return None
-    x: list[Num] = [0] * n
+    # x_j = num[j] / den[j] in lowest terms
+    num, den = [0] * n, [1] * n
     for i, col in reversed(order):
-        row = rows[i]
-        acc = rhs[i]
-        for j, v in row.items():
-            if j != col:
-                acc -= v * x[j]
-        x[col] = acc / row[col]
-    return x
+        row = eqs[i]
+        others = [j for j in row if j != col]
+        d = math.lcm(*[den[j] for j in others])
+        q = b[i] * d - sum([row[j] * num[j] * (d // den[j]) for j in others])
+        d *= row[col]
+        g = math.gcd(q, d)
+        num[col], den[col] = q // g, d // g
+    return [Fraction(q, d) for q, d in zip(num, den)]

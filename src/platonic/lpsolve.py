@@ -37,16 +37,19 @@ Exact mode finds its basis in float and certifies it once, exactly. A float
 simplex runs on a float copy of the exact standard form; its final basis B
 and the set U of columns at their upper bound are then checked in rationals
 by one sparse solve of ``B x_B = b - sum_{j in U} u_j A_j`` and one of
-``B^T y = c_B``: ``x_B`` within its bounds, every equation dropped as
-redundant holds at ``x``, and every non-artificial column's reduced cost
-``c_j - y.A_j`` is >= 0 at its lower bound, <= 0 at its upper bound and 0 on
-a free nonbasic column. Those checks prove the basis optimal, and ``y`` is
-its dual vector. When a check fails, or the float stage refuses or ends
-elsewhere than at an optimum, exact pivoting takes over: from the float
-basis and U when they are exactly feasible, otherwise from the slack and
-artificial start. So every status exact mode reports is proved in
-rationals: an optimum by the basis checks and a zero duality gap with
-complementary slackness, infeasibility and unboundedness by exact pivoting.
+``B^T y = c_B``. Each solve is fraction-free (``_linalg.solve_sparse``): the
+equations are scaled to integers and eliminated in Python ints, and
+Fractions appear only in back substitution. The checks are ``x_B`` within
+its bounds, every equation dropped as redundant holding at ``x``, and every
+non-artificial column's reduced cost ``c_j - y.A_j`` >= 0 at its lower
+bound, <= 0 at its upper bound and 0 on a free nonbasic column. Those
+checks prove the basis optimal, and ``y`` is its dual vector. When a check
+fails, or the float stage refuses or ends elsewhere than at an optimum,
+exact pivoting takes over: from the float basis and U when they are exactly
+feasible, otherwise from the slack and artificial start. So every status
+exact mode reports is proved in rationals: an optimum by the basis checks
+and a zero duality gap with complementary slackness, infeasibility and
+unboundedness by exact pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
 off the final phase-2 cost row: each row's start column is a unit column of
@@ -343,7 +346,8 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         if lp.sense == "max":
             v = -v
         cost.append(v if sign > 0 else -v)
-        obj_shift += v * shift
+        if shift:
+            obj_shift += v * shift
 
     # Slack columns, then artificials for the rows whose slack is not +1
     # once the row is negated to make its rhs nonnegative. A ">=" row with
@@ -358,12 +362,16 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     for i, con in enumerate(lp.constraints):
         row: dict[int, Num] = {}
         rhs = conv(con.rhs)
+        # a zero shift moves no rhs and is skipped, but on a float -0.0 its
+        # subtraction may flip the sign of the zero
+        signed_zero = rhs == 0 and math.copysign(1, rhs) < 0
         for j, v in enumerate(con.coeffs):
             if v != 0:
                 v = conv(v)
                 sign, shift = col_map[j]
                 row[j] = v if sign > 0 else -v
-                rhs -= v * shift
+                if shift or signed_zero:
+                    rhs -= v * shift
         rel = con.relation
         negate = rhs < 0 or (rhs == 0 and rel == GE)
         plus_slack = False

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _factories import random_claim, random_market
+from platonic import ftap, lpsolve, market
 from platonic.cli import (
     EXIT_INCONSISTENT,
     EXIT_INVALID,
@@ -312,6 +313,56 @@ class TestNoCertifiedAnswer:
         code = main(["superhedge", scenario_path("binomial"), "--float", "--claim", "call"])
         assert code == 4
         assert capsys.readouterr().err == "no certified answer: boundary case; retry exact\n"
+
+
+class TestLpSolvesPerCommand:
+    """LP solves per CLI command on every golden scenario, with the
+    model-keyed caches empty as in a fresh process: a verdict is one LP, a
+    superhedge one more, an interval two superhedges, a measure search one
+    LP, and ``check-duality`` a verdict plus, per claim, a superhedge and
+    the four LPs of ``attainability_set_check``."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        inner = lpsolve.solve
+
+        def solve(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "platonic" and getattr(module, "solve", None) is inner:
+                monkeypatch.setattr(module, "solve", solve)
+        return calls
+
+    @pytest.mark.parametrize("command,solves_per_claim,once", [
+        ("ftap", 0, 1),
+        ("ftap --long-only", 0, 1),
+        ("superhedge", 0, 2),
+        ("superhedge --long-only", 0, 2),
+        ("interval", 0, 3),
+        ("project", 0, 1),
+        ("check-duality", 5, 1),
+    ])
+    def test_golden_scenarios(self, solves, capsys, scenario_path, command, solves_per_claim, once):
+        name, *flags = command.split()
+        for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
+            scenario = parse_scenario(str(path))
+            claim = sorted(scenario.claims)[0]
+            if name in ("superhedge", "interval"):
+                flags_here = [*flags, "--claim", claim]
+            elif name == "project":
+                widest = max(scenario.model.admissible_sets, key=lambda s: (len(s), sorted(s)))
+                flags_here = ["--set", ",".join(sorted(widest))]
+            else:
+                flags_here = flags
+            for cache in (ftap._arbitrage_lp, ftap._find_measure, market._validate, market._generators):
+                cache.cache_clear()
+            solves.clear()
+            assert main([name, str(path), *flags_here]) == EXIT_OK
+            capsys.readouterr()
+            assert len(solves) == once + solves_per_claim * len(scenario.claims), path.stem
 
 
 def _paths(node, prefix=()):

@@ -248,10 +248,70 @@ class TestElimination:
             singular += x is None
         assert singular > 20
 
+    @pytest.mark.parametrize("rows,rhs,solution", [
+        ([{0: 2}], [1], [F(1, 2)]),
+        ([{0: 1}, {1: -1}], [3, 0], [F(3), F(0)]),
+        ([{0: 1, 1: F(1, 3)}, {1: 2}], [1, F(2, 3)], [F(8, 9), F(1, 3)]),
+    ])
+    def test_sparse_solve_returns_fractions(self, rows, rhs, solution):
+        # ints alone or mixed with Fractions in, Fractions out
+        x = _linalg.solve_sparse(rows, rhs)
+        assert x == solution
+        assert all(type(v) is F for v in x)
+
 
 EPS = F(1, 2**60)
 # 1 and 1 + 2^-60 are one float: data that float arithmetic cannot separate
 VALUES = (F(0), F(1), F(-1), F(2), F(-3), F(1, 2), 1 + EPS, -1 - EPS, EPS)
+# ints and Fractions, among them entries whose products need many bits
+SPARSE_ENTRIES = (1, -1, 2, F(1, 3), 1 + EPS, F(10**12, 7))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Square systems of up to 30 rows as ``{column: value}`` maps, mostly
+    zeros. A diagonal planted under a random permutation makes a system
+    nonsingular but for rare cancellations; a row then replaced by a
+    combination of two others makes it singular; scattered entries alone
+    make it singular more often than not."""
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(("planted", "dependent", "scattered")))
+    entry = st.sampled_from(SPARSE_ENTRIES)
+    rows: list[dict] = [{} for _ in range(n)]
+    if n and kind != "scattered":
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            rows[i][j] = draw(entry)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entry)
+    if n >= 3 and kind == "dependent":
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        ca, cb = draw(entry), draw(entry)
+        combo = {j: ca * rows[a].get(j, 0) + cb * rows[b].get(j, 0) for j in sorted({*rows[a], *rows[b]})}
+        rows[c] = {j: v for j, v in combo.items() if v}
+    rhs = [draw(st.sampled_from((0,) + SPARSE_ENTRIES)) for _ in range(n)]
+    return rows, rhs
+
+
+def test_sparse_solve_against_dense_elimination():
+    """The sparse integer elimination agrees with the dense rational one,
+    on singular and nonsingular systems, and its solution solves the system
+    exactly."""
+    singular = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=sparse_systems())
+    def check(system):
+        rows, rhs = system
+        x = _linalg.solve_sparse(rows, rhs)
+        dense = [[F(row.get(j, 0)) for j in range(len(rows))] for row in rows]
+        assert x == _linalg.solve_unique(dense, [F(v) for v in rhs])
+        singular.add(x is None)
+        if x is not None:
+            assert all(type(v) is F for v in x)
+            assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
+
+    check()
+    assert singular == {True, False}
 
 
 @st.composite
