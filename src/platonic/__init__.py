@@ -54,7 +54,6 @@ from .lpsolve import (
     solve,
 )
 from .market import (
-    ConeDescription,
     Generator,
     Leg,
     MarketModel,
@@ -64,7 +63,6 @@ from .market import (
     build_market,
     close_admissible_under_unions,
     enumerate_generators,
-    terminal_cone_description,
     validate,
     wealth_process,
 )

@@ -2,10 +2,12 @@
 machine-readable reports.
 
 Exit codes: 0 success, 1 unparseable scenario (or an asset set it does not
-admit), 2 model fails validation, 3 a certificate failed its check (internal
-inconsistency), 4 no certified answer (the market admits arbitrage, the float
-backend refused, or the instance exceeds a brute-force size guard). Each
-warning the library raises is printed to stderr as one ``warning: ...`` line.
+admit, or a ``project --measure`` file that is not a measure), 2 model fails
+validation, 3 a certificate failed its check (internal inconsistency, or a
+``project --measure`` measure that fails the projection check), 4 no
+certified answer (the market admits arbitrage, the float backend refused,
+or the instance exceeds a brute-force size guard). Each warning the library
+raises is printed to stderr as one ``warning: ...`` line.
 
 ``min_mass`` in a measure report is the smallest mass of the certificate
 returned, not the largest minimum mass over all measures; ``project
@@ -27,6 +29,7 @@ from .ftap import (
     FtapInconsistencyError,
     InvalidModelError,
     MeasureCertificate,
+    ProjectionError,
     find_measure,
     ftap_verdict,
     project_prices,
@@ -35,7 +38,7 @@ from .hedging import UnpricedMarketError
 from .lpsolve import DimensionGuardError, FloatModeError
 from .market import MarketModel, as_float_model, validate
 from .numeric import format_number
-from .probspace import RandomVariable
+from .probspace import RandomVariable, ZeroMassBlock
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_model
 
 EXIT_OK = 0
@@ -161,6 +164,25 @@ def cmd_ftap(args) -> int:
     return EXIT_OK
 
 
+def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
+    """The ``measure`` section of a report file (its ``kind`` and its ``q`` by
+    outcome) as an unverified certificate; a :class:`ScenarioError` naming
+    the file when it cannot be read as a (super)martingale measure."""
+    try:
+        doc = json.loads(Path(path).read_text())["measure"]
+        kind, q_doc = doc["kind"], doc["q"]
+        q = tuple(Fraction(str(q_doc[o])) for o in model.space.outcomes)
+    except KeyError as exc:
+        raise ScenarioError(f"--measure {path}: missing key {exc.args[0]!r}") from None
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"--measure {path}: {exc}") from None
+    if kind not in ("martingale", "supermartingale"):
+        raise ScenarioError(f"--measure {path}: kind {kind!r} is neither martingale nor supermartingale")
+    if min(q) < 0:
+        raise ScenarioError(f"--measure {path}: negative mass")
+    return MeasureCertificate(q_values=q, kind=kind, min_mass=min(q), verification=())
+
+
 def cmd_project(args) -> int:
     scenario, report = _load(args)
     asset_set = frozenset(args.set.split(","))
@@ -172,15 +194,12 @@ def cmd_project(args) -> int:
         if cert is None:
             raise UnpricedMarketError("the market admits arbitrage: no martingale measure to project with")
     else:
-        loaded = json.loads(Path(args.measure).read_text())
-        q_doc = loaded["measure"]["q"]
-        cert = MeasureCertificate(
-            q_values=tuple(Fraction(str(q_doc[o])) for o in scenario.model.space.outcomes),
-            kind=loaded["measure"]["kind"],
-            min_mass=min(Fraction(str(q_doc[o])) for o in scenario.model.space.outcomes),
-            verification=(),
-        )
-    projected = project_prices(scenario.model, cert, asset_set, _tol_arg(args))
+        cert = _measure_file(args.measure, scenario.model)
+    try:
+        projected = project_prices(scenario.model, cert, asset_set, _tol_arg(args))
+    except (ZeroMassBlock, ProjectionError) as exc:
+        print(f"measure check failed: --measure {args.measure}: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     report["asset_set"] = sorted(asset_set)
     report["measure"] = _measure_doc(cert, scenario.model) if cert.verification else {"kind": cert.kind}
     report["projections"] = {

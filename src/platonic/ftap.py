@@ -288,8 +288,6 @@ def project_prices(
     cert: MeasureCertificate,
     asset_set: frozenset[str] | Sequence[str],
     tol: Num | None = None,
-    *,
-    use_reference_on_null: bool = False,
 ) -> dict[str, list[RandomVariable]]:
     """Best trading-filtration view of each price in the set under ``cert``:
     value at t is the conditional expectation of S_t given the blocks at t.
@@ -305,19 +303,18 @@ def project_prices(
         raise ValueError(f"asset set {sorted(aset)} is not admissible")
     filt = model.filtration_for(aset)
     q = cert.q_values
-    fallback = model.space.probs if use_reference_on_null else None
     grid = model.times
     out: dict[str, list[RandomVariable]] = {}
     for asset in sorted(aset):
         path = model.price_path(asset)
         projected = [
-            conditional_expectation(rv, filt.at(t), q, fallback=fallback, tol=eff_tol)
+            conditional_expectation(rv, filt.at(t), q, tol=eff_tol)
             for t, rv in zip(grid, path)
         ]
         for i, t in enumerate(grid):
             part = filt.at(t)
             for later in projected[i + 1:]:
-                pulled = conditional_expectation(later, part, q, fallback=fallback, tol=eff_tol)
+                pulled = conditional_expectation(later, part, q, tol=eff_tol)
                 for a, b in zip(pulled, projected[i]):
                     diff = a - b
                     ok = abs(diff) <= eff_tol if cert.kind == "martingale" else diff <= eff_tol

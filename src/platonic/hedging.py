@@ -50,16 +50,14 @@ class HedgeCertificate:
     """Cheapest dominating position: price plus generator coefficients.
 
     ``price + wealth(lambdas) = claim + consumption`` outcome-wise with
-    nonnegative consumption; the residual after subtracting consumption is
-    identically zero, and consumption vanishes wherever the dual optimizer
-    puts mass (complementary slackness).
+    nonnegative consumption, which vanishes wherever the dual optimizer puts
+    mass (complementary slackness).
     """
 
     price: Num
     lambdas: tuple[Num, ...]
     consumption: RandomVariable
     claim: RandomVariable
-    residual: RandomVariable
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,6 @@ def superreplicate(
         lambdas=lambdas,
         consumption=consumption,
         claim=claim,
-        residual=RandomVariable.constant(n, 0),
     )
     return hedge, dual_cert
 
@@ -265,7 +262,6 @@ class PolarConeReport:
 def polar_cone_check(
     model: MarketModel,
     mode: str = "free",
-    samples: int = 20,
     seed: int = 0,
     tol: Num | None = None,
 ) -> PolarConeReport:
@@ -273,8 +269,8 @@ def polar_cone_check(
     measure polytope: both are enumerated as vertex sets and compared exactly.
 
     The polar is described through signed inequalities against the generator
-    columns, the polytope through the (super)martingale rows; random elements
-    of the claim cone are also paired against every polar vertex.
+    columns, the polytope through the (super)martingale rows; 20 random
+    elements of the claim cone are also paired against every polar vertex.
     """
     violations = validate(model, tol)
     if violations:
@@ -318,7 +314,7 @@ def polar_cone_check(
     rng = random.Random(seed)
     samples_ok = True
     k = len(cols)
-    for _ in range(samples):
+    for _ in range(20):
         lam = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
         if mode == "long_only":
             lam = [abs(v) for v in lam]

@@ -45,11 +45,10 @@ non-artificial column's reduced cost ``c_j - y.A_j`` >= 0 at its lower
 bound, <= 0 at its upper bound and 0 on a free nonbasic column. Those
 checks prove the basis optimal, and ``y`` is its dual vector. When a check
 fails, or the float stage refuses or ends elsewhere than at an optimum,
-exact pivoting takes over: from the float basis and U when they are exactly
-feasible, otherwise from the slack and artificial start. So every status
-exact mode reports is proved in rationals: an optimum by the basis checks
-and a zero duality gap with complementary slackness, infeasibility and
-unboundedness by exact pivoting.
+exact pivoting takes over from the slack and artificial start. So every
+status exact mode reports is proved in rationals: an optimum by the basis
+checks and a zero duality gap with complementary slackness, infeasibility
+and unboundedness by exact pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
 off the final phase-2 cost row: each row's start column is a unit column of
@@ -82,6 +81,8 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _PIVOT_TOL = 1e-10          # float-mode pivot threshold
 _MAX_PIVOTS = 200_000       # float safety net; exact pivoting terminates
+_VERTEX_DIM_GUARD = 12      # enumerate_vertices: most variables
+_VERTEX_COMBO_GUARD = 500_000  # enumerate_vertices: most active sets tried
 
 Bounds = tuple[Num | None, Num | None]
 
@@ -535,64 +536,39 @@ def _dual(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list
     return y, sum(form.upper[j] * reduced[j] for j in at_upper)
 
 
-def _canonical(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]) -> _Tableau | None:
-    """The exact tableau of ``basis`` (nonsingular on the kept rows) with the
-    ``at_upper`` columns at their upper bound, to pivot on from there; None
-    when a dropped row is not implied by the kept ones."""
-    tab = _start_tableau(form, Fraction)
-    rows = tab.rows
-    no_cost = [0] * (len(tab.cost) + 1)
-    placed = list(tab.basis)
-    free = list(kept)
-    for col in basis:
-        r = next(i for i in free if rows[i][col] != 0)
-        _do_pivot(rows, no_cost, placed, r, col)
-        free.remove(r)
-    kept_set = set(kept)
-    if any(any(rows[r]) for r in range(len(rows)) if r not in kept_set):
-        return None
-    tab.rows = [rows[r] for r in kept]
-    tab.basis = [placed[r] for r in kept]
-    tab.kept = list(kept)
-    for j in at_upper:
-        _flip(tab, no_cost, j)
-    return tab
+def _certified(form: _StandardForm, tab: _Tableau):
+    """(basis, kept, at_upper, x_B, y, sum u_j d_j over at_upper) of the
+    tableau's basis when the exact checks prove it optimal; None otherwise."""
+    at_upper = tab.at_upper()
+    x_b = _primal(form, tab.basis, tab.kept, at_upper)
+    dual = _dual(form, tab.basis, tab.kept, at_upper) if x_b is not None else None
+    return None if dual is None else (tab.basis, tab.kept, at_upper, x_b, *dual)
 
 
 def _exact_optimum(form: _StandardForm):
-    """Status and, at an optimum, the certified (basis, kept, at_upper, x_B,
-    y, sum u_j d_j over at_upper).
+    """Status and, at an optimum, the certified basis of :func:`_certified`.
 
     A float simplex picks the basis and the columns at their upper bound;
-    one exact solve of its basis system certifies them. Exact pivoting takes
-    over from that basis when the check finds it exactly feasible but not
-    optimal, and from the slack and artificial start when the float stage
-    refused, ended elsewhere than at an optimum, or left a basis that is not
-    exactly feasible."""
+    one exact solve of its basis system certifies them. Otherwise exact
+    pivoting runs from the slack and artificial start: when the float stage
+    refused, ended elsewhere than at an optimum, or left a basis that fails
+    a check."""
     tab = _start_tableau(form, float)
     try:
         guided = _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL
     except FloatModeError:
         guided = False
-    start = None
-    if guided:
-        at_upper = tab.at_upper()
-        x_b = _primal(form, tab.basis, tab.kept, at_upper)
-        if x_b is not None:
-            dual = _dual(form, tab.basis, tab.kept, at_upper)
-            if dual is not None:
-                return OPTIMAL, (tab.basis, tab.kept, at_upper, x_b, *dual)
-            start = _canonical(form, tab.basis, tab.kept, at_upper)
-    tab = start if start is not None else _start_tableau(form, Fraction)
+    optimum = _certified(form, tab) if guided else None
+    if optimum is not None:
+        return OPTIMAL, optimum
+    tab = _start_tableau(form, Fraction)
     status = _simplex(form, tab, 0, 0, "exact")
     if status != OPTIMAL:
         return status, None
-    at_upper = tab.at_upper()
-    x_b = _primal(form, tab.basis, tab.kept, at_upper)
-    dual = _dual(form, tab.basis, tab.kept, at_upper) if x_b is not None else None
-    if dual is None:  # pragma: no cover - exact pivoting ends on a certified basis
+    optimum = _certified(form, tab)
+    if optimum is None:  # pragma: no cover - exact pivoting ends on a certified basis
         raise RuntimeError("exact simplex ended on a basis that fails its check")
-    return OPTIMAL, (tab.basis, tab.kept, at_upper, x_b, *dual)
+    return OPTIMAL, optimum
 
 
 def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL) -> LpSolution:
@@ -686,12 +662,7 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
         raise FloatModeError("; ".join(problems) + "; retry exact")
 
 
-def enumerate_vertices(
-    lp: LinearProgram,
-    *,
-    dim_guard: int = 12,
-    combo_guard: int = 500_000,
-) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
     """All vertices of the constraint set of ``lp`` (objective ignored), exactly.
 
     Brute-force oracle for small instances: equality constraints are always
@@ -700,8 +671,8 @@ def enumerate_vertices(
     polytopes; on unbounded sets it still returns all basic feasible points.
     """
     n = len(lp.objective)
-    if n > dim_guard:
-        raise DimensionGuardError(f"dimension {n} exceeds the guard {dim_guard}")
+    if n > _VERTEX_DIM_GUARD:
+        raise DimensionGuardError(f"dimension {n} exceeds the guard {_VERTEX_DIM_GUARD}")
     eqs: list[tuple[list[Fraction], Fraction]] = []
     ineqs: list[tuple[list[Fraction], Fraction]] = []  # normalized to a.x <= b
     for con in lp.constraints:
@@ -730,7 +701,7 @@ def enumerate_vertices(
         need = 0
     if need > len(ineqs):
         return []
-    if math.comb(len(ineqs), need) > combo_guard:
+    if math.comb(len(ineqs), need) > _VERTEX_COMBO_GUARD:
         raise DimensionGuardError("too many active-set combinations to enumerate")
 
     vertices: set[tuple[Fraction, ...]] = set()

@@ -10,7 +10,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from . import _linalg
 from .numeric import Num, all_exact, pick_tol
 from .probspace import (
     FiniteSpace,
@@ -329,43 +328,6 @@ def enumerate_generators(model: MarketModel, mode: str = "free") -> tuple[Genera
     if mode not in ("free", "long_only"):
         raise ValueError("mode must be 'free' or 'long_only'")
     return _generators(model, model.arithmetic, mode)
-
-
-@dataclass(frozen=True)
-class ConeDescription:
-    """Matrix of generator payoffs plus how to read the spanned cones."""
-
-    generators: tuple[Generator, ...]
-    columns: tuple[tuple[Num, ...], ...]
-    mode: str
-    rank: int
-    wealth_cone: str
-    claim_cone: str
-    closed: bool = True
-
-
-def terminal_cone_description(model: MarketModel, mode: str = "free") -> ConeDescription:
-    """Generator matrix G plus metadata describing the reachable-wealth cone
-    and the super-replicable-claim cone (closed on a finite space, so no
-    closure step is ever applied)."""
-    gens = enumerate_generators(model, mode)
-    columns = tuple(tuple(g.payoff.values) for g in gens)
-    n = model.n_outcomes
-    matrix = [[col[i] for col in columns] for i in range(n)]
-    tol = pick_tol(model.all_values())
-    rank = _linalg.rank(matrix, tol) if columns else 0
-    if mode == "free":
-        wealth = "all linear combinations of the columns"
-    else:
-        wealth = "all nonnegative combinations of the columns"
-    return ConeDescription(
-        generators=gens,
-        columns=columns,
-        mode=mode,
-        rank=rank,
-        wealth_cone=wealth,
-        claim_cone="wealth cone minus the nonnegative orthant",
-    )
 
 
 def strategy_from_coefficients(

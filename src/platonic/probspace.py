@@ -19,7 +19,7 @@ from .numeric import Num, PROB_SUM_TOL, all_exact, parse_number
 
 
 class ZeroMassBlock(ValueError):
-    """Conditional expectation met a zero-mass block and no fallback measure."""
+    """Conditional expectation met a block of zero mass under its measure."""
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,12 @@ def conditional_expectation(
     part: Partition,
     q: Sequence[Num],
     *,
-    fallback: Sequence[Num] | None = None,
     tol: Num = 0,
 ) -> RandomVariable:
     """Block-wise average of ``x`` under the (nonnegative) measure ``q``.
 
-    On blocks of zero q-mass the average is ambiguous; passing ``fallback``
-    (typically the reference probabilities) opts into averaging under the
-    fallback measure there instead of raising :class:`ZeroMassBlock`.
+    On a block of q-mass at most ``tol`` the average is undefined, and
+    :class:`ZeroMassBlock` is raised.
     """
     rv = as_random_variable(x)
     n = len(rv)
@@ -304,15 +302,9 @@ def conditional_expectation(
     out: list[Num] = [0] * n
     for block in part.blocks:
         mass = sum(q[i] for i in block)
-        weights = q
         if mass <= tol:
-            if fallback is None:
-                raise ZeroMassBlock(f"block {sorted(block)} has zero mass under q")
-            weights = fallback
-            mass = sum(weights[i] for i in block)
-            if mass <= tol:
-                raise ZeroMassBlock(f"block {sorted(block)} has zero mass under the fallback too")
-        avg = sum(weights[i] * rv[i] for i in block) / mass
+            raise ZeroMassBlock(f"block {sorted(block)} has zero mass under q")
+        avg = sum(q[i] * rv[i] for i in block) / mass
         for i in block:
             out[i] = avg
     return RandomVariable(tuple(out))

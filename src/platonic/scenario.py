@@ -56,7 +56,6 @@ class Scenario:
     model: MarketModel
     claims: dict[str, RandomVariable] = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
-    option_specs: tuple = ()
 
 
 def _num(raw, where: str) -> Fraction:
@@ -266,9 +265,7 @@ def _parse_noise(doc: dict) -> MarketModel:
     return build_uncertain_price(space, filt, prices, spec, nd.get("observe", "base"), obs)
 
 
-def _apply_options(
-    model: MarketModel, doc: dict, claims: dict[str, RandomVariable]
-) -> tuple[MarketModel, list[OptionGridSpec]]:
+def _apply_options(model: MarketModel, doc: dict, claims: dict[str, RandomVariable]) -> MarketModel:
     specs = []
     for od in doc["options"]:
         name = od["name"]
@@ -292,7 +289,7 @@ def _apply_options(
                 quotes.append(RandomVariable.constant(model.n_outcomes, _num(q, f"{where}.quotes[{k}]")))
         specs.append(OptionGridSpec(name, payoff, times, tuple(quotes)))
     try:
-        return embed_semistatic(model, specs), specs
+        return embed_semistatic(model, specs)
     except ValueError as exc:
         raise ScenarioError(f"options: {exc}") from None
 
@@ -329,16 +326,15 @@ def parse_scenario(source: str | Path | dict) -> Scenario:
     claims_doc = doc.get("claims", {})
     if not isinstance(claims_doc, dict):
         raise ScenarioError("claims: expected an object of named claims")
-    option_specs = []
     if "options" in doc:
         for cname, raw in claims_doc.items():
             claims.setdefault(cname, _claim_values(raw, model, f"claims.{cname}"))
         with _section("options"):
-            model, option_specs = _apply_options(model, doc, claims)
+            model = _apply_options(model, doc, claims)
     for cname, raw in claims_doc.items():
         if cname not in claims:
             claims[cname] = _claim_values(raw, model, f"claims.{cname}")
-    return Scenario(name=name, model=model, claims=claims, raw=doc, option_specs=tuple(option_specs))
+    return Scenario(name=name, model=model, claims=claims, raw=doc)
 
 
 def serialize_model(model: MarketModel, claims: Mapping[str, RandomVariable] | None = None, name: str | None = None) -> dict:

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +137,24 @@ class TestValidateCommand:
         assert main(["validate", "/nonexistent/nowhere.json"]) == 1
 
 
+MEASURE = {"kind": "martingale", "q": {"up": "1/3", "down": "2/3"}}
+
+# ``project binomial.json --measure FILE`` inputs: the file's JSON (None for
+# a directory) and the exit code
+BAD_MEASURES = {
+    "empty object": ({}, EXIT_PARSE),
+    "list": ([MEASURE], EXIT_PARSE),
+    "missing outcome": ({"measure": {**MEASURE, "q": {"up": "1/3"}}}, EXIT_PARSE),
+    "not a number": ({"measure": {**MEASURE, "q": {"up": "abc", "down": "2/3"}}}, EXIT_PARSE),
+    "zero denominator": ({"measure": {**MEASURE, "q": {"up": "1/0", "down": "2/3"}}}, EXIT_PARSE),
+    "negative mass": ({"measure": {**MEASURE, "q": {"up": "-1", "down": "2"}}}, EXIT_PARSE),
+    "unknown kind": ({"measure": {**MEASURE, "kind": "bogus"}}, EXIT_PARSE),
+    "directory": (None, EXIT_PARSE),
+    "zero-mass block": ({"measure": {**MEASURE, "q": {"up": "1", "down": "0"}}}, EXIT_INCONSISTENT),
+    "not a martingale": ({"measure": {**MEASURE, "q": {"up": "1/2", "down": "1/2"}}}, EXIT_INCONSISTENT),
+}
+
+
 class TestProjectCommand:
     def test_search_measure(self, capsys, scenario_path):
         code, report = run(
@@ -161,6 +181,53 @@ class TestProjectCommand:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE
         assert err == "scenario error: --set nosuch: not an admissible asset set (admissible: stock)\n"
+
+    @pytest.mark.parametrize("name", sorted(BAD_MEASURES))
+    def test_bad_measure_file(self, capsys, tmp_path, scenario_path, name):
+        """A file that is not a measure is a parse error; a measure that fails
+        the projection check is a failed certificate. One line each."""
+        doc, code = BAD_MEASURES[name]
+        path = tmp_path
+        if doc is not None:
+            path = tmp_path / "measure.json"
+            path.write_text(json.dumps(doc))
+        argv = ["project", scenario_path("binomial"), "--set", "stock", "--measure", str(path)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "scenario error" if code == EXIT_PARSE else "measure check failed"
+        assert captured.err.startswith(f"{prefix}: --measure {path}: ")
+        assert captured.err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the results README's CLI examples annotate, by annotation
+README_RESULTS = {
+    "measure (1/3, 2/3)": lambda report: report["measure"]["q"] == {"up": "1/3", "down": "2/3"},
+    'price "1/3"': lambda report: report["price"] == "1/3",
+}
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    """Every ``platonic ...`` line of README's sh blocks exits 0, run from an
+    empty directory with its scenario paths taken from the repository, and
+    the results it annotates hold."""
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+             for line in block.splitlines() if line.startswith("platonic ")]
+    assert lines
+    root = README.parent
+    monkeypatch.chdir(tmp_path)
+    checked = []
+    for line in lines:
+        argv = [str(root / a) if a.startswith("src/") else a for a in shlex.split(line, comments=True)]
+        code, report = run(capsys, *argv[1:])
+        assert code == EXIT_OK, line
+        if "#" in line:
+            note = line.split("#", 1)[1].strip()
+            assert README_RESULTS[note](report), line
+            checked.append(note)
+    assert sorted(checked) == sorted(README_RESULTS)
 
 
 class TestBuilders:

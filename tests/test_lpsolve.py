@@ -19,6 +19,7 @@ from platonic import (
     as_float_model,
     enumerate_vertices,
     ftap_verdict,
+    price_interval,
     solve,
     superreplicate,
 )
@@ -364,8 +365,8 @@ def _violation(problem, x):
 
 @pytest.fixture
 def stages(monkeypatch):
-    """Every call of the pivot stage: its arithmetic, and for exact calls
-    whether it started from the slack and artificial basis."""
+    """Every call of the pivot stage: its arithmetic, and whether it started
+    from the slack and artificial basis."""
     calls = []
     inner = lpsolve._simplex
 
@@ -377,22 +378,22 @@ def stages(monkeypatch):
     return calls
 
 
-# Float bases that fail the exact check, with the exact stage that follows:
-# whether it starts from the slack and artificial basis.
+# Float bases that fail the exact check, with the exact optimum (None when
+# infeasible); exact pivoting then runs from the slack and artificial start.
 FLOAT_BASIS_REFUSED = {
     # max x1 + (1 + eps) x2 on x1 + x2 <= 1: float sees a tie and keeps x1,
-    # an exactly feasible basis that is not optimal; pivoting resumes there
-    "tie": (lp([1, 1 + EPS], "max", [([1, 1], LE, 1)], [(0, 1), (0, 1)]), 1 + EPS, False),
+    # an exactly feasible basis that is not optimal
+    "tie": (lp([1, 1 + EPS], "max", [([1, 1], LE, 1)], [(0, 1), (0, 1)]), 1 + EPS),
     # x >= 1 + eps and x <= 1: float finds x = 1, exactly infeasible
-    "split hair": (lp([1], "max", [([1], GE, 1 + EPS), ([1], LE, 1)], [(0, 2)]), None, True),
+    "split hair": (lp([1], "max", [([1], GE, 1 + EPS), ([1], LE, 1)], [(0, 2)]), None),
     # x + y = 1 and x + (1 + eps) y = 1 are one row to float, which drops the
     # second; at its optimum y = 1 the dropped row fails exactly
     "twin rows": (lp([0, 1], "max", [([1, 1], EQ, 1), ([1, 1 + EPS], EQ, 1)],
-                     [(0, 2), (0, 2)]), 0, True),
+                     [(0, 2), (0, 2)]), 0),
     # the same rows: float stops at x = 1, feasible but priced without the
     # dropped row, which the kept row does not imply exactly
     "twin rows, tie": (lp([1, 1 + EPS], "max", [([1, 1], EQ, 1), ([1, 1 + EPS], EQ, 1)],
-                          [(0, 2), (0, 2)]), 1, True),
+                          [(0, 2), (0, 2)]), 1),
 }
 
 
@@ -437,16 +438,16 @@ def test_exact_and_float_solve_against_vertex_enumeration(stages):
 
     check()
     exact_starts = {from_start for mode, from_start in stages if mode == "exact"}
-    assert exact_starts == {True, False}  # from the float basis and from scratch
+    assert exact_starts == {True}  # exact pivoting starts from scratch only
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_BASIS_REFUSED))
 def test_refused_float_basis_hands_over_to_exact_pivoting(stages, name):
-    problem, objective, from_start = FLOAT_BASIS_REFUSED[name]
+    problem, objective = FLOAT_BASIS_REFUSED[name]
     sol = solve(problem)
     assert sol.objective == objective
     assert sol.status == ("infeasible" if objective is None else "optimal")
-    assert stages == [("float", True), ("exact", from_start)]
+    assert stages == [("float", True), ("exact", True)]
 
 
 GOLDEN = sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json"))
@@ -454,11 +455,19 @@ GOLDEN = sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "sce
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_golden_verdicts_take_the_float_basis(stages, path):
-    model = parse_scenario(str(path)).model
+    """Every exact solve of a golden scenario certifies its float basis and
+    pivots in no rational: the verdicts, each claim's superhedges (free and
+    long-only) and its price interval, two superhedges."""
+    scenario = parse_scenario(str(path))
+    model = scenario.model
     ftap._arbitrage_lp.cache_clear()
     for mode in ("free", "long_only"):
         ftap_verdict(model, mode)
-    assert stages == [("float", True)] * 2  # no exact pivot
+        for claim in scenario.claims.values():
+            superreplicate(model, claim, mode)
+    for claim in scenario.claims.values():
+        price_interval(model, claim)
+    assert stages == [("float", True)] * (2 + 4 * len(scenario.claims))  # no exact pivot
 
 
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])

@@ -16,7 +16,6 @@ from platonic import (
     close_admissible_under_unions,
     delayed_filtration,
     enumerate_generators,
-    terminal_cone_description,
     validate,
     wealth_process,
 )
@@ -159,6 +158,9 @@ class TestGenerators:
         gens = enumerate_generators(model)
         assert len(gens) == 1
         assert gens[0].payoff.values == (1, -F(1, 2))
+        # constant prices span nothing
+        flat = build_market(space, big, {"s": [(3, 3), (3, 3)]})
+        assert enumerate_generators(flat) == ()
 
     def test_binomial_two_periods_fully_observed(self):
         space = FiniteSpace(("uu", "ud", "du", "dd"), (F(1, 4),) * 4)
@@ -172,6 +174,7 @@ class TestGenerators:
         )
         gens = enumerate_generators(model)
         assert len(gens) == 3  # one bet at t=0, one per block at t=1/2
+        assert _linalg.rank([[g.payoff.values[i] for g in gens] for i in range(4)]) == 3
         by_time = {}
         for g in gens:
             by_time.setdefault(g.from_time, []).append(g)
@@ -252,42 +255,3 @@ class TestGenerators:
         w = wealth_process(canonical, combined)
         for a, b, c in zip(w1, w2, w):
             assert (a + b).values == c.values
-
-
-class TestConeDescription:
-    def test_constant_prices_span_nothing(self):
-        space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
-        big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
-        model = build_market(space, big, {"s": [(3, 3), (3, 3)]})
-        desc = terminal_cone_description(model)
-        assert desc.columns == () and desc.rank == 0
-
-    def test_canonical_rank_three(self):
-        space = FiniteSpace(("uu", "ud", "du", "dd"), (F(1, 4),) * 4)
-        big = Filtration(
-            (0, F(1, 2), 1),
-            (part({0, 1, 2, 3}), part({0, 1}, {2, 3}), Partition.singletons(4)),
-        )
-        model = build_market(
-            space, big,
-            {"s": [(1,) * 4, (2, 2, F(1, 2), F(1, 2)), (4, 1, 1, F(1, 4))]},
-        )
-        desc = terminal_cone_description(model)
-        assert len(desc.columns) == 3
-
-        # independent elimination over the columns
-        rows = [[col[i] for col in desc.columns] for i in range(4)]
-        rank = 0
-        for c in range(3):
-            pivot = next((r for r in range(rank, 4) if rows[r][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            pr = rows[rank]
-            for r in range(4):
-                if r != rank and rows[r][c] != 0:
-                    f = rows[r][c] / pr[c]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-            rank += 1
-        assert rank == 3
-        assert desc.rank == 3

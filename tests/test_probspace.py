@@ -122,10 +122,6 @@ class TestConditionalExpectation:
         with pytest.raises(ZeroMassBlock):
             conditional_expectation((1, 2), part({0}, {1}), (1, 0))
 
-    def test_zero_mass_block_fallback(self):
-        out = conditional_expectation((1, 2), part({0}, {1}), (1, 0), fallback=(F(1, 2), F(1, 2)))
-        assert out.values == (1, 2)
-
     def test_negative_measure_rejected(self):
         with pytest.raises(ValueError):
             conditional_expectation((1, 2), part({0, 1}), (2, -1))
