@@ -7,7 +7,8 @@ validation, 3 a certificate failed its check (internal inconsistency, or a
 ``project --measure`` measure that fails the projection check), 4 no
 certified answer (the market admits arbitrage, the float backend refused,
 or the instance exceeds a brute-force size guard). Each warning the library
-raises is printed to stderr as one ``warning: ...`` line.
+raises is printed to stderr as one ``warning: ...`` line. A reader that
+closes stdout early changes neither the exit code nor stderr.
 
 ``min_mass`` in a measure report is the smallest mass of the certificate
 returned, not the largest minimum mass over all measures; ``project
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -70,9 +72,8 @@ def _measure_doc(cert: MeasureCertificate, model: MarketModel) -> dict:
 
 
 def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
+    """Print the report; a reader that closed stdout early (``| head``)
+    leaves the rest unread and the exit code as it would have been."""
     def walk(node, indent=0):
         pad = "  " * indent
         if isinstance(node, dict):
@@ -88,7 +89,15 @@ def _print_report(report: dict, as_json: bool) -> None:
                     walk(v, indent + 1)
                 else:
                     print(f"{pad}- {v}")
-    walk(report)
+    try:
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            walk(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, also at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _finish(report: dict, args) -> None:

@@ -166,7 +166,12 @@ def _arbitrage_lp(
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
-    wealth = [sum(c * col[w] for c, col in zip(lam, cols)) for w in range(n)]
+    wealth = [gain[0] - gain[0]] * n  # 0 in the solution's arithmetic
+    for c, col in zip(lam, cols):
+        if c:
+            for w, v in enumerate(col):
+                if v:
+                    wealth[w] += c * v
     consumption = [wv - fv for wv, fv in zip(wealth, gain)]
     return ArbitrageCertificate(
         strategy=strategy_from_coefficients(model, gens, lam, mode),

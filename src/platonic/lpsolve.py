@@ -368,7 +368,8 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         signed_zero = rhs == 0 and math.copysign(1, rhs) < 0
         for j, v in enumerate(con.coeffs):
             if v != 0:
-                v = conv(v)
+                if type(v) is not conv:  # a value already in the arithmetic stays itself
+                    v = conv(v)
                 sign, shift = col_map[j]
                 row[j] = v if sign > 0 else -v
                 if shift or signed_zero:
@@ -615,7 +616,7 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
     value.update(zip(basis, x_b))
     x_user = [shift + value.get(j, zero) if sign > 0 else shift - value.get(j, zero)
               for j, (sign, shift) in enumerate(form.col_map)]
-    objective = sum(conv(cv) * xv for cv, xv in zip(lp.objective, x_user))
+    objective = sum((conv(cv) * xv for cv, xv in zip(lp.objective, x_user) if xv and cv), zero)
 
     # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at upper
     dual_obj_min = form.obj_shift + bound_value
@@ -635,16 +636,21 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
 
 
 def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
-    """Feasibility, gap and complementary slackness; bug in exact, retry hint in float."""
+    """Feasibility, gap and complementary slackness; bug in exact, retry hint in float.
+
+    Each constraint is summed over the nonzero entries of ``x`` in column
+    order: only zero terms are skipped, so a float sum is the dense one."""
     problems: list[str] = []
     scale = 1 + abs(objective)
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
     for j, (lo, hi) in enumerate(lp.bounds):
         if lo is not None and x[j] < lo - tol:
             problems.append(f"bound violation on variable {j}")
         if hi is not None and x[j] > hi + tol:
             problems.append(f"bound violation on variable {j}")
     for i, con in enumerate(lp.constraints):
-        lhs = sum(c * v for c, v in zip(con.coeffs, x) if c != 0)
+        coeffs = con.coeffs
+        lhs = sum(coeffs[j] * v for j, v in nonzero if coeffs[j])
         gap = lhs - con.rhs
         if con.relation == LE and gap > tol:
             problems.append(f"constraint {i} violated")
@@ -657,7 +663,7 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     if abs(objective - dual_objective) > tol * scale:
         problems.append("duality gap")
     if problems:
-        if mode == "exact":  # pragma: no cover - would be a solver bug
+        if mode == "exact":  # would be a solver bug
             raise RuntimeError("exact solve failed self-certification: " + "; ".join(problems))
         raise FloatModeError("; ".join(problems) + "; retry exact")
 

@@ -113,12 +113,13 @@ class MarketModel:
                 vals.extend(rv.values)
         return vals
 
-    @property
+    @cached_property
     def arithmetic(self) -> str:
         """``"exact"`` when every probability and price is exact, else ``"float"``.
 
         Part of every model-keyed cache key: equality and hashing treat 1/2
         and 0.5 alike, so an exact and a float model can compare equal.
+        Computed once per instance, like the hash.
         """
         return "exact" if all_exact(self.all_values()) else "float"
 
@@ -298,13 +299,14 @@ def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Genera
     grid = model.times
     n = model.n_outcomes
     one_sided = mode == "long_only"
+    # each price move once per (asset, step), whatever the sets holding the asset
+    moves = {asset: [(path[k + 1] - path[k]).values for k in range(len(grid) - 1)]
+             for asset, path in zip(model.assets, model.prices)}
     seen: set[tuple[Num, ...]] = set()
     out: list[Generator] = []
     for aset, filt in zip(model.admissible_sets, model.trading_filtrations):
         for asset in sorted(aset):
-            path = model.price_path(asset)
-            for k in range(len(grid) - 1):
-                diff = path[k + 1] - path[k]
+            for k, diff in enumerate(moves[asset]):
                 for block in filt.at(grid[k]).blocks:
                     payoff = tuple(diff[i] if i in block else 0 for i in range(n))
                     if all(v == 0 for v in payoff) or payoff in seen:

@@ -81,11 +81,13 @@ class RandomVariable:
         return sum(w * v for w, v in zip(weights, self.values))
 
     def is_constant_on(self, part: "Partition", tol: Num = 0) -> bool:
+        values = self.values
         for block in part.blocks:
             it = iter(block)
-            ref = self.values[next(it)]
+            ref = values[next(it)]
             for i in it:
-                if abs(self.values[i] - ref) > tol:
+                v = values[i]
+                if v != ref and abs(v - ref) > tol:
                     return False
         return True
 

@@ -34,13 +34,13 @@ def without_timing(report):
     return {k: v for k, v in report.items() if k != "timing_ms"}
 
 
-def run_process(*argv):
+def run_process(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, for what reaches the real stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-m", "platonic.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -323,6 +323,32 @@ class TestExitCodes:
         code, report = run(capsys, "superhedge", scenario_path("noisy_price"), "--claim", "call")
         assert code == 0
         assert report["price"] == "33/85"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("validate", "binomial", "--json"), EXIT_OK),
+    (("ftap", "two_asset_binomial"), EXIT_OK),
+    (("project", "delayed_binomial", "--set", "stock", "--float"), EXIT_OK),
+    (("validate", "not_adapted"), EXIT_INVALID),
+])
+def test_closed_stdout_without_traceback(tmp_path, scenario_path, argv, code):
+    """A reader that closed stdout before the report is written (``| head
+    -c 0``): nothing on stderr, and the exit code of a full read, also
+    where the report comes with a failing code."""
+    path = scenario_path(argv[1])
+    if argv[1] == "not_adapted":  # a time-0 price the big filtration cannot see
+        doc = json.loads(open(scenario_path("binomial")).read())
+        doc["assets"]["stock"][0] = ["1", "2"]
+        path = tmp_path / "not_adapted.json"
+        path.write_text(json.dumps(doc))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(argv[0], str(path), *argv[2:], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == code
 
 
 class TestNoCertifiedAnswer:

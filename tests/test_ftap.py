@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -337,6 +339,20 @@ class TestArithmeticInCacheKeys:
         assert _numbers(ftap_verdict(fm).measure.q_values) == {float}
         assert _numbers(enumerate_generators(m)[0].payoff.values) <= {F, int}
         assert _numbers(enumerate_generators(fm)[0].payoff.values) == {float}
+
+
+def test_cached_arithmetic_survives_copies():
+    """The arithmetic is computed once per model and is part of every cache
+    key: a pickle round trip or a deep copy of an exact model whose
+    arithmetic was read stays exact, and its float copy is float."""
+    m = _dyadic_binomial(F(7, 8))
+    assert m.arithmetic == "exact" and "arithmetic" in vars(m)
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert copied == m and copied.arithmetic == "exact"
+        assert _numbers(ftap_verdict(copied).measure.q_values) == {F}
+    fm = as_float_model(m)
+    assert fm == m and fm.arithmetic == "float"
+    assert _numbers(ftap_verdict(fm).measure.q_values) == {float}
 
 
 class TestSolvesPerQuestion:

@@ -572,3 +572,106 @@ def test_superhedges_run_no_phase_1(monkeypatch, arithmetic):
             monkeypatch.undo()
     assert phase_1 == []
     assert forms and all(len(form.cost) == form.n_real for form in forms)
+
+
+def _certify_message(problems, mode):
+    """The message :func:`lpsolve._certify` raises with for ``problems``."""
+    if mode == "exact":
+        return "exact solve failed self-certification: " + "; ".join(problems)
+    return "; ".join(problems) + "; retry exact"
+
+
+def _dense_problems(problem, x, duals, objective, dual_objective, tol):
+    """What the certificate must find, with every constraint summed over its
+    dense coefficient tuple, zeros included."""
+    problems = []
+    for j, (lo, hi) in enumerate(problem.bounds):
+        if lo is not None and x[j] < lo - tol:
+            problems.append(f"bound violation on variable {j}")
+        if hi is not None and x[j] > hi + tol:
+            problems.append(f"bound violation on variable {j}")
+    for i, con in enumerate(problem.constraints):
+        gap = sum(c * v for c, v in zip(con.coeffs, x)) - con.rhs
+        if {LE: gap > tol, GE: gap < -tol, EQ: abs(gap) > tol}[con.relation]:
+            problems.append(f"constraint {i} violated")
+        if con.relation != EQ and abs(duals[i]) > tol and abs(gap) > tol:
+            problems.append(f"complementary slackness fails on constraint {i}")
+    if abs(objective - dual_objective) > tol * (1 + abs(objective)):
+        problems.append("duality gap")
+    return problems
+
+
+class TestCertifyRejects:
+    """The certificate sums each constraint over the nonzero entries of x and
+    still rejects what fails: a bug (``RuntimeError``) in exact mode, a
+    refusal (``FloatModeError``) in float mode."""
+
+    # max x0 + x2 s.t. x0 + x2 <= 2, x1 - x2 >= -1, x >= 0: optimum 2, y = (1, 0)
+    PROBLEM = lp([1, 0, 1], "max", [([1, 0, 1], LE, 2), ([0, 1, -1], GE, -1)], [(0, None)] * 3)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("x,duals,objective,dual_objective,problems", [
+        ((3, 0, 0), (0, 0), 3, 3, ["constraint 0 violated"]),
+        ((0, 0, 2), (0, 0), 2, 2, ["constraint 1 violated"]),
+        ((1, 0, 0), (1, 0), 1, 1, ["complementary slackness fails on constraint 0"]),
+        ((2, 0, 0), (1, 0), 2, 3, ["duality gap"]),
+    ])
+    def test_each_failure_is_reported(self, mode, x, duals, objective, dual_objective, problems):
+        conv, tol = (F, 0) if mode == "exact" else (float, 1e-9)
+        with pytest.raises(RuntimeError) as caught:
+            lpsolve._certify(self.PROBLEM, [conv(v) for v in x], [conv(v) for v in duals],
+                             conv(objective), conv(dual_objective), tol, mode)
+        assert type(caught.value) is (RuntimeError if mode == "exact" else FloatModeError)
+        assert str(caught.value) == _certify_message(problems, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_the_optimum_passes(self, mode):
+        conv, tol = (F, 0) if mode == "exact" else (float, 1e-9)
+        lpsolve._certify(self.PROBLEM, [conv(2), conv(0), conv(0)], [conv(1), conv(0)],
+                         conv(2), conv(2), tol, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(("exact", "float")))
+    def test_sparse_check_reports_what_the_dense_one_does(self, data, mode):
+        """Random small LPs and points with zeros: the certificate reports
+        exactly the problems of a dense evaluation, in the same order."""
+        value = st.sampled_from(VALUES[:6])
+        n = data.draw(st.integers(1, 5))
+        constraints = [
+            ([data.draw(value) for _ in range(n)], data.draw(st.sampled_from((LE, GE, EQ))),
+             data.draw(value))
+            for _ in range(data.draw(st.integers(0, 5)))
+        ]
+        bounds = [data.draw(st.sampled_from(((None, None), (0, None), (-1, 2), (None, 1))))
+                  for _ in range(n)]
+        problem = lp([data.draw(value) for _ in range(n)], "max", constraints, bounds)
+        conv, tol = (F, 0) if mode == "exact" else (float, 1e-9)
+        x = [conv(data.draw(value)) for _ in range(n)]
+        duals = [conv(data.draw(value)) for _ in constraints]
+        objective, dual_objective = conv(data.draw(value)), conv(data.draw(value))
+        problems = _dense_problems(problem, x, duals, objective, dual_objective, tol)
+        if not problems:
+            lpsolve._certify(problem, x, duals, objective, dual_objective, tol, mode)
+            return
+        with pytest.raises(RuntimeError) as caught:
+            lpsolve._certify(problem, x, duals, objective, dual_objective, tol, mode)
+        assert type(caught.value) is (RuntimeError if mode == "exact" else FloatModeError)
+        assert str(caught.value) == _certify_message(problems, mode)
+
+
+def test_standard_form_keeps_exact_entries():
+    """An exact caller entry enters the standard form as itself, not as a
+    copy: on an unnegated row and a column with positive sign,
+    ``form.rows[i][j] is coeffs[j]``. Ints still become Fractions."""
+    coeffs = (F(1, 3), F(-2), 5, F(0), F(7, 2))
+    problem = lp([1] * 5, "max", [(coeffs, LE, 1), (coeffs, EQ, F(1, 2))],
+                 [(0, None), (None, None), (-1, 4), (0, 1), (None, 0)])
+    form = lpsolve._standard_form(problem, F)
+    assert form.signs == [1, 1]
+    assert [sign for sign, _ in form.col_map] == [1, 1, 1, 1, -1]
+    for i, con in enumerate(problem.constraints):
+        row = form.rows[i]
+        assert row[0] is con.coeffs[0] is coeffs[0] and row[1] is coeffs[1]
+        assert type(row[2]) is F and row[2] == 5
+        assert 3 not in row
+        assert row[4] == F(-7, 2)  # the mirrored column

@@ -19,7 +19,7 @@ from platonic import (
     validate,
     wealth_process,
 )
-from platonic import _linalg
+from platonic import _linalg, market
 
 
 def part(*blocks):
@@ -194,6 +194,36 @@ class TestGenerators:
         assert [g.payoff.values for g in free] == [g.payoff.values for g in long_only]
         assert all(not g.one_sided for g in free)
         assert all(g.one_sided for g in long_only)
+
+    def test_each_price_move_subtracted_once(self, monkeypatch):
+        """A price move ``S_{k+1} - S_k`` is computed once per (asset, step),
+        not once per admissible set that holds the asset: a deterministic
+        counter on a union-closed family of three sets."""
+        space = FiniteSpace(("uu", "ud", "du", "dd"), (F(1, 4),) * 4)
+        big = Filtration(
+            (0, F(1, 2), 1),
+            (part({0, 1, 2, 3}), part({0, 1}, {2, 3}), Partition.singletons(4)),
+        )
+        model = build_market(
+            space, big,
+            {"s": [(1,) * 4, (2, 2, F(1, 2), F(1, 2)), (4, 1, 1, F(1, 4))],
+             "c": [(F(1, 3),) * 4, (1, 1, 0, 0), (3, 0, 0, 0)]},
+            admissible_sets=[["s"], ["c"], ["s", "c"]],
+        )
+        assert validate(model) == []
+        moves = []
+        inner = RandomVariable.__sub__
+
+        def spy(self, other):
+            moves.append((self, other))
+            return inner(self, other)
+
+        monkeypatch.setattr(RandomVariable, "__sub__", spy)
+        market._generators.cache_clear()
+        assert len(enumerate_generators(model)) == 4  # c's move at 1/2 repeats one of s's
+        assert len(moves) == 2 * 2  # assets times steps
+        assert {(id(a), id(b)) for a, b in moves} == {
+            (id(path[k + 1]), id(path[k])) for path in model.prices for k in range(2)}
 
     def test_redundant_grid_time_changes_nothing(self):
         space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
