@@ -11,9 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ftap import InvalidModelError
-from .market import MarketModel, build_market, validate
-from .numeric import Num, parse_number
+from .ftap import _require_valid, ftap_verdict
+from .hedging import superhedge_lp
+from .lpsolve import OPTIMAL, solve
+from .market import MarketModel, build_market, claim_arithmetic, generator_matrix, validate
+from .numeric import Num, lp_mode_and_tol, parse_number, solver_tol
 from .probspace import (
     FiniteSpace,
     Filtration,
@@ -170,16 +172,6 @@ def observation_filtration(
     return Filtration(tuple(grid), tuple(partitions))
 
 
-def zero_mass_pairs(setup: BayesSetup) -> tuple[tuple[str, str], ...]:
-    """(path, parameter) pairs carrying no product mass; these get pruned."""
-    out = []
-    for ti, theta in enumerate(setup.thetas):
-        for di, d in enumerate(setup.path_space.outcomes):
-            if setup.models[ti][di] * setup.prior[ti] == 0:
-                out.append((d, theta))
-    return tuple(out)
-
-
 def _lift_prices(
     prices: Mapping[str, Sequence[RandomVariable | Sequence[Num]]],
     grid_len: int,
@@ -236,9 +228,7 @@ def build_product_market(
 
     small = observation_filtration(grid, lifted, obs)
     model = build_market(space, big, lifted, trading_filtrations=small)
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError(violations)
+    _require_valid(model, None)
     return model
 
 
@@ -276,9 +266,7 @@ def build_mixture_market(
         big = setup.path_filtration
     small = observation_filtration(grid, lifted, obs)
     model = build_market(space, big, lifted, trading_filtrations=small)
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError(violations)
+    _require_valid(model, None)
     return model
 
 
@@ -417,19 +405,12 @@ def semistatic_direct_price(
     These columns join the model's generators in the shared superhedge
     primal, :func:`platonic.hedging.superhedge_lp`.
     """
-    from .hedging import superhedge_lp
-    from .lpsolve import OPTIMAL, solve
-    from .market import generator_matrix
-    from .numeric import lp_mode_and_tol, solver_tol
-
     claim = as_random_variable(claim)
     full = frozenset(model.assets)
     if full not in model.admissible_sets:
         raise ValueError("direct semi-static pricing needs the full asset set admissible")
     filt = model.filtration_for(full)
     _gens, cols = generator_matrix(model, mode)
-    cols = list(cols)
-    n = model.n_outcomes
     terminal = model.times[-1]
     for spec in specs:
         quotes = list(spec.quotes) + ([spec.payoff] if spec.times[-1] != terminal else [])
@@ -437,10 +418,10 @@ def semistatic_direct_price(
         for k in range(len(times) - 1):
             diff = quotes[k + 1] - quotes[k]
             for block in filt.at(times[k]).blocks:
-                col = tuple(diff[i] if i in block else 0 for i in range(n))
-                if any(v != 0 for v in col):
+                col = {i: v for i in sorted(block) if (v := diff[i]) != 0}
+                if col:
                     cols.append(col)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
     lp, offset = superhedge_lp(cols, claim, mode)
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:
@@ -524,9 +505,7 @@ def build_uncertain_price(
     observed = clean_prices if observe == "base" else noisy_prices
     small = observation_filtration(grid, observed, obs)
     model = build_market(prod_space, big, noisy_prices, trading_filtrations=small)
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError(violations)
+    _require_valid(model, None)
     return model
 
 
@@ -639,8 +618,6 @@ def free_lunch_sweep(max_n: int, expanded: bool = False) -> list[dict]:
     ``min_mass`` is the smallest mass of the verdict's measure certificate,
     not the largest minimum mass over all martingale measures.
     """
-    from .ftap import ftap_verdict
-
     rows = []
     for n in range(1, max_n + 1):
         model, diag = free_lunch_truncation(n, expanded)

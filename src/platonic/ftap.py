@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, FloatModeError, LinearProgram, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
     Strategy,
+    combine,
     generator_matrix,
+    outcome_rows,
     strategy_from_coefficients,
     validate,
 )
@@ -61,15 +63,14 @@ class MeasureCertificate:
         return RandomVariable(tuple(q / p for q, p in zip(self.q_values, reference)))
 
 
-def _expectations(q: Sequence[Num], cols: Sequence[tuple[Num, ...]]) -> tuple[Num, ...]:
-    """E_q of every generator column, summed over its nonzero entries (each
-    column lives on one block of a partition)."""
+def _expectations(q: Sequence[Num], cols: Sequence[Mapping[int, Num]]) -> tuple[Num, ...]:
+    """E_q of every generator column, summed over its entries."""
     zero = q[0] - q[0]  # 0 in q's arithmetic
-    return tuple(sum((q[i] * c for i, c in enumerate(col) if c), zero) for col in cols)
+    return tuple(sum((q[i] * c for i, c in col.items()), zero) for col in cols)
 
 
 def checked_measure(
-    q: Sequence[Num], cols: Sequence[tuple[Num, ...]], kind: str, tol: Num
+    q: Sequence[Num], cols: Sequence[Mapping[int, Num]], kind: str, tol: Num
 ) -> MeasureCertificate | None:
     """``q`` as a certificate when it is a probability vector under which every
     generator column has expectation 0 (martingale) or at most 0
@@ -133,25 +134,23 @@ def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = Non
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _arbitrage_lp(
-    model: MarketModel, _arithmetic: str, mode: str, tol: Num | None
+    model: MarketModel, arithmetic: str, mode: str, tol: Num | None
 ) -> tuple[ArbitrageCertificate | None, MeasureCertificate | None]:
     """Solve the arbitrage LP once and read both sides of the dichotomy off
     it: the arbitrage at a positive optimum; at a zero optimum the dual
     measure, or None when it fails its check."""
     _require_valid(model, tol)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values(), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
     k = len(cols)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
     objective = [0] * k + [1] * n
     bounds = [lam_bounds] * k + [(0, 1)] * n
-    constraints = []
-    for w in range(n):
-        coeffs = [col[w] for col in cols] + [0] * n
-        coeffs[k + w] = -1
-        constraints.append((coeffs, GE, 0))
-    lp = LinearProgram.build(objective, "max", constraints, bounds)
+    rows = outcome_rows(cols, n, 0)
+    for w, row in enumerate(rows):
+        row[k + w] = -1
+    lp = LinearProgram.build(objective, "max", [(row, GE, 0) for row in rows], bounds)
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
         raise RuntimeError(f"arbitrage search ended with status {sol.status}")
@@ -166,12 +165,7 @@ def _arbitrage_lp(
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
-    wealth = [gain[0] - gain[0]] * n  # 0 in the solution's arithmetic
-    for c, col in zip(lam, cols):
-        if c:
-            for w, v in enumerate(col):
-                if v:
-                    wealth[w] += c * v
+    wealth = combine(lam, cols, n, gain[0] - gain[0])  # from 0 in the solution's arithmetic
     consumption = [wv - fv for wv, fv in zip(wealth, gain)]
     return ArbitrageCertificate(
         strategy=strategy_from_coefficients(model, gens, lam, mode),
@@ -182,14 +176,12 @@ def _arbitrage_lp(
 
 
 def martingale_polytope_constraints(
-    cols: Sequence[tuple[Num, ...]], n: int, kind: str
-) -> list[tuple[list[Num], str, Num]]:
-    """Rows of the dual polytope over measure variables q[0..n-1]."""
+    cols: Sequence[Mapping[int, Num]], n: int, kind: str
+) -> list[tuple[Mapping[int, Num], str, Num]]:
+    """Rows of the dual polytope over measure variables q[0..n-1]: the total
+    mass, then one row per generator column."""
     relation = EQ if kind == "martingale" else LE
-    rows: list[tuple[list[Num], str, Num]] = [([1] * n, EQ, 1)]
-    for col in cols:
-        rows.append((list(col), relation, 0))
-    return rows
+    return [(dict.fromkeys(range(n), 1), EQ, 1)] + [(col, relation, 0) for col in cols]
 
 
 def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None = None) -> MeasureCertificate | None:
@@ -207,18 +199,14 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _find_measure(model: MarketModel, _arithmetic: str, kind: str, tol: Num | None) -> MeasureCertificate | None:
+def _find_measure(model: MarketModel, arithmetic: str, kind: str, tol: Num | None) -> MeasureCertificate | None:
     _require_valid(model, tol)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values(), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     mode = "free" if kind == "martingale" else "long_only"
     _gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
-    constraints = [(c + [0], rel, rhs) for c, rel, rhs in martingale_polytope_constraints(cols, n, kind)]
-    for w in range(n):
-        row = [0] * (n + 1)
-        row[w] = 1
-        row[n] = -1
-        constraints.append((row, GE, 0))
+    constraints = martingale_polytope_constraints(cols, n, kind)
+    constraints += [({w: 1, n: -1}, GE, 0) for w in range(n)]
     objective = [0] * n + [1]
     bounds = [(0, None)] * n + [(0, None)]
     lp = LinearProgram.build(objective, "max", constraints, bounds)
@@ -258,7 +246,7 @@ def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None)
     arbitrage, measure = _arbitrage_lp(model, model.arithmetic, mode, tol)
     if arbitrage is not None:
         return FtapVerdict("ARBITRAGE", arbitrage, None)
-    if measure is None and lp_mode_and_tol(model.all_values(), tol)[0] == "float":
+    if measure is None and lp_mode_and_tol(model.arithmetic, tol)[0] == "float":
         kind = "martingale" if mode == "free" else "supermartingale"
         measure = find_measure(model, kind, tol)
     if measure is None:
@@ -278,9 +266,7 @@ def find_separating_density(model: MarketModel, tol: Num | None = None) -> Separ
     z = cert.density(model.space.probs)
     _gens, cols = generator_matrix(model, "free")
     probs = model.space.probs
-    moments = tuple(
-        sum(p * zv * cv for p, zv, cv in zip(probs, z.values, col)) for col in cols
-    )
+    moments = tuple(sum(probs[i] * z[i] * c for i, c in col.items()) for col in cols)
     return SeparatingDensity(z=z, generator_moments=moments, measure=cert)
 
 
@@ -302,7 +288,7 @@ def project_prices(
     by (supermartingale) the value at t.
     """
     _require_valid(model, tol)
-    eff_tol = pick_tol(model.all_values(), tol)
+    eff_tol = pick_tol(model.arithmetic, tol)
     aset = frozenset(asset_set)
     if aset not in model.admissible_sets:
         raise ValueError(f"asset set {sorted(aset)} is not admissible")

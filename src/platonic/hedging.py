@@ -14,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import _linalg
 from .ftap import (
     MeasureCertificate,
+    _require_valid,
     checked_measure,
     ftap_verdict,
     martingale_polytope_constraints,
@@ -35,7 +36,7 @@ from .lpsolve import (
     enumerate_vertices,
     solve,
 )
-from .market import MarketModel, generator_matrix, validate
+from .market import MarketModel, claim_arithmetic, combine, generator_matrix, outcome_rows
 from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
 
@@ -113,7 +114,7 @@ def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> Measur
 
 
 def superhedge_lp(
-    cols: Sequence[Sequence[Num]], claim: Sequence[Num], mode: str
+    cols: Sequence[Mapping[int, Num]], claim: Sequence[Num], mode: str
 ) -> tuple[LinearProgram, Num]:
     """Superhedge primal and its price offset ``m = max(claim)``.
 
@@ -131,7 +132,8 @@ def superhedge_lp(
     lp = LinearProgram.build(
         objective=[1] + [0] * k,
         sense="min",
-        constraints=[([1] + [col[w] for col in cols], GE, c - offset) for w, c in enumerate(claim)],
+        constraints=[({0: 1, **row}, GE, c - offset)
+                     for row, c in zip(outcome_rows(cols, len(claim), 1), claim)],
         bounds=[(None, None)] + [lam_bounds] * k,
     )
     return lp, offset
@@ -157,7 +159,7 @@ def superreplicate(
     claim = as_random_variable(claim)
     kind = "martingale" if mode == "free" else "supermartingale"
     _measure_or_refuse(model, mode, tol)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
     gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
     if len(claim) != n:
@@ -169,12 +171,7 @@ def superreplicate(
         raise RuntimeError(f"superreplication primal ended with status {psol.status}")
     price = offset + psol.objective
     lambdas = tuple(psol.x[1:])
-    wealth = [0 * price] * n
-    for lam, col in zip(lambdas, cols):
-        if lam:
-            for w, v in enumerate(col):
-                if v:
-                    wealth[w] += lam * v
+    wealth = combine(lambdas, cols, n, 0 * price)
     consumption = RandomVariable(tuple(price + wv - cv for wv, cv in zip(wealth, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.
@@ -230,7 +227,7 @@ def price_interval(
     """
     claim = as_random_variable(claim)
     base_cert = _measure_or_refuse(model, "free", tol)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
     eta = Fraction(eta) if lp_mode == "exact" else float(eta)  # the hedges' arithmetic
     up_hedge, up_dual = superreplicate(model, claim, "free", tol)
     lo_hedge, lo_dual = superreplicate(model, -claim, "free", tol)
@@ -272,11 +269,7 @@ def polar_cone_check(
     columns, the polytope through the (super)martingale rows; 20 random
     elements of the claim cone are also paired against every polar vertex.
     """
-    violations = validate(model, tol)
-    if violations:
-        from .ftap import InvalidModelError
-
-        raise InvalidModelError(violations)
+    _require_valid(model, tol)
     n = model.n_outcomes
     if n > 6:
         raise DimensionGuardError("polar cone check supports at most 6 outcomes")
@@ -284,11 +277,11 @@ def polar_cone_check(
     _measure_or_refuse(model, mode, tol)
     _gens, cols = generator_matrix(model, mode)
 
-    polar_rows: list[tuple[list[Num], str, Num]] = [([1] * n, EQ, 1)]
+    polar_rows: list[tuple[Mapping[int, Num], str, Num]] = [(dict.fromkeys(range(n), 1), EQ, 1)]
     for col in cols:
-        polar_rows.append((list(col), LE, 0))
+        polar_rows.append((col, LE, 0))
         if mode == "free":
-            polar_rows.append(([-v for v in col], LE, 0))
+            polar_rows.append(({w: -v for w, v in col.items()}, LE, 0))
     polar_lp = LinearProgram.build([0] * n, "max", polar_rows, [(0, None)] * n)
     dual_lp = LinearProgram.build(
         [0] * n, "max", martingale_polytope_constraints(cols, n, kind), [(0, None)] * n
@@ -298,7 +291,7 @@ def polar_cone_check(
 
     def satisfies(point, lp: LinearProgram) -> bool:
         for con in lp.constraints:
-            lhs = sum(Fraction(c) * v for c, v in zip(con.coeffs, point))
+            lhs = sum(Fraction(c) * point[j] for j, c in con.coeffs.items())
             rhs = Fraction(con.rhs)
             if con.relation == EQ and lhs != rhs:
                 return False
@@ -314,14 +307,13 @@ def polar_cone_check(
     rng = random.Random(seed)
     samples_ok = True
     k = len(cols)
+    exact_cols = [{w: Fraction(v) for w, v in col.items()} for col in cols]
     for _ in range(20):
         lam = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
         if mode == "long_only":
             lam = [abs(v) for v in lam]
         h = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
-        element = [
-            sum(c * Fraction(col[w]) for c, col in zip(lam, cols)) - h[w] for w in range(n)
-        ]
+        element = [e - hw for e, hw in zip(combine(lam, exact_cols, n, Fraction(0)), h)]
         for vertex in polar_vertices:
             if sum(z * e for z, e in zip(vertex, element)) > 0:
                 samples_ok = False
@@ -361,13 +353,10 @@ def _cone_feasible(cols, n, target, lp_mode, eff_tol) -> bool:
     lp = LinearProgram.build(
         objective=[0] * k,
         sense="min",
-        constraints=[([col[w] for col in cols], GE, target[w]) for w in range(n)],
+        constraints=[(row, GE, t) for row, t in zip(outcome_rows(cols, n, 0), target)],
         bounds=[(None, None)] * k,
     )
-    sol = solve(lp, lp_mode, solver_tol(eff_tol))
-    if sol.status == INFEASIBLE:
-        return False
-    return True
+    return solve(lp, lp_mode, solver_tol(eff_tol)).status != INFEASIBLE
 
 
 def attainability_set_check(
@@ -384,7 +373,7 @@ def attainability_set_check(
     """
     claim = as_random_variable(claim)
     interval = price_interval(model, claim, tol=tol)
-    lp_mode, eff_tol = lp_mode_and_tol(model.all_values() + list(claim.values), tol)
+    lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
     _gens, cols = generator_matrix(model, "free")
     n = model.n_outcomes
     x = interval.upper
@@ -400,7 +389,8 @@ def attainability_set_check(
     at_vertices = all(
         abs(sum(q * v for q, v in zip(vertex, shifted))) <= eff_tol for vertex in vertices
     )
-    span = _linalg.column_span_solve([list(c) for c in cols], shifted, eff_tol) is not None
+    dense = [[col.get(w, 0) for w in range(n)] for col in cols]
+    span = _linalg.column_span_solve(dense, shifted, eff_tol) is not None
     return AttainabilityReport(
         candidate_price=x,
         zero_width=abs(interval.width) <= eff_tol * (1 + abs(x)),

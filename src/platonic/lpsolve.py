@@ -69,7 +69,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import _linalg
 from .numeric import DEFAULT_FLOAT_TOL, Num
@@ -105,12 +105,17 @@ def _unreachable(message: str, mode: str) -> RuntimeError:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Num, ...]
+    """``sum_j coeffs[j] x_j  relation  rhs``. ``coeffs`` maps a column index
+    to its nonzero coefficient, in ascending column order; a column absent
+    from it has coefficient 0. The float sums of the certificate and the tie
+    order of the basis solves follow that order."""
+
+    coeffs: dict[int, Num]
     relation: str
     rhs: Num
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", {j: v for j, v in sorted(self.coeffs.items()) if v != 0})
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
 
@@ -132,18 +137,21 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise ValueError("one bound pair per variable required")
         for con in self.constraints:
-            if len(con.coeffs) != n:
+            if any(not 0 <= j < n for j in con.coeffs):
                 raise ValueError("constraint dimension mismatch")
 
     @staticmethod
     def build(
         objective: Sequence[Num],
         sense: str,
-        constraints: Sequence[tuple[Sequence[Num], str, Num]],
+        constraints: Sequence[tuple[Mapping[int, Num] | Sequence[Num], str, Num]],
         bounds: Sequence[Bounds] | None = None,
     ) -> "LinearProgram":
+        """An LP from plain data. A constraint row is a map from column index
+        to coefficient or a dense sequence with one entry per column."""
         n = len(objective)
-        cons = tuple(Constraint(tuple(c), rel, rhs) for c, rel, rhs in constraints)
+        cons = tuple(Constraint(c if isinstance(c, Mapping) else dict(enumerate(c)), rel, rhs)
+                     for c, rel, rhs in constraints)
         if bounds is None:
             bounds = ((None, None),) * n
         return LinearProgram(tuple(objective), sense, cons, tuple(bounds))
@@ -366,14 +374,13 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         # a zero shift moves no rhs and is skipped, but on a float -0.0 its
         # subtraction may flip the sign of the zero
         signed_zero = rhs == 0 and math.copysign(1, rhs) < 0
-        for j, v in enumerate(con.coeffs):
-            if v != 0:
-                if type(v) is not conv:  # a value already in the arithmetic stays itself
-                    v = conv(v)
-                sign, shift = col_map[j]
-                row[j] = v if sign > 0 else -v
-                if shift or signed_zero:
-                    rhs -= v * shift
+        for j, v in con.coeffs.items():
+            if type(v) is not conv:  # a value already in the arithmetic stays itself
+                v = conv(v)
+            sign, shift = col_map[j]
+            row[j] = v if sign > 0 else -v
+            if shift or signed_zero:
+                rhs -= v * shift
         rel = con.relation
         negate = rhs < 0 or (rhs == 0 and rel == GE)
         plus_slack = False
@@ -638,19 +645,18 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
 def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     """Feasibility, gap and complementary slackness; bug in exact, retry hint in float.
 
-    Each constraint is summed over the nonzero entries of ``x`` in column
-    order: only zero terms are skipped, so a float sum is the dense one."""
+    Each constraint is summed over its entries where ``x`` is nonzero, in
+    column order: only zero terms are skipped, so a float sum is the dense
+    one."""
     problems: list[str] = []
     scale = 1 + abs(objective)
-    nonzero = [(j, v) for j, v in enumerate(x) if v]
     for j, (lo, hi) in enumerate(lp.bounds):
         if lo is not None and x[j] < lo - tol:
             problems.append(f"bound violation on variable {j}")
         if hi is not None and x[j] > hi + tol:
             problems.append(f"bound violation on variable {j}")
     for i, con in enumerate(lp.constraints):
-        coeffs = con.coeffs
-        lhs = sum(coeffs[j] * v for j, v in nonzero if coeffs[j])
+        lhs = sum(c * x[j] for j, c in con.coeffs.items() if x[j])
         gap = lhs - con.rhs
         if con.relation == LE and gap > tol:
             problems.append(f"constraint {i} violated")
@@ -682,7 +688,9 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
     eqs: list[tuple[list[Fraction], Fraction]] = []
     ineqs: list[tuple[list[Fraction], Fraction]] = []  # normalized to a.x <= b
     for con in lp.constraints:
-        coeffs = [Fraction(v) for v in con.coeffs]
+        coeffs = [Fraction(0)] * n
+        for j, v in con.coeffs.items():
+            coeffs[j] = Fraction(v)
         rhs = Fraction(con.rhs)
         if con.relation == EQ:
             eqs.append((coeffs, rhs))

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .numeric import Num, all_exact, pick_tol
 from .probspace import (
@@ -106,13 +106,6 @@ class MarketModel:
     def filtration_for(self, asset_set: frozenset[str]) -> Filtration:
         return self.trading_filtrations[self.admissible_sets.index(frozenset(asset_set))]
 
-    def all_values(self) -> list[Num]:
-        vals: list[Num] = list(self.space.probs)
-        for path in self.prices:
-            for rv in path:
-                vals.extend(rv.values)
-        return vals
-
     @cached_property
     def arithmetic(self) -> str:
         """``"exact"`` when every probability and price is exact, else ``"float"``.
@@ -121,7 +114,9 @@ class MarketModel:
         and 0.5 alike, so an exact and a float model can compare equal.
         Computed once per instance, like the hash.
         """
-        return "exact" if all_exact(self.all_values()) else "float"
+        exact = all_exact(self.space.probs) and all(
+            all_exact(rv.values) for path in self.prices for rv in path)
+        return "exact" if exact else "float"
 
 
 def build_market(
@@ -199,8 +194,8 @@ def validate(model: MarketModel, tol: Num | None = None) -> list[str]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _validate(model: MarketModel, _arithmetic: str, tol: Num | None) -> tuple[str, ...]:
-    tol = pick_tol(model.all_values(), tol)
+def _validate(model: MarketModel, arithmetic: str, tol: Num | None) -> tuple[str, ...]:
+    tol = pick_tol(arithmetic, tol)
     violations: list[str] = []
     grid = model.times
     for asset, path in zip(model.assets, model.prices):
@@ -263,7 +258,7 @@ def wealth_process(model: MarketModel, strat: Strategy, tol: Num | None = None) 
     The value at grid time t is the sum over legs and assets of
     ``H * (S(end ^ t) - S(start ^ t))``; it is identically zero at time 0.
     """
-    tol = pick_tol(model.all_values(), tol)
+    tol = pick_tol(model.arithmetic, tol)
     grid = model.times
     n = model.n_outcomes
     if frozenset(strat.asset_set) not in model.admissible_sets:
@@ -370,10 +365,39 @@ def strategy_from_coefficients(
     return Strategy(aset, tuple(legs), mode)
 
 
-def generator_matrix(model: MarketModel, mode: str = "free") -> tuple[tuple[Generator, ...], list[tuple[Num, ...]]]:
-    """Generators plus their payoff columns, convenient for LP assembly."""
+def generator_matrix(model: MarketModel, mode: str = "free") -> tuple[tuple[Generator, ...], list[dict[int, Num]]]:
+    """Generators plus their payoff columns for LP assembly. A column maps
+    each outcome of the generator's block where the payoff is nonzero to
+    that payoff, in outcome order; every other outcome pays 0."""
     gens = enumerate_generators(model, mode)
-    return gens, [tuple(g.payoff.values) for g in gens]
+    return gens, [{i: v for i in sorted(g.block) if (v := g.payoff.values[i])} for g in gens]
+
+
+def claim_arithmetic(model: MarketModel, claim: Iterable[Num]) -> str:
+    """The arithmetic of a question about ``claim`` in ``model``: ``"exact"``
+    when the model and every value of the claim are exact."""
+    return "exact" if model.arithmetic == "exact" and all_exact(claim) else "float"
+
+
+def outcome_rows(cols: Sequence[Mapping[int, Num]], n: int, first: int) -> list[dict[int, Num]]:
+    """The transpose of ``cols``: per outcome, the map from column index to
+    its nonzero entry there, in column order, with column j at ``first + j``."""
+    rows: list[dict[int, Num]] = [{} for _ in range(n)]
+    for j, col in enumerate(cols, first):
+        for w, v in col.items():
+            rows[w][j] = v
+    return rows
+
+
+def combine(coeffs: Sequence[Num], cols: Sequence[Mapping[int, Num]], n: int, zero: Num) -> list[Num]:
+    """``sum_j coeffs[j] cols[j]`` outcome by outcome, starting from ``zero``;
+    only nonzero coefficients and entries are added."""
+    out = [zero] * n
+    for c, col in zip(coeffs, cols):
+        if c:
+            for w, v in col.items():
+                out[w] += c * v
+    return out
 
 
 def as_float_model(model: MarketModel) -> MarketModel:

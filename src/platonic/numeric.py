@@ -24,19 +24,20 @@ def all_exact(values: Iterable[Num]) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def pick_tol(values: Iterable[Num], tol: Num | None = None) -> Num:
-    """Comparison tolerance: an explicit value wins, else 0 for exact data."""
+def pick_tol(arithmetic: str, tol: Num | None = None) -> Num:
+    """Comparison tolerance for data in ``arithmetic`` (``"exact"`` or
+    ``"float"``): an explicit value wins, else 0 for exact data."""
     if tol is not None:
         return tol
-    return 0 if all_exact(values) else DEFAULT_FLOAT_TOL
+    return 0 if arithmetic == "exact" else DEFAULT_FLOAT_TOL
 
 
-def lp_mode_and_tol(values: Iterable[Num], tol: Num | None = None) -> tuple[str, Num]:
-    """LP arithmetic and comparison tolerance for data ``values``: ``"exact"``
-    when every value is exact and the tolerance is 0, ``"float"`` otherwise."""
-    values = list(values)
-    eff = pick_tol(values, tol)
-    return ("exact" if eff == 0 and all_exact(values) else "float"), eff
+def lp_mode_and_tol(arithmetic: str, tol: Num | None = None) -> tuple[str, Num]:
+    """LP arithmetic and comparison tolerance for data in ``arithmetic``:
+    ``"exact"`` when the data are exact and the tolerance is 0, ``"float"``
+    otherwise."""
+    eff = pick_tol(arithmetic, tol)
+    return ("exact" if eff == 0 and arithmetic == "exact" else "float"), eff
 
 
 def solver_tol(eff_tol: Num) -> float:

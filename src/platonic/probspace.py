@@ -184,9 +184,6 @@ class Partition:
                 idx[i] = b
         return tuple(idx)
 
-    def block_of(self, outcome: int) -> frozenset[int]:
-        return self.blocks[self.block_index[outcome]]
-
     def join(self, other: "Partition") -> "Partition":
         """Common refinement (join of the generated sigma-algebras)."""
         if self.n_outcomes != other.n_outcomes:

@@ -34,6 +34,7 @@ from platonic import (
     superreplicate,
     wealth_process,
 )
+from platonic import ftap, market, numeric
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
@@ -355,6 +356,26 @@ def test_cached_arithmetic_survives_copies():
     assert _numbers(ftap_verdict(fm).measure.q_values) == {float}
 
 
+def test_cold_exact_verdict_reads_each_value_once(monkeypatch):
+    """A cold exact verdict decides its arithmetic from the cached
+    ``model.arithmetic``: ``numeric.is_exact`` runs at most once per
+    probability and price, however many layers ask."""
+    model = binomial_tree(3, "delayed")
+    values = model.n_outcomes * (1 + sum(len(path) for path in model.prices))
+    for cache in (ftap._arbitrage_lp, market._validate, market._generators):
+        cache.cache_clear()
+    calls = [0]
+    inner = numeric.is_exact
+
+    def spy(value):
+        calls[0] += 1
+        return inner(value)
+
+    monkeypatch.setattr(numeric, "is_exact", spy)
+    assert ftap_verdict(model).kind == "NO_ARBITRAGE"
+    assert 0 < calls[0] <= values
+
+
 class TestSolvesPerQuestion:
     """The verdict solves one LP; superreplicate reuses it and solves one more,
     and a price interval is two superhedges."""
@@ -447,15 +468,9 @@ class TestVerdictAgainstMeasureSearch:
 
 def _max_min_mass(cols, n, claim, bound):
     """Largest minimum mass over the measures attaining ``bound``."""
-    constraints = [
-        (row + [0], rel, rhs)
-        for row, rel, rhs in martingale_polytope_constraints(cols, n, "martingale")
-    ]
+    constraints = martingale_polytope_constraints(cols, n, "martingale")
     constraints.append((list(claim) + [0], EQ, bound))
-    for w in range(n):
-        row = [0] * (n + 1)
-        row[w], row[n] = 1, -1
-        constraints.append((row, GE, 0))
+    constraints += [({w: 1, n: -1}, GE, 0) for w in range(n)]
     return solve(LinearProgram.build([0] * n + [1], "max", constraints, [(0, None)] * (n + 1))).objective
 
 
@@ -483,7 +498,7 @@ class TestIntervalAgainstBoundLps:
         if interval.width == 0:
             x, lambdas = interval.replication
             for w, c in enumerate(claim):
-                assert x + sum(lam * col[w] for lam, col in zip(lambdas, cols)) == c
+                assert x + sum(lam * col.get(w, 0) for lam, col in zip(lambdas, cols)) == c
             return
         assert [_max_min_mass(cols, n, claim, b) for b in oracle] == [0, 0]
         assert not interval.attained_lower and not interval.attained_upper

@@ -353,7 +353,7 @@ def _violation(problem, x):
     x = [F(v) for v in x]
     worst = F(0)
     for con in problem.constraints:
-        gap = sum(c * v for c, v in zip(con.coeffs, x)) - con.rhs
+        gap = sum(con.coeffs.get(j, 0) * v for j, v in enumerate(x)) - con.rhs
         worst = max(worst, {LE: gap, GE: -gap, EQ: abs(gap)}[con.relation])
     for (lo, hi), v in zip(problem.bounds, x):
         if lo is not None:
@@ -543,6 +543,40 @@ def test_standard_form_shape(monkeypatch, mode):
     assert hedge.n_real == len(hedge.cost) == 1 + k + n
 
 
+def test_build_reads_dense_and_map_rows():
+    """A dense row and the map of its nonzero entries make equal
+    constraints: zeros dropped, columns ascending."""
+    dense = lp([1] * 4, "max", [([0, F(2), 0.0, -1], LE, 1)], [(0, 1)] * 4)
+    mapped = lp([1] * 4, "max", [({3: -1, 1: F(2), 0: 0}, LE, 1)], [(0, 1)] * 4)
+    assert dense.constraints == mapped.constraints
+    for problem in (dense, mapped):
+        assert list(problem.constraints[0].coeffs.items()) == [(1, F(2)), (3, -1)]
+    assert solve(dense) == solve(mapped)
+
+
+@pytest.mark.parametrize("row", [{4: 1}, {-1: 1}, [0, 0, 0, 0, 1]])
+def test_column_outside_the_objective_is_rejected(row):
+    with pytest.raises(ValueError, match="constraint dimension mismatch"):
+        lp([1] * 4, "max", [(row, LE, 1)])
+
+
+def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch):
+    """The arbitrage LP of the 8-step tree (256 outcomes, 255 generators)
+    stores 2,304 coefficients: 8 generator entries and the gain's -1 per
+    outcome row, not 256 dense rows of 511 entries."""
+    stored = []
+    inner = ftap.solve
+
+    def spy(problem, *args):
+        stored.append(sum(len(con.coeffs) for con in problem.constraints))
+        return inner(problem, *args)
+
+    monkeypatch.setattr(ftap, "solve", spy)
+    ftap._arbitrage_lp.cache_clear()
+    assert ftap_verdict(binomial_tree(8)).kind == "NO_ARBITRAGE"
+    assert stored == [2304]
+
+
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
 def test_superhedges_run_no_phase_1(monkeypatch, arithmetic):
     """Every golden superhedge, free and long-only, starts at the cash hedge:
@@ -583,7 +617,7 @@ def _certify_message(problems, mode):
 
 def _dense_problems(problem, x, duals, objective, dual_objective, tol):
     """What the certificate must find, with every constraint summed over its
-    dense coefficient tuple, zeros included."""
+    dense coefficients, zeros included."""
     problems = []
     for j, (lo, hi) in enumerate(problem.bounds):
         if lo is not None and x[j] < lo - tol:
@@ -591,7 +625,7 @@ def _dense_problems(problem, x, duals, objective, dual_objective, tol):
         if hi is not None and x[j] > hi + tol:
             problems.append(f"bound violation on variable {j}")
     for i, con in enumerate(problem.constraints):
-        gap = sum(c * v for c, v in zip(con.coeffs, x)) - con.rhs
+        gap = sum(con.coeffs.get(j, 0) * v for j, v in enumerate(x)) - con.rhs
         if {LE: gap > tol, GE: gap < -tol, EQ: abs(gap) > tol}[con.relation]:
             problems.append(f"constraint {i} violated")
         if con.relation != EQ and abs(duals[i]) > tol and abs(gap) > tol:

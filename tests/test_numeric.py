@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from platonic.numeric import format_number, parse_number, pick_tol
+from platonic.numeric import format_number, lp_mode_and_tol, parse_number, pick_tol
 
 
 @pytest.mark.parametrize(
@@ -37,6 +37,9 @@ def test_format_number():
 
 
 def test_pick_tol():
-    assert pick_tol([F(1), 2]) == 0
-    assert pick_tol([F(1), 2.0]) == 1e-9
-    assert pick_tol([1.0], tol=1e-6) == 1e-6
+    assert pick_tol("exact") == 0
+    assert pick_tol("float") == 1e-9
+    assert pick_tol("float", tol=1e-6) == 1e-6
+    assert lp_mode_and_tol("exact") == ("exact", 0)
+    assert lp_mode_and_tol("exact", tol=1e-6) == ("float", 1e-6)
+    assert lp_mode_and_tol("float", tol=0) == ("float", 0)
