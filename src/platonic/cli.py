@@ -39,7 +39,7 @@ from .ftap import (
 from .hedging import UnpricedMarketError
 from .lpsolve import DimensionGuardError, FloatModeError
 from .market import MarketModel, as_float_model, validate
-from .numeric import format_number
+from .numeric import format_number, pick_tol
 from .probspace import RandomVariable, ZeroMassBlock
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_model
 
@@ -128,6 +128,15 @@ def _claim(scenario: Scenario, name: str) -> RandomVariable:
             f"claims.{name}: not defined (available: {', '.join(sorted(scenario.claims)) or 'none'})"
         )
     return scenario.claims[name]
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value, checked while parsing as ``numeric.pick_tol``
+    checks a library tolerance."""
+    try:
+        return pick_tol("float", float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: need a finite number >= 0") from None
 
 
 def _tol_arg(args):
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exact rational arithmetic (default)")
         group.add_argument("--float", dest="float_mode", action="store_true",
                            help="double precision with tolerance")
-        p.add_argument("--tol", type=float, default=1e-9, help="float-mode tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-9, help="float-mode tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="json", action="store_true", default=True)

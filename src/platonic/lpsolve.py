@@ -60,8 +60,25 @@ within its tolerance); when certification fails, or the pivot budget runs
 out, it raises :class:`FloatModeError` instead of ever returning a wrong
 status.
 
+Warm start (float mode only). The standard form and final tableau of the
+last certified float optimum stay in one module-level slot, by reference.
+When the next float LP's standard form equals that one in everything but
+``b`` (the rows, costs, bounds, start columns, row signs and column
+shifts), its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
+read off the tableau: the start columns held the identity, so they now hold
+``B^-1``. Reduced costs do not depend on ``b``, so when every basic value
+lies within its bounds up to ``_PIVOT_TOL`` the basis is optimal, and the
+answer goes through the same extraction and certificate as a cold solve.
+Otherwise, or when the certificate refuses, the slot is emptied and the LP
+is solved from its start; its certified optimum then takes the slot. This
+serves a claim after claim on one market: the superhedge LPs share their
+matrix and differ in ``b = max(c) - c`` only. Exact mode neither reads nor
+writes the slot.
+
 Determinism: ties are broken by lowest index, so identical inputs always
-produce identical outputs.
+produce identical outputs in exact mode. When a float LP has several optima,
+its x and duals may depend on the previous float solve, through the warm
+start; its objective agrees within tol.
 """
 from __future__ import annotations
 
@@ -587,30 +604,76 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     form = _standard_form(lp, Fraction if exact else float)
     if form is None:
         return LpSolution(INFEASIBLE, None, None, None, None)
-    if exact:
-        status, optimum = _exact_optimum(form)
-        if status != OPTIMAL:
-            return LpSolution(status, None, None, None, None)
-        basis, kept, at_upper, x_b, y, bound_value = optimum
-        y_full = [Fraction(0)] * len(form.rows)
-        for r, y_r in zip(kept, y):
-            y_full[r] = y_r
-        tol_cert: Num = 0
-    else:
-        tab = _start_tableau(form, float)
-        status = _simplex(form, tab, _PIVOT_TOL, tol, mode)
-        if status != OPTIMAL:
-            return LpSolution(status, None, None, None, None)
-        basis, at_upper = tab.basis, tab.at_upper()
-        x_b = [row[-1] for row in tab.rows]
-        # Row r's start column is the unit column e_r of cost 0, never
-        # bounded above, so its final reduced cost is -y_r; dropped rows
-        # included. 0.0 - d is a float, never -0.0, also where a pivot left
-        # an int 0.
-        y_full = [0.0 - tab.reduced[j] for j in form.start]
-        bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
-        tol_cert = tol
-    return _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol_cert, mode)
+    if not exact:
+        return _warm_float_solve(lp, form, tol) or _cold_float_solve(lp, form, tol)
+    status, optimum = _exact_optimum(form)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, None, None)
+    basis, kept, at_upper, x_b, y, bound_value = optimum
+    y_full = [Fraction(0)] * len(form.rows)
+    for r, y_r in zip(kept, y):
+        y_full[r] = y_r
+    return _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, 0, mode)
+
+
+# The standard form and final tableau of the last certified float optimum,
+# held by reference (see "Warm start" in the module docstring); emptied
+# before a cold float solve, so that two tableaus are never alive at once.
+_last_optimum: tuple[_StandardForm, _Tableau] | None = None
+
+
+def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
+    """The answer on the basis of :data:`_last_optimum` when ``form`` differs
+    from its standard form in ``b`` alone and the basis stays feasible and
+    certified; None otherwise."""
+    if _last_optimum is None:
+        return None
+    last, tab = _last_optimum
+    if (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) != (
+            form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map):
+        return None
+    # The start columns held the identity, so they now hold B^-1:
+    # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j.
+    terms = [(j, b) for j, b in zip(form.start, form.rhs) if b]
+    terms += [(j, -tab.upper[j]) for j in tab.at_upper()]
+    x_b = []
+    for row, j in zip(tab.rows, tab.basis):
+        v = sum(row[k] * w for k, w in terms)
+        u = tab.upper[j]
+        if not form.free[j] and (v < -_PIVOT_TOL or (u is not None and v > u + _PIVOT_TOL)):
+            return None
+        x_b.append(v)
+    try:
+        return _float_answer(lp, form, tab, x_b, tol)
+    except FloatModeError:
+        return None
+
+
+def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:
+    """Float pivoting from the slack and artificial start; a certified
+    optimum's tableau takes the slot of :data:`_last_optimum`."""
+    global _last_optimum
+    _last_optimum = None
+    tab = _start_tableau(form, float)
+    status = _simplex(form, tab, _PIVOT_TOL, tol, "float")
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, None, None)
+    answer = _float_answer(lp, form, tab, [row[-1] for row in tab.rows], tol)
+    _last_optimum = form, tab
+    return answer
+
+
+def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, x_b: list[float],
+                  tol: float) -> LpSolution:
+    """The certified answer of an optimal float tableau whose basic columns
+    take the values ``x_b``."""
+    at_upper = tab.at_upper()
+    # Row r's start column is the unit column e_r of cost 0, never bounded
+    # above, so its final reduced cost is -y_r; dropped rows included.
+    # 0.0 - d is a float, never -0.0, also where a pivot left an int 0.
+    y_full = [0.0 - tab.reduced[j] for j in form.start]
+    bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
+    return _solution(lp, form, tab.basis, x_b, at_upper, y_full, bound_value, tol, "float")
 
 
 def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) -> LpSolution:

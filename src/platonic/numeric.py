@@ -6,6 +6,7 @@ positive tolerance (default 1e-9). Time stamps are always exact rationals.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -26,8 +27,11 @@ def all_exact(values: Iterable[Num]) -> bool:
 
 def pick_tol(arithmetic: str, tol: Num | None = None) -> Num:
     """Comparison tolerance for data in ``arithmetic`` (``"exact"`` or
-    ``"float"``): an explicit value wins, else 0 for exact data."""
+    ``"float"``): an explicit value wins, else 0 for exact data. A NaN,
+    infinite or negative tolerance raises ``ValueError``."""
     if tol is not None:
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         return tol
     return 0 if arithmetic == "exact" else DEFAULT_FLOAT_TOL
 

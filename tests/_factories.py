@@ -9,6 +9,7 @@ regardless of the trading filtrations drawn.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -193,11 +194,27 @@ def binomial_tree(steps: int, trading: str = "full") -> MarketModel:
     1/2, uniform reference probabilities. ``trading`` is ``"full"`` (the tree
     filtration), ``"delayed"`` (one step late) or ``"gridded"`` (observes
     every second grid time only). Arbitrage-free under every choice."""
-    paths = list(itertools.product("ud", repeat=steps))
+    return tree_market(steps, "ud", trading)
+
+
+def trinomial_tree(steps: int, trading: str = "full") -> MarketModel:
+    """:func:`binomial_tree` with a third move, 1: incomplete, still
+    arbitrage-free under every ``trading``."""
+    return tree_market(steps, "umd", trading)
+
+
+_MOVES = {"u": Fraction(2), "m": Fraction(1), "d": Fraction(1, 2)}
+
+
+def tree_market(steps: int, moves: str, trading: str) -> MarketModel:
+    """One stock from S0 = 100 on the non-recombining tree of ``moves``
+    (letters of :data:`_MOVES`), uniform reference probabilities; ``trading``
+    as in :func:`binomial_tree`."""
+    paths = list(itertools.product(moves, repeat=steps))
     times = tuple(Fraction(k, steps) for k in range(steps + 1))
     big = Filtration.generated(times, [[p[:k] for p in paths] for k in range(steps + 1)])
     prices = [
-        tuple(100 * Fraction(2) ** (p[:k].count("u") - p[:k].count("d")) for p in paths)
+        tuple(100 * math.prod((_MOVES[m] for m in p[:k]), start=Fraction(1)) for p in paths)
         for k in range(steps + 1)
     ]
     if trading == "full":

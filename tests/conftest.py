@@ -6,11 +6,19 @@ from pathlib import Path
 import pytest
 
 from _factories import random_claim, random_market
+from platonic import lpsolve
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios"
 
 SUITE_SEED = 20250811
 SUITE_SIZE = 200
+
+
+@pytest.fixture(autouse=True)
+def cold_float_slot():
+    """Each test starts with no stored float basis, so a pivot count does
+    not depend on the tests that ran before it."""
+    lpsolve._last_optimum = None
 
 
 @pytest.fixture(scope="session")

@@ -319,6 +319,23 @@ class TestExitCodes:
         assert main(["ftap", str(bad)]) == 2
         assert main(["superhedge", str(bad), "--claim", "call"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "abc"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, scenario_path, tol):
+        """argparse rejects a tolerance ``numeric.pick_tol`` would reject:
+        exit 2 with the usage message, never a verdict."""
+        with pytest.raises(SystemExit) as stop:
+            main(["ftap", scenario_path("binomial"), "--float", f"--tol={tol}"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: platonic ftap")
+        assert f"argument --tol: invalid tolerance {tol!r}" in captured.err
+
+    def test_zero_float_tolerance_is_accepted(self, capsys, scenario_path):
+        code, report = run(capsys, "ftap", scenario_path("binomial"), "--float", "--tol", "0")
+        assert code == 0
+        assert report["verdict"] == "NO_ARBITRAGE"
+
     def test_superhedge_noisy_scenario(self, capsys, scenario_path):
         code, report = run(capsys, "superhedge", scenario_path("noisy_price"), "--claim", "call")
         assert code == 0

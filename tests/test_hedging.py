@@ -4,8 +4,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _factories import random_claim, random_market
+from _factories import binomial_tree, random_claim, random_market, trinomial_tree
 from platonic import (
     FiniteSpace,
     Filtration,
@@ -24,7 +26,7 @@ from platonic import (
     solve,
     superreplicate,
 )
-from platonic import as_float_model
+from platonic import as_float_model, lpsolve
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.scenario import parse_scenario
@@ -320,3 +322,49 @@ def test_float_intervals_hold_no_fraction():
             assert not any(isinstance(v, F) for v in _numbers(interval)), path.stem
             witnesses += (interval.lower_witness is not None) + (interval.upper_witness is not None)
     assert witnesses == 8
+
+
+TREES = [(binomial_tree, steps) for steps in (3, 4, 5)] + [(trinomial_tree, steps) for steps in (2, 3)]
+
+
+def test_tree_prices_agree_across_arithmetics_and_the_measure_lp(monkeypatch):
+    """On binomial and trinomial trees under full, delayed and gridded
+    trading, three claims priced in a row: the float superhedge price
+    matches the exact one within tol (1 + |price|), also where it starts
+    from the previous claim's optimal basis; the exact price is the optimum
+    of the exact measure LP, max E_q[c] over the (super)martingale
+    measures; and the verdict's measure passes ``checked_measure``."""
+    tol = 1e-9
+    warm = []
+    inner = lpsolve._warm_float_solve
+
+    def spy(*args):
+        warm.append(inner(*args))
+        return warm[-1]
+
+    monkeypatch.setattr(lpsolve, "_warm_float_solve", spy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=st.sampled_from(TREES), trading=st.sampled_from(["full", "delayed", "gridded"]),
+           mode=st.sampled_from(["free", "long_only"]), data=st.data())
+    def check(tree, trading, mode, data):
+        factory, steps = tree
+        model = factory(steps, trading)
+        float_model = as_float_model(model)
+        n = model.n_outcomes
+        cols = generator_matrix(model, mode)[1]
+        kind = "martingale" if mode == "free" else "supermartingale"
+        for m, eps in ((model, 0), (float_model, tol)):
+            measure = ftap_verdict(m, mode, eps if eps else None).measure
+            assert checked_measure(measure.q_values, cols, kind, eps) is not None
+        polytope = martingale_polytope_constraints(cols, n, kind)
+        for _ in range(3):
+            claim = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+            exact = superreplicate(model, claim, mode)[0].price
+            best = solve(LinearProgram.build(claim, "max", polytope, [(0, None)] * n))
+            assert best.status == "optimal" and best.objective == exact
+            approx = superreplicate(float_model, [float(v) for v in claim], mode, tol)[0].price
+            assert abs(approx - exact) <= tol * (1 + abs(exact))
+
+    check()
+    assert any(answer is not None for answer in warm)  # the warm start was taken

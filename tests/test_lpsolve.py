@@ -470,13 +470,9 @@ def test_golden_verdicts_take_the_float_basis(stages, path):
     assert stages == [("float", True)] * (2 + 4 * len(scenario.claims))  # no exact pivot
 
 
-@pytest.mark.parametrize("arithmetic", ["exact", "float"])
-def test_golden_pivot_counts(monkeypatch, arithmetic):
-    """Simplex steps of every golden-scenario verdict and superhedge, free
-    and long-only: basis changes (``_do_pivot``) plus bound flips
-    (``_flip``), a deterministic counter that moves with the pricing rule,
-    the start basis and the bound handling. Exact answers take the float
-    basis here, so both arithmetics pivot alike."""
+@pytest.fixture
+def pivots(monkeypatch):
+    """Basis changes and bound flips, counted."""
     counts = {"_do_pivot": 0, "_flip": 0}
     for name in counts:
         inner = getattr(lpsolve, name)
@@ -486,6 +482,18 @@ def test_golden_pivot_counts(monkeypatch, arithmetic):
             return _inner(*args)
 
         monkeypatch.setattr(lpsolve, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_golden_pivot_counts(pivots, arithmetic):
+    """Simplex steps of every golden-scenario verdict and superhedge, free
+    and long-only: basis changes (``_do_pivot``) plus bound flips
+    (``_flip``), a deterministic counter that moves with the pricing rule,
+    the start basis and the bound handling. Exact answers take the float
+    basis here. Float mode pivots less: a superhedge that follows one of
+    the same matrix starts from its optimal basis where that stays
+    feasible."""
     ftap._arbitrage_lp.cache_clear()
     for path in GOLDEN:
         scenario = parse_scenario(str(path))
@@ -494,7 +502,85 @@ def test_golden_pivot_counts(monkeypatch, arithmetic):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert counts == {"_do_pivot": 168, "_flip": 0}
+    assert pivots == {"_do_pivot": {"exact": 168, "float": 122}[arithmetic], "_flip": 0}
+
+
+def _hedge_like(b1=4, b2=9, upper_x=3, lower_y=0, cost_x=3, a_22=3):
+    """max cost_x x + 2y on x + y <= b1, x + a_22 y <= b2, x in [0, upper_x],
+    y >= lower_y. At the defaults the optimum is x = 3 (at its upper bound),
+    y = 1, with the second row's slack basic at 3."""
+    return lp([cost_x, 2], "max", [([1, 1], LE, b1), ([1, a_22], LE, b2)],
+              [(0, upper_x), (lower_y, None)])
+
+
+class TestWarmFloatBasis:
+    """A float LP that differs from the last optimal float LP in its
+    right-hand side alone starts from that optimum's basis."""
+
+    def test_feasible_old_basis_is_reused_without_a_pivot(self, stages, pivots):
+        solve(_hedge_like(), "float")
+        assert stages == [("float", True)]
+        warm = solve(_hedge_like(b1=4.5), "float")
+        assert stages == [("float", True)]  # no pivot stage ran
+        assert pivots == {"_do_pivot": 1, "_flip": 1}  # the first solve's only
+        assert warm.x == (3, 1.5)
+        lpsolve._last_optimum = None
+        cold = solve(_hedge_like(b1=4.5), "float")
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+        assert warm.objective == solve(_hedge_like(b1=F(9, 2))).objective == 12
+
+    def test_infeasible_old_basis_solves_cold(self, stages, monkeypatch):
+        inner = lpsolve._start_tableau
+        tableaus = []
+
+        def spy(form, conv):
+            if conv is float:
+                tableaus.append(lpsolve._last_optimum)
+            return inner(form, conv)
+
+        monkeypatch.setattr(lpsolve, "_start_tableau", spy)
+        solve(_hedge_like(), "float")
+        # b1 = 7 puts y = 4 on the old basis, and the second row's slack at -6
+        sol = solve(_hedge_like(b1=7), "float")
+        assert stages == [("float", True)] * 2
+        assert tableaus == [None, None]  # the slot is empty before a cold start
+        assert lpsolve._last_optimum is not None
+        assert sol.x == (3, 2) and sol.objective == solve(_hedge_like(b1=7)).objective == 13
+
+    @pytest.mark.parametrize("change", [
+        {"upper_x": 2.5}, {"lower_y": 0.5}, {"cost_x": 3.5}, {"a_22": 2.5},
+    ], ids=lambda change: next(iter(change)))
+    def test_any_other_change_solves_cold(self, stages, change):
+        solve(_hedge_like(), "float")
+        sol = solve(_hedge_like(**change), "float")
+        assert stages == [("float", True)] * 2
+        exact = solve(_hedge_like(**{k: F(v) for k, v in change.items()}))
+        assert abs(sol.objective - float(exact.objective)) <= 1e-9 * (1 + abs(sol.objective))
+
+    def test_exact_mode_never_reuses(self, stages):
+        solve(_hedge_like(), "float")
+        for b1 in (4, F(9, 2), F(9, 2)):
+            sol = solve(_hedge_like(b1=b1))
+        assert stages == [("float", True)] * 4  # every exact solve from its start
+        assert sol.x == (3, F(3, 2)) and all(type(v) is F for v in sol.x)
+
+    def test_refused_warm_answer_solves_cold(self, stages, monkeypatch):
+        """A warm answer that fails its certificate is not handed out: the
+        LP is solved cold."""
+        solve(_hedge_like(), "float")
+        inner = lpsolve._certify
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise FloatModeError("refused; retry exact")
+            return inner(*args)
+
+        monkeypatch.setattr(lpsolve, "_certify", spy)
+        sol = solve(_hedge_like(b1=4.5), "float")
+        assert len(calls) == 2 and stages == [("float", True)] * 2
+        assert sol.x == (3, 1.5)
 
 
 def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch):
