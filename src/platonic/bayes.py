@@ -2,14 +2,20 @@
 product and mixture randomizations over a parameter set, observation
 filtrations (gridded, quantized, delayed), semi-static option embedding,
 additively noisy prices, and the near-free-lunch truncation family.
+
+The product, mixture and noisy-price markets share one constructor on
+outcomes that are pairs (path, extra coordinate). The extra coordinate is
+the parameter in the product, absent in the mixture and the noise draws in
+the noisy-price market; the product and the mixture prune pairs of zero mass.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ftap import _require_valid, ftap_verdict
 from .hedging import superhedge_lp
@@ -94,7 +100,6 @@ class ObservationSpec:
 
     obs_times: tuple[Fraction, ...] | None = None  # None means every grid time
     quantizer: Num | Mapping[str, Num] | None = None
-    noise: NoiseSpec | None = None
     delay: Num = 0
 
     def __post_init__(self) -> None:
@@ -176,8 +181,9 @@ def _lift_prices(
     prices: Mapping[str, Sequence[RandomVariable | Sequence[Num]]],
     grid_len: int,
     path_count: int,
-    pairs: Sequence[tuple[int, int]] | None,
+    pairs: Sequence[tuple[int, object]],
 ) -> dict[str, list[RandomVariable]]:
+    """Each price, one value per base outcome and grid time, read on the pairs."""
     lifted: dict[str, list[RandomVariable]] = {}
     for asset, path in prices.items():
         rvs = [as_random_variable(rv) for rv in path]
@@ -185,11 +191,36 @@ def _lift_prices(
             raise ValueError(f"asset {asset} needs one price per grid time")
         if any(len(rv) != path_count for rv in rvs):
             raise ValueError(f"asset {asset} has prices on the wrong path space")
-        if pairs is None:
-            lifted[asset] = rvs
-        else:
-            lifted[asset] = [RandomVariable(tuple(rv[d] for d, _t in pairs)) for rv in rvs]
+        lifted[asset] = [RandomVariable(tuple(rv[d] for d, _x in pairs)) for rv in rvs]
     return lifted
+
+
+def _market_on_pairs(
+    labels: Sequence[str],
+    masses: Sequence[Num],
+    path_filtration: Filtration,
+    pairs: Sequence[tuple[int, object]],
+    revealed: Callable[[object, Fraction], object],
+    prices: Mapping[str, Sequence[RandomVariable]],
+    observed: Mapping[str, Sequence[RandomVariable]],
+    obs: ObservationSpec,
+) -> MarketModel:
+    """Market on outcomes that are pairs (path index, extra coordinate).
+
+    At time t the big filtration knows the path's block and
+    ``revealed(extra, t)``; the trading filtration sees only the
+    ``observed`` prices through ``obs``.
+    """
+    grid = path_filtration.times
+    big = Filtration(grid, tuple(
+        Partition.group_by([(part.block_index[d], revealed(x, t)) for d, x in pairs])
+        for t, part in zip(grid, path_filtration.partitions)
+    ))
+    small = observation_filtration(grid, observed, obs)
+    model = build_market(FiniteSpace(tuple(labels), tuple(masses)), big, prices,
+                         trading_filtrations=small)
+    _require_valid(model, None)
+    return model
 
 
 def build_product_market(
@@ -201,35 +232,17 @@ def build_product_market(
     zero-mass pairs are pruned, the big filtration knows the path history and
     the parameter, the trading filtration only sees observed prices.
     """
-    if obs.noise is not None:
-        raise ValueError(
-            "noisy observation is a product over noise alphabets; use build_uncertain_price"
-        )
-    grid = setup.path_filtration.times
     pairs = [
         (di, ti)
         for ti in range(len(setup.thetas))
         for di in range(setup.path_space.size)
         if setup.models[ti][di] * setup.prior[ti] != 0
     ]
-    labels = tuple(
-        f"{setup.path_space.outcomes[d]}{THETA_SEPARATOR}{setup.thetas[t]}" for d, t in pairs
-    )
-    masses = tuple(setup.models[t][d] * setup.prior[t] for d, t in pairs)
-    space = FiniteSpace(labels, masses)
-    lifted = _lift_prices(prices, len(grid), setup.path_space.size, pairs)
-
-    big_parts = []
-    for part in setup.path_filtration.partitions:
-        idx = part.block_index
-        keys = [(idx[d], t) for d, t in pairs]
-        big_parts.append(Partition.group_by(keys))
-    big = Filtration(grid, tuple(big_parts))
-
-    small = observation_filtration(grid, lifted, obs)
-    model = build_market(space, big, lifted, trading_filtrations=small)
-    _require_valid(model, None)
-    return model
+    labels = [f"{setup.path_space.outcomes[d]}{THETA_SEPARATOR}{setup.thetas[t]}" for d, t in pairs]
+    masses = [setup.models[t][d] * setup.prior[t] for d, t in pairs]
+    lifted = _lift_prices(prices, len(setup.path_filtration.times), setup.path_space.size, pairs)
+    return _market_on_pairs(labels, masses, setup.path_filtration, pairs,
+                            lambda theta, _t: theta, lifted, lifted, obs)
 
 
 def build_mixture_market(
@@ -238,36 +251,19 @@ def build_mixture_market(
     obs: ObservationSpec = ObservationSpec(),
 ) -> MarketModel:
     """Market on the path space alone under the prior mixture of the path
-    measures. Parameter-dependent payoffs cannot live here; they need the
-    product construction."""
-    if obs.noise is not None:
-        raise ValueError(
-            "noisy observation is a product over noise alphabets; use build_uncertain_price"
-        )
-    grid = setup.path_filtration.times
+    measures. Paths of zero mixture mass are pruned, and the big filtration is
+    the path filtration on the paths kept. Parameter-dependent payoffs cannot
+    live here; they need the product construction."""
     mix = [
         sum(setup.models[t][d] * setup.prior[t] for t in range(len(setup.thetas)))
         for d in range(setup.path_space.size)
     ]
-    keep = [d for d, m in enumerate(mix) if m != 0]
-    labels = tuple(setup.path_space.outcomes[d] for d in keep)
-    masses = tuple(mix[d] for d in keep)
-    space = FiniteSpace(labels, masses)
-    kept_pairs = [(d, 0) for d in keep]
-    lifted = _lift_prices(prices, len(grid), setup.path_space.size, kept_pairs if len(keep) != setup.path_space.size else None)
-
-    if len(keep) != setup.path_space.size:
-        big_parts = []
-        for part in setup.path_filtration.partitions:
-            idx = part.block_index
-            big_parts.append(Partition.group_by([idx[d] for d in keep]))
-        big = Filtration(grid, tuple(big_parts))
-    else:
-        big = setup.path_filtration
-    small = observation_filtration(grid, lifted, obs)
-    model = build_market(space, big, lifted, trading_filtrations=small)
-    _require_valid(model, None)
-    return model
+    pairs = [(d, None) for d, m in enumerate(mix) if m != 0]
+    labels = [setup.path_space.outcomes[d] for d, _x in pairs]
+    masses = [mix[d] for d, _x in pairs]
+    lifted = _lift_prices(prices, len(setup.path_filtration.times), setup.path_space.size, pairs)
+    return _market_on_pairs(labels, masses, setup.path_filtration, pairs,
+                            lambda _x, _t: None, lifted, lifted, obs)
 
 
 def split_product_label(label: str) -> tuple[str, str]:
@@ -457,56 +453,22 @@ def build_uncertain_price(
     grid_set = set(grid)
     if any(t not in grid_set for t in noise_times):
         raise ValueError("noise times must lie on the grid")
-    n_base = space.size
     draws = list(itertools.product(range(len(noise.values)), repeat=len(noise_times)))
-    labels = []
-    masses = []
-    pairs = []  # (base outcome, draw)
-    for d in range(n_base):
-        for draw in draws:
-            pairs.append((d, draw))
-            tag = ",".join(str(noise.values[z]) for z in draw)
-            labels.append(f"{space.outcomes[d]}~{tag}")
-            mass = space.probs[d]
-            for z in draw:
-                mass = mass * noise.probs[z]
-            masses.append(mass)
-    prod_space = FiniteSpace(tuple(labels), tuple(masses))
-
-    noise_index = {t: k for k, t in enumerate(noise_times)}
-    base_prices = {a: [as_random_variable(rv) for rv in path] for a, path in prices.items()}
-    noisy_prices: dict[str, list[RandomVariable]] = {}
-    clean_prices: dict[str, list[RandomVariable]] = {}
-    for asset, path in base_prices.items():
-        if len(path) != len(grid):
-            raise ValueError(f"asset {asset} needs one price per grid time")
-        noisy, clean = [], []
-        for k, t in enumerate(grid):
-            zs = noise_index.get(t)
-            vals_noisy = []
-            vals_clean = []
-            for d, draw in pairs:
-                bump = noise.values[draw[zs]] if zs is not None else 0
-                vals_noisy.append(path[k][d] + bump)
-                vals_clean.append(path[k][d])
-            noisy.append(RandomVariable(tuple(vals_noisy)))
-            clean.append(RandomVariable(tuple(vals_clean)))
-        noisy_prices[asset] = noisy
-        clean_prices[asset] = clean
-
-    big_parts = []
-    for k, t in enumerate(grid):
-        base_idx = base_filtration.at(t).block_index
-        upto = [j for j, s in enumerate(noise_times) if s <= t]
-        keys = [(base_idx[d], tuple(draw[j] for j in upto)) for d, draw in pairs]
-        big_parts.append(Partition.group_by(keys))
-    big = Filtration(grid, tuple(big_parts))
-
-    observed = clean_prices if observe == "base" else noisy_prices
-    small = observation_filtration(grid, observed, obs)
-    model = build_market(prod_space, big, noisy_prices, trading_filtrations=small)
-    _require_valid(model, None)
-    return model
+    pairs = [(d, draw) for d in range(space.size) for draw in draws]  # (base outcome, draw)
+    labels = [f"{space.outcomes[d]}~{','.join(str(noise.values[z]) for z in draw)}" for d, draw in pairs]
+    masses = [math.prod((noise.probs[z] for z in draw), start=space.probs[d]) for d, draw in pairs]
+    clean = _lift_prices(prices, len(grid), space.size, pairs)
+    bumps = {
+        t: RandomVariable(tuple(noise.values[draw[z]] for _d, draw in pairs))
+        for z, t in enumerate(noise_times)
+    }
+    noisy = {
+        asset: [rv + bumps[t] if t in bumps else rv for t, rv in zip(grid, path)]
+        for asset, path in clean.items()
+    }
+    return _market_on_pairs(labels, masses, base_filtration, pairs,
+                            lambda draw, t: tuple(z for z, s in zip(draw, noise_times) if s <= t),
+                            noisy, clean if observe == "base" else noisy, obs)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ the multipliers y of its outcome rows satisfy G^T y = 0 (<= 0 for long-only
 trading) and y >= 1, so y / sum(y) is a full-support measure that turns every
 admissible projection of prices into a (super)martingale: the separating
 measure is the dual of the no-arbitrage LP. The verdict checks that measure
-against the generators and raises when exact arithmetic ever breaks the
-dichotomy. ``find_measure`` keeps the independent search over the probability
-simplex, which maximizes the minimum mass.
+against the generators; when the check fails it raises, in exact arithmetic
+as a broken dichotomy and in float as a refusal to answer. ``find_measure``
+keeps the independent search over the probability simplex, which maximizes
+the minimum mass.
 """
 from __future__ import annotations
 
@@ -239,20 +240,18 @@ def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None)
     The arbitrage LP is solved once (and cached per model, arithmetic, mode
     and tolerance). Without an arbitrage, its dual multipliers give the
     measure, which is checked against every generator before it is returned.
-    In exact mode a failed check raises :class:`FtapInconsistencyError`; in
-    float mode rounding may spoil the multipliers, and the verdict falls back
-    to :func:`find_measure`, which may refuse with ``FloatModeError``.
+    A failed check raises :class:`FtapInconsistencyError` in exact mode, where
+    it means a bug; in float mode, where rounding may spoil the multipliers,
+    it raises ``FloatModeError``: no certified answer, rerun exact.
     """
     arbitrage, measure = _arbitrage_lp(model, model.arithmetic, mode, tol)
     if arbitrage is not None:
         return FtapVerdict("ARBITRAGE", arbitrage, None)
-    if measure is None and lp_mode_and_tol(model.arithmetic, tol)[0] == "float":
-        kind = "martingale" if mode == "free" else "supermartingale"
-        measure = find_measure(model, kind, tol)
     if measure is None:
-        raise FtapInconsistencyError(
-            "no arbitrage found, yet no full-support measure passed its check", None, None
-        )
+        message = "no arbitrage found, yet no full-support measure passed its check"
+        if lp_mode_and_tol(model.arithmetic, tol)[0] == "float":
+            raise FloatModeError(message + "; rerun exact")
+        raise FtapInconsistencyError(message, None, None)
     return FtapVerdict("NO_ARBITRAGE", None, measure)
 
 

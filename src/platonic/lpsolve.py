@@ -388,15 +388,12 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     for i, con in enumerate(lp.constraints):
         row: dict[int, Num] = {}
         rhs = conv(con.rhs)
-        # a zero shift moves no rhs and is skipped, but on a float -0.0 its
-        # subtraction may flip the sign of the zero
-        signed_zero = rhs == 0 and math.copysign(1, rhs) < 0
         for j, v in con.coeffs.items():
             if type(v) is not conv:  # a value already in the arithmetic stays itself
                 v = conv(v)
             sign, shift = col_map[j]
             row[j] = v if sign > 0 else -v
-            if shift or signed_zero:
+            if shift:
                 rhs -= v * shift
         rel = con.relation
         negate = rhs < 0 or (rhs == 0 and rel == GE)

@@ -122,20 +122,14 @@ def _claim_values(raw, model: MarketModel, where: str) -> RandomVariable:
         if len(raw) != n:
             raise ScenarioError(f"{where}: expected {n} values, one per outcome")
         return RandomVariable(_numbers(raw, where))
-    if isinstance(raw, dict) and "call_on" in raw:
-        asset = raw["call_on"]
-        if asset not in model.assets:
-            raise ScenarioError(f"{where}: unknown asset {asset!r}")
-        strike = _num(raw.get("strike", 0), f"{where}.strike")
-        terminal = model.price_path(asset)[-1]
-        return RandomVariable(tuple(max(v - strike, 0) for v in terminal))
-    if isinstance(raw, dict) and "put_on" in raw:
-        asset = raw["put_on"]
-        if asset not in model.assets:
-            raise ScenarioError(f"{where}: unknown asset {asset!r}")
-        strike = _num(raw.get("strike", 0), f"{where}.strike")
-        terminal = model.price_path(asset)[-1]
-        return RandomVariable(tuple(max(strike - v, 0) for v in terminal))
+    for key, sign in (("call_on", 1), ("put_on", -1)):
+        if isinstance(raw, dict) and key in raw:
+            asset = raw[key]
+            if asset not in model.assets:
+                raise ScenarioError(f"{where}: unknown asset {asset!r}")
+            strike = _num(raw.get("strike", 0), f"{where}.strike")
+            terminal = model.price_path(asset)[-1]
+            return RandomVariable(tuple(max(sign * (v - strike), 0) for v in terminal))
     if isinstance(raw, dict) and "theta_indicator" in raw:
         wanted = raw["theta_indicator"]
         try:
@@ -209,22 +203,28 @@ def _parse_plain(doc: dict) -> MarketModel:
     )
 
 
+def _base_section(block: dict, where: str, space_key: str, filt_key: str):
+    """Path space, outcome index, base filtration and prices of a builder section."""
+    raw = block.get(space_key)
+    space = FiniteSpace(tuple(raw["outcomes"]), _numbers(raw["probs"], f"{where}.{space_key}.probs"))
+    index = {o: i for i, o in enumerate(space.outcomes)}
+    times = _numbers(block.get("grid"), f"{where}.grid")
+    filt = _filtration(block.get(filt_key), times, index, f"{where}.{filt_key}")
+    prices = {
+        a: [RandomVariable(_numbers(vals, f"{where}.prices.{a}[{k}]")) for k, vals in enumerate(path)]
+        for a, path in block.get("prices", {}).items()
+    }
+    return space, index, filt, prices
+
+
 def _parse_bayes(doc: dict) -> tuple[MarketModel, dict[str, RandomVariable]]:
     b = doc["bayes"]
     where = "bayes"
-    paths = b.get("paths")
-    space = FiniteSpace(tuple(paths["outcomes"]), _numbers(paths["probs"], f"{where}.paths.probs"))
-    index = {o: i for i, o in enumerate(space.outcomes)}
-    times = _numbers(b.get("grid"), f"{where}.grid")
-    filt = _filtration(b.get("path_filtration"), times, index, f"{where}.path_filtration")
+    space, index, filt, prices = _base_section(b, where, "paths", "path_filtration")
     thetas = tuple(b.get("thetas"))
     prior = _numbers(b.get("prior"), f"{where}.prior")
     models = tuple(_numbers(b["models"][t], f"{where}.models.{t}") for t in thetas)
     setup = BayesSetup(space, filt, thetas, prior, models)
-    prices = {
-        a: [RandomVariable(_numbers(vals, f"{where}.prices.{a}[{k}]")) for k, vals in enumerate(path)]
-        for a, path in b.get("prices", {}).items()
-    }
     obs = _observation(b.get("observation"), f"{where}.observation")
     kind = b.get("kind", "product")
     if kind == "product":
@@ -247,15 +247,7 @@ def _parse_bayes(doc: dict) -> tuple[MarketModel, dict[str, RandomVariable]]:
 def _parse_noise(doc: dict) -> MarketModel:
     nd = doc["noise"]
     where = "noise"
-    base = nd.get("base")
-    space = FiniteSpace(tuple(base["outcomes"]), _numbers(base["probs"], f"{where}.base.probs"))
-    index = {o: i for i, o in enumerate(space.outcomes)}
-    times = _numbers(nd.get("grid"), f"{where}.grid")
-    filt = _filtration(nd.get("base_filtration"), times, index, f"{where}.base_filtration")
-    prices = {
-        a: [RandomVariable(_numbers(vals, f"{where}.prices.{a}[{k}]")) for k, vals in enumerate(path)]
-        for a, path in nd.get("prices", {}).items()
-    }
+    space, _index, filt, prices = _base_section(nd, where, "base", "base_filtration")
     spec = NoiseSpec(
         values=_numbers(nd.get("values"), f"{where}.values"),
         probs=_numbers(nd.get("probs"), f"{where}.probs"),

@@ -98,12 +98,6 @@ class TestProductMarket:
         assert len(filt.partitions[2].blocks) == 2
         assert ftap_verdict(model).kind == "NO_ARBITRAGE"
 
-    def test_noise_spec_is_rejected_here(self, two_theta):
-        noisy = ObservationSpec(noise=NoiseSpec((F(1, 10), F(-1, 10)), (F(1, 2), F(1, 2))))
-        with pytest.raises(ValueError):
-            build_product_market(two_theta, PRICES, noisy)
-
-
 class TestMixtureMarket:
     def test_degenerate_prior(self):
         setup = BayesSetup(PATHS, PATH_FILT, ("only",), (1,), ((F(1, 4),) * 4,))
@@ -129,6 +123,25 @@ class TestMixtureMarket:
         mixture = build_mixture_market(two_theta, PRICES)
         with pytest.raises(ValueError):
             posterior(two_theta, mixture, F(1, 2))
+
+    def test_pruning_a_path_of_zero_mass(self):
+        # "dd" has mass 0 under both parameters; "du" keeps its price after
+        # 1/2, so the three paths left carry no arbitrage
+        setup = BayesSetup(
+            PATHS, PATH_FILT, ("a", "b"), (F(1, 3), F(2, 3)),
+            ((F(1, 2), F(1, 4), F(1, 4), 0), (F(1, 3), F(1, 3), F(1, 3), 0)),
+        )
+        prices = {"s": [(1,) * 4, (2, 2, F(1, 2), F(1, 2)), (4, 1, F(1, 2), F(1, 4))]}
+        model = build_mixture_market(setup, prices)
+        assert model.space.outcomes == ("uu", "ud", "du")
+        assert model.space.probs == (F(7, 18), F(11, 36), F(11, 36))
+        assert model.big_filtration.partitions == (
+            part({0, 1, 2}), part({0, 1}, {2}), Partition.singletons(3),
+        )
+        assert [rv.values for rv in model.price_path("s")] == [
+            (1, 1, 1), (2, 2, F(1, 2)), (4, 1, F(1, 2)),
+        ]
+        assert ftap_verdict(model).kind == "NO_ARBITRAGE"
 
 
 class TestPosterior:
@@ -275,6 +288,11 @@ class TestUncertainPrice:
         noisy_call, _ = superreplicate(noisy, call)
         assert noisy_call.price > base_call.price
         assert base_call.price == F(1, 3)
+
+    def test_price_rows_must_match_the_base(self):
+        longer = {"s": [(1, 1, 99), (2, F(1, 2), 99)]}
+        with pytest.raises(ValueError, match="asset s has prices on the wrong path space"):
+            build_uncertain_price(self.space, self.filt, longer, self.noise)
 
     def test_biased_noise_warns(self):
         biased = NoiseSpec((F(1, 10),), (1,), times=(1,))

@@ -528,6 +528,17 @@ class TestMalformedScenarios:
         assert code == (EXIT_INVALID if message.startswith("invalid") else EXIT_PARSE)
         assert err.startswith(message) and err.count("\n") == 1
 
+    def test_noise_price_rows_longer_than_the_base(self, capsys, tmp_path, scenario_path):
+        doc = json.loads(Path(scenario_path("noisy_price")).read_text())
+        for row in doc["noise"]["prices"]["stock"]:
+            row.append("99")
+        longer = tmp_path / "longer.json"
+        longer.write_text(json.dumps(doc))
+        assert main(["validate", str(longer)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "scenario error: noise: asset stock has prices on the wrong path space\n"
+        )
+
     @settings(
         max_examples=150,
         deadline=None,

@@ -13,6 +13,7 @@ from platonic import (
     EQ,
     GE,
     FiniteSpace,
+    FloatModeError,
     Filtration,
     InvalidModelError,
     LinearProgram,
@@ -289,6 +290,21 @@ class TestFloatMode:
         assert abs(v.measure.q_values[0] - 1 / 3) < 1e-9
         assert max(abs(r) for r in v.measure.verification) <= 1e-9
 
+
+    @pytest.mark.parametrize("to_float,failure", [
+        (True, FloatModeError), (False, ftap.FtapInconsistencyError),
+    ])
+    def test_refused_measure_raises(self, monkeypatch, binomial, to_float, failure):
+        """A dual measure that fails its check ends the verdict: a float one
+        gives no certified answer, an exact one breaks the dichotomy."""
+        model = as_float_model(binomial) if to_float else binomial
+        monkeypatch.setattr(ftap, "checked_measure", lambda *args: None)
+        ftap._arbitrage_lp.cache_clear()
+        try:
+            with pytest.raises(failure):
+                ftap_verdict(model)
+        finally:
+            ftap._arbitrage_lp.cache_clear()  # drop the verdicts of the patched check
 
 def _measure_holds(q, model, mode, tol, full_support=True):
     """q is a (full-support) probability vector killing (free) or dominating

@@ -1,9 +1,13 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and the benchmark's
+tracer finds every function it wraps."""
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "platonic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "platonic"
 
 
 def test_imports_are_stdlib_or_platonic():
@@ -23,3 +27,21 @@ def test_imports_are_stdlib_or_platonic():
                 if top != "platonic" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_tracer_names_resolve_to_functions():
+    """Every name in ``perfbench/tracer.py``'s ``TRACED`` is a function of
+    its ``platonic`` module. The table is read from the file's source, which
+    is neither imported nor changed."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in ast.literal_eval(table).items()
+        for name in names
+        if not inspect.isfunction(getattr(importlib.import_module(f"platonic.{module}"), name, None))
+    ]
+    assert missing == []
