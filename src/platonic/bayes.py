@@ -84,6 +84,8 @@ class NoiseSpec:
         object.__setattr__(self, "probs", tuple(self.probs))
         if self.times is not None:
             object.__setattr__(self, "times", tuple(parse_number(t) for t in self.times))
+            if len(set(self.times)) != len(self.times):
+                raise ValueError("noise times must be distinct")
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("noise needs matching nonempty values and probs")
         if any(p <= 0 for p in self.probs) or sum(self.probs) != 1:
@@ -446,6 +448,8 @@ def build_uncertain_price(
     """
     if observe not in ("base", "noisy"):
         raise ValueError("observe must be 'base' or 'noisy'")
+    if base_filtration.n_outcomes != space.size:
+        raise ValueError("base filtration lives on a different space")
     if noise.mean != 0:
         warnings.warn(f"noise mean is {noise.mean}, not zero", stacklevel=2)
     grid = base_filtration.times

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
@@ -36,7 +37,9 @@ from .lpsolve import (
     enumerate_vertices,
     solve,
 )
-from .market import MarketModel, claim_arithmetic, combine, generator_matrix, outcome_rows
+from .market import (
+    CACHE_SIZE, MarketModel, claim_arithmetic, combine, generator_matrix, outcome_rows,
+)
 from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
 
@@ -155,12 +158,24 @@ def superreplicate(
     optimizer of the claim's expectation over the measure polytope. The
     measure is checked against the generators, and the duality gap and
     complementary slackness with the hedge are checked, exactly in exact mode.
+
+    Answers are cached per model, claim, arithmetic of the question, mode
+    and tolerance, so the upper hedge of a price interval that follows a
+    free superhedge of the same claim is not solved again. A cached answer
+    is one that passed every check above; a refusal is not cached.
     """
     claim = as_random_variable(claim)
+    return _superhedge(model, claim, claim_arithmetic(model, claim), mode, tol)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _superhedge(
+    model: MarketModel, claim: RandomVariable, arithmetic: str, mode: str, tol: Num | None
+) -> tuple[HedgeCertificate, MeasureCertificate]:
     kind = "martingale" if mode == "free" else "supermartingale"
     _measure_or_refuse(model, mode, tol)
-    lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
-    gens, cols = generator_matrix(model, mode)
+    lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
+    _gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
     if len(claim) != n:
         raise ValueError("claim lives on a different space")

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 
+import platonic
 from _factories import random_claim, random_market
 from platonic import lpsolve
 
@@ -19,6 +22,33 @@ def cold_float_slot():
     """Each test starts with no stored float basis, so a pivot count does
     not depend on the tests that ran before it."""
     lpsolve._last_optimum = None
+
+
+@pytest.fixture(scope="session")
+def model_caches():
+    """Every ``functools.lru_cache`` function defined in a ``platonic``
+    module: the model-keyed caches, found without a hand-kept list."""
+    found = []
+    for info in pkgutil.iter_modules(platonic.__path__):
+        module = importlib.import_module(f"platonic.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+    return found
+
+
+@pytest.fixture
+def cold_caches(model_caches):
+    """Empties every model-keyed cache before and after the test; call the
+    returned function to empty them again, so that a count of solves or
+    pivots does not depend on the questions asked before it."""
+
+    def empty():
+        for cache in model_caches:
+            cache.cache_clear()
+
+    empty()
+    yield empty
+    empty()
 
 
 @pytest.fixture(scope="session")

@@ -294,6 +294,17 @@ class TestUncertainPrice:
         with pytest.raises(ValueError, match="asset s has prices on the wrong path space"):
             build_uncertain_price(self.space, self.filt, longer, self.noise)
 
+    def test_base_filtration_must_live_on_the_space(self):
+        three = Filtration((0, 1), (part({0, 1, 2}), part({0}, {1}, {2})))
+        with pytest.raises(ValueError, match="base filtration lives on a different space"):
+            build_uncertain_price(self.space, three, self.prices, self.noise)
+
+    def test_repeated_noise_times_are_rejected(self):
+        with pytest.raises(ValueError, match="noise times must be distinct"):
+            NoiseSpec((F(1, 10), F(-1, 10)), (F(1, 2), F(1, 2)), times=(1, 1))
+        with pytest.raises(ValueError, match="noise times must be distinct"):
+            NoiseSpec((0,), (1,), times=("1/2", F(1, 2)))
+
     def test_biased_noise_warns(self):
         biased = NoiseSpec((F(1, 10),), (1,), times=(1,))
         with warnings.catch_warnings(record=True) as caught:

@@ -35,7 +35,7 @@ from platonic import (
     superreplicate,
     wealth_process,
 )
-from platonic import ftap, market, numeric
+from platonic import ftap, numeric
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
@@ -294,17 +294,13 @@ class TestFloatMode:
     @pytest.mark.parametrize("to_float,failure", [
         (True, FloatModeError), (False, ftap.FtapInconsistencyError),
     ])
-    def test_refused_measure_raises(self, monkeypatch, binomial, to_float, failure):
+    def test_refused_measure_raises(self, monkeypatch, binomial, cold_caches, to_float, failure):
         """A dual measure that fails its check ends the verdict: a float one
         gives no certified answer, an exact one breaks the dichotomy."""
         model = as_float_model(binomial) if to_float else binomial
         monkeypatch.setattr(ftap, "checked_measure", lambda *args: None)
-        ftap._arbitrage_lp.cache_clear()
-        try:
-            with pytest.raises(failure):
-                ftap_verdict(model)
-        finally:
-            ftap._arbitrage_lp.cache_clear()  # drop the verdicts of the patched check
+        with pytest.raises(failure):
+            ftap_verdict(model)
 
 def _measure_holds(q, model, mode, tol, full_support=True):
     """q is a (full-support) probability vector killing (free) or dominating
@@ -372,14 +368,13 @@ def test_cached_arithmetic_survives_copies():
     assert _numbers(ftap_verdict(fm).measure.q_values) == {float}
 
 
-def test_cold_exact_verdict_reads_each_value_once(monkeypatch):
+def test_cold_exact_verdict_reads_each_value_once(monkeypatch, cold_caches):
     """A cold exact verdict decides its arithmetic from the cached
     ``model.arithmetic``: ``numeric.is_exact`` runs at most once per
     probability and price, however many layers ask."""
     model = binomial_tree(3, "delayed")
     values = model.n_outcomes * (1 + sum(len(path) for path in model.prices))
-    for cache in (ftap._arbitrage_lp, market._validate, market._generators):
-        cache.cache_clear()
+    cold_caches()
     calls = [0]
     inner = numeric.is_exact
 
@@ -394,10 +389,10 @@ def test_cold_exact_verdict_reads_each_value_once(monkeypatch):
 
 class TestSolvesPerQuestion:
     """The verdict solves one LP; superreplicate reuses it and solves one more,
-    and a price interval is two superhedges."""
+    and a price interval is two superhedges, each solved once per process."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
+    def solves(self, monkeypatch, cold_caches):
         import platonic.ftap
         import platonic.hedging
 
@@ -456,7 +451,7 @@ class TestSolvesPerQuestion:
         solves.clear()
         report = attainability_set_check(m, claim)
         assert report.consistent and report.zero_width == replicable
-        assert solves == ["platonic.hedging"] * 4
+        assert solves == ["platonic.hedging"] * 2  # the cone tests; the interval is cached
 
 
 class TestVerdictAgainstMeasureSearch:

@@ -26,7 +26,7 @@ from platonic import (
     solve,
     superreplicate,
 )
-from platonic import as_float_model, lpsolve
+from platonic import as_float_model, hedging, lpsolve
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.scenario import parse_scenario
@@ -145,6 +145,56 @@ class TestSuperreplicate:
         assert checked_measure(dual.q_values, cols, kind, tol) is not None
         assert abs(hedge.price - sum(q * c for q, c in zip(dual.q_values, claim))) <= tol
         assert all(v >= -tol for v in hedge.consumption)
+
+
+class TestAnswerCache:
+    """Each superhedge is solved once per process: a repeated question is
+    answered from the cache, in its own arithmetic, and a refusal is asked
+    again every time."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch, cold_caches):
+        calls = []
+        inner = hedging.solve
+
+        def solve(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "solve", solve)
+        return calls
+
+    def test_interval_after_superhedge_solves_one_lp(self, solves, delayed_canonical):
+        claim = (3, 0, 1, 0)
+        hedge, _dual = superreplicate(delayed_canonical, claim)
+        assert len(solves) == 1
+        interval = price_interval(delayed_canonical, claim)
+        assert len(solves) == 2  # the lower hedge; the upper one is the cached superhedge
+        assert interval.upper == hedge.price
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_equal_claims_keep_their_arithmetic(self, solves, binomial, float_first):
+        exact_claim, float_claim = (F(1, 2), F(1, 4)), (0.5, 0.25)
+        assert RandomVariable(exact_claim) == RandomVariable(float_claim)
+        claims = [float_claim, exact_claim] if float_first else [exact_claim, float_claim]
+        answers = [superreplicate(binomial, claim) for claim in claims]
+        exact, approx = answers[::-1] if float_first else answers
+        assert len(solves) == 2
+        assert float not in {type(v) for v in _numbers(exact)}
+        assert F not in {type(v) for v in _numbers(approx)}
+        assert type(exact[0].price) is F and type(approx[0].price) is float
+
+    def test_arbitrage_refusal_is_not_cached(self, solves):
+        space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
+        big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
+        model = build_market(space, big, {"s": [(1, 1), (2, 2)]})
+        for _ in range(3):
+            with pytest.raises(UnpricedMarketError):
+                superreplicate(model, (1, 0))
+            with pytest.raises(UnpricedMarketError):
+                price_interval(model, (1, 0))
+        assert solves == []
+        assert hedging._superhedge.cache_info().currsize == 0
 
 
 class TestPriceInterval:

@@ -454,20 +454,21 @@ GOLDEN = sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "sce
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
-def test_golden_verdicts_take_the_float_basis(stages, path):
+def test_golden_verdicts_take_the_float_basis(stages, path, cold_caches):
     """Every exact solve of a golden scenario certifies its float basis and
     pivots in no rational: the verdicts, each claim's superhedges (free and
-    long-only) and its price interval, two superhedges."""
+    long-only) and its price interval, two superhedges of which the upper
+    one is the cached free superhedge. A claim equal to an earlier one is
+    answered from the cache."""
     scenario = parse_scenario(str(path))
     model = scenario.model
-    ftap._arbitrage_lp.cache_clear()
     for mode in ("free", "long_only"):
         ftap_verdict(model, mode)
         for claim in scenario.claims.values():
             superreplicate(model, claim, mode)
     for claim in scenario.claims.values():
         price_interval(model, claim)
-    assert stages == [("float", True)] * (2 + 4 * len(scenario.claims))  # no exact pivot
+    assert stages == [("float", True)] * (2 + 3 * len(set(scenario.claims.values())))  # no exact pivot
 
 
 @pytest.fixture
@@ -486,15 +487,16 @@ def pivots(monkeypatch):
 
 
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
-def test_golden_pivot_counts(pivots, arithmetic):
+def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     """Simplex steps of every golden-scenario verdict and superhedge, free
     and long-only: basis changes (``_do_pivot``) plus bound flips
     (``_flip``), a deterministic counter that moves with the pricing rule,
     the start basis and the bound handling. Exact answers take the float
     basis here. Float mode pivots less: a superhedge that follows one of
     the same matrix starts from its optimal basis where that stays
-    feasible."""
-    ftap._arbitrage_lp.cache_clear()
+    feasible. ``free_lunch_3``'s second claim equals its first, so both of
+    its superhedges come from the cache and pivot none (4 exact pivots
+    each when solved)."""
     for path in GOLDEN:
         scenario = parse_scenario(str(path))
         model = scenario.model if arithmetic == "exact" else as_float_model(scenario.model)
@@ -502,7 +504,7 @@ def test_golden_pivot_counts(pivots, arithmetic):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"_do_pivot": {"exact": 168, "float": 122}[arithmetic], "_flip": 0}
+    assert pivots == {"_do_pivot": {"exact": 160, "float": 122}[arithmetic], "_flip": 0}
 
 
 def _hedge_like(b1=4, b2=9, upper_x=3, lower_y=0, cost_x=3, a_22=3):
@@ -583,7 +585,7 @@ class TestWarmFloatBasis:
         assert sol.x == (3, 1.5)
 
 
-def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch):
+def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch, cold_caches):
     """The long-only arbitrage LP of the 7-step tree is degenerate at every
     step (its optimum is 0 at the start vertex). Dantzig pricing ends it in
     215 steps; the Bland guard waits as many steps as the problem has rows
@@ -598,13 +600,12 @@ def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch):
 
     monkeypatch.setattr(lpsolve, "_do_pivot", spy)
     model = as_float_model(binomial_tree(7))
-    ftap._arbitrage_lp.cache_clear()
     assert ftap_verdict(model, "long_only").kind == "NO_ARBITRAGE"
     assert count[0] == 215
 
 
 @pytest.mark.parametrize("mode", ["free", "long_only"])
-def test_standard_form_shape(monkeypatch, mode):
+def test_standard_form_shape(monkeypatch, mode, cold_caches):
     """Columns stay whole and bounds take no row. On an n-outcome model with
     k generators, the arbitrage LP has n rows and k + n caller columns plus
     a slack per row and no artificial; the superhedge LP has n rows and
@@ -619,7 +620,6 @@ def test_standard_form_shape(monkeypatch, mode):
     monkeypatch.setattr(lpsolve, "_standard_form", spy)
     model = binomial_tree(3)
     n, k = model.n_outcomes, len(generator_matrix(model, mode)[1])
-    ftap._arbitrage_lp.cache_clear()
     ftap_verdict(model, mode)
     superreplicate(model, [F(w) for w in range(n)], mode)
     arbitrage, hedge = forms
@@ -646,7 +646,7 @@ def test_column_outside_the_objective_is_rejected(row):
         lp([1] * 4, "max", [(row, LE, 1)])
 
 
-def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch):
+def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch, cold_caches):
     """The arbitrage LP of the 8-step tree (256 outcomes, 255 generators)
     stores 2,304 coefficients: 8 generator entries and the gain's -1 per
     outcome row, not 256 dense rows of 511 entries."""
@@ -658,13 +658,12 @@ def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch):
         return inner(problem, *args)
 
     monkeypatch.setattr(ftap, "solve", spy)
-    ftap._arbitrage_lp.cache_clear()
     assert ftap_verdict(binomial_tree(8)).kind == "NO_ARBITRAGE"
     assert stored == [2304]
 
 
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
-def test_superhedges_run_no_phase_1(monkeypatch, arithmetic):
+def test_superhedges_run_no_phase_1(monkeypatch, arithmetic, cold_caches):
     """Every golden superhedge, free and long-only, starts at the cash hedge:
     its LP has no artificial, so the simplex never enters phase 1 (a pivot
     loop that runs before the phase-2 cost row exists)."""

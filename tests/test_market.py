@@ -19,7 +19,7 @@ from platonic import (
     validate,
     wealth_process,
 )
-from platonic import _linalg, market
+from platonic import _linalg
 
 
 def part(*blocks):
@@ -195,7 +195,7 @@ class TestGenerators:
         assert all(not g.one_sided for g in free)
         assert all(g.one_sided for g in long_only)
 
-    def test_each_price_move_subtracted_once(self, monkeypatch):
+    def test_each_price_move_subtracted_once(self, monkeypatch, cold_caches):
         """A price move ``S_{k+1} - S_k`` is computed once per (asset, step),
         not once per admissible set that holds the asset: a deterministic
         counter on a union-closed family of three sets."""
@@ -219,7 +219,7 @@ class TestGenerators:
             return inner(self, other)
 
         monkeypatch.setattr(RandomVariable, "__sub__", spy)
-        market._generators.cache_clear()
+        cold_caches()
         assert len(enumerate_generators(model)) == 4  # c's move at 1/2 repeats one of s's
         assert len(moves) == 2 * 2  # assets times steps
         assert {(id(a), id(b)) for a, b in moves} == {

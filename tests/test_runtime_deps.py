@@ -1,10 +1,12 @@
 """The package runs on the standard library alone, and the benchmark's
-tracer finds every function it wraps."""
+tracer finds every function it wraps; every cache is bounded."""
 import ast
 import importlib
 import inspect
 import sys
 from pathlib import Path
+
+from platonic import market
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "platonic"
@@ -45,3 +47,11 @@ def test_tracer_names_resolve_to_functions():
         if not inspect.isfunction(getattr(importlib.import_module(f"platonic.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_cache_is_bounded(model_caches):
+    """Every ``lru_cache`` function of a ``platonic`` module keeps at most
+    ``market.CACHE_SIZE`` entries, so a long-lived process stays bounded."""
+    assert model_caches
+    sizes = {f"{cache.__module__}.{cache.__name__}": cache.cache_info().maxsize for cache in model_caches}
+    assert sizes == dict.fromkeys(sizes, market.CACHE_SIZE)
