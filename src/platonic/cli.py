@@ -1,8 +1,9 @@
 """Command-line front end: scenario ingestion, command dispatch and
 machine-readable reports.
 
-Exit codes: 0 success, 1 unparseable scenario (or an asset set it does not
-admit, or a ``project --measure`` file that is not a measure), 2 model fails
+Exit codes: 0 success, 1 unparseable scenario (or a scenario or ``--out``
+file that cannot be read or written, an asset set it does not admit, or a
+``project --measure`` file that is not a measure), 2 model fails
 validation, 3 a certificate failed its check (internal inconsistency, or a
 ``project --measure`` measure that fails the projection check), 4 no
 certified answer (the market admits arbitrage, the float backend refused,
@@ -100,24 +101,20 @@ def _print_report(report: dict, as_json: bool) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _finish(report: dict, args) -> None:
-    started = getattr(args, "_started", None)
-    report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3) if started else 0.0
-    _print_report(report, args.json)
-
-
 def _load(args) -> tuple[Scenario, dict]:
+    """The scenario in the arithmetic asked for and the report header; sets
+    ``args.tol`` to the questions' tolerance, None for exact questions."""
     scenario = parse_scenario(args.scenario)
-    claims = dict(scenario.claims)
     if args.float_mode:
         scenario.model = as_float_model(scenario.model)
-        claims = {k: RandomVariable(tuple(float(v) for v in rv)) for k, rv in claims.items()}
-        scenario.claims = claims
+        scenario.claims = {k: RandomVariable(tuple(float(v) for v in rv)) for k, rv in scenario.claims.items()}
+    else:
+        args.tol = None
     return scenario, {
         "command": args.command,
         "scenario": scenario.name,
         "mode": "float" if args.float_mode else "exact",
-        "tol": args.tol if args.float_mode else "0",
+        "tol": "0" if args.tol is None else args.tol,
         "seed": args.seed,
     }
 
@@ -139,23 +136,16 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: need a finite number >= 0") from None
 
 
-def _tol_arg(args):
-    return args.tol if args.float_mode else None
-
-
-def cmd_validate(args) -> int:
-    scenario, report = _load(args)
+def cmd_validate(args, scenario: Scenario, report: dict) -> int | None:
     violations = validate(scenario.model)
     report["violations"] = violations
     report["valid"] = not violations
-    _finish(report, args)
-    return EXIT_OK if not violations else EXIT_INVALID
+    return EXIT_INVALID if violations else None
 
 
-def cmd_ftap(args) -> int:
-    scenario, report = _load(args)
+def cmd_ftap(args, scenario: Scenario, report: dict) -> None:
     mode = "long_only" if args.long_only else "free"
-    verdict = ftap_verdict(scenario.model, mode, _tol_arg(args))
+    verdict = ftap_verdict(scenario.model, mode, args.tol)
     report["strategy_mode"] = mode
     report["verdict"] = verdict.kind
     if verdict.measure is not None:
@@ -178,8 +168,6 @@ def cmd_ftap(args) -> int:
                 for leg in cert.strategy.legs
             ],
         }
-    _finish(report, args)
-    return EXIT_OK
 
 
 def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
@@ -201,38 +189,30 @@ def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
     return MeasureCertificate(q_values=q, kind=kind, min_mass=min(q), verification=())
 
 
-def cmd_project(args) -> int:
-    scenario, report = _load(args)
+def cmd_project(args, scenario: Scenario, report: dict) -> None:
     asset_set = frozenset(args.set.split(","))
     if asset_set not in scenario.model.admissible_sets:
         admissible = "; ".join(",".join(sorted(s)) for s in scenario.model.admissible_sets)
         raise ScenarioError(f"--set {args.set}: not an admissible asset set (admissible: {admissible})")
     if args.measure == "search":
-        cert = find_measure(scenario.model, "martingale", _tol_arg(args))
+        cert = find_measure(scenario.model, "martingale", args.tol)
         if cert is None:
             raise UnpricedMarketError("the market admits arbitrage: no martingale measure to project with")
     else:
         cert = _measure_file(args.measure, scenario.model)
-    try:
-        projected = project_prices(scenario.model, cert, asset_set, _tol_arg(args))
-    except (ZeroMassBlock, ProjectionError) as exc:
-        print(f"measure check failed: --measure {args.measure}: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    projected = project_prices(scenario.model, cert, asset_set, args.tol)
     report["asset_set"] = sorted(asset_set)
     report["measure"] = _measure_doc(cert, scenario.model) if cert.verification else {"kind": cert.kind}
     report["projections"] = {
         asset: [ _fmt(list(rv)) for rv in path ] for asset, path in projected.items()
     }
     report["times"] = _fmt(list(scenario.model.times))
-    _finish(report, args)
-    return EXIT_OK
 
 
-def cmd_superhedge(args) -> int:
-    scenario, report = _load(args)
+def cmd_superhedge(args, scenario: Scenario, report: dict) -> None:
     mode = "long_only" if args.long_only else "free"
     claim = _claim(scenario, args.claim)
-    hedge, dual = hedging.superreplicate(scenario.model, claim, mode, _tol_arg(args))
+    hedge, dual = hedging.superreplicate(scenario.model, claim, mode, args.tol)
     gap = hedge.price - sum(q * v for q, v in zip(dual.q_values, claim))
     report["strategy_mode"] = mode
     report["claim"] = args.claim
@@ -241,14 +221,11 @@ def cmd_superhedge(args) -> int:
     report["consumption"] = _fmt(list(hedge.consumption))
     report["duality_gap"] = _fmt(gap)
     report["dual_measure"] = _measure_doc(dual, scenario.model)
-    _finish(report, args)
-    return EXIT_OK
 
 
-def cmd_interval(args) -> int:
-    scenario, report = _load(args)
+def cmd_interval(args, scenario: Scenario, report: dict) -> None:
     claim = _claim(scenario, args.claim)
-    interval = hedging.price_interval(scenario.model, claim, tol=_tol_arg(args))
+    interval = hedging.price_interval(scenario.model, claim, tol=args.tol)
     report["claim"] = args.claim
     report["lower"] = _fmt(interval.lower)
     report["upper"] = _fmt(interval.upper)
@@ -266,12 +243,9 @@ def cmd_interval(args) -> int:
                 "eta": _fmt(witness.eta),
                 "full_support_value_within_eta": _fmt(witness.achieved),
             }
-    _finish(report, args)
-    return EXIT_OK
 
 
-def cmd_check_duality(args) -> int:
-    scenario, report = _load(args)
+def cmd_check_duality(args, scenario: Scenario, report: dict) -> None:
     model = scenario.model
     checks: dict = {}
     if model.n_outcomes <= 6:
@@ -287,41 +261,35 @@ def cmd_check_duality(args) -> int:
         checks["polar_cone"] = "skipped (more than 6 outcomes)"
     per_claim = {}
     for name, claim in sorted(scenario.claims.items()):
-        hedge, dual = hedging.superreplicate(model, claim, "free", _tol_arg(args))
-        attain = hedging.attainability_set_check(model, claim, _tol_arg(args))
+        hedge, dual = hedging.superreplicate(model, claim, "free", args.tol)
+        attain = hedging.attainability_set_check(model, claim, args.tol)
+        dual_value = sum(q * v for q, v in zip(dual.q_values, claim))
         per_claim[name] = {
             "price": _fmt(hedge.price),
-            "dual_value": _fmt(sum(q * v for q, v in zip(dual.q_values, claim))),
-            "gap": _fmt(hedge.price - sum(q * v for q, v in zip(dual.q_values, claim))),
+            "dual_value": _fmt(dual_value),
+            "gap": _fmt(hedge.price - dual_value),
             "attainability_tests_agree": attain.consistent,
             "replicable": attain.zero_width,
         }
     checks["claims"] = per_claim
     report["checks"] = checks
-    _finish(report, args)
-    return EXIT_OK
 
 
-def cmd_bayes_build(args) -> int:
-    scenario, report = _load(args)
+def cmd_bayes_build(args, scenario: Scenario, report: dict) -> None:
     doc = serialize_model(scenario.model, scenario.claims, name=scenario.name + "-built")
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True))
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True))
+        except OSError as exc:
+            raise ScenarioError(f"--out {args.out}: {exc}") from None
         report["written"] = str(args.out)
     else:
         report["scenario"] = doc
     report["outcomes"] = len(scenario.model.space.outcomes)
-    _finish(report, args)
-    return EXIT_OK
 
 
-def cmd_experiment_free_lunch(args) -> int:
-    report = {
-        "command": "experiment free-lunch",
-        "mode": "exact",
-        "seed": args.seed,
-        "max_n": args.max_n,
-    }
+def cmd_experiment_free_lunch(args, scenario: None, report: dict) -> None:
+    report.update(command="experiment free-lunch", mode="exact", seed=args.seed, max_n=args.max_n)
     rows = bayes.free_lunch_sweep(args.max_n)
     report["rows"] = [
         {
@@ -337,8 +305,6 @@ def cmd_experiment_free_lunch(args) -> int:
     gaps = [r["gap"] for r in rows]
     report["gap_strictly_decreasing"] = all(a > b for a, b in zip(gaps, gaps[1:]))
     report["all_no_arbitrage"] = all(r["verdict"] == "NO_ARBITRAGE" for r in rows)
-    _finish(report, args)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_scenario=True):
-        if needs_scenario:
+    def command(subparsers, name, func, help, scenario=True):
+        """A subcommand with the shared flags, run by ``_run`` through ``func``."""
+        p = subparsers.add_parser(name, help=help)
+        if scenario:
             p.add_argument("scenario", help="path to a scenario JSON file")
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", dest="float_mode", action="store_false", default=False,
@@ -361,50 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="json", action="store_true", default=True)
         fmt.add_argument("--table", dest="json", action="store_false")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="report model invariant violations")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("ftap", help="arbitrage verdict with certificate")
-    common(p)
+    command(sub, "validate", cmd_validate, "report model invariant violations")
+    p = command(sub, "ftap", cmd_ftap, "arbitrage verdict with certificate")
     p.add_argument("--long-only", action="store_true")
-    p.set_defaults(func=cmd_ftap)
-
-    p = sub.add_parser("project", help="project prices onto a trading filtration")
-    common(p)
+    p = command(sub, "project", cmd_project, "project prices onto a trading filtration")
     p.add_argument("--set", required=True, help="comma-separated asset ids")
     p.add_argument("--measure", default="search", help="'search' or a report JSON with a measure")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("superhedge", help="superreplication price and hedge")
-    common(p)
+    p = command(sub, "superhedge", cmd_superhedge, "superreplication price and hedge")
     p.add_argument("--claim", required=True)
     p.add_argument("--long-only", action="store_true")
-    p.set_defaults(func=cmd_superhedge)
-
-    p = sub.add_parser("interval", help="dual price interval and attainability")
-    common(p)
+    p = command(sub, "interval", cmd_interval, "dual price interval and attainability")
     p.add_argument("--claim", required=True)
-    p.set_defaults(func=cmd_interval)
+    command(sub, "check-duality", cmd_check_duality, "polar cone and strong duality checks")
 
-    p = sub.add_parser("check-duality", help="polar cone and strong duality checks")
-    common(p)
-    p.set_defaults(func=cmd_check_duality)
-
-    pb = sub.add_parser("bayes", help="scenario builders")
-    bsub = pb.add_subparsers(dest="bayes_command", required=True)
-    p = bsub.add_parser("build", help="materialize a builder scenario to a plain one")
-    common(p)
+    bsub = sub.add_parser("bayes", help="scenario builders").add_subparsers(dest="bayes_command", required=True)
+    p = command(bsub, "build", cmd_bayes_build, "materialize a builder scenario to a plain one")
     p.add_argument("--out", help="write the built scenario to this file")
-    p.set_defaults(func=cmd_bayes_build)
 
-    pe = sub.add_parser("experiment", help="built-in experiments")
-    esub = pe.add_subparsers(dest="experiment_command", required=True)
-    p = esub.add_parser("free-lunch", help="near-free-lunch truncation sweep")
-    common(p, needs_scenario=False)
+    esub = sub.add_parser("experiment", help="built-in experiments").add_subparsers(
+        dest="experiment_command", required=True)
+    p = command(esub, "free-lunch", cmd_experiment_free_lunch, "near-free-lunch truncation sweep",
+                scenario=False)
     p.add_argument("--max-n", type=int, default=8)
-    p.set_defaults(func=cmd_experiment_free_lunch)
 
     return parser
 
@@ -415,30 +364,37 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args._started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         return _run(args)
 
 
 def _run(args) -> int:
+    """Load the scenario, let the command fill the report and print it: the
+    one place where an exception becomes an exit code. A command returns a
+    code only when it is part of its result (``validate``'s exit 2)."""
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        scenario, report = _load(args) if "scenario" in vars(args) else (None, {})
+        code = args.func(args, scenario, report)
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidModelError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (ZeroMassBlock, ProjectionError) as exc:
+        print(f"measure check failed: --measure {args.measure}: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except FtapInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (UnpricedMarketError, FloatModeError, DimensionGuardError) as exc:
         print(f"no certified answer: {exc}", file=sys.stderr)
         return EXIT_NO_ANSWER
+    report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    _print_report(report, args.json)
+    return code or EXIT_OK
 
 
 if __name__ == "__main__":

@@ -295,9 +295,13 @@ def parse_scenario(source: str | Path | dict) -> Scenario:
         path = Path(source)
         name = path.stem
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
+        except OSError as exc:
+            raise ScenarioError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     version = doc.get("schema_version")
@@ -318,14 +322,12 @@ def parse_scenario(source: str | Path | dict) -> Scenario:
     claims_doc = doc.get("claims", {})
     if not isinstance(claims_doc, dict):
         raise ScenarioError("claims: expected an object of named claims")
-    if "options" in doc:
-        for cname, raw in claims_doc.items():
-            claims.setdefault(cname, _claim_values(raw, model, f"claims.{cname}"))
-        with _section("options"):
-            model = _apply_options(model, doc, claims)
     for cname, raw in claims_doc.items():
         if cname not in claims:
             claims[cname] = _claim_values(raw, model, f"claims.{cname}")
+    if "options" in doc:
+        with _section("options"):
+            model = _apply_options(model, doc, claims)
     return Scenario(name=name, model=model, claims=claims, raw=doc)
 
 
@@ -345,14 +347,10 @@ def serialize_model(model: MarketModel, claims: Mapping[str, RandomVariable] | N
     named = {}
     trading = {}
     for aset, filt in zip(model.admissible_sets, model.trading_filtrations):
-        key = ",".join(sorted(aset))
-        fname = f"filtration_{len(named)}"
-        for existing, fdoc in named.items():
-            if fdoc == filtration_doc(filt):
-                fname = existing
-                break
-        named[fname] = filtration_doc(filt)
-        trading[key] = fname
+        fdoc = filtration_doc(filt)
+        fname = next((name for name, seen in named.items() if seen == fdoc), f"filtration_{len(named)}")
+        named[fname] = fdoc
+        trading[",".join(sorted(aset))] = fname
     doc = {
         "schema_version": SCHEMA_VERSION,
         "space": {

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from platonic.cli import (
     EXIT_NO_ANSWER,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
 from platonic.scenario import parse_scenario, serialize_model
@@ -63,6 +66,41 @@ class TestFtapCommand:
         assert code == 0
         assert report["mode"] == "float"
         assert abs(report["measure"]["q"]["up"] - 1 / 3) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_arbitrage_section(self, capsys, tmp_path, scenario_path, mode):
+        """The certificate of a market with arbitrage: a nonnegative,
+        somewhere-positive gain, nonnegative consumption, and legs whose
+        holdings times price moves add up to gain plus consumption."""
+        path = TestNoCertifiedAnswer._arbitrage_scenario(tmp_path, scenario_path)
+        code, report = run(capsys, "ftap", path, mode)
+        assert code == EXIT_OK
+        assert report["verdict"] == "ARBITRAGE" and "measure" not in report
+        num = Fraction if mode == "--exact" else float
+        arb = report["arbitrage"]
+        gain = [num(v) for v in arb["terminal_gain"]]
+        consumption = [num(v) for v in arb["consumption"]]
+        assert min(gain) >= 0 and max(gain) > 0
+        assert min(consumption) >= 0
+
+        doc = json.loads(Path(path).read_text())
+        at = {Fraction(t): k for k, t in enumerate(doc["grid"])}
+        moved = [num(0)] * len(gain)
+        for leg in arb["legs"]:
+            start, end = at[Fraction(leg["from"])], at[Fraction(leg["to"])]
+            for asset, holdings in leg["holdings"].items():
+                path_of = doc["assets"][asset]
+                for o, h in enumerate(holdings):
+                    moved[o] += num(h) * (num(path_of[end][o]) - num(path_of[start][o]))
+        expected = [g + c for g, c in zip(gain, consumption)]
+        if mode == "--exact":
+            assert moved == expected
+        else:
+            assert moved == pytest.approx(expected, abs=1e-9)
+
+        code, table = run(capsys, "ftap", path, mode, "--table")
+        assert code == EXIT_OK
+        assert "verdict: ARBITRAGE" in table.splitlines()
 
 
 class TestSuperhedgeCommand:
@@ -135,6 +173,24 @@ class TestValidateCommand:
 
     def test_missing_file_exit_code(self):
         assert main(["validate", "/nonexistent/nowhere.json"]) == 1
+
+
+@pytest.mark.parametrize("case", ["scenario is a directory", "scenario is not UTF-8", "--out is a directory"])
+def test_file_level_inputs_end_in_one_line(tmp_path, scenario_path, case):
+    """A scenario or ``--out`` file that cannot be read or written: exit 1
+    and one ``scenario error:`` line on the real stderr, no traceback."""
+    argv = {
+        "scenario is a directory": ("ftap", str(tmp_path)),
+        "scenario is not UTF-8": ("validate", str(tmp_path / "latin1.json")),
+        "--out is a directory": ("bayes", "build", scenario_path("two_theta"), "--out", str(tmp_path)),
+    }[case]
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    proc = run_process(*argv)
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("scenario error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 MEASURE = {"kind": "martingale", "q": {"up": "1/3", "down": "2/3"}}
@@ -560,3 +616,42 @@ class TestMalformedScenarios:
         value = data.draw(st.sampled_from((DROP,) + self.WRONG))
         assert self._validate(tmp_path, scenario_path, name, path, value) in self.DOCUMENTED
         capsys.readouterr()
+
+
+# Per subcommand: positional arguments, option strings in declaration order,
+# and the defaults of the shared and numeric flags.
+SHARED = ["-h", "--help", "--exact", "--float", "--tol", "--seed", "--json", "--table"]
+CLI_SURFACE = {
+    "validate": (["scenario"], SHARED),
+    "ftap": (["scenario"], SHARED + ["--long-only"]),
+    "project": (["scenario"], SHARED + ["--set", "--measure"]),
+    "superhedge": (["scenario"], SHARED + ["--claim", "--long-only"]),
+    "interval": (["scenario"], SHARED + ["--claim"]),
+    "check-duality": (["scenario"], SHARED),
+    "bayes build": (["scenario"], SHARED + ["--out"]),
+    "experiment free-lunch": ([], SHARED + ["--max-n"]),
+}
+CLI_DEFAULTS = {"--tol": 1e-9, "--seed": 0, "--measure": "search", "--max-n": 8}
+
+
+def _subcommands(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_cli_surface():
+    """Every subcommand keeps its arguments, flags and defaults."""
+    found = {}
+    for name, parser in _subcommands(build_parser()):
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        options = [o for a in parser._actions for o in a.option_strings]
+        found[name] = (positionals, options)
+        for action in parser._actions:
+            for option in set(action.option_strings) & set(CLI_DEFAULTS):
+                assert action.default == CLI_DEFAULTS[option], (name, option)
+    assert found == CLI_SURFACE
+
