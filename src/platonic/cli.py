@@ -25,24 +25,23 @@ import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import bayes, hedging
-from .ftap import (
+from .errors import (
+    DimensionGuardError,
+    FloatModeError,
     FtapInconsistencyError,
     InvalidModelError,
-    MeasureCertificate,
     ProjectionError,
-    find_measure,
-    ftap_verdict,
-    project_prices,
+    UnpricedMarketError,
 )
-from .hedging import UnpricedMarketError
-from .lpsolve import DimensionGuardError, FloatModeError
 from .market import MarketModel, as_float_model, validate
 from .numeric import format_number, pick_tol
 from .probspace import RandomVariable, ZeroMassBlock
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_model
+
+if TYPE_CHECKING:
+    from .ftap import MeasureCertificate
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -136,6 +135,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: need a finite number >= 0") from None
 
 
+def _positive_int(text: str) -> int:
+    """A ``--max-n`` value: a sweep over no truncation level has no rows to
+    check its claims on."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid value {text!r}: need an integer >= 1")
+
+
 def cmd_validate(args, scenario: Scenario, report: dict) -> int | None:
     violations = validate(scenario.model)
     report["violations"] = violations
@@ -144,6 +154,8 @@ def cmd_validate(args, scenario: Scenario, report: dict) -> int | None:
 
 
 def cmd_ftap(args, scenario: Scenario, report: dict) -> None:
+    from .ftap import ftap_verdict
+
     mode = "long_only" if args.long_only else "free"
     verdict = ftap_verdict(scenario.model, mode, args.tol)
     report["strategy_mode"] = mode
@@ -174,6 +186,8 @@ def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
     """The ``measure`` section of a report file (its ``kind`` and its ``q`` by
     outcome) as an unverified certificate; a :class:`ScenarioError` naming
     the file when it cannot be read as a (super)martingale measure."""
+    from .ftap import MeasureCertificate
+
     try:
         doc = json.loads(Path(path).read_text())["measure"]
         kind, q_doc = doc["kind"], doc["q"]
@@ -190,6 +204,8 @@ def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
 
 
 def cmd_project(args, scenario: Scenario, report: dict) -> None:
+    from .ftap import find_measure, project_prices
+
     asset_set = frozenset(args.set.split(","))
     if asset_set not in scenario.model.admissible_sets:
         admissible = "; ".join(",".join(sorted(s)) for s in scenario.model.admissible_sets)
@@ -210,6 +226,8 @@ def cmd_project(args, scenario: Scenario, report: dict) -> None:
 
 
 def cmd_superhedge(args, scenario: Scenario, report: dict) -> None:
+    from . import hedging
+
     mode = "long_only" if args.long_only else "free"
     claim = _claim(scenario, args.claim)
     hedge, dual = hedging.superreplicate(scenario.model, claim, mode, args.tol)
@@ -224,6 +242,8 @@ def cmd_superhedge(args, scenario: Scenario, report: dict) -> None:
 
 
 def cmd_interval(args, scenario: Scenario, report: dict) -> None:
+    from . import hedging
+
     claim = _claim(scenario, args.claim)
     interval = hedging.price_interval(scenario.model, claim, tol=args.tol)
     report["claim"] = args.claim
@@ -246,6 +266,8 @@ def cmd_interval(args, scenario: Scenario, report: dict) -> None:
 
 
 def cmd_check_duality(args, scenario: Scenario, report: dict) -> None:
+    from . import hedging
+
     model = scenario.model
     checks: dict = {}
     if model.n_outcomes <= 6:
@@ -289,6 +311,8 @@ def cmd_bayes_build(args, scenario: Scenario, report: dict) -> None:
 
 
 def cmd_experiment_free_lunch(args, scenario: None, report: dict) -> None:
+    from . import bayes
+
     report.update(command="experiment free-lunch", mode="exact", seed=args.seed, max_n=args.max_n)
     rows = bayes.free_lunch_sweep(args.max_n)
     report["rows"] = [
@@ -314,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name, func, help, scenario=True):
-        """A subcommand with the shared flags, run by ``_run`` through ``func``."""
+    def command(subparsers, name, func, help, scenario=True, uses=()):
+        """A subcommand with the shared flags, run by ``_run`` through ``func``
+        after importing the ``uses`` modules that ``func`` imports."""
         p = subparsers.add_parser(name, help=help)
         if scenario:
             p.add_argument("scenario", help="path to a scenario JSON file")
@@ -329,21 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="json", action="store_true", default=True)
         fmt.add_argument("--table", dest="json", action="store_false")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, uses=uses)
         return p
 
     command(sub, "validate", cmd_validate, "report model invariant violations")
-    p = command(sub, "ftap", cmd_ftap, "arbitrage verdict with certificate")
+    p = command(sub, "ftap", cmd_ftap, "arbitrage verdict with certificate", uses=("ftap",))
     p.add_argument("--long-only", action="store_true")
-    p = command(sub, "project", cmd_project, "project prices onto a trading filtration")
+    p = command(sub, "project", cmd_project, "project prices onto a trading filtration", uses=("ftap",))
     p.add_argument("--set", required=True, help="comma-separated asset ids")
     p.add_argument("--measure", default="search", help="'search' or a report JSON with a measure")
-    p = command(sub, "superhedge", cmd_superhedge, "superreplication price and hedge")
+    p = command(sub, "superhedge", cmd_superhedge, "superreplication price and hedge", uses=("hedging",))
     p.add_argument("--claim", required=True)
     p.add_argument("--long-only", action="store_true")
-    p = command(sub, "interval", cmd_interval, "dual price interval and attainability")
+    p = command(sub, "interval", cmd_interval, "dual price interval and attainability", uses=("hedging",))
     p.add_argument("--claim", required=True)
-    command(sub, "check-duality", cmd_check_duality, "polar cone and strong duality checks")
+    command(sub, "check-duality", cmd_check_duality, "polar cone and strong duality checks", uses=("hedging",))
 
     bsub = sub.add_parser("bayes", help="scenario builders").add_subparsers(dest="bayes_command", required=True)
     p = command(bsub, "build", cmd_bayes_build, "materialize a builder scenario to a plain one")
@@ -352,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     esub = sub.add_parser("experiment", help="built-in experiments").add_subparsers(
         dest="experiment_command", required=True)
     p = command(esub, "free-lunch", cmd_experiment_free_lunch, "near-free-lunch truncation sweep",
-                scenario=False)
-    p.add_argument("--max-n", type=int, default=8)
+                scenario=False, uses=("bayes",))
+    p.add_argument("--max-n", type=_positive_int, default=8)
 
     return parser
 
@@ -374,6 +399,10 @@ def _run(args) -> int:
     one place where an exception becomes an exit code. A command returns a
     code only when it is part of its result (``validate``'s exit 2)."""
     started = time.perf_counter()
+    for module in args.uses:
+        # before the parse, which keeps the peak memory lower; unlike
+        # importlib.import_module, __import__ shows in -X importtime
+        __import__(f"{__package__}.{module}")
     try:
         scenario, report = _load(args) if "scenario" in vars(args) else (None, {})
         code = args.func(args, scenario, report)

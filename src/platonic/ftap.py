@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, FloatModeError, LinearProgram, solve
+from .errors import FloatModeError, FtapInconsistencyError, InvalidModelError, ProjectionError
+from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, LinearProgram, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
@@ -30,21 +31,6 @@ from .market import (
 )
 from .numeric import Num, lp_mode_and_tol, pick_tol, solver_tol
 from .probspace import RandomVariable, conditional_expectation
-
-
-class InvalidModelError(ValueError):
-    def __init__(self, violations: Sequence[str]):
-        super().__init__("model fails validation: " + "; ".join(violations))
-        self.violations = tuple(violations)
-
-
-class FtapInconsistencyError(RuntimeError):
-    """Neither an arbitrage nor a checked full-support measure came back."""
-
-    def __init__(self, message: str, arbitrage, measure):
-        super().__init__(message)
-        self.arbitrage = arbitrage
-        self.measure = measure
 
 
 @dataclass(frozen=True)
@@ -267,10 +253,6 @@ def find_separating_density(model: MarketModel, tol: Num | None = None) -> Separ
     probs = model.space.probs
     moments = tuple(sum(probs[i] * z[i] * c for i, c in col.items()) for col in cols)
     return SeparatingDensity(z=z, generator_moments=moments, measure=cert)
-
-
-class ProjectionError(RuntimeError):
-    """The projected process failed its (super)martingale postcondition."""
 
 
 def project_prices(

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
+from .errors import DimensionGuardError, FloatModeError, UnpricedMarketError
 from .ftap import (
     MeasureCertificate,
     _require_valid,
@@ -31,8 +32,6 @@ from .lpsolve import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    DimensionGuardError,
-    FloatModeError,
     LinearProgram,
     enumerate_vertices,
     solve,
@@ -42,11 +41,6 @@ from .market import (
 )
 from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
-
-
-class UnpricedMarketError(RuntimeError):
-    """Superreplication or a price projection requested in a market that
-    admits arbitrage."""
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import _linalg
+from .errors import DimensionGuardError, FloatModeError
 from .numeric import DEFAULT_FLOAT_TOL, Num
 
 LE, EQ, GE = "<=", "==", ">="
@@ -102,14 +103,6 @@ _VERTEX_DIM_GUARD = 12      # enumerate_vertices: most variables
 _VERTEX_COMBO_GUARD = 500_000  # enumerate_vertices: most active sets tried
 
 Bounds = tuple[Num | None, Num | None]
-
-
-class FloatModeError(RuntimeError):
-    """The float backend could not certify its result; rerun in exact mode."""
-
-
-class DimensionGuardError(ValueError):
-    """Vertex enumeration requested beyond the supported problem size."""
 
 
 def _unreachable(message: str, mode: str) -> RuntimeError:

@@ -1,7 +1,9 @@
 """JSON scenario format (schema_version 1): parsing, building and round-trip
 serialization. Rationals travel as strings like "1/3" so nothing is lost to
 float rounding; plain market sections and builder sections (bayes, noise,
-options) both produce a ready model plus named claims.
+options) both produce a ready model plus named claims. ``bayes`` is imported
+only to parse a builder section or a ``theta_indicator`` claim, so a plain
+scenario loads no solver.
 """
 from __future__ import annotations
 
@@ -12,18 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .bayes import (
-    BayesSetup,
-    NoiseSpec,
-    ObservationSpec,
-    OptionGridSpec,
-    build_mixture_market,
-    build_product_market,
-    build_uncertain_price,
-    embed_semistatic,
-    split_product_label,
-)
-from .ftap import InvalidModelError
+from .errors import InvalidModelError
 from .market import MarketModel, build_market
 from .numeric import format_number, parse_number
 from .probspace import FiniteSpace, Filtration, Partition, RandomVariable
@@ -103,7 +94,9 @@ def _filtration(raw, times, index, where: str) -> Filtration:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _observation(raw, where: str) -> ObservationSpec:
+def _observation(raw, where: str):
+    from .bayes import ObservationSpec
+
     if raw is None:
         return ObservationSpec()
     times = _numbers(raw["times"], f"{where}.times") if "times" in raw else None
@@ -131,6 +124,8 @@ def _claim_values(raw, model: MarketModel, where: str) -> RandomVariable:
             terminal = model.price_path(asset)[-1]
             return RandomVariable(tuple(max(sign * (v - strike), 0) for v in terminal))
     if isinstance(raw, dict) and "theta_indicator" in raw:
+        from .bayes import split_product_label
+
         wanted = raw["theta_indicator"]
         try:
             thetas = [split_product_label(o)[1] for o in model.space.outcomes]
@@ -180,6 +175,11 @@ def _parse_plain(doc: dict) -> MarketModel:
     admissible = doc.get("admissible_sets")
     sets = None
     if admissible is not None:
+        if not isinstance(admissible, list):
+            raise ScenarioError(f"admissible_sets: expected a list of asset lists, got {type(admissible).__name__}")
+        for k, s in enumerate(admissible):
+            if not isinstance(s, list):
+                raise ScenarioError(f"admissible_sets[{k}]: expected a list of asset names, got {type(s).__name__}")
         sets = [frozenset(s) for s in admissible]
     trading = doc.get("trading_filtrations", "default")
     if trading == "default" or trading is None:
@@ -218,6 +218,8 @@ def _base_section(block: dict, where: str, space_key: str, filt_key: str):
 
 
 def _parse_bayes(doc: dict) -> tuple[MarketModel, dict[str, RandomVariable]]:
+    from .bayes import BayesSetup, build_mixture_market, build_product_market, split_product_label
+
     b = doc["bayes"]
     where = "bayes"
     space, index, filt, prices = _base_section(b, where, "paths", "path_filtration")
@@ -245,6 +247,8 @@ def _parse_bayes(doc: dict) -> tuple[MarketModel, dict[str, RandomVariable]]:
 
 
 def _parse_noise(doc: dict) -> MarketModel:
+    from .bayes import NoiseSpec, build_uncertain_price
+
     nd = doc["noise"]
     where = "noise"
     space, _index, filt, prices = _base_section(nd, where, "base", "base_filtration")
@@ -258,6 +262,8 @@ def _parse_noise(doc: dict) -> MarketModel:
 
 
 def _apply_options(model: MarketModel, doc: dict, claims: dict[str, RandomVariable]) -> MarketModel:
+    from .bayes import OptionGridSpec, embed_semistatic
+
     specs = []
     for od in doc["options"]:
         name = od["name"]

@@ -37,12 +37,23 @@ def without_timing(report):
     return {k: v for k, v in report.items() if k != "timing_ms"}
 
 
-def run_process(*argv, stdout=subprocess.PIPE):
-    """The CLI in a fresh interpreter, for what reaches the real stderr."""
+# Runs the CLI as ``-m platonic.cli`` does and, at exit, prints the loaded
+# ``platonic.*`` modules as the last line of stderr.
+MODULE_PROBE = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('platonic.')), "
+    "file=sys.stderr)); "
+    "runpy.run_module('platonic.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def run_process(*argv, stdout=subprocess.PIPE, entry=("-m", "platonic.cli")):
+    """The CLI in a fresh interpreter, for what reaches the real stderr;
+    ``entry`` is what the interpreter runs, with ``argv`` as its arguments."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
-        [sys.executable, "-m", "platonic.cli", *argv],
+        [sys.executable, *entry, *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
@@ -325,6 +336,20 @@ class TestExperiment:
         assert [r["n"] for r in report["rows"]] == list(range(1, 7))
         assert report["rows"][0]["gap"] == "3/4"
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_no_truncation_level_is_a_usage_error(self, max_n):
+        """A sweep over no level would report vacuous ``True`` flags."""
+        proc = run_process("experiment", "free-lunch", "--max-n", max_n)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: platonic experiment free-lunch")
+        assert proc.stderr.count("usage:") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(f"argument --max-n: invalid value {max_n!r}: need an integer >= 1\n")
+
+    def test_one_truncation_level(self):
+        proc = run_process("experiment", "free-lunch", "--max-n", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert [r["n"] for r in json.loads(proc.stdout)["rows"]] == [1]
+
 
 class TestCheckDuality:
     def test_delayed_binomial(self, capsys, scenario_path):
@@ -591,6 +616,21 @@ class TestMalformedScenarios:
         assert code == (EXIT_INVALID if message.startswith("invalid") else EXIT_PARSE)
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("asset", ["stock", "s"])
+    def test_admissible_sets_as_a_string(self, capsys, tmp_path, scenario_path, asset):
+        """A string is not read as the set of its characters, also where
+        each character names an asset."""
+        doc = json.loads(Path(scenario_path("binomial")).read_text())
+        doc["assets"] = {asset: doc["assets"]["stock"]}
+        doc["claims"] = {"bond": doc["claims"]["bond"]}
+        doc["admissible_sets"] = asset
+        mutated = tmp_path / "mutated.json"
+        mutated.write_text(json.dumps(doc))
+        assert main(["validate", str(mutated)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "scenario error: admissible_sets: expected a list of asset lists, got str\n"
+        )
+
     def test_noise_price_rows_longer_than_the_base(self, capsys, tmp_path, scenario_path):
         doc = json.loads(Path(scenario_path("noisy_price")).read_text())
         for row in doc["noise"]["prices"]["stock"]:
@@ -616,6 +656,32 @@ class TestMalformedScenarios:
         value = data.draw(st.sampled_from((DROP,) + self.WRONG))
         assert self._validate(tmp_path, scenario_path, name, path, value) in self.DOCUMENTED
         capsys.readouterr()
+
+
+BASE_MODULES = {"errors", "market", "numeric", "probspace", "scenario"}
+LP_MODULES = BASE_MODULES | {"ftap", "lpsolve", "_linalg"}
+HEDGE_MODULES = LP_MODULES | {"hedging"}
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (("validate", "binomial"), BASE_MODULES),
+    (("bayes", "build", "binomial"), BASE_MODULES),
+    (("ftap", "binomial"), LP_MODULES),
+    (("project", "binomial", "--set", "stock"), LP_MODULES),
+    (("superhedge", "binomial", "--claim", "call"), HEDGE_MODULES),
+    (("interval", "binomial", "--claim", "call"), HEDGE_MODULES),
+    (("check-duality", "binomial"), HEDGE_MODULES),
+    (("bayes", "build", "two_theta"), HEDGE_MODULES | {"bayes"}),
+    (("experiment", "free-lunch", "--max-n", "1"), HEDGE_MODULES | {"bayes"}),
+])
+def test_commands_load_only_what_they_run(scenario_path, argv, modules):
+    """Each command in a fresh interpreter loads the ``platonic`` modules
+    it runs and no other: ``bayes`` only for a builder section or an
+    experiment, the solvers only for a question that needs an LP."""
+    argv = [scenario_path(a) if a in ("binomial", "two_theta") else a for a in argv]
+    proc = run_process(*argv, entry=("-c", MODULE_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) == {f"platonic.{m}" for m in modules}
 
 
 # Per subcommand: positional arguments, option strings in declaration order,
