@@ -20,7 +20,9 @@ from typing import Callable, Mapping, Sequence
 from .ftap import _require_valid, ftap_verdict
 from .hedging import superhedge_lp
 from .lpsolve import OPTIMAL, solve
-from .market import MarketModel, build_market, claim_arithmetic, generator_matrix, validate
+from .market import (
+    MarketModel, build_market, claim_arithmetic, generator_matrix, group_outcomes, validate,
+)
 from .numeric import Num, lp_mode_and_tol, parse_number, solver_tol
 from .probspace import (
     FiniteSpace,
@@ -401,7 +403,9 @@ def semistatic_direct_price(
     contributes one position variable per trading time and block, paying the
     quote difference to the next trading time (or the payoff after the last).
     These columns join the model's generators in the shared superhedge
-    primal, :func:`platonic.hedging.superhedge_lp`.
+    primal, :func:`platonic.hedging.superhedge_lp`, on the classes of
+    outcomes that all of them pay alike: an option column can tell apart
+    outcomes that the generators cannot.
     """
     claim = as_random_variable(claim)
     full = frozenset(model.assets)
@@ -420,7 +424,7 @@ def semistatic_direct_price(
                 if col:
                     cols.append(col)
     lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
-    lp, offset = superhedge_lp(cols, claim, mode)
+    lp, offset, _attaining = superhedge_lp(cols, claim, mode, group_outcomes(cols, model.n_outcomes))
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:
         raise UnboundedSemiStaticError(f"direct semi-static LP ended with status {sol.status}")

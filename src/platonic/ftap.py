@@ -1,15 +1,20 @@
 """Both sides of the fundamental theorem on a finite space, read off one LP.
 
 The arbitrage LP maximizes the mass of a nonnegative terminal gain dominated
-by a zero-cost wealth. A positive optimum is an arbitrage. At a zero optimum
-the multipliers y of its outcome rows satisfy G^T y = 0 (<= 0 for long-only
-trading) and y >= 1, so y / sum(y) is a full-support measure that turns every
-admissible projection of prices into a (super)martingale: the separating
-measure is the dual of the no-arbitrage LP. The verdict checks that measure
-against the generators; when the check fails it raises, in exact arithmetic
-as a broken dichotomy and in float as a refusal to answer. ``find_measure``
-keeps the independent search over the probability simplex, which maximizes
-the minimum mass.
+by a zero-cost wealth. Its rows are the classes of outcomes on which every
+generator pays the same (``market.outcome_classes``): no strategy tells
+the outcomes of a class apart, so they share one gain, weighted by the
+class size in the objective. A positive optimum is an arbitrage. At a zero
+optimum the multipliers y of the class rows satisfy G^T y = 0 (<= 0 for
+long-only trading) and y_c >= |c| on each class c, so spreading each y_c
+evenly over its class and dividing by sum(y) gives a full-support measure
+that turns every admissible projection of prices into a
+(super)martingale: the separating measure is the dual of the no-arbitrage
+LP. The verdict checks that measure against the generators on every
+outcome; when the check fails it raises, in exact arithmetic as a broken
+dichotomy and in float as a refusal to answer. ``find_measure`` keeps the
+independent search over the probability simplex, which maximizes the
+minimum mass, with one mass q_c >= |c| eps per class.
 """
 from __future__ import annotations
 
@@ -23,9 +28,12 @@ from .market import (
     CACHE_SIZE,
     MarketModel,
     Strategy,
+    class_columns,
     combine,
     generator_matrix,
+    outcome_classes,
     outcome_rows,
+    per_outcome,
     strategy_from_coefficients,
     validate,
 )
@@ -51,9 +59,9 @@ class MeasureCertificate:
 
 
 def _expectations(q: Sequence[Num], cols: Sequence[Mapping[int, Num]]) -> tuple[Num, ...]:
-    """E_q of every generator column, summed over its entries."""
+    """E_q of every generator column, summed over its entries where q has mass."""
     zero = q[0] - q[0]  # 0 in q's arithmetic
-    return tuple(sum((q[i] * c for i, c in col.items()), zero) for col in cols)
+    return tuple(sum((q[i] * c for i, c in col.items() if q[i]), zero) for col in cols)
 
 
 def checked_measure(
@@ -129,14 +137,15 @@ def _arbitrage_lp(
     _require_valid(model, tol)
     lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     gens, cols = generator_matrix(model, mode)
-    n = model.n_outcomes
-    k = len(cols)
+    classes = outcome_classes(model, mode)
+    n, m, k = model.n_outcomes, len(classes), len(cols)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    objective = [0] * k + [1] * n
-    bounds = [lam_bounds] * k + [(0, 1)] * n
-    rows = outcome_rows(cols, n, 0)
-    for w, row in enumerate(rows):
-        row[k + w] = -1
+    objective = [0] * k + [len(c) for c in classes]
+    bounds = [lam_bounds] * k + [(0, 1)] * m
+    class_cols = class_columns(cols, classes, n)
+    rows = outcome_rows(class_cols, m, 0)
+    for i, row in enumerate(rows):
+        row[k + i] = -1
     lp = LinearProgram.build(objective, "max", [(row, GE, 0) for row in rows], bounds)
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
@@ -148,16 +157,17 @@ def _arbitrage_lp(
         if not total > 0:
             return None, None
         kind = "martingale" if mode == "free" else "supermartingale"
-        measure = checked_measure([v / total for v in y], cols, kind, eff_tol)
+        q = per_outcome([v / len(c) / total for v, c in zip(y, classes)], classes, n)
+        measure = checked_measure(q, cols, kind, eff_tol)
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
-    wealth = combine(lam, cols, n, gain[0] - gain[0])  # from 0 in the solution's arithmetic
+    wealth = combine(lam, class_cols, m, gain[0] - gain[0])  # from 0 in the solution's arithmetic
     consumption = [wv - fv for wv, fv in zip(wealth, gain)]
     return ArbitrageCertificate(
         strategy=strategy_from_coefficients(model, gens, lam, mode),
-        terminal_gain=RandomVariable(tuple(gain)),
-        consumption=RandomVariable(tuple(consumption)),
+        terminal_gain=RandomVariable(tuple(per_outcome(gain, classes, n))),
+        consumption=RandomVariable(tuple(per_outcome(consumption, classes, n))),
         lambdas=tuple(lam),
     ), None
 
@@ -178,7 +188,9 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
     Strict positivity is decided by maximizing the minimum mass; the optimum
     is positive iff a full-support measure exists. In float mode a positive
     optimum below the tolerance cannot be told from zero and raises, asking
-    for an exact rerun.
+    for an exact rerun. The measure is checked against every generator, as
+    the verdict's is; a failed check raises ``RuntimeError`` in exact mode
+    and ``FloatModeError`` in float mode.
     """
     if kind not in ("martingale", "supermartingale"):
         raise ValueError("kind must be 'martingale' or 'supermartingale'")
@@ -191,11 +203,12 @@ def _find_measure(model: MarketModel, arithmetic: str, kind: str, tol: Num | Non
     lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     mode = "free" if kind == "martingale" else "long_only"
     _gens, cols = generator_matrix(model, mode)
-    n = model.n_outcomes
-    constraints = martingale_polytope_constraints(cols, n, kind)
-    constraints += [({w: 1, n: -1}, GE, 0) for w in range(n)]
-    objective = [0] * n + [1]
-    bounds = [(0, None)] * n + [(0, None)]
+    classes = outcome_classes(model, mode)
+    n, m = model.n_outcomes, len(classes)
+    constraints = martingale_polytope_constraints(class_columns(cols, classes, n), m, kind)
+    constraints += [({i: 1, m: -len(c)}, GE, 0) for i, c in enumerate(classes)]
+    objective = [0] * m + [1]
+    bounds = [(0, None)] * m + [(0, None)]
     lp = LinearProgram.build(objective, "max", constraints, bounds)
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status == INFEASIBLE:
@@ -215,9 +228,12 @@ def _find_measure(model: MarketModel, arithmetic: str, kind: str, tol: Num | Non
             raise FloatModeError(
                 f"minimum mass {eps} is below the tolerance; boundary case, rerun exact"
             )
-    q = tuple(sol.x[:n])
-    verification = _expectations(q, cols)
-    return MeasureCertificate(q, kind, min(q), verification)
+    q = per_outcome([v / len(c) for v, c in zip(sol.x[:m], classes)], classes, n)
+    cert = checked_measure(q, cols, kind, eff_tol)
+    if cert is None:
+        failure = RuntimeError if lp_mode == "exact" else FloatModeError
+        raise failure(f"the measure search's optimizer is not a {kind} measure")
+    return cert
 
 
 def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None) -> FtapVerdict:

@@ -37,7 +37,8 @@ from .lpsolve import (
     solve,
 )
 from .market import (
-    CACHE_SIZE, MarketModel, claim_arithmetic, combine, generator_matrix, outcome_rows,
+    CACHE_SIZE, MarketModel, claim_arithmetic, class_columns, combine, generator_matrix,
+    outcome_classes, outcome_rows, per_outcome,
 )
 from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
@@ -111,29 +112,38 @@ def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> Measur
 
 
 def superhedge_lp(
-    cols: Sequence[Mapping[int, Num]], claim: Sequence[Num], mode: str
-) -> tuple[LinearProgram, Num]:
-    """Superhedge primal and its price offset ``m = max(claim)``.
+    cols: Sequence[Mapping[int, Num]], claim: Sequence[Num], mode: str,
+    classes: Sequence[Sequence[int]],
+) -> tuple[LinearProgram, Num, list[tuple[int, ...]]]:
+    """Superhedge primal, its price offset ``m = max(claim)``, and per class
+    the outcomes where the claim attains the class maximum.
 
     Minimize x such that x plus the wealth sum_j lambda_j cols[j] dominates
-    the claim at every outcome, with lambda >= 0 for long-only trading. The
-    LP is written in the translated price ``x' = x - m``: its rows are
+    the claim at every outcome, with lambda >= 0 for long-only trading.
+    ``classes`` are :func:`platonic.market.group_outcomes` of ``cols``:
+    every column pays the same on a class, so the class needs one row, the
+    one of its largest claim value, which dominates the others. The LP is
+    written in the translated price ``x' = x - m``: its rows are
     ``x' + sum_j lambda_j cols[j] >= claim - m``, whose right-hand sides are
     all <= 0, so every row starts on its slack at the cash hedge (hold m,
     do not trade; x' = 0, lambda = 0) and no phase 1 runs. The translation
     keeps the feasible set, the duals and the optimal set of the LP in x;
-    a caller adds ``m`` back to the optimal value and to ``x'``."""
+    a caller adds ``m`` back to the optimal value and to ``x'``. A class
+    row's dual mass belongs to the outcomes that attain the class maximum,
+    the only ones where an optimal hedge need not consume."""
     k = len(cols)
     offset = max(claim, default=0)
+    tops = [max(claim[w] for w in c) for c in classes]
+    rows = outcome_rows(class_columns(cols, classes, len(claim)), len(classes), 1)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
     lp = LinearProgram.build(
         objective=[1] + [0] * k,
         sense="min",
-        constraints=[({0: 1, **row}, GE, c - offset)
-                     for row, c in zip(outcome_rows(cols, len(claim), 1), claim)],
+        constraints=[({0: 1, **row}, GE, top - offset) for row, top in zip(rows, tops)],
         bounds=[(None, None)] + [lam_bounds] * k,
     )
-    return lp, offset
+    attaining = [tuple(w for w in c if claim[w] == top) for c, top in zip(classes, tops)]
+    return lp, offset, attaining
 
 
 def superreplicate(
@@ -174,17 +184,21 @@ def _superhedge(
     if len(claim) != n:
         raise ValueError("claim lives on a different space")
 
-    lp, offset = superhedge_lp(cols, claim, mode)
+    classes = outcome_classes(model, mode)
+    lp, offset, attaining = superhedge_lp(cols, claim, mode, classes)
     psol = solve(lp, lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # pragma: no cover - dual feasibility makes it bounded
         raise RuntimeError(f"superreplication primal ended with status {psol.status}")
     price = offset + psol.objective
     lambdas = tuple(psol.x[1:])
-    wealth = combine(lambdas, cols, n, 0 * price)
-    consumption = RandomVariable(tuple(price + wv - cv for wv, cv in zip(wealth, claim)))
+    # the hedge's value is constant on each class; the claim need not be
+    wealth = combine(lambdas, class_columns(cols, classes, n), len(classes), 0 * price)
+    value = per_outcome([price + wv for wv in wealth], classes, n)
+    consumption = RandomVariable(tuple(hv - cv for hv, cv in zip(value, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.
-    dual_cert = checked_measure(psol.duals, cols, kind, eff_tol)
+    q = per_outcome([d / len(a) for d, a in zip(psol.duals, attaining)], attaining, n, 0 * price)
+    dual_cert = checked_measure(q, cols, kind, eff_tol)
     if dual_cert is None:
         failure = RuntimeError if lp_mode == "exact" else FloatModeError
         raise failure(f"the hedge's dual multipliers are not a {kind} measure")

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .numeric import Num, all_exact, pick_tol
 from .probspace import (
@@ -289,6 +289,16 @@ def wealth_process(model: MarketModel, strat: Strategy, tol: Num | None = None) 
     return out
 
 
+def _value_key(v: Num) -> Hashable:
+    """``v`` as a set or dict key that hashes in C, since a Fraction's own
+    hash runs Python code: an int or float stands for itself, a Fraction
+    for its numerator when it is an integer and else for the pair
+    (numerator, denominator). Equal exact values get equal keys."""
+    if type(v) is not Fraction:
+        return v
+    return v.numerator if v.denominator == 1 else (v.numerator, v.denominator)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Generator, ...]:
     grid = model.times
@@ -297,16 +307,18 @@ def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Genera
     # each price move once per (asset, step), whatever the sets holding the asset
     moves = {asset: [(path[k + 1] - path[k]).values for k in range(len(grid) - 1)]
              for asset, path in zip(model.assets, model.prices)}
-    seen: set[tuple[Num, ...]] = set()
+    seen: set[tuple[tuple[int, ...], tuple[Hashable, ...]]] = set()
     out: list[Generator] = []
     for aset, filt in zip(model.admissible_sets, model.trading_filtrations):
         for asset in sorted(aset):
             for k, diff in enumerate(moves[asset]):
                 for block in filt.at(grid[k]).blocks:
-                    payoff = tuple(diff[i] if i in block else 0 for i in range(n))
-                    if all(v == 0 for v in payoff) or payoff in seen:
+                    support = tuple(i for i in sorted(block) if diff[i])
+                    key = (support, tuple(_value_key(diff[i]) for i in support))
+                    if not support or key in seen:
                         continue
-                    seen.add(payoff)
+                    seen.add(key)
+                    payoff = tuple(diff[i] if i in block else 0 for i in range(n))
                     out.append(Generator(
                         asset, grid[k], grid[k + 1], block,
                         RandomVariable(payoff), aset, one_sided,
@@ -387,6 +399,51 @@ def outcome_rows(cols: Sequence[Mapping[int, Num]], n: int, first: int) -> list[
         for w, v in col.items():
             rows[w][j] = v
     return rows
+
+
+def group_outcomes(cols: Sequence[Mapping[int, Num]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The classes of outcomes on which every column of ``cols`` pays the
+    same: no combination of the columns tells two outcomes of a class apart.
+    Classes are ordered by their first outcome and list their outcomes in
+    order, so where every class is one outcome they are ``(0,), (1,), ...``.
+    A row is keyed by its nonzero columns and the :func:`_value_key` of its
+    entries there."""
+    classes: dict[tuple[tuple[int, ...], tuple[Hashable, ...]], list[int]] = {}
+    for w, row in enumerate(outcome_rows(cols, n, 0)):
+        classes.setdefault((tuple(row), tuple(map(_value_key, row.values()))), []).append(w)
+    return tuple(map(tuple, classes.values()))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _outcome_classes(model: MarketModel, _arithmetic: str, mode: str) -> tuple[tuple[int, ...], ...]:
+    return group_outcomes(generator_matrix(model, mode)[1], model.n_outcomes)
+
+
+def outcome_classes(model: MarketModel, mode: str = "free") -> tuple[tuple[int, ...], ...]:
+    """:func:`group_outcomes` over the model's generators: the outcomes that
+    no strategy can tell apart, one row of every LP on the model. Cached per
+    model, arithmetic and mode, like the generators."""
+    return _outcome_classes(model, model.arithmetic, mode)
+
+
+def class_columns(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]],
+                  n: int) -> Sequence[Mapping[int, Num]]:
+    """``cols`` on the classes of :func:`group_outcomes`: class i takes the
+    value of its first outcome. Singleton classes leave ``cols`` as is."""
+    if len(classes) == n:
+        return cols
+    first = {c[0]: i for i, c in enumerate(classes)}
+    return [{first[w]: v for w, v in col.items() if w in first} for col in cols]
+
+
+def per_outcome(values: Sequence[Num], groups: Sequence[Sequence[int]], n: int, fill: Num = 0) -> list[Num]:
+    """The outcome vector giving every outcome of ``groups[i]`` the value
+    ``values[i]`` and every outcome in no group ``fill``."""
+    out = [fill] * n
+    for v, group in zip(values, groups):
+        for w in group:
+            out[w] = v
+    return out
 
 
 def combine(coeffs: Sequence[Num], cols: Sequence[Mapping[int, Num]], n: int, zero: Num) -> list[Num]:

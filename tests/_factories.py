@@ -189,6 +189,33 @@ def resample_reference(rng: random.Random, model: MarketModel) -> MarketModel:
     )
 
 
+def split_outcomes(model: MarketModel, copies) -> tuple[MarketModel, tuple[int, ...]]:
+    """The model with outcome i split into ``copies[i]`` outcomes that share
+    its prices and its place in every filtration, each with 1/copies[i] of
+    its probability, and the original outcome of each new one. The n
+    originals keep their indices; the extra copies follow them."""
+    n = model.n_outcomes
+    origin = tuple(range(n)) + tuple(i for i in range(n) for _ in range(copies[i] - 1))
+
+    def lift(values):
+        return RandomVariable(tuple(values[i] for i in origin))
+
+    def lift_filtration(filt):
+        return Filtration(filt.times, tuple(
+            Partition(tuple(frozenset(w for w, i in enumerate(origin) if i in block)
+                            for block in part.blocks))
+            for part in filt.partitions))
+
+    probs = tuple(model.space.probs[i] / copies[i] for i in origin)
+    space = FiniteSpace(tuple(f"w{w}" for w in range(len(origin))), probs)
+    split = MarketModel(
+        space, lift_filtration(model.big_filtration), model.assets,
+        tuple(tuple(lift(rv) for rv in path) for path in model.prices),
+        model.admissible_sets, tuple(lift_filtration(f) for f in model.trading_filtrations),
+    )
+    return split, origin
+
+
 def binomial_tree(steps: int, trading: str = "full") -> MarketModel:
     """One stock on a non-recombining binomial tree: S0 = 100, moves 2 and
     1/2, uniform reference probabilities. ``trading`` is ``"full"`` (the tree

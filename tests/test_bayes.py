@@ -31,6 +31,7 @@ from platonic import (
     superreplicate,
     validate,
 )
+from platonic.market import outcome_classes
 
 
 def part(*blocks):
@@ -255,6 +256,23 @@ class TestSemiStatic:
         narrow = price_interval(embedded, payoff)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
         assert narrow.lower == narrow.upper == F(1, 4)
+
+    def test_option_separates_outcomes_the_stock_cannot(self):
+        """The stock pays alike on outcomes 1 and 2, so they are one class of
+        the model's LPs; a quoted option on outcome 1 tells them apart, and
+        the direct program, grouping on its own columns, prices the digital
+        on outcome 2 as the embedded market does."""
+        space = FiniteSpace(("a", "b", "c"), (F(1, 3),) * 3)
+        big = Filtration((0, 1), (part({0, 1, 2}), Partition.singletons(3)))
+        base = build_market(space, big, {"s": [(1, 1, 1), (2, F(1, 2), F(1, 2))]})
+        assert outcome_classes(base) == ((0,), (1, 2))
+        spec = OptionGridSpec("opt", RandomVariable((0, 1, 0)), (F(0),), (RandomVariable((F(1, 3),) * 3),))
+        claim = (0, 0, 1)
+        embedded = embed_semistatic(base, [spec])
+        assert outcome_classes(embedded) == ((0,), (1,), (2,))
+        hedge, _ = superreplicate(embedded, claim)
+        assert semistatic_direct_price(base, [spec], claim) == hedge.price == F(1, 3)
+        assert superreplicate(base, claim)[0].price == F(2, 3)
 
 
 class TestUncertainPrice:

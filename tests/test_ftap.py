@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import binomial_tree, random_claim, random_market, resample_reference
+from _factories import binomial_tree, random_claim, random_market, resample_reference, split_outcomes
 from platonic import (
     EQ,
     GE,
@@ -35,7 +35,7 @@ from platonic import (
     superreplicate,
     wealth_process,
 )
-from platonic import ftap, numeric
+from platonic import ftap, hedging, numeric
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
@@ -546,8 +546,92 @@ class TestFloatSixStepTrees:
         assert _measure_holds(cert.q_values, model, mode, 1e-9)
 
 
+def _spy_lp_rows(monkeypatch):
+    """The constraint count of every LP that ``ftap`` and ``hedging`` solve."""
+    rows = []
+    for module in (ftap, hedging):
+        def spy(lp, *args, _inner=module.solve):
+            rows.append(len(lp.constraints))
+            return _inner(lp, *args)
+
+        monkeypatch.setattr(module, "solve", spy)
+    return rows
+
+
+def _distinct_rows(model, mode="free"):
+    """Outcomes counted once per distinct row of generator payoffs."""
+    gens = enumerate_generators(model, mode)
+    return len({tuple(g.payoff[w] for g in gens) for w in range(model.n_outcomes)})
+
+
+class TestIndistinguishableOutcomes:
+    """Outcomes that no generator tells apart are one row of every LP. A
+    model whose outcomes are split into copies that share their prices
+    answers as the unsplit model does, and its LPs have the unsplit row
+    counts; every measure it returns holds on the split model."""
+
+    @staticmethod
+    def _answers(model, claim, empty):
+        empty()
+        measures, out = [], {}
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _spy_lp_rows(mp)
+            for mode in ("free", "long_only"):
+                verdict = ftap_verdict(model, mode)
+                out[mode] = [verdict.kind]
+                if verdict.measure is not None:
+                    hedge, dual = superreplicate(model, claim, mode)
+                    out[mode].append(hedge.price)
+                    measures += [(verdict.measure.q_values, mode, True), (dual.q_values, mode, False)]
+            if out["free"][0] == "NO_ARBITRAGE":
+                iv = price_interval(model, claim)
+                out["interval"] = (iv.lower, iv.upper, iv.attained_lower, iv.attained_upper)
+                measures += [(w.optimizer, "free", False) for w in (iv.lower_witness, iv.upper_witness) if w]
+            for mode, kind in (("free", "martingale"), ("long_only", "supermartingale")):
+                found = find_measure(model, kind)
+                out[kind] = found is None
+                if found is not None:
+                    measures.append((found.q_values, mode, True))
+        return out, measures, rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_split_copies_answer_as_the_unsplit_model(self, seed, data, model_caches):
+        def empty():
+            for cache in model_caches:
+                cache.cache_clear()
+
+        rng = random.Random(seed)
+        model = random_market(rng)
+        n = model.n_outcomes
+        copies = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n).filter(
+            lambda c: max(c) > 1))
+        split, origin = split_outcomes(model, copies)
+        claim = random_claim(rng, n)
+        answers, _, rows = self._answers(model, claim, empty)
+        split_answers, measures, split_rows = self._answers(
+            split, RandomVariable(tuple(claim[i] for i in origin)), empty)
+        assert split_answers == answers
+        assert split_rows == rows
+        assert split_rows[0] == _distinct_rows(split) < split.n_outcomes  # the free verdict LP
+        for q, mode, full_support in measures:
+            _gens, cols = generator_matrix(split, mode)
+            kind = "martingale" if mode == "free" else "supermartingale"
+            cert = checked_measure(q, cols, kind, 0)
+            assert cert is not None and (cert.full_support or not full_support)
+
+        # a claim that differs across copies costs what the largest copy costs
+        spread = random_claim(rng, split.n_outcomes)
+        top = [max(c for c, i in zip(spread, origin) if i == w) for w in range(n)]
+        for mode, kind in (("free", "martingale"), ("long_only", "supermartingale")):
+            if answers[mode][0] == "NO_ARBITRAGE":
+                hedge, dual = superreplicate(split, spread, mode)
+                assert hedge.price == superreplicate(model, top, mode)[0].price
+                assert checked_measure(dual.q_values, generator_matrix(split, mode)[1], kind, 0)
+
+
 class TestExactVerdictsAtScale:
-    """Exact verdicts on 128 and 256 outcomes, in about a second each."""
+    """Exact verdicts on 128 to 4,096 outcomes, in about a second each."""
 
     @pytest.mark.parametrize("name", ["bin7", "fl8"])
     def test_measure_checks(self, name):
@@ -561,3 +645,26 @@ class TestExactVerdictsAtScale:
         cert = checked_measure(verdict.measure.q_values, cols, "martingale", 0)
         assert cert is not None and cert.full_support
         assert _numbers(cert.q_values) == {F}
+
+    def test_fl12_solves_13_outcome_rows(self, monkeypatch, cold_caches):
+        """``free_lunch_truncation(12, expanded=True)`` has 4,096 outcomes that
+        its generators tell apart only by the first hit, 13 classes: the
+        verdict LP and both superhedge LPs of an interval have 13 rows, and
+        the measure and the bounds are checked on all 4,096 outcomes."""
+        model, _ = free_lunch_truncation(12, expanded=True)
+        rows = _spy_lp_rows(monkeypatch)
+        verdict = ftap_verdict(model)
+        assert verdict.kind == "NO_ARBITRAGE"
+        _gens, cols = generator_matrix(model, "free")
+        cert = checked_measure(verdict.measure.q_values, cols, "martingale", 0)
+        assert cert is not None and cert.full_support
+        claim = [F(w % 7) - 3 for w in range(model.n_outcomes)]
+        interval = price_interval(model, claim)
+        assert rows == [13, 13, 13]
+        assert (interval.lower, interval.upper) == (
+            F(-205961345021, 68660770815), F(-71271427, 68660770815))
+        assert not interval.attained_lower and not interval.attained_upper
+        for bound, witness in ((interval.lower, interval.lower_witness),
+                               (interval.upper, interval.upper_witness)):
+            assert checked_measure(witness.optimizer, cols, "martingale", 0) is not None
+            assert sum(q * c for q, c in zip(witness.optimizer, claim)) == bound

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from _factories import random_market
+from _factories import random_market, split_outcomes
 from platonic import (
     FiniteSpace,
     Filtration,
@@ -20,6 +20,7 @@ from platonic import (
     wealth_process,
 )
 from platonic import _linalg
+from platonic.market import group_outcomes, outcome_classes
 
 
 def part(*blocks):
@@ -225,6 +226,25 @@ class TestGenerators:
         assert {(id(a), id(b)) for a, b in moves} == {
             (id(path[k + 1]), id(path[k])) for path in model.prices for k in range(2)}
 
+    def test_generators_and_classes_hash_no_value(self, monkeypatch, cold_caches):
+        """The payoff dedupe and the outcome grouping key on nonzero
+        positions and on each value's numerator and denominator, all ints:
+        no Fraction is hashed once the model's own hash is known."""
+        model, _ = split_outcomes(random_market(random.Random(5)), [2] * 3 + [1] * 5)
+        hash(model)
+        calls = []
+        inner = F.__hash__
+
+        def spy(value):
+            calls.append(value)
+            return inner(value)
+
+        monkeypatch.setattr(F, "__hash__", spy)
+        for mode in ("free", "long_only"):
+            assert enumerate_generators(model, mode)
+            assert len(outcome_classes(model, mode)) < model.n_outcomes
+        assert calls == []
+
     def test_redundant_grid_time_changes_nothing(self):
         space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
         big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
@@ -285,3 +305,34 @@ class TestGenerators:
         w = wealth_process(canonical, combined)
         for a, b, c in zip(w1, w2, w):
             assert (a + b).values == c.values
+
+
+class TestOutcomeClasses:
+    def test_equal_rows_share_a_class_in_first_outcome_order(self):
+        cols = [{0: 1, 2: F(1), 3: 2}, {1: 5, 3: 5}, {0: F(1, 2), 1: 3, 2: F(1, 2), 3: 1}]
+        assert group_outcomes(cols, 6) == ((0, 2), (1,), (3,), (4, 5))
+
+    def test_same_positions_different_values_stay_apart(self):
+        assert group_outcomes([{0: 1, 1: 2, 2: 1}], 3) == ((0, 2), (1,))
+
+    def test_equal_values_of_any_type_share_a_class(self):
+        cols = [{0: 1, 1: F(1), 2: 1.0, 3: F(1, 2), 4: F(2, 4)}]
+        assert group_outcomes(cols, 5) == ((0, 1, 2), (3, 4))
+
+    def test_distinct_rows_are_singletons(self):
+        assert group_outcomes([{0: 1, 1: -1}, {1: 1}], 3) == ((0,), (1,), (2,))
+
+    def test_split_copies_join_their_original(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            model = random_market(rng)
+            copies = [rng.randint(1, 3) for _ in range(model.n_outcomes)]
+            split, origin = split_outcomes(model, copies)
+            assert validate(split) == []
+            classes = outcome_classes(split)
+            assert len(classes) == len(outcome_classes(model))
+            for c in classes:
+                assert list(c) == sorted(c)
+                key = {origin[w] for w in c}
+                assert {w for w in range(split.n_outcomes) if origin[w] in key} == set(c)
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
