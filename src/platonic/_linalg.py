@@ -3,10 +3,9 @@
 The dense routines work over Fractions (exact, first-nonzero pivoting) and
 floats (largest pivot, tolerance-aware); problem sizes there are tiny, so
 clarity wins. ``solve_sparse`` is the exact square solve behind the LP's
-basis certificate, where most columns are unit vectors. It is fraction-free:
-each equation is scaled to integers and eliminated in Python ints, and
-Fractions are built only in back substitution, so no entry update pays for a
-``Fraction`` and its gcd.
+basis certificate, where most columns hold one entry. It is fraction-free:
+it eliminates in Python ints, and Fractions are built only in back
+substitution, so no entry update pays for a ``Fraction`` and its gcd.
 """
 from __future__ import annotations
 
@@ -113,10 +112,13 @@ def solve_sparse(
     ``{column: nonzero value}`` maps, exactly; None when ``A`` is singular.
     Takes ints and Fractions and returns Fractions.
 
-    Each equation is scaled by the lcm of its denominators, so elimination
-    runs on Python ints. It pivots on the shortest remaining row, in the
-    column with the fewest remaining entries (Markowitz), so unit columns
-    cost one step and the fill-in stays small; only nonzero entries are ever
+    The LP's equations arrive as ints, its standard form's rows already
+    scaled to integers; only a right-hand side that subtracts columns at a
+    rational upper bound brings Fractions. Each equation is scaled by the
+    lcm of its denominators (1 for ints), so elimination runs on Python
+    ints. It pivots on the shortest remaining row, in the column with the
+    fewest remaining entries (Markowitz), so a column of one entry costs one
+    step and the fill-in stays small; only nonzero entries are ever
     touched. A row holding the pivot column is cross-multiplied,
     ``(p/g) row - (f/g) prow`` with ``g = gcd(p, f)`` for the pivot ``p`` and
     the row's entry ``f``, and then divided by the gcd of its entries and its

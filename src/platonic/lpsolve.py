@@ -33,17 +33,22 @@ improves the objective, which takes finitely many values at bases, and
 Bland's rule cannot cycle inside a degenerate run: exact pivoting
 terminates.
 
-Exact mode finds its basis in float and certifies it once, exactly. A float
-simplex runs on a float copy of the exact standard form; its final basis B
-and the set U of columns at their upper bound are then checked in rationals
-by one sparse solve of ``B x_B = b - sum_{j in U} u_j A_j`` and one of
-``B^T y = c_B``. Each solve is fraction-free (``_linalg.solve_sparse``): the
-equations are scaled to integers and eliminated in Python ints, and
-Fractions appear only in back substitution. The checks are ``x_B`` within
-its bounds, every equation dropped as redundant holding at ``x``, and every
+Exact mode finds its basis in float and certifies it once, exactly. Its
+standard form holds Python ints: each row and its right-hand side times the
+lcm of their denominators, the cost times one lcm. A float simplex runs on
+those ints divided back by their scale, which int true division rounds
+correctly: on the float copy of the caller's numbers, bit for bit. Its final
+basis B and the set U of columns at their upper bound are then checked on
+the int rows by one sparse solve of ``B x_B = b - sum_{j in U} u_j A_j``
+and one of ``B^T y = c_B``. Each solve is fraction-free
+(``_linalg.solve_sparse``): it eliminates in Python ints, and Fractions
+appear only in back substitution. The checks are ``x_B`` within its bounds,
+every equation dropped as redundant holding at ``x``, and every
 non-artificial column's reduced cost ``c_j - y.A_j`` >= 0 at its lower
-bound, <= 0 at its upper bound and 0 on a free nonbasic column. Those
-checks prove the basis optimal, and ``y`` is its dual vector. When a check
+bound, <= 0 at its upper bound and 0 on a free nonbasic column, summed in
+ints over the common denominator of ``y``. A positive row scale scales
+that row's dual and no sign, so those checks prove the basis optimal, and
+``y`` unscaled once is its dual vector. When a check
 fails, or the float stage refuses or ends elsewhere than at an optimum,
 exact pivoting takes over from the slack and artificial start. So every
 status exact mode reports is proved in rationals: an optimum by the basis
@@ -83,6 +88,7 @@ start; its objective agrees within tol.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -325,8 +331,12 @@ class _StandardForm:
     are the caller's constraints, in order. After the caller's columns come
     a slack per inequality row, then an artificial per row whose slack cannot
     start basic (``n_real`` counts the columns before the artificials).
-    ``start`` picks each row's +1 slack or artificial, a basis on which ``A``
-    is the identity."""
+    ``start`` picks each row's positive slack or artificial, a basis on
+    which ``A`` is diagonal. In exact mode ``A``, ``b`` and ``cost`` are
+    Python ints: row ``r`` (its slack and artificial entries included) and
+    its right-hand side times ``scales[r]``, the lcm of their denominators,
+    and ``cost`` and ``obj_shift`` times ``cost_scale``. So every column
+    keeps the caller's units. Float mode holds floats, and every scale is 1."""
 
     rows: list[dict[int, Num]]  # A, nonzero entries only
     rhs: list[Num]              # b
@@ -337,9 +347,20 @@ class _StandardForm:
     n_real: int
     art_rows: list[int]         # the row that created each artificial
     # the way back to the caller's LP
+    scales: list[int]           # per row, positive
+    cost_scale: int             # positive
     col_map: list[tuple[int, Num]]  # (sign, shift) per caller column
     signs: list[int]            # -1 where a row was negated (b < 0, or a ">=" row with b = 0)
-    obj_shift: Num
+    obj_shift: Num              # in units of cost_scale
+
+
+def _integers(values: Sequence[Num], sign: int) -> tuple[int, list[int]]:
+    """The lcm of the denominators of the exact ``values``, and the values
+    times ``sign`` and that lcm, as ints."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    m = sign * scale
+    return scale, [q * (m // d) for q, d in ratios]
 
 
 def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
@@ -357,16 +378,15 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         col_map.append((sign, shift))
         upper.append(u)
     free = [lo is None and hi is None for lo, hi in lp.bounds]
+    exact = conv is Fraction
 
-    cost: list[Num] = []
-    obj_shift = conv(0)
-    for v, (sign, shift) in zip(lp.objective, col_map):
-        v = conv(v)
-        if lp.sense == "max":
-            v = -v
-        cost.append(v if sign > 0 else -v)
-        if shift:
-            obj_shift += v * shift
+    flip = -1 if lp.sense == "max" else 1
+    if exact:
+        cost_scale, cost = _integers(lp.objective, flip)
+    else:
+        cost_scale, cost = 1, [float(v) * flip for v in lp.objective]
+    obj_shift = sum((v * shift for v, (_, shift) in zip(cost, col_map) if shift), conv(0))
+    cost = [v * sign for v, (sign, _) in zip(cost, col_map)]
 
     # Slack columns, then artificials for the rows whose slack is not +1
     # once the row is negated to make its rhs nonnegative. A ">=" row with
@@ -376,42 +396,45 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     rhs_out: list[Num] = []
     start: list[int] = []
     signs: list[int] = []
+    scales: list[int] = []
     art_rows: list[int] = []
     scol = len(col_map)
     for i, con in enumerate(lp.constraints):
         row: dict[int, Num] = {}
-        rhs = conv(con.rhs)
+        rhs = con.rhs if exact else float(con.rhs)
         for j, v in con.coeffs.items():
-            if type(v) is not conv:  # a value already in the arithmetic stays itself
-                v = conv(v)
             sign, shift = col_map[j]
             row[j] = v if sign > 0 else -v
             if shift:
-                rhs -= v * shift
+                rhs = conv(rhs) - conv(v) * shift
         rel = con.relation
         negate = rhs < 0 or (rhs == 0 and rel == GE)
+        m = -1 if negate else 1
+        if exact:
+            scale, (rhs, *values) = _integers((rhs, *row.values()), m)
+            row = dict(zip(row, values))
+        else:
+            scale, rhs, row = 1, rhs * m, {j: float(v) * m for j, v in row.items()}
         plus_slack = False
         if rel != EQ:
-            row[scol] = conv(1) if rel == LE else conv(-1)
             plus_slack = (rel == LE) != negate
+            row[scol] = scale if plus_slack else -scale
             if plus_slack:
                 start.append(scol)
             scol += 1
-        if negate:
-            row = {j: -v for j, v in row.items()}
-            rhs = -rhs
         if not plus_slack:
             acol = n_real + len(art_rows)
-            row[acol] = conv(1)
+            row[acol] = scale
             start.append(acol)
             art_rows.append(i)
         rows.append(row)
         rhs_out.append(rhs)
-        signs.append(-1 if negate else 1)
+        signs.append(m)
+        scales.append(scale)
     extra = n_real + len(art_rows) - len(col_map)
     return _StandardForm(
-        rows, rhs_out, cost + [conv(0)] * extra, upper + [None] * extra,
-        free + [False] * extra, start, n_real, art_rows, col_map, signs, obj_shift,
+        rows, rhs_out, cost + [0] * extra, upper + [None] * extra, free + [False] * extra,
+        start, n_real, art_rows, scales, cost_scale, col_map, signs, obj_shift,
     )
 
 
@@ -440,17 +463,21 @@ class _Tableau:
 
 def _start_tableau(form: _StandardForm, conv) -> _Tableau:
     """The tableau of ``form`` on its slack and artificial basis, every
-    other column at 0, in ``conv``."""
+    other column at 0, in ``conv``, with each entry, right-hand side and
+    cost divided back by its scale. Int true division is correctly rounded:
+    a float tableau holds ``float()`` of the caller's numbers, bit for bit."""
+    unscale = Fraction if conv is Fraction else operator.truediv
     ncols = len(form.cost)
     rows = []
-    for row, rhs in zip(form.rows, form.rhs):
-        full = [conv(0)] * ncols + [conv(rhs)]
+    for row, rhs, scale in zip(form.rows, form.rhs, form.scales):
+        full = [conv(0)] * ncols + [unscale(rhs, scale)]
         for j, v in row.items():
-            full[j] = conv(v)
+            full[j] = unscale(v, scale)
         rows.append(full)
     return _Tableau(
-        rows, [conv(v) for v in form.cost], list(form.start), list(range(len(rows))),
-        [None if u is None else conv(u) for u in form.upper], [0 if f else 1 for f in form.free],
+        rows, [unscale(v, form.cost_scale) for v in form.cost], list(form.start),
+        list(range(len(rows))), [None if u is None else conv(u) for u in form.upper],
+        [0 if f else 1 for f in form.free],
     )
 
 
@@ -531,24 +558,28 @@ def _primal(form: _StandardForm, basis: list[int], kept: list[int], at_upper: li
 
 
 def _dual(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]):
-    """The basis duals y (``B^T y = c_B``) exactly, with ``sum u_j d_j`` over
-    the columns at their upper bound, when every non-artificial reduced cost
-    ``d_j = c_j - y.A_j`` has its sign: >= 0 at the lower bound, <= 0 at the
-    upper bound, 0 on a free column; None otherwise."""
+    """The basis duals y (``B^T y = c_B``) of the form exactly, with ``sum
+    u_j d_j`` over the columns at their upper bound, when every
+    non-artificial reduced cost ``d_j = c_j - y.A_j`` has its sign: >= 0 at
+    the lower bound, <= 0 at the upper bound, 0 on a free column; None
+    otherwise. The reduced costs are summed in ints, as ``den * d_j`` over
+    the common denominator ``den`` of y."""
     y = _basis_solve(form, basis, kept, [form.cost[j] for j in basis], transpose=True)
     if y is None:
         return None
-    reduced = form.cost[:form.n_real]
+    den = math.lcm(*[y_i.denominator for y_i in y])
+    reduced = [den * c for c in form.cost[:form.n_real]]
     for y_i, r in zip(y, kept):
         if y_i:
+            q = y_i.numerator * (den // y_i.denominator)
             for j, v in form.rows[r].items():
                 if j < form.n_real:
-                    reduced[j] -= y_i * v
+                    reduced[j] -= q * v
     up = set(at_upper)
     if any((d < 0 and j not in up) or (d > 0 and (j in up or form.free[j]))
            for j, d in enumerate(reduced)):
         return None
-    return y, sum(form.upper[j] * reduced[j] for j in at_upper)
+    return y, Fraction(sum(form.upper[j] * reduced[j] for j in at_upper), den)
 
 
 def _certified(form: _StandardForm, tab: _Tableau):
@@ -669,7 +700,8 @@ def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, x_b: li
 def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) -> LpSolution:
     """The caller's x, duals and objectives from a basic solution, the
     columns at their upper bound, the duals of every standard-form row and
-    ``sum u_j d_j`` over those columns, certified."""
+    ``sum u_j d_j`` over those columns (both of the form as scaled),
+    certified."""
     conv = Fraction if mode == "exact" else float
     zero = conv(0)
     value = {j: form.upper[j] for j in at_upper}
@@ -678,18 +710,17 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
               for j, (sign, shift) in enumerate(form.col_map)]
     objective = sum((conv(cv) * xv for cv, xv in zip(lp.objective, x_user) if xv and cv), zero)
 
-    # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at upper
+    # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at
+    # upper. Row r is sign_r * scale_r times the caller's row, and the cost
+    # flip * cost_scale times the caller's objective (flip -1 for "max"): the
+    # caller's dual of row r is flip * sign_r * scale_r * y_r / cost_scale.
+    flip = -1 if lp.sense == "max" else 1
     dual_obj_min = form.obj_shift + bound_value
     for y_i, rhs in zip(y_full, form.rhs):
         dual_obj_min += y_i * rhs
-    duals_min = [y_i * sign for y_i, sign in zip(y_full, form.signs)]
-
-    if lp.sense == "max":
-        duals_user = tuple(-d for d in duals_min)
-        dual_objective = -dual_obj_min
-    else:
-        duals_user = tuple(duals_min)
-        dual_objective = dual_obj_min
+    dual_objective = dual_obj_min / (flip * form.cost_scale)
+    duals_user = tuple(y_i * (flip * sign * scale) / form.cost_scale
+                       for y_i, sign, scale in zip(y_full, form.signs, form.scales))
 
     _certify(lp, x_user, duals_user, objective, dual_objective, tol, mode)
     return LpSolution(OPTIMAL, tuple(x_user), duals_user, objective, dual_objective)

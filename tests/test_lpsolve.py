@@ -779,19 +779,125 @@ class TestCertifyRejects:
         assert str(caught.value) == _certify_message(problems, mode)
 
 
-def test_standard_form_keeps_exact_entries():
-    """An exact caller entry enters the standard form as itself, not as a
-    copy: on an unnegated row and a column with positive sign,
-    ``form.rows[i][j] is coeffs[j]``. Ints still become Fractions."""
-    coeffs = (F(1, 3), F(-2), 5, F(0), F(7, 2))
-    problem = lp([1] * 5, "max", [(coeffs, LE, 1), (coeffs, EQ, F(1, 2))],
-                 [(0, None), (None, None), (-1, 4), (0, 1), (None, 0)])
+def test_standard_form_holds_exact_rows_in_ints():
+    """In exact mode the standard form holds Python ints: each row and its
+    right-hand side times the lcm of their denominators, the cost times one
+    lcm; a slack entry is +-scale. Divided back, the caller's shifted,
+    mirrored and negated numbers come out exactly in rationals, and bit for
+    bit as their ``float()`` in float, also for an entry whose numerator
+    exceeds 2**53, where ``float(v) / scale`` would round twice."""
+    big = F(2**53 + 1, 3)
+    coeffs = (F(1, 3), F(-2), 5, big, F(7, 2))
+    bounds = [(0, None), (None, None), (-1, 4), (0, 1), (None, 0)]
+    problem = lp([F(1, 4), 2, F(-5, 6), 0, 1], "max",
+                 [(coeffs, LE, 1), (coeffs, EQ, F(1, 2)), (coeffs, LE, -7), (coeffs, GE, -5)],
+                 bounds)
     form = lpsolve._standard_form(problem, F)
-    assert form.signs == [1, 1]
+    assert form.signs == [1, 1, -1, -1]  # column 2's shift of -1 adds 5 to each rhs
     assert [sign for sign, _ in form.col_map] == [1, 1, 1, 1, -1]
+    numbers = [*form.rhs, *form.cost, *(v for row in form.rows for v in row.values())]
+    assert all(type(v) is int for v in numbers)
+    assert all(type(s) is int and s > 0 for s in (*form.scales, form.cost_scale))
+    assert form.scales == [6, 6, 6, 6] and form.cost_scale == 12
+    assert [form.rows[i][col] for i, col in ((0, 5), (2, 6), (3, 7))] == [6, -6, 6]  # the slacks
+    assert form.rows[1][8] == 6  # the artificial of the equation
+
+    # the caller's numbers after the shift, the mirror and the negation
+    exact_tab, float_tab = lpsolve._start_tableau(form, F), lpsolve._start_tableau(form, float)
     for i, con in enumerate(problem.constraints):
-        row = form.rows[i]
-        assert row[0] is con.coeffs[0] is coeffs[0] and row[1] is coeffs[1]
-        assert type(row[2]) is F and row[2] == 5
-        assert 3 not in row
-        assert row[4] == F(-7, 2)  # the mirrored column
+        sign = form.signs[i]
+        rhs = sign * (con.rhs + coeffs[2])
+        entries = [sign * v for v in coeffs[:4]] + [-sign * coeffs[4]]
+        assert exact_tab.rows[i][:5] + exact_tab.rows[i][-1:] == entries + [rhs]
+        assert [exact_tab.rows[i][j] for j in form.start] == [int(k == i) for k in range(4)]
+        assert all(type(v) is F for v in exact_tab.rows[i])
+        assert float_tab.rows[i][:5] + float_tab.rows[i][-1:] == [float(v) for v in entries + [rhs]]
+        assert all(type(v) is float for v in float_tab.rows[i])
+    cost = [-F(1, 4), -2, F(5, 6), 0, 1]
+    assert exact_tab.cost[:5] == cost and float_tab.cost[:5] == [float(v) for v in cost]
+    assert float_tab.rows[0][3] == float(big) != float(form.rows[0][3]) / form.scales[0]
+
+
+def _lagrangian_bound(problem, duals):
+    """The bound that ``duals`` give on the optimum of ``problem``: the best
+    value of its Lagrangian over the bounds. None when a dual has the wrong
+    sign (a max problem's ``<=`` rows take duals >= 0, its ``>=`` rows
+    duals <= 0, and a min problem the other way) or the bound is infinite.
+    It equals the optimum exactly when the duals are optimal."""
+    flip = 1 if problem.sense == "max" else -1
+    for y, con in zip(duals, problem.constraints):
+        if flip * y * {LE: 1, GE: -1, EQ: 0}[con.relation] < 0:
+            return None
+    value = sum(y * con.rhs for y, con in zip(duals, problem.constraints))
+    for j, (c, (lo, hi)) in enumerate(zip(problem.objective, problem.bounds)):
+        d = c - sum(y * con.coeffs.get(j, 0) for y, con in zip(duals, problem.constraints))
+        if d:
+            end = hi if flip * d > 0 else lo
+            if end is None:
+                return None
+            value += d * end
+    return value
+
+
+def test_scaled_rows_give_the_same_answer():
+    """Each constraint multiplied by a positive rational, and some ``>=``
+    rows written as ``<=`` rows of their negation: the standard form's
+    scales and signs change, the LP does not. The status and objective are
+    the original's; the scaled LP's duals times the multipliers pass the
+    original LP's certificate and are optimal duals of it; and every number
+    of an exact answer is a Fraction (an int / int slip in the unscaling
+    would make a float)."""
+    multiplier = st.sampled_from((1, 3, F(1, 2), F(7, 3), 1 + EPS, F(10**12, 7)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=boxed_lps(), data=st.data())
+    def check(problem, data):
+        constraints, factors = [], []
+        for con in problem.constraints:
+            m, relation = data.draw(multiplier), con.relation
+            if relation == GE and data.draw(st.booleans()):
+                m, relation = -m, LE
+            constraints.append(({j: m * v for j, v in con.coeffs.items()}, relation, m * con.rhs))
+            factors.append(m)
+        scaled = lp(problem.objective, problem.sense, constraints, problem.bounds)
+        original, sol = solve(problem), solve(scaled)
+        assert (sol.status, sol.objective) == (original.status, original.objective)
+        if sol.status != "optimal":
+            return
+        for answer in (original, sol):
+            numbers = [*answer.x, *answer.duals, answer.objective, answer.dual_objective]
+            assert all(type(v) is F for v in numbers)
+        duals = [d * m for d, m in zip(sol.duals, factors)]
+        lpsolve._certify(problem, sol.x, duals, sol.objective, sol.dual_objective, 0, "exact")
+        bound = _lagrangian_bound(problem, original.duals)
+        assert _lagrangian_bound(problem, duals) == bound == sol.objective
+
+    check()
+
+
+def test_exact_fallback_count(monkeypatch, suite, cold_caches):
+    """Exact pivoting runs only where the float basis fails its certificate,
+    and starts with a tableau in rationals: a deterministic counter of such
+    starts. No exact solve of a verdict (free and long-only), a superhedge
+    (free and long-only) or a price interval falls back, on every golden
+    scenario and the 200-market acceptance suite with 5 claims each: 2,114
+    exact solves, all on their float basis."""
+    starts = {float: 0, F: 0}
+    inner = lpsolve._start_tableau
+
+    def spy(form, conv):
+        starts[conv] += 1
+        return inner(form, conv)
+
+    monkeypatch.setattr(lpsolve, "_start_tableau", spy)
+    models = [(scenario.model, list(scenario.claims.values()))
+              for scenario in map(parse_scenario, map(str, GOLDEN))]
+    models += list(zip(suite["instances"], suite["claims"]))
+    for model, claims in models:
+        for mode in ("free", "long_only"):
+            if ftap_verdict(model, mode).kind == "NO_ARBITRAGE":
+                for claim in claims:
+                    superreplicate(model, claim, mode)
+                    if mode == "free":
+                        price_interval(model, claim)
+    assert starts == {float: 2114, F: 0}
