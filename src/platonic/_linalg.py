@@ -4,15 +4,18 @@ The dense routines work over Fractions (exact, first-nonzero pivoting) and
 floats (largest pivot, tolerance-aware); problem sizes there are tiny, so
 clarity wins. ``solve_sparse`` is the exact square solve behind the LP's
 basis certificate, where most columns hold one entry. It is fraction-free:
-it eliminates in Python ints, and Fractions are built only in back
-substitution, so no entry update pays for a ``Fraction`` and its gcd.
+it eliminates in Python ints, and Fractions are built only in the
+substitutions, so no entry update pays for a ``Fraction`` and its gcd. Its
+record of the elimination solves the transposed system as well, so one
+factorization gives a basis both its primal and its dual solve (a revised
+simplex's FTRAN and BTRAN). ``exact_dots`` sums exact dot products in ints.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .numeric import Num
 
@@ -105,12 +108,73 @@ def column_span_solve(
     return _eliminate(matrix, target, tol)[0]
 
 
+def exact_dots(rows: Sequence[Mapping[int, int | Fraction]], x: Sequence[int | Fraction]) -> list[Fraction]:
+    """``sum_j row[j] * x[j]`` for each row, exactly, as one int sum per row:
+    ``x`` over the lcm of its denominators once, each row over the lcm of its
+    own, and one Fraction per row. Only terms where ``x`` is nonzero count."""
+    ratios = [v.as_integer_ratio() for v in x]
+    x_den = math.lcm(*[d for _, d in ratios])
+    ints = [q * (x_den // d) for q, d in ratios]
+    out = []
+    for row in rows:
+        terms = [(v.as_integer_ratio(), ints[j]) for j, v in row.items() if ints[j]]
+        den = math.lcm(*[d for (_, d), _ in terms])
+        out.append(Fraction(sum([q * (den // d) * w for (q, d), w in terms]), den * x_den))
+    return out
+
+
+def _divided(b_num: int, b_den: int, terms, pivot: int, num: list[int], den: list[int]) -> tuple[int, int]:
+    """One substitution step in ints: ``(b_num/b_den - sum of v num[j]/den[j]
+    over terms (j, v)) / pivot`` in lowest terms, its denominator positive."""
+    d = math.lcm(b_den, *[den[j] for j, _ in terms])
+    q = b_num * (d // b_den) - sum([v * num[j] * (d // den[j]) for j, v in terms])
+    d *= pivot
+    g = math.gcd(q, d)
+    if d < 0:
+        g = -g
+    return q // g, d // g
+
+
+class SparseSolution:
+    """The solution ``x`` of ``A x = b`` from :func:`solve_sparse`, and the
+    record of its elimination, which solves ``A^T y = c`` as well.
+
+    The elimination made ``U = M A`` with ``M = L_T .. L_1 S``: ``S`` holds
+    each equation's start scale, and ``L_t`` is step t's row operation
+    ``row_k <- (a row_k - f row_i) / g``. Row i of ``U`` holds its pivot
+    column and only columns pivoted after it. So ``A^T y = c`` is ``U^T z =
+    c``, a forward substitution in pivot order, and ``y = M^T z = S L_1^T ..
+    L_T^T z``: the row operations transposed, in reverse order, in ints."""
+
+    def __init__(self, x: list[Fraction], rows: list[dict[int, int]], order: list[tuple[int, int]],
+                 scales: list[int], ops: list[tuple[int, int, int, int, int]]):
+        self.x, self._rows, self._order, self._scales, self._ops = x, rows, order, scales, ops
+
+    def transposed(self, c: Sequence[int | Fraction]) -> list[Fraction]:
+        """The solution of ``A^T y = c``, exactly, as Fractions."""
+        n = len(self._rows)
+        num, den = [0] * n, [1] * n  # z, then M^T z without S, per row
+        earlier: dict[int, list[tuple[int, int]]] = {}  # column -> (row, entry) of U so far
+        for i, col in self._order:
+            row = self._rows[i]
+            num[i], den[i] = _divided(*c[col].as_integer_ratio(), earlier.get(col, []), row[col], num, den)
+            for j, v in row.items():
+                if j != col:
+                    earlier.setdefault(j, []).append((i, v))
+        for k, i, a, f, g in reversed(self._ops):
+            if num[k]:  # w_i <- w_i - (f/g) w_k, then w_k <- (a/g) w_k
+                num[i], den[i] = _divided(num[i] * g, den[i], [(k, f)], g, num, den)
+                num[k], den[k] = _divided(a * num[k], den[k], [], g, num, den)
+        return [Fraction(s * q, d) for s, q, d in zip(self._scales, num, den)]
+
+
 def solve_sparse(
     rows: Sequence[dict[int, int | Fraction]], rhs: Sequence[int | Fraction]
-) -> list[Fraction] | None:
+) -> SparseSolution | None:
     """The solution of the square system ``A x = b`` whose rows are given as
-    ``{column: nonzero value}`` maps, exactly; None when ``A`` is singular.
-    Takes ints and Fractions and returns Fractions.
+    ``{column: nonzero value}`` maps, exactly, with the record of its
+    elimination, which solves ``A^T y = c`` too; None when ``A`` is
+    singular. Takes ints and Fractions and returns Fractions.
 
     The LP's equations arrive as ints, its standard form's rows already
     scaled to integers; only a right-hand side that subtracts columns at a
@@ -128,12 +192,14 @@ def solve_sparse(
     n = len(rows)
     eqs: list[dict[int, int]] = []
     b: list[int] = []
+    scales: list[int] = []
     for row, r in zip(rows, rhs):
         ratios = [v.as_integer_ratio() for v in row.values()]
         r_num, r_den = r.as_integer_ratio()
         scale = math.lcm(r_den, *[d for _, d in ratios])
         eqs.append(dict(zip(row, [q * (scale // d) for q, d in ratios])))
         b.append(r_num * (scale // r_den))
+        scales.append(scale)
     holders: dict[int, set[int]] = {}  # column -> unpivoted rows with an entry there
     for i, row in enumerate(eqs):
         for j in row:
@@ -142,6 +208,7 @@ def solve_sparse(
     heapq.heapify(queue)
     done = [False] * n
     order: list[tuple[int, int]] = []
+    ops: list[tuple[int, int, int, int, int]] = []
     while queue:
         length, i = heapq.heappop(queue)
         if done[i] or length != len(eqs[i]):
@@ -181,18 +248,13 @@ def solve_sparse(
                     row[j] = v // content
                 b_k //= content
             b[k] = b_k
+            ops.append((k, i, scale, factor, content or 1))
             heapq.heappush(queue, (len(row), k))
         order.append((i, col))
-    if len(order) != n:
-        return None
-    # x_j = num[j] / den[j] in lowest terms
-    num, den = [0] * n, [1] * n
+    num, den = [0] * n, [1] * n  # x_j = num[j] / den[j], per column
     for i, col in reversed(order):
         row = eqs[i]
-        others = [j for j in row if j != col]
-        d = math.lcm(*[den[j] for j in others])
-        q = b[i] * d - sum([row[j] * num[j] * (d // den[j]) for j in others])
-        d *= row[col]
-        g = math.gcd(q, d)
-        num[col], den[col] = q // g, d // g
-    return [Fraction(q, d) for q, d in zip(num, den)]
+        num[col], den[col] = _divided(b[i], 1, [(j, v) for j, v in row.items() if j != col],
+                                      row[col], num, den)
+    x = [Fraction(q, d) for q, d in zip(num, den)]
+    return SparseSolution(x, eqs, order, scales, ops)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import _linalg
 from .errors import FloatModeError, FtapInconsistencyError, InvalidModelError, ProjectionError
 from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, LinearProgram, solve
 from .market import (
@@ -59,7 +60,10 @@ class MeasureCertificate:
 
 
 def _expectations(q: Sequence[Num], cols: Sequence[Mapping[int, Num]]) -> tuple[Num, ...]:
-    """E_q of every generator column, summed over its entries where q has mass."""
+    """E_q of every generator column, summed over its entries where q has
+    mass: an exact q as one int sum per column, a float q in order."""
+    if not isinstance(q[0], float):
+        return tuple(_linalg.exact_dots(cols, q))
     zero = q[0] - q[0]  # 0 in q's arithmetic
     return tuple(sum((q[i] * c for i, c in col.items() if q[i]), zero) for col in cols)
 
@@ -151,13 +155,13 @@ def _arbitrage_lp(
     if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
         raise RuntimeError(f"arbitrage search ended with status {sol.status}")
     if sol.objective <= eff_tol:
-        # The solver reports -y for the >= rows of this max problem.
-        y = [-d for d in sol.duals]
-        total = sum(y)
-        if not total > 0:
+        # The solver reports -y for the >= rows of this max problem; the
+        # signs cancel in q = y_c / |c| / sum(y).
+        total = sum(sol.duals)
+        if not total < 0:
             return None, None
         kind = "martingale" if mode == "free" else "supermartingale"
-        q = per_outcome([v / len(c) / total for v, c in zip(y, classes)], classes, n)
+        q = per_outcome([d / len(c) / total for d, c in zip(sol.duals, classes)], classes, n)
         measure = checked_measure(q, cols, kind, eff_tol)
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]

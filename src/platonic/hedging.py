@@ -203,7 +203,7 @@ def _superhedge(
         failure = RuntimeError if lp_mode == "exact" else FloatModeError
         raise failure(f"the hedge's dual multipliers are not a {kind} measure")
     q = dual_cert.q_values
-    gap = price - sum(qe * ce for qe, ce in zip(q, claim))
+    gap = price - _expectation(q, claim, lp_mode == "exact")
     if abs(gap) > eff_tol * (1 + abs(price)):
         raise RuntimeError(f"duality gap {gap} between hedge price and dual value")
     scale = max((abs(v) for v in claim.values), default=1)
@@ -219,15 +219,28 @@ def _superhedge(
     return hedge, dual_cert
 
 
+def _expectation(q: Sequence[Num], claim: RandomVariable, exact: bool) -> Num:
+    """E_q of the claim: exactly as one int sum, or in float in order."""
+    if exact:
+        return _linalg.exact_dots([dict(enumerate(claim.values))], q)[0]
+    return sum(qe * ce for qe, ce in zip(q, claim.values))
+
+
 def _mixing_witness(q_star, base_cert, claim, bound, eta, eff_tol) -> BoundWitness:
     """Full-support mixture of the optimizer with a full-support feasible
-    measure, landing within eta of the bound."""
+    measure, landing within eta of the bound; ``eta`` is in the hedges'
+    arithmetic."""
+    exact = not isinstance(eta, float)
     base = base_cert.q_values
-    base_value = sum(q * c for q, c in zip(base, claim.values))
+    base_value = _expectation(base, claim, exact)
     gap = abs(bound - base_value)
     alpha = 1 if gap == 0 else min(1, eta / gap)
-    mix = tuple((1 - alpha) * qs + alpha * qb for qs, qb in zip(q_star, base))
-    achieved = sum(q * c for q, c in zip(mix, claim.values))
+    if exact:  # each outcome's pair (q*, base) against the weights (1 - alpha, alpha)
+        pairs = [{0: qs, 1: qb} for qs, qb in zip(q_star, base)]
+        mix = tuple(_linalg.exact_dots(pairs, [1 - alpha, alpha]))
+    else:
+        mix = tuple((1 - alpha) * qs + alpha * qb for qs, qb in zip(q_star, base))
+    achieved = _expectation(mix, claim, exact)
     nulls = tuple(i for i, q in enumerate(q_star) if q <= eff_tol)
     return BoundWitness(tuple(q_star), nulls, mix, eta, achieved)
 

@@ -39,21 +39,22 @@ lcm of their denominators, the cost times one lcm. A float simplex runs on
 those ints divided back by their scale, which int true division rounds
 correctly: on the float copy of the caller's numbers, bit for bit. Its final
 basis B and the set U of columns at their upper bound are then checked on
-the int rows by one sparse solve of ``B x_B = b - sum_{j in U} u_j A_j``
-and one of ``B^T y = c_B``. Each solve is fraction-free
-(``_linalg.solve_sparse``): it eliminates in Python ints, and Fractions
-appear only in back substitution. The checks are ``x_B`` within its bounds,
-every equation dropped as redundant holding at ``x``, and every
-non-artificial column's reduced cost ``c_j - y.A_j`` >= 0 at its lower
-bound, <= 0 at its upper bound and 0 on a free nonbasic column, summed in
-ints over the common denominator of ``y``. A positive row scale scales
-that row's dual and no sign, so those checks prove the basis optimal, and
-``y`` unscaled once is its dual vector. When a check
-fails, or the float stage refuses or ends elsewhere than at an optimum,
-exact pivoting takes over from the slack and artificial start. So every
-status exact mode reports is proved in rationals: an optimum by the basis
-checks and a zero duality gap with complementary slackness, infeasibility
-and unboundedness by exact pivoting.
+the int rows by one fraction-free elimination of B in Python ints
+(``_linalg.solve_sparse``). It solves ``B x_B = b - sum_{j in U} u_j A_j``,
+and its record solves ``B^T y = c_B``: the same row operations, transposed
+and replayed. Fractions appear only in the substitutions. The checks are
+``x_B`` within its bounds, every equation dropped as redundant holding at
+``x``, and every non-artificial column's reduced cost ``c_j - y.A_j`` >= 0
+at its lower bound, <= 0 at its upper bound and 0 on a free nonbasic
+column, summed in ints over the common denominator of ``y``. A positive row
+scale scales that row's dual and no sign, so those checks prove the basis
+optimal, and ``y`` unscaled once is its dual vector. When a check fails, or
+the float stage refuses or ends elsewhere than at an optimum, exact
+pivoting takes over from the slack and artificial start. So every status
+exact mode reports is proved in rationals: an optimum by the basis checks
+and a zero duality gap with complementary slackness (its row sums one int
+sum each, ``_linalg.exact_dots``), infeasibility and unboundedness by exact
+pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
 off the final phase-2 cost row: each row's start column is a unit column of
@@ -365,20 +366,22 @@ def _integers(values: Sequence[Num], sign: int) -> tuple[int, list[int]]:
 
 def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     """The standard form of ``lp``; None when an empty box makes it infeasible."""
+    exact = conv is Fraction
     col_map: list[tuple[int, Num]] = []
     upper: list[Num | None] = []
     for lo, hi in lp.bounds:
         if lo is None and hi is not None:  # mirrored at its upper bound
             sign, shift, u = -1, conv(hi), None
+        elif exact and not lo:  # a zero shift costs no arithmetic, here or in _solution
+            sign, shift, u = 1, 0, None if hi is None else conv(hi)
         else:
             sign, shift = 1, conv(0 if lo is None else lo)
             u = None if hi is None else conv(hi) - shift
-            if u is not None and u < 0:
-                return None
+        if u is not None and u < 0:
+            return None
         col_map.append((sign, shift))
         upper.append(u)
     free = [lo is None and hi is None for lo, hi in lp.bounds]
-    exact = conv is Fraction
 
     flip = -1 if lp.sense == "max" else 1
     if exact:
@@ -517,56 +520,43 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
     return _pivot_loop(tab, tab.reduced, n_real, tol_piv)
 
 
-def _basis_solve(form: _StandardForm, basis: list[int], kept: list[int], rhs: list[Num], transpose: bool):
-    """Exactly solve ``B x_B = rhs`` (or ``B^T y = rhs``) for the basis
-    matrix ``B``: the kept rows of ``A`` restricted to the basic columns."""
-    position = {col: k for k, col in enumerate(basis)}
-    eqs: list[dict[int, Num]] = [{} for _ in kept]
-    for i, r in enumerate(kept):
-        for j, v in form.rows[r].items():
-            k = position.get(j)
-            if k is not None:
-                if transpose:
-                    eqs[k][i] = v
-                else:
-                    eqs[i][k] = v
-    return _linalg.solve_sparse(eqs, rhs)
-
-
-def _primal(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]) -> list[Num] | None:
-    """The basic solution ``x_B = B^-1 (b - sum of u_j A_j over the columns
-    at their upper bound)``, exactly, when it is feasible: B nonsingular and
-    free of artificials, x_B within its bounds, and every dropped row holds
-    at it."""
+def _primal(form: _StandardForm, basis: list[int], kept: list[int],
+            at_upper: list[int]) -> _linalg.SparseSolution | None:
+    """The solve of ``B x_B = b - sum of u_j A_j over the columns at their
+    upper bound``, exactly, for the basis matrix ``B``: the kept rows of
+    ``A`` restricted to the basic columns. None unless x_B is feasible: B
+    nonsingular and free of artificials, x_B within its bounds, and every
+    dropped row holding at it. The solve's record also gives the duals."""
     if any(j >= form.n_real for j in basis):
         return None
+    position = {col: k for k, col in enumerate(basis)}
     value = {j: form.upper[j] for j in at_upper}
+    eqs = [{position[j]: v for j, v in form.rows[r].items() if j in position} for r in kept]
     rhs = [form.rhs[r] - sum(v * value[j] for j, v in form.rows[r].items() if j in value)
            for r in kept]
-    x_b = _basis_solve(form, basis, kept, rhs, transpose=False)
-    if x_b is None or any(
+    solved = _linalg.solve_sparse(eqs, rhs)
+    if solved is None or any(
         not form.free[j] and (v < 0 or (form.upper[j] is not None and v > form.upper[j]))
-        for j, v in zip(basis, x_b)
+        for j, v in zip(basis, solved.x)
     ):
         return None
-    value.update(zip(basis, x_b))
+    value.update(zip(basis, solved.x))
     kept_set = set(kept)
     for r, row in enumerate(form.rows):
         if r not in kept_set and sum(v * value.get(j, 0) for j, v in row.items()) != form.rhs[r]:
             return None
-    return x_b
+    return solved
 
 
-def _dual(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list[int]):
-    """The basis duals y (``B^T y = c_B``) of the form exactly, with ``sum
-    u_j d_j`` over the columns at their upper bound, when every
-    non-artificial reduced cost ``d_j = c_j - y.A_j`` has its sign: >= 0 at
-    the lower bound, <= 0 at the upper bound, 0 on a free column; None
-    otherwise. The reduced costs are summed in ints, as ``den * d_j`` over
-    the common denominator ``den`` of y."""
-    y = _basis_solve(form, basis, kept, [form.cost[j] for j in basis], transpose=True)
-    if y is None:
-        return None
+def _dual(form: _StandardForm, solved: _linalg.SparseSolution, basis: list[int], kept: list[int],
+          at_upper: list[int]):
+    """The basis duals y (``B^T y = c_B``, from the record of the primal
+    solve) of the form exactly, with ``sum u_j d_j`` over the columns at
+    their upper bound, when every non-artificial reduced cost ``d_j = c_j -
+    y.A_j`` has its sign: >= 0 at the lower bound, <= 0 at the upper bound,
+    0 on a free column; None otherwise. The reduced costs are summed in
+    ints, as ``den * d_j`` over the common denominator ``den`` of y."""
+    y = solved.transposed([form.cost[j] for j in basis])
     den = math.lcm(*[y_i.denominator for y_i in y])
     reduced = [den * c for c in form.cost[:form.n_real]]
     for y_i, r in zip(y, kept):
@@ -584,11 +574,12 @@ def _dual(form: _StandardForm, basis: list[int], kept: list[int], at_upper: list
 
 def _certified(form: _StandardForm, tab: _Tableau):
     """(basis, kept, at_upper, x_B, y, sum u_j d_j over at_upper) of the
-    tableau's basis when the exact checks prove it optimal; None otherwise."""
+    tableau's basis when the exact checks prove it optimal; None otherwise.
+    One elimination of the basis matrix gives both x_B and y."""
     at_upper = tab.at_upper()
-    x_b = _primal(form, tab.basis, tab.kept, at_upper)
-    dual = _dual(form, tab.basis, tab.kept, at_upper) if x_b is not None else None
-    return None if dual is None else (tab.basis, tab.kept, at_upper, x_b, *dual)
+    solved = _primal(form, tab.basis, tab.kept, at_upper)
+    dual = None if solved is None else _dual(form, solved, tab.basis, tab.kept, at_upper)
+    return None if dual is None else (tab.basis, tab.kept, at_upper, solved.x, *dual)
 
 
 def _exact_optimum(form: _StandardForm):
@@ -702,12 +693,15 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
     columns at their upper bound, the duals of every standard-form row and
     ``sum u_j d_j`` over those columns (both of the form as scaled),
     certified."""
-    conv = Fraction if mode == "exact" else float
+    exact = mode == "exact"
+    conv = Fraction if exact else float
     zero = conv(0)
     value = {j: form.upper[j] for j in at_upper}
     value.update(zip(basis, x_b))
-    x_user = [shift + value.get(j, zero) if sign > 0 else shift - value.get(j, zero)
-              for j, (sign, shift) in enumerate(form.col_map)]
+    x_user = [value.get(j, zero) for j in range(len(form.col_map))]
+    # exact mode skips a zero shift; float adds it too, as 0 + -0.0 is 0.0
+    x_user = [shift - v if sign < 0 else shift + v if shift or not exact else v
+              for (sign, shift), v in zip(form.col_map, x_user)]
     objective = sum((conv(cv) * xv for cv, xv in zip(lp.objective, x_user) if xv and cv), zero)
 
     # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at
@@ -729,9 +723,9 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
 def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     """Feasibility, gap and complementary slackness; bug in exact, retry hint in float.
 
-    Each constraint is summed over its entries where ``x`` is nonzero, in
-    column order: only zero terms are skipped, so a float sum is the dense
-    one."""
+    Each constraint is summed over its entries where ``x`` is nonzero: in
+    exact mode as one int sum (``_linalg.exact_dots``), in float mode in
+    column order, where skipping only zero terms keeps the dense sum."""
     problems: list[str] = []
     scale = 1 + abs(objective)
     for j, (lo, hi) in enumerate(lp.bounds):
@@ -739,8 +733,12 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
             problems.append(f"bound violation on variable {j}")
         if hi is not None and x[j] > hi + tol:
             problems.append(f"bound violation on variable {j}")
-    for i, con in enumerate(lp.constraints):
-        lhs = sum(c * x[j] for j, c in con.coeffs.items() if x[j])
+    rows = [con.coeffs for con in lp.constraints]
+    if mode == "exact":
+        sums = _linalg.exact_dots(rows, x)
+    else:
+        sums = [sum(c * x[j] for j, c in row.items() if x[j]) for row in rows]
+    for i, (con, lhs) in enumerate(zip(lp.constraints, sums)):
         gap = lhs - con.rhs
         if con.relation == LE and gap > tol:
             problems.append(f"constraint {i} violated")

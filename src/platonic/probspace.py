@@ -263,7 +263,8 @@ class Filtration:
 
     def at(self, t: Num) -> Partition:
         """Partition at the latest time stamp <= t; trivial if there is none."""
-        t = parse_number(t)
+        if type(t) is not Fraction:
+            t = parse_number(t)
         pos = bisect.bisect_right(self.times, t)
         if pos == 0:
             return Partition.trivial(self.n_outcomes)

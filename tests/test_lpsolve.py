@@ -214,6 +214,12 @@ class TestDegenerateSystems:
         assert abs(sol.dual_objective - exact.objective) <= tol
 
 
+def sparse_x(rows, rhs):
+    """The solution ``x`` of :func:`_linalg.solve_sparse`; None when singular."""
+    solved = _linalg.solve_sparse(rows, rhs)
+    return None if solved is None else solved.x
+
+
 class TestElimination:
     """One elimination serves both the unique and the span solve."""
 
@@ -244,7 +250,7 @@ class TestElimination:
             matrix = [[F(rng.choice(entries)) for _ in range(n)] for _ in range(n)]
             rhs = [F(rng.randint(-3, 3)) for _ in range(n)]
             rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-            x = _linalg.solve_sparse(rows, rhs)
+            x = sparse_x(rows, rhs)
             assert x == _linalg.solve_unique(matrix, rhs)
             singular += x is None
         assert singular > 20
@@ -256,7 +262,7 @@ class TestElimination:
     ])
     def test_sparse_solve_returns_fractions(self, rows, rhs, solution):
         # ints alone or mixed with Fractions in, Fractions out
-        x = _linalg.solve_sparse(rows, rhs)
+        x = sparse_x(rows, rhs)
         assert x == solution
         assert all(type(v) is F for v in x)
 
@@ -303,7 +309,7 @@ def test_sparse_solve_against_dense_elimination():
     @given(system=sparse_systems())
     def check(system):
         rows, rhs = system
-        x = _linalg.solve_sparse(rows, rhs)
+        x = sparse_x(rows, rhs)
         dense = [[F(row.get(j, 0)) for j in range(len(rows))] for row in rows]
         assert x == _linalg.solve_unique(dense, [F(v) for v in rhs])
         singular.add(x is None)
@@ -313,6 +319,57 @@ def test_sparse_solve_against_dense_elimination():
 
     check()
     assert singular == {True, False}
+
+
+def test_transposed_solve_replays_the_elimination():
+    """The record of one elimination of ``A`` also solves ``A^T y = c``,
+    and agrees with the dense rational elimination of the transpose. The
+    right-hand sides ``F(1, 3)`` and ``1 + 2**-60`` enter the start scale of
+    their equation, which the replay must restore. A singular ``A`` leaves
+    no record, and ``A^T`` is singular too."""
+    # the rhs 1/3 starts the first equation at scale 3, which y must undo
+    solved = _linalg.solve_sparse([{0: 1, 1: 1}, {1: 2}], [F(1, 3), 1])
+    assert solved.transposed([1, 4]) == [1, F(3, 2)]
+    singular = set()
+    entry = st.sampled_from((0,) + SPARSE_ENTRIES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=sparse_systems(), data=st.data())
+    def check(system, data):
+        rows, rhs = system
+        n = len(rows)
+        c = data.draw(st.lists(entry, min_size=n, max_size=n))
+        transpose = [[F(rows[i].get(j, 0)) for i in range(n)] for j in range(n)]
+        y = _linalg.solve_unique(transpose, [F(v) for v in c])
+        solved = _linalg.solve_sparse(rows, rhs)
+        singular.add(solved is None)
+        if solved is None:
+            assert y is None
+        else:
+            assert solved.transposed(c) == y
+            assert all(type(v) is F for v in solved.transposed(c))
+
+    check()
+    assert singular == {True, False}
+
+
+def test_exact_dots_equal_the_fraction_sums():
+    """The int dot kernel equals the sum of the Fraction products, for ints
+    and Fractions mixed, empty rows, zero weights and zero entries."""
+    value = st.sampled_from((0, 1, -1, 2, F(0), F(1, 3), F(-5, 6), 1 + EPS, F(10**12, 7)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 8))
+        x = data.draw(st.lists(value, min_size=n, max_size=n))
+        row = st.dictionaries(st.integers(0, n - 1), value) if n else st.just({})
+        rows = data.draw(st.lists(row, max_size=5))
+        sums = _linalg.exact_dots(rows, x)
+        assert sums == [sum((F(v) * x[j] for j, v in r.items()), F(0)) for r in rows]
+        assert all(type(v) is F for v in sums)
+
+    check()
 
 
 @st.composite
@@ -901,3 +958,39 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
                     if mode == "free":
                         price_interval(model, claim)
     assert starts == {float: 2114, F: 0}
+
+
+def test_one_elimination_per_certified_basis(monkeypatch, suite, cold_caches):
+    """A certified exact basis costs one fraction-free elimination: its
+    record gives x_B and, transposed, the duals. On the questions of
+    :func:`test_exact_fallback_count` that is 2,114 eliminations and 2,114
+    transposed solves for 2,114 certified bases."""
+    counts = {"eliminations": 0, "transposed": 0, "certified": 0}
+    solve_sparse, transposed, certified = (
+        _linalg.solve_sparse, _linalg.SparseSolution.transposed, lpsolve._certified)
+
+    def count(key, inner, *args):
+        counts[key] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(_linalg, "solve_sparse", lambda *a: count("eliminations", solve_sparse, *a))
+    monkeypatch.setattr(_linalg.SparseSolution, "transposed",
+                        lambda *a: count("transposed", transposed, *a))
+
+    def certified_spy(*args):
+        optimum = certified(*args)
+        counts["certified"] += optimum is not None
+        return optimum
+
+    monkeypatch.setattr(lpsolve, "_certified", certified_spy)
+    models = [(scenario.model, list(scenario.claims.values()))
+              for scenario in map(parse_scenario, map(str, GOLDEN))]
+    models += list(zip(suite["instances"], suite["claims"]))
+    for model, claims in models:
+        for mode in ("free", "long_only"):
+            if ftap_verdict(model, mode).kind == "NO_ARBITRAGE":
+                for claim in claims:
+                    superreplicate(model, claim, mode)
+                    if mode == "free":
+                        price_interval(model, claim)
+    assert counts == {"eliminations": 2114, "transposed": 2114, "certified": 2114}
