@@ -8,7 +8,8 @@ it eliminates in Python ints, and Fractions are built only in the
 substitutions, so no entry update pays for a ``Fraction`` and its gcd. Its
 record of the elimination solves the transposed system as well, so one
 factorization gives a basis both its primal and its dual solve (a revised
-simplex's FTRAN and BTRAN). ``exact_dots`` sums exact dot products in ints.
+simplex's FTRAN and BTRAN). ``dots`` is every sparse dot product of the
+certificates: in ints when exact, in order when float.
 """
 from __future__ import annotations
 
@@ -108,10 +109,14 @@ def column_span_solve(
     return _eliminate(matrix, target, tol)[0]
 
 
-def exact_dots(rows: Sequence[Mapping[int, int | Fraction]], x: Sequence[int | Fraction]) -> list[Fraction]:
-    """``sum_j row[j] * x[j]`` for each row, exactly, as one int sum per row:
-    ``x`` over the lcm of its denominators once, each row over the lcm of its
-    own, and one Fraction per row. Only terms where ``x`` is nonzero count."""
+def dots(rows: Sequence[Mapping[int, Num]], x: Sequence[Num], exact: bool) -> list[Num]:
+    """``sum_j row[j] * x[j]`` for each row, over the terms where ``x`` is
+    nonzero: the one place where a sparse dot product takes its arithmetic,
+    ``exact`` from the caller. Exact: one int sum per row, ``x`` over the
+    lcm of its denominators once, each row over the lcm of its own, and one
+    Fraction per row. Float: in row order, as ``sum`` adds from 0.0."""
+    if not exact:
+        return [sum([v * x[j] for j, v in row.items() if x[j]], 0.0) for row in rows]
     ratios = [v.as_integer_ratio() for v in x]
     x_den = math.lcm(*[d for _, d in ratios])
     ints = [q * (x_den // d) for q, d in ratios]

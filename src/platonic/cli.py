@@ -271,7 +271,7 @@ def cmd_check_duality(args, scenario: Scenario, report: dict) -> None:
     model = scenario.model
     checks: dict = {}
     if model.n_outcomes <= 6:
-        polar = hedging.polar_cone_check(model, seed=args.seed)
+        polar = hedging.polar_cone_check(model, seed=args.seed, tol=args.tol)
         checks["polar_cone"] = {
             "vertex_sets_match": polar.match,
             "polar_vertex_count": len(polar.polar_vertices),

@@ -3,6 +3,7 @@
 They live apart from the solvers that raise them, so that the command line
 can map them to exit codes without importing ``ftap``, ``hedging`` or
 ``lpsolve``. Each is also importable from the module that raises it.
+:func:`unverified` is the one rule for what a failed check raises.
 """
 from __future__ import annotations
 
@@ -41,3 +42,12 @@ class FloatModeError(RuntimeError):
 
 class DimensionGuardError(ValueError):
     """Vertex enumeration requested beyond the supported problem size."""
+
+
+def unverified(message: str, exact: bool) -> RuntimeError:
+    """What a failed solver or certificate check raises: a ``RuntimeError``
+    in exact arithmetic, where the check cannot fail without a bug, and a
+    :class:`FloatModeError` in float, where lost precision is a refusal."""
+    if exact:
+        return RuntimeError(message)
+    return FloatModeError(message + "; retry exact")

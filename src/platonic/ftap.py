@@ -23,14 +23,13 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .errors import FloatModeError, FtapInconsistencyError, InvalidModelError, ProjectionError
+from .errors import FtapInconsistencyError, InvalidModelError, ProjectionError, unverified
 from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, LinearProgram, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
     Strategy,
     class_columns,
-    combine,
     generator_matrix,
     outcome_classes,
     outcome_rows,
@@ -59,24 +58,18 @@ class MeasureCertificate:
         return RandomVariable(tuple(q / p for q, p in zip(self.q_values, reference)))
 
 
-def _expectations(q: Sequence[Num], cols: Sequence[Mapping[int, Num]]) -> tuple[Num, ...]:
-    """E_q of every generator column, summed over its entries where q has
-    mass: an exact q as one int sum per column, a float q in order."""
-    if not isinstance(q[0], float):
-        return tuple(_linalg.exact_dots(cols, q))
-    zero = q[0] - q[0]  # 0 in q's arithmetic
-    return tuple(sum((q[i] * c for i, c in col.items() if q[i]), zero) for col in cols)
-
-
 def checked_measure(
-    q: Sequence[Num], cols: Sequence[Mapping[int, Num]], kind: str, tol: Num
+    q: Sequence[Num], cols: Sequence[Mapping[int, Num]], kind: str, tol: Num,
+    exact: bool = True,
 ) -> MeasureCertificate | None:
     """``q`` as a certificate when it is a probability vector under which every
     generator column has expectation 0 (martingale) or at most 0
-    (supermartingale), all within ``tol``; None when any of that fails."""
+    (supermartingale), all within ``tol``; None when any of that fails.
+    The expectations are summed by ``_linalg.dots`` in the caller's
+    arithmetic: exact unless ``exact`` is False."""
     if any(v < -tol for v in q) or abs(sum(q) - 1) > tol:
         return None
-    verification = _expectations(q, cols)
+    verification = tuple(_linalg.dots(cols, q, exact))
     if kind == "martingale":
         ok = all(abs(e) <= tol for e in verification)
     else:
@@ -151,9 +144,10 @@ def _arbitrage_lp(
     for i, row in enumerate(rows):
         row[k + i] = -1
     lp = LinearProgram.build(objective, "max", [(row, GE, 0) for row in rows], bounds)
+    exact = lp_mode == "exact"
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
-    if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
-        raise RuntimeError(f"arbitrage search ended with status {sol.status}")
+    if sol.status != OPTIMAL:  # always feasible and bounded
+        raise unverified(f"arbitrage search ended with status {sol.status}", exact)
     if sol.objective <= eff_tol:
         # The solver reports -y for the >= rows of this max problem; the
         # signs cancel in q = y_c / |c| / sum(y).
@@ -162,12 +156,12 @@ def _arbitrage_lp(
             return None, None
         kind = "martingale" if mode == "free" else "supermartingale"
         q = per_outcome([d / len(c) / total for d, c in zip(sol.duals, classes)], classes, n)
-        measure = checked_measure(q, cols, kind, eff_tol)
+        measure = checked_measure(q, cols, kind, eff_tol, exact)
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
-    wealth = combine(lam, class_cols, m, gain[0] - gain[0])  # from 0 in the solution's arithmetic
-    consumption = [wv - fv for wv, fv in zip(wealth, gain)]
+    # row i of the LP is the wealth on class i minus its gain
+    consumption = _linalg.dots([con.coeffs for con in lp.constraints], sol.x, exact)
     return ArbitrageCertificate(
         strategy=strategy_from_coefficients(model, gens, lam, mode),
         terminal_gain=RandomVariable(tuple(per_outcome(gain, classes, n))),
@@ -193,8 +187,8 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
     is positive iff a full-support measure exists. In float mode a positive
     optimum below the tolerance cannot be told from zero and raises, asking
     for an exact rerun. The measure is checked against every generator, as
-    the verdict's is; a failed check raises ``RuntimeError`` in exact mode
-    and ``FloatModeError`` in float mode.
+    the verdict's is; a failed check raises ``errors.unverified``:
+    ``RuntimeError`` in exact mode and ``FloatModeError`` in float mode.
     """
     if kind not in ("martingale", "supermartingale"):
         raise ValueError("kind must be 'martingale' or 'supermartingale'")
@@ -214,29 +208,24 @@ def _find_measure(model: MarketModel, arithmetic: str, kind: str, tol: Num | Non
     objective = [0] * m + [1]
     bounds = [(0, None)] * m + [(0, None)]
     lp = LinearProgram.build(objective, "max", constraints, bounds)
+    exact = lp_mode == "exact"
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status == INFEASIBLE:
         return None
-    if sol.status != OPTIMAL:  # pragma: no cover - epsilon is bounded by 1/n
-        raise RuntimeError(f"measure search ended with status {sol.status}")
+    if sol.status != OPTIMAL:  # epsilon is bounded by 1/n
+        raise unverified(f"measure search ended with status {sol.status}", exact)
+    # Zero (numerically zero in float) means no full-support measure; in float
+    # a positive minimum mass below the tolerance cannot be certified either
+    # way. Exact mode has tolerance 0 and eps >= 0: it returns at eps == 0.
     eps = sol.objective
-    if lp_mode == "exact":
-        if eps == 0:
-            return None
-    else:
-        # Numerically zero means no full-support measure; a genuinely positive
-        # minimum mass below the tolerance cannot be certified either way.
-        if abs(eps) <= eff_tol * 1e-3:
-            return None
-        if eps <= eff_tol:
-            raise FloatModeError(
-                f"minimum mass {eps} is below the tolerance; boundary case, rerun exact"
-            )
+    if abs(eps) <= eff_tol * 1e-3:
+        return None
+    if eps <= eff_tol:
+        raise unverified(f"minimum mass {eps} is below the tolerance; boundary case", exact)
     q = per_outcome([v / len(c) for v, c in zip(sol.x[:m], classes)], classes, n)
-    cert = checked_measure(q, cols, kind, eff_tol)
+    cert = checked_measure(q, cols, kind, eff_tol, exact)
     if cert is None:
-        failure = RuntimeError if lp_mode == "exact" else FloatModeError
-        raise failure(f"the measure search's optimizer is not a {kind} measure")
+        raise unverified(f"the measure search's optimizer is not a {kind} measure", exact)
     return cert
 
 
@@ -248,16 +237,17 @@ def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None)
     measure, which is checked against every generator before it is returned.
     A failed check raises :class:`FtapInconsistencyError` in exact mode, where
     it means a bug; in float mode, where rounding may spoil the multipliers,
-    it raises ``FloatModeError``: no certified answer, rerun exact.
+    it raises ``FloatModeError`` (``errors.unverified``): no certified
+    answer, rerun exact.
     """
     arbitrage, measure = _arbitrage_lp(model, model.arithmetic, mode, tol)
     if arbitrage is not None:
         return FtapVerdict("ARBITRAGE", arbitrage, None)
     if measure is None:
         message = "no arbitrage found, yet no full-support measure passed its check"
-        if lp_mode_and_tol(model.arithmetic, tol)[0] == "float":
-            raise FloatModeError(message + "; rerun exact")
-        raise FtapInconsistencyError(message, None, None)
+        if lp_mode_and_tol(model.arithmetic, tol)[0] == "exact":
+            raise FtapInconsistencyError(message, None, None)
+        raise unverified(message, False)
     return FtapVerdict("NO_ARBITRAGE", None, measure)
 
 
@@ -268,10 +258,11 @@ def find_separating_density(model: MarketModel, tol: Num | None = None) -> Separ
     cert = find_measure(model, "martingale", tol)
     if cert is None:
         return None
-    z = cert.density(model.space.probs)
-    _gens, cols = generator_matrix(model, "free")
     probs = model.space.probs
-    moments = tuple(sum(probs[i] * z[i] * c for i, c in col.items()) for col in cols)
+    z = cert.density(probs)
+    _gens, cols = generator_matrix(model, "free")
+    exact = lp_mode_and_tol(model.arithmetic, tol)[0] == "exact"
+    moments = tuple(_linalg.dots(cols, [p * zi for p, zi in zip(probs, z)], exact))
     return SeparatingDensity(z=z, generator_moments=moments, measure=cert)
 
 

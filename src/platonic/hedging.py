@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .errors import DimensionGuardError, FloatModeError, UnpricedMarketError
+from .errors import DimensionGuardError, UnpricedMarketError, unverified
 from .ftap import (
     MeasureCertificate,
     _require_valid,
@@ -37,8 +37,8 @@ from .lpsolve import (
     solve,
 )
 from .market import (
-    CACHE_SIZE, MarketModel, claim_arithmetic, class_columns, combine, generator_matrix,
-    outcome_classes, outcome_rows, per_outcome,
+    CACHE_SIZE, MarketModel, claim_arithmetic, class_columns, generator_matrix, outcome_classes,
+    outcome_rows, per_outcome,
 )
 from .numeric import Num, lp_mode_and_tol, solver_tol
 from .probspace import RandomVariable, as_random_variable
@@ -186,30 +186,31 @@ def _superhedge(
 
     classes = outcome_classes(model, mode)
     lp, offset, attaining = superhedge_lp(cols, claim, mode, classes)
+    exact = lp_mode == "exact"
     psol = solve(lp, lp_mode, solver_tol(eff_tol))
-    if psol.status != OPTIMAL:  # pragma: no cover - dual feasibility makes it bounded
-        raise RuntimeError(f"superreplication primal ended with status {psol.status}")
+    if psol.status != OPTIMAL:  # dual feasibility makes it bounded
+        raise unverified(f"superreplication primal ended with status {psol.status}", exact)
     price = offset + psol.objective
     lambdas = tuple(psol.x[1:])
-    # the hedge's value is constant on each class; the claim need not be
-    wealth = combine(lambdas, class_columns(cols, classes, n), len(classes), 0 * price)
+    # the wealth is the LP's class rows at (0, lambdas), constant on each
+    # class; the claim need not be
+    wealth = _linalg.dots([con.coeffs for con in lp.constraints], (0, *lambdas), exact)
     value = per_outcome([price + wv for wv in wealth], classes, n)
     consumption = RandomVariable(tuple(hv - cv for hv, cv in zip(value, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.
     q = per_outcome([d / len(a) for d, a in zip(psol.duals, attaining)], attaining, n, 0 * price)
-    dual_cert = checked_measure(q, cols, kind, eff_tol)
+    dual_cert = checked_measure(q, cols, kind, eff_tol, exact)
     if dual_cert is None:
-        failure = RuntimeError if lp_mode == "exact" else FloatModeError
-        raise failure(f"the hedge's dual multipliers are not a {kind} measure")
+        raise unverified(f"the hedge's dual multipliers are not a {kind} measure", exact)
     q = dual_cert.q_values
-    gap = price - _expectation(q, claim, lp_mode == "exact")
+    gap = price - _linalg.dots([dict(enumerate(claim.values))], q, exact)[0]
     if abs(gap) > eff_tol * (1 + abs(price)):
-        raise RuntimeError(f"duality gap {gap} between hedge price and dual value")
+        raise unverified(f"duality gap {gap} between hedge price and dual value", exact)
     scale = max((abs(v) for v in claim.values), default=1)
     for qe, ce in zip(q, consumption):
         if qe > eff_tol and abs(ce) > eff_tol * (1 + scale):
-            raise RuntimeError("complementary slackness fails between hedge and dual")
+            raise unverified("complementary slackness fails between hedge and dual", exact)
     hedge = HedgeCertificate(
         price=price,
         lambdas=lambdas,
@@ -219,28 +220,19 @@ def _superhedge(
     return hedge, dual_cert
 
 
-def _expectation(q: Sequence[Num], claim: RandomVariable, exact: bool) -> Num:
-    """E_q of the claim: exactly as one int sum, or in float in order."""
-    if exact:
-        return _linalg.exact_dots([dict(enumerate(claim.values))], q)[0]
-    return sum(qe * ce for qe, ce in zip(q, claim.values))
-
-
-def _mixing_witness(q_star, base_cert, claim, bound, eta, eff_tol) -> BoundWitness:
+def _mixing_witness(q_star, base_cert, claim, bound, eta, eff_tol, exact) -> BoundWitness:
     """Full-support mixture of the optimizer with a full-support feasible
-    measure, landing within eta of the bound; ``eta`` is in the hedges'
-    arithmetic."""
-    exact = not isinstance(eta, float)
+    measure, landing within eta of the bound; ``eta`` and ``exact`` are the
+    hedges' arithmetic."""
+    claim_row = [dict(enumerate(claim.values))]
     base = base_cert.q_values
-    base_value = _expectation(base, claim, exact)
+    base_value = _linalg.dots(claim_row, base, exact)[0]
     gap = abs(bound - base_value)
     alpha = 1 if gap == 0 else min(1, eta / gap)
-    if exact:  # each outcome's pair (q*, base) against the weights (1 - alpha, alpha)
-        pairs = [{0: qs, 1: qb} for qs, qb in zip(q_star, base)]
-        mix = tuple(_linalg.exact_dots(pairs, [1 - alpha, alpha]))
-    else:
-        mix = tuple((1 - alpha) * qs + alpha * qb for qs, qb in zip(q_star, base))
-    achieved = _expectation(mix, claim, exact)
+    # each outcome's pair (q*, base) against the weights (1 - alpha, alpha)
+    pairs = [{0: qs, 1: qb} for qs, qb in zip(q_star, base)]
+    mix = tuple(_linalg.dots(pairs, [1 - alpha, alpha], exact))
+    achieved = _linalg.dots(claim_row, mix, exact)[0]
     nulls = tuple(i for i, q in enumerate(q_star) if q <= eff_tol)
     return BoundWitness(tuple(q_star), nulls, mix, eta, achieved)
 
@@ -264,19 +256,22 @@ def price_interval(
     claim = as_random_variable(claim)
     base_cert = _measure_or_refuse(model, "free", tol)
     lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
-    eta = Fraction(eta) if lp_mode == "exact" else float(eta)  # the hedges' arithmetic
+    exact = lp_mode == "exact"
+    eta = Fraction(eta) if exact else float(eta)  # the hedges' arithmetic
     up_hedge, up_dual = superreplicate(model, claim, "free", tol)
     lo_hedge, lo_dual = superreplicate(model, -claim, "free", tol)
     upper, lower = up_hedge.price, -lo_hedge.price
     att_up, att_lo = (all(abs(v) <= eff_tol for v in h.consumption) for h in (up_hedge, lo_hedge))
 
     if abs(upper - lower) <= eff_tol * (1 + abs(upper)):
-        if not att_up:  # pragma: no cover - zero width forces replicability
-            raise RuntimeError("zero-width interval without an exact replication")
+        if not att_up:  # zero width forces replicability in exact arithmetic only
+            raise unverified("zero-width interval without an exact replication", exact)
         return PriceInterval(lower, upper, True, True, (upper, up_hedge.lambdas), None, None)
 
-    up_witness = None if att_up else _mixing_witness(up_dual.q_values, base_cert, claim, upper, eta, eff_tol)
-    lo_witness = None if att_lo else _mixing_witness(lo_dual.q_values, base_cert, claim, lower, eta, eff_tol)
+    up_witness = None if att_up else _mixing_witness(
+        up_dual.q_values, base_cert, claim, upper, eta, eff_tol, exact)
+    lo_witness = None if att_lo else _mixing_witness(
+        lo_dual.q_values, base_cert, claim, lower, eta, eff_tol, exact)
     return PriceInterval(lower, upper, att_lo, att_up, None, lo_witness, up_witness)
 
 
@@ -343,13 +338,14 @@ def polar_cone_check(
     rng = random.Random(seed)
     samples_ok = True
     k = len(cols)
-    exact_cols = [{w: Fraction(v) for w, v in col.items()} for col in cols]
+    rows = outcome_rows(cols, n, 0)
     for _ in range(20):
         lam = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
         if mode == "long_only":
             lam = [abs(v) for v in lam]
         h = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
-        element = [e - hw for e, hw in zip(combine(lam, exact_cols, n, Fraction(0)), h)]
+        # the wealth of lam, summed exactly also on float generators
+        element = [e - hw for e, hw in zip(_linalg.dots(rows, lam, True), h)]
         for vertex in polar_vertices:
             if sum(z * e for z, e in zip(vertex, element)) > 0:
                 samples_ok = False

@@ -53,7 +53,7 @@ the float stage refuses or ends elsewhere than at an optimum, exact
 pivoting takes over from the slack and artificial start. So every status
 exact mode reports is proved in rationals: an optimum by the basis checks
 and a zero duality gap with complementary slackness (its row sums one int
-sum each, ``_linalg.exact_dots``), infeasibility and unboundedness by exact
+sum each, ``_linalg.dots``), infeasibility and unboundedness by exact
 pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
@@ -64,7 +64,7 @@ d_j`` to the dual objective, the bounds' share of it. The float backend
 then certifies the result (feasibility, gap and complementary slackness
 within its tolerance); when certification fails, or the pivot budget runs
 out, it raises :class:`FloatModeError` instead of ever returning a wrong
-status.
+status (``errors.unverified``: the same failures are bugs in exact mode).
 
 Warm start (float mode only). The standard form and final tableau of the
 last certified float optimum stay in one module-level slot, by reference.
@@ -96,7 +96,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .errors import DimensionGuardError, FloatModeError
+from .errors import DimensionGuardError, FloatModeError, unverified
 from .numeric import DEFAULT_FLOAT_TOL, Num
 
 LE, EQ, GE = "<=", "==", ">="
@@ -110,14 +110,6 @@ _VERTEX_DIM_GUARD = 12      # enumerate_vertices: most variables
 _VERTEX_COMBO_GUARD = 500_000  # enumerate_vertices: most active sets tried
 
 Bounds = tuple[Num | None, Num | None]
-
-
-def _unreachable(message: str, mode: str) -> RuntimeError:
-    """A state exact arithmetic never reaches: a solver bug in exact mode,
-    lost precision (a refusal) in float mode."""
-    if mode == "exact":
-        return RuntimeError(message)
-    return FloatModeError(message + "; retry exact")
 
 
 @dataclass(frozen=True)
@@ -315,9 +307,8 @@ def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> str
             _flip(tab, cost, enter)
         else:
             _exchange(tab, cost, leave, enter, stop % 2 == 1)
-    if tol == 0:  # pragma: no cover - the Bland guard terminates
-        raise RuntimeError("exact simplex exceeded the pivot budget")
-    raise FloatModeError("simplex did not terminate within the pivot budget")
+    # exact pivoting (tol 0) terminates under the Bland guard
+    raise unverified("simplex did not terminate within the pivot budget", tol == 0)
 
 
 @dataclass
@@ -494,7 +485,7 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
         cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), tab)
         status = _pivot_loop(tab, cost1, ncols, tol_piv)
         if status != OPTIMAL:
-            raise _unreachable("phase 1 cannot be unbounded", mode)
+            raise unverified("phase 1 cannot be unbounded", mode == "exact")
         if -cost1[-1] > tol_cert:
             return INFEASIBLE
         # Drive leftover artificials out of the basis. A row whose non-artificial
@@ -721,11 +712,12 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
 
 
 def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
-    """Feasibility, gap and complementary slackness; bug in exact, retry hint in float.
+    """Feasibility, gap and complementary slackness; a failure raises
+    ``errors.unverified``.
 
-    Each constraint is summed over its entries where ``x`` is nonzero: in
-    exact mode as one int sum (``_linalg.exact_dots``), in float mode in
-    column order, where skipping only zero terms keeps the dense sum."""
+    Each constraint is summed by ``_linalg.dots`` over its entries where
+    ``x`` is nonzero: in exact mode as one int sum, in float mode in column
+    order, where skipping only zero terms keeps the dense sum."""
     problems: list[str] = []
     scale = 1 + abs(objective)
     for j, (lo, hi) in enumerate(lp.bounds):
@@ -733,11 +725,7 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
             problems.append(f"bound violation on variable {j}")
         if hi is not None and x[j] > hi + tol:
             problems.append(f"bound violation on variable {j}")
-    rows = [con.coeffs for con in lp.constraints]
-    if mode == "exact":
-        sums = _linalg.exact_dots(rows, x)
-    else:
-        sums = [sum(c * x[j] for j, c in row.items() if x[j]) for row in rows]
+    sums = _linalg.dots([con.coeffs for con in lp.constraints], x, mode == "exact")
     for i, (con, lhs) in enumerate(zip(lp.constraints, sums)):
         gap = lhs - con.rhs
         if con.relation == LE and gap > tol:
@@ -751,9 +739,7 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     if abs(objective - dual_objective) > tol * scale:
         problems.append("duality gap")
     if problems:
-        if mode == "exact":  # would be a solver bug
-            raise RuntimeError("exact solve failed self-certification: " + "; ".join(problems))
-        raise FloatModeError("; ".join(problems) + "; retry exact")
+        raise unverified("solve failed self-certification: " + "; ".join(problems), mode == "exact")
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:

@@ -446,17 +446,6 @@ def per_outcome(values: Sequence[Num], groups: Sequence[Sequence[int]], n: int, 
     return out
 
 
-def combine(coeffs: Sequence[Num], cols: Sequence[Mapping[int, Num]], n: int, zero: Num) -> list[Num]:
-    """``sum_j coeffs[j] cols[j]`` outcome by outcome, starting from ``zero``;
-    only nonzero coefficients and entries are added."""
-    out = [zero] * n
-    for c, col in zip(coeffs, cols):
-        if c:
-            for w, v in col.items():
-                out[w] += c * v
-    return out
-
-
 def as_float_model(model: MarketModel) -> MarketModel:
     """Copy of the model with float probabilities and prices (times stay exact)."""
     space = FiniteSpace(model.space.outcomes, tuple(float(p) for p in model.space.probs))

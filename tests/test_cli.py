@@ -505,6 +505,31 @@ class TestNoCertifiedAnswer:
         assert code == 4
         assert capsys.readouterr().err == "no certified answer: boundary case; retry exact\n"
 
+    @pytest.mark.parametrize("tol,refusing", [
+        ("0.1", {"noisy_price"}), ("0.5", {"delayed_binomial", "two_theta"}),
+    ])
+    def test_loose_float_tolerances(self, capsys, cold_caches, scenario_path, tol, refusing):
+        """``ftap``, ``superhedge``, ``interval`` and ``check-duality`` on every
+        golden scenario at a loose ``--float --tol``, each as in a fresh
+        process: an answer, or a check that fails within the tolerance (here
+        a zero-width interval whose hedge consumes) as a refusal with one
+        stderr line."""
+        refused = set()
+        for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
+            claims = sorted(parse_scenario(str(path)).claims)
+            for name, *flags in [["ftap"], ["check-duality"], *(
+                    [command, "--claim", claim] for command in ("superhedge", "interval")
+                    for claim in claims)]:
+                cold_caches()
+                lpsolve._last_optimum = None
+                code = main([name, str(path), *flags, "--float", "--tol", tol])
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_NO_ANSWER), (path.stem, name, flags)
+                if code == EXIT_NO_ANSWER:
+                    assert err.startswith("no certified answer: ") and err.count("\n") == 1
+                    refused.add(path.stem)
+        assert refused == refusing
+
 
 class TestLpSolvesPerCommand:
     """LP solves per CLI command on every golden scenario, with the
@@ -538,6 +563,13 @@ class TestLpSolvesPerCommand:
         ("interval", 0, 3),
         ("project", 0, 1),
         ("check-duality", 4, 1),
+        ("ftap --float", 0, 1),
+        ("ftap --long-only --float", 0, 1),
+        ("superhedge --float", 0, 2),
+        ("superhedge --long-only --float", 0, 2),
+        ("interval --float", 0, 3),
+        ("project --float", 0, 1),
+        ("check-duality --float", 4, 1),
     ])
     def test_golden_scenarios(self, solves, cold_caches, capsys, scenario_path, command,
                               solves_per_claim, once):

@@ -354,22 +354,32 @@ def test_transposed_solve_replays_the_elimination():
 
 
 def test_exact_dots_equal_the_fraction_sums():
-    """The int dot kernel equals the sum of the Fraction products, for ints
-    and Fractions mixed, empty rows, zero weights and zero entries."""
+    """``_linalg.dots``: the exact int kernel equals the sum of the Fraction
+    products, for ints and Fractions mixed, empty rows, zero weights and zero
+    entries; the float path equals the in-order ``sum`` of the products where
+    ``x`` is nonzero bit for bit, also with int weights, and is a float 0.0
+    on an empty row."""
     value = st.sampled_from((0, 1, -1, 2, F(0), F(1, 3), F(-5, 6), 1 + EPS, F(10**12, 7)))
+    real = st.sampled_from((0, 1, -1, 0.0, -0.0, 0.1, -2.5, 1e-17, 3e16, 1 / 3))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def check(data):
+    @given(data=st.data(), exact=st.booleans())
+    def check(data, exact):
         n = data.draw(st.integers(0, 8))
-        x = data.draw(st.lists(value, min_size=n, max_size=n))
-        row = st.dictionaries(st.integers(0, n - 1), value) if n else st.just({})
+        x = data.draw(st.lists(value if exact else real, min_size=n, max_size=n))
+        row = st.dictionaries(st.integers(0, n - 1), value if exact else real) if n else st.just({})
         rows = data.draw(st.lists(row, max_size=5))
-        sums = _linalg.exact_dots(rows, x)
-        assert sums == [sum((F(v) * x[j] for j, v in r.items()), F(0)) for r in rows]
-        assert all(type(v) is F for v in sums)
+        sums = _linalg.dots(rows, x, exact)
+        if exact:
+            assert sums == [sum((F(v) * x[j] for j, v in r.items()), F(0)) for r in rows]
+            assert all(type(v) is F for v in sums)
+        else:
+            expected = [sum(v * x[j] for j, v in r.items() if x[j]) for r in rows]
+            assert [v.hex() for v in sums] == [float(v).hex() for v in expected]
+            assert all(type(v) is float for v in sums)
 
     check()
+    assert _linalg.dots([{}], [], False) == [0.0] and type(_linalg.dots([{}], [], False)[0]) is float
 
 
 @st.composite
@@ -753,9 +763,8 @@ def test_superhedges_run_no_phase_1(monkeypatch, arithmetic, cold_caches):
 
 def _certify_message(problems, mode):
     """The message :func:`lpsolve._certify` raises with for ``problems``."""
-    if mode == "exact":
-        return "exact solve failed self-certification: " + "; ".join(problems)
-    return "; ".join(problems) + "; retry exact"
+    message = "solve failed self-certification: " + "; ".join(problems)
+    return message if mode == "exact" else message + "; retry exact"
 
 
 def _dense_problems(problem, x, duals, objective, dual_objective, tol):
