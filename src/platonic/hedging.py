@@ -192,14 +192,15 @@ def _superhedge(
         raise unverified(f"superreplication primal ended with status {psol.status}", exact)
     price = offset + psol.objective
     lambdas = tuple(psol.x[1:])
-    # the wealth is the LP's class rows at (0, lambdas), constant on each
-    # class; the claim need not be
-    wealth = _linalg.dots([con.coeffs for con in lp.constraints], (0, *lambdas), exact)
-    value = per_outcome([price + wv for wv in wealth], classes, n)
+    # price plus wealth, one sum per class: the LP's class rows at (price,
+    # lambdas), column 0 taking the price; constant on a class, the claim need not be
+    value = per_outcome(_linalg.dots([con.coeffs for con in lp.constraints], (price, *lambdas), exact),
+                        classes, n)
     consumption = RandomVariable(tuple(hv - cv for hv, cv in zip(value, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.
-    q = per_outcome([d / len(a) for d, a in zip(psol.duals, attaining)], attaining, n, 0 * price)
+    masses = [d if len(a) == 1 else d / len(a) for d, a in zip(psol.duals, attaining)]
+    q = per_outcome(masses, attaining, n, Fraction(0) if exact else 0.0)
     dual_cert = checked_measure(q, cols, kind, eff_tol, exact)
     if dual_cert is None:
         raise unverified(f"the hedge's dual multipliers are not a {kind} measure", exact)
@@ -207,9 +208,9 @@ def _superhedge(
     gap = price - _linalg.dots([dict(enumerate(claim.values))], q, exact)[0]
     if abs(gap) > eff_tol * (1 + abs(price)):
         raise unverified(f"duality gap {gap} between hedge price and dual value", exact)
-    scale = max((abs(v) for v in claim.values), default=1)
+    bound = eff_tol * (1 + max(offset, -min(claim.values, default=-1)))  # 1 + max |claim|
     for qe, ce in zip(q, consumption):
-        if qe > eff_tol and abs(ce) > eff_tol * (1 + scale):
+        if qe > eff_tol and (ce > bound or ce < -bound):
             raise unverified("complementary slackness fails between hedge and dual", exact)
     hedge = HedgeCertificate(
         price=price,

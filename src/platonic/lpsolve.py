@@ -71,15 +71,19 @@ last certified float optimum stay in one module-level slot, by reference.
 When the next float LP's standard form equals that one in everything but
 ``b`` (the rows, costs, bounds, start columns, row signs and column
 shifts), its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
-read off the tableau: the start columns held the identity, so they now hold
-``B^-1``. Reduced costs do not depend on ``b``, so when every basic value
-lies within its bounds up to ``_PIVOT_TOL`` the basis is optimal, and the
-answer goes through the same extraction and certificate as a cold solve.
-Otherwise, or when the certificate refuses, the slot is emptied and the LP
-is solved from its start; its certified optimum then takes the slot. This
-serves a claim after claim on one market: the superhedge LPs share their
-matrix and differ in ``b = max(c) - c`` only. Exact mode neither reads nor
-writes the slot.
+read off the tableau into its last column: the start columns held the
+identity, so they now hold ``B^-1``. Reduced costs do not depend on ``b``,
+so the basis stays dual feasible, and a basic value outside its bounds is
+repaired by bounded dual simplex pivots (Lemke, Naval Res. Logist. Q. 1,
+1954) on the slot's tableau, none when every value lies within its bounds
+up to ``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
+through the same extraction and certificate as a cold solve. When no
+column may enter a row outside its bounds, the pivot budget runs out or
+the certificate refuses, the slot is emptied and the LP is solved from its
+start, the one place that reports infeasible, unbounded or a refusal; its
+certified optimum then takes the slot. This serves a claim after claim on
+one market: the superhedge LPs share their matrix and differ in ``b =
+max(c) - c`` only. Exact mode neither reads nor writes the slot.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs in exact mode. When a float LP has several optima,
@@ -309,6 +313,60 @@ def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> str
             _exchange(tab, cost, leave, enter, stop % 2 == 1)
     # exact pivoting (tol 0) terminates under the Bland guard
     raise unverified("simplex did not terminate within the pivot budget", tol == 0)
+
+
+def _dual_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> bool:
+    """Bounded dual simplex on a dual feasible canonical tableau, where only
+    the first ``n_enter`` columns may enter the basis. True once every
+    basic column but a free one lies within its bounds up to ``tol``; False
+    when a row has no column to enter (the LP is infeasible) or the pivot
+    budget runs out.
+
+    The leaving row holds the basic column farthest outside its bounds,
+    ties to the lowest row; that column leaves at the bound it broke. The
+    entering column is a nonbasic one whose move, in the direction its
+    bound allows (either way when free), pushes the leaving value towards
+    that bound; the smallest ``|d_j / a_rj|`` keeps every reduced cost's
+    sign, ties to the lowest index. After as many degenerate steps (``d_j``
+    = 0) in a row as :func:`_pivot_loop` waits, the leaving column is the
+    lowest-index one outside its bounds until the next nondegenerate step
+    (Bland's rule on the dual)."""
+    rows, basis, upper, state = tab.rows, tab.basis, tab.upper, tab.state
+    patience = len(rows) + sum(u is not None for u in upper)
+    degenerate = 0
+    for _ in range(_MAX_PIVOTS):
+        # (how far outside, basic column, row, leaves at its upper bound)
+        out = []
+        for i, row in enumerate(rows):
+            b, v = basis[i], row[-1]
+            if not state[b]:
+                continue
+            if v < -tol:
+                out.append((-v, b, i, False))
+            elif upper[b] is not None and v > upper[b] + tol:
+                out.append((v - upper[b], b, i, True))
+        if not out:
+            return True
+        if degenerate < patience:
+            _, leave, r, to_upper = max(out, key=operator.itemgetter(0))
+        else:
+            _, leave, r, to_upper = min(out, key=operator.itemgetter(1))
+        row = rows[r]
+        enter, best = -1, None
+        for j in range(n_enter):
+            # a move up of column j pushes the leaving value towards its bound when a > 0
+            a = row[j] if to_upper else -row[j]
+            s = state[j]
+            if j == leave or not (a > tol if s > 0 else a < -tol if s < 0 else abs(a) > tol):
+                continue
+            ratio = abs(cost[j] / a)
+            if best is None or ratio < best:
+                best, enter = ratio, j
+        if enter < 0:
+            return False
+        degenerate = degenerate + 1 if best == 0 else 0
+        _exchange(tab, cost, r, enter, to_upper)
+    return False
 
 
 @dataclass
@@ -626,9 +684,9 @@ _last_optimum: tuple[_StandardForm, _Tableau] | None = None
 
 
 def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
-    """The answer on the basis of :data:`_last_optimum` when ``form`` differs
-    from its standard form in ``b`` alone and the basis stays feasible and
-    certified; None otherwise."""
+    """The answer on the basis of :data:`_last_optimum`, repaired by dual
+    pivots, when ``form`` differs from its standard form in ``b`` alone and
+    the repaired basis is certified; None otherwise."""
     if _last_optimum is None:
         return None
     last, tab = _last_optimum
@@ -637,17 +695,15 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
         return None
     # The start columns held the identity, so they now hold B^-1:
     # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j.
+    # The objective entry of tab.reduced goes stale; no answer reads it.
     terms = [(j, b) for j, b in zip(form.start, form.rhs) if b]
     terms += [(j, -tab.upper[j]) for j in tab.at_upper()]
-    x_b = []
-    for row, j in zip(tab.rows, tab.basis):
-        v = sum(row[k] * w for k, w in terms)
-        u = tab.upper[j]
-        if not form.free[j] and (v < -_PIVOT_TOL or (u is not None and v > u + _PIVOT_TOL)):
-            return None
-        x_b.append(v)
+    for row in tab.rows:
+        row[-1] = sum(row[k] * w for k, w in terms)
+    if not _dual_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL):
+        return None
     try:
-        return _float_answer(lp, form, tab, x_b, tol)
+        return _float_answer(lp, form, tab, tol)
     except FloatModeError:
         return None
 
@@ -661,21 +717,20 @@ def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
     status = _simplex(form, tab, _PIVOT_TOL, tol, "float")
     if status != OPTIMAL:
         return LpSolution(status, None, None, None, None)
-    answer = _float_answer(lp, form, tab, [row[-1] for row in tab.rows], tol)
+    answer = _float_answer(lp, form, tab, tol)
     _last_optimum = form, tab
     return answer
 
 
-def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, x_b: list[float],
-                  tol: float) -> LpSolution:
-    """The certified answer of an optimal float tableau whose basic columns
-    take the values ``x_b``."""
+def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, tol: float) -> LpSolution:
+    """The certified answer of an optimal float tableau."""
     at_upper = tab.at_upper()
     # Row r's start column is the unit column e_r of cost 0, never bounded
     # above, so its final reduced cost is -y_r; dropped rows included.
     # 0.0 - d is a float, never -0.0, also where a pivot left an int 0.
     y_full = [0.0 - tab.reduced[j] for j in form.start]
     bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
+    x_b = [row[-1] for row in tab.rows]
     return _solution(lp, form, tab.basis, x_b, at_upper, y_full, bound_value, tol, "float")
 
 
@@ -693,19 +748,21 @@ def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) ->
     # exact mode skips a zero shift; float adds it too, as 0 + -0.0 is 0.0
     x_user = [shift - v if sign < 0 else shift + v if shift or not exact else v
               for (sign, shift), v in zip(form.col_map, x_user)]
-    objective = sum((conv(cv) * xv for cv, xv in zip(lp.objective, x_user) if xv and cv), zero)
+    objective = _linalg.dots([dict(enumerate(lp.objective))], x_user, exact)[0]
 
     # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at
     # upper. Row r is sign_r * scale_r times the caller's row, and the cost
     # flip * cost_scale times the caller's objective (flip -1 for "max"): the
     # caller's dual of row r is flip * sign_r * scale_r * y_r / cost_scale.
     flip = -1 if lp.sense == "max" else 1
-    dual_obj_min = form.obj_shift + bound_value
-    for y_i, rhs in zip(y_full, form.rhs):
-        dual_obj_min += y_i * rhs
+    dual_obj_min = _linalg.dots([{0: 1, 1: 1, **dict(enumerate(form.rhs, 2))}],
+                                [form.obj_shift, bound_value, *y_full], exact)[0]
     dual_objective = dual_obj_min / (flip * form.cost_scale)
-    duals_user = tuple(y_i * (flip * sign * scale) / form.cost_scale
-                       for y_i, sign, scale in zip(y_full, form.signs, form.scales))
+    if exact:
+        duals_user = tuple(Fraction(y.numerator * flip * sign * scale, y.denominator * form.cost_scale)
+                           for y, sign, scale in zip(y_full, form.signs, form.scales))
+    else:  # every scale is 1; + 0.0 makes the zero dual of a negated row 0.0, not -0.0
+        duals_user = tuple(y * (flip * sign) + 0.0 for y, sign in zip(y_full, form.signs))
 
     _certify(lp, x_user, duals_user, objective, dual_objective, tol, mode)
     return LpSolution(OPTIMAL, tuple(x_user), duals_user, objective, dual_objective)
@@ -719,7 +776,6 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     ``x`` is nonzero: in exact mode as one int sum, in float mode in column
     order, where skipping only zero terms keeps the dense sum."""
     problems: list[str] = []
-    scale = 1 + abs(objective)
     for j, (lo, hi) in enumerate(lp.bounds):
         if lo is not None and x[j] < lo - tol:
             problems.append(f"bound violation on variable {j}")
@@ -728,15 +784,13 @@ def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:
     sums = _linalg.dots([con.coeffs for con in lp.constraints], x, mode == "exact")
     for i, (con, lhs) in enumerate(zip(lp.constraints, sums)):
         gap = lhs - con.rhs
-        if con.relation == LE and gap > tol:
+        above, below = gap > tol, gap < -tol
+        if (above and con.relation != GE) or (below and con.relation != LE):
             problems.append(f"constraint {i} violated")
-        elif con.relation == GE and gap < -tol:
-            problems.append(f"constraint {i} violated")
-        elif con.relation == EQ and abs(gap) > tol:
-            problems.append(f"constraint {i} violated")
-        if con.relation != EQ and abs(duals[i]) > tol and abs(gap) > tol:
+        if con.relation != EQ and (above or below) and (duals[i] > tol or duals[i] < -tol):
             problems.append(f"complementary slackness fails on constraint {i}")
-    if abs(objective - dual_objective) > tol * scale:
+    gap, bound = objective - dual_objective, tol * (1 + abs(objective))
+    if gap > bound or gap < -bound:
         problems.append("duality gap")
     if problems:
         raise unverified("solve failed self-certification: " + "; ".join(problems), mode == "exact")

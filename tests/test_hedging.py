@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -374,16 +375,40 @@ def test_float_intervals_hold_no_fraction():
     assert witnesses == 8
 
 
+def test_float_superhedge_measures_hold_no_negative_zero():
+    """A zero mass of a float superhedge's dual measure is 0.0, never -0.0:
+    neither the zero dual of a row the standard form negated nor the mass
+    of an outcome that attains no class maximum carries a sign, also where
+    the price is negative: each claim is also priced shifted below 0."""
+    zeros = 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "platonic" / "scenarios").glob("*.json")):
+        scenario = parse_scenario(str(path))
+        model = as_float_model(scenario.model)
+        for mode in ("free", "long_only"):
+            for claim in [c for claim in scenario.claims.values()
+                          for c in (claim, [v - max(claim.values) - 1 for v in claim.values])]:
+                try:
+                    q = superreplicate(model, claim, mode, 1e-9)[1].q_values
+                except UnpricedMarketError:
+                    continue
+                masses = [v for v in q if v == 0]
+                assert all(math.copysign(1, v) > 0 for v in masses), (path.stem, mode)
+                zeros += len(masses)
+    assert zeros > 0
+
+
 TREES = [(binomial_tree, steps) for steps in (3, 4, 5)] + [(trinomial_tree, steps) for steps in (2, 3)]
 
 
 def test_tree_prices_agree_across_arithmetics_and_the_measure_lp(monkeypatch):
     """On binomial and trinomial trees under full, delayed and gridded
     trading, three claims priced in a row: the float superhedge price
-    matches the exact one within tol (1 + |price|), also where it starts
-    from the previous claim's optimal basis; the exact price is the optimum
-    of the exact measure LP, max E_q[c] over the (super)martingale
-    measures; and the verdict's measure passes ``checked_measure``."""
+    matches the exact one within tol (1 + |price|), and every float
+    superhedge solved after the first on the market starts from the
+    previous one's optimal basis, repaired by dual pivots; the exact price
+    is the optimum of the exact measure LP, max E_q[c] over the
+    (super)martingale measures; and the verdict's measure passes
+    ``checked_measure``."""
     tol = 1e-9
     warm = []
     inner = lpsolve._warm_float_solve
@@ -408,16 +433,20 @@ def test_tree_prices_agree_across_arithmetics_and_the_measure_lp(monkeypatch):
             measure = ftap_verdict(m, mode, eps if eps else None).measure
             assert checked_measure(measure.q_values, cols, kind, eps) is not None
         polytope = martingale_polytope_constraints(cols, n, kind)
+        solved = False
         for _ in range(3):
             claim = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
             exact = superreplicate(model, claim, mode)[0].price
             best = solve(LinearProgram.build(claim, "max", polytope, [(0, None)] * n))
             assert best.status == "optimal" and best.objective == exact
+            start = len(warm)
             approx = superreplicate(float_model, [float(v) for v in claim], mode, tol)[0].price
             assert abs(approx - exact) <= tol * (1 + abs(exact))
+            if solved:  # the slot holds this market's last superhedge: answered warm
+                assert all(answer is not None for answer in warm[start:])
+            solved = solved or len(warm) > start
 
     check()
-    assert any(answer is not None for answer in warm)  # the warm start was taken
 
 
 def _unbounded(*args, **kwargs):

@@ -560,10 +560,10 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     (``_flip``), a deterministic counter that moves with the pricing rule,
     the start basis and the bound handling. Exact answers take the float
     basis here. Float mode pivots less: a superhedge that follows one of
-    the same matrix starts from its optimal basis where that stays
-    feasible. ``free_lunch_3``'s second claim equals its first, so both of
-    its superhedges come from the cache and pivot none (4 exact pivots
-    each when solved). ``two_theta``'s 8 outcomes are 4 classes that no
+    the same matrix starts from its optimal basis, repaired by dual pivots
+    where it left its bounds. ``free_lunch_3``'s second claim equals its
+    first, so both of its superhedges come from the cache and pivot none
+    (4 exact pivots each when solved). ``two_theta``'s 8 outcomes are 4 classes that no
     generator tells apart, so each of its verdicts pivots 4 times, not 8."""
     for path in GOLDEN:
         scenario = parse_scenario(str(path))
@@ -572,7 +572,7 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"_do_pivot": {"exact": 152, "float": 114}[arithmetic], "_flip": 0}
+    assert pivots == {"_do_pivot": {"exact": 152, "float": 105}[arithmetic], "_flip": 0}
 
 
 def _hedge_like(b1=4, b2=9, upper_x=3, lower_y=0, cost_x=3, a_22=3):
@@ -599,23 +599,78 @@ class TestWarmFloatBasis:
         assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
         assert warm.objective == solve(_hedge_like(b1=F(9, 2))).objective == 12
 
-    def test_infeasible_old_basis_solves_cold(self, stages, monkeypatch):
+    def test_infeasible_old_basis_is_repaired_by_dual_pivots(self, stages, pivots, monkeypatch):
         inner = lpsolve._start_tableau
         tableaus = []
 
         def spy(form, conv):
-            if conv is float:
-                tableaus.append(lpsolve._last_optimum)
+            tableaus.append(conv)
             return inner(form, conv)
 
         monkeypatch.setattr(lpsolve, "_start_tableau", spy)
         solve(_hedge_like(), "float")
-        # b1 = 7 puts y = 4 on the old basis, and the second row's slack at -6
+        # b1 = 7 puts y = 4 on the old basis, and the second row's slack at -6:
+        # one dual pivot, where that slack leaves at 0 and the first row's enters
         sol = solve(_hedge_like(b1=7), "float")
-        assert stages == [("float", True)] * 2
-        assert tableaus == [None, None]  # the slot is empty before a cold start
-        assert lpsolve._last_optimum is not None
+        assert tableaus == [float] and stages == [("float", True)]  # no second start
+        assert pivots == {"_do_pivot": 2, "_flip": 1}
         assert sol.x == (3, 2) and sol.objective == solve(_hedge_like(b1=7)).objective == 13
+
+    def test_infeasible_right_hand_side_hands_back_to_a_cold_solve(self, stages, monkeypatch):
+        """x + 2y >= b on [0, 3]^2 holds for b <= 9 only. At b = 10 the
+        surplus row has no column to enter, so the dual loop gives up and
+        the cold solve reports the LP infeasible."""
+        inner = lpsolve._dual_loop
+        repaired = []
+
+        def spy(*args):
+            repaired.append(inner(*args))
+            return repaired[-1]
+
+        monkeypatch.setattr(lpsolve, "_dual_loop", spy)
+
+        def problem(b):
+            return lp([1, 1], "max", [([1, 2], GE, b)], [(0, 3), (0, 3)])
+
+        assert solve(problem(1), "float").objective == 6
+        sol = solve(problem(10), "float")
+        assert repaired == [False] and stages == [("float", True)] * 2
+        assert sol.status == solve(problem(10)).status == "infeasible"
+        assert lpsolve._last_optimum is None
+
+    def test_a_sequence_of_right_hand_sides_on_one_matrix(self, monkeypatch):
+        """Each float answer, warm or cold, has the status of the exact
+        solve, and an objective within tol (1 + |objective|) of it; some
+        warm answers take dual pivots."""
+        tol = 1e-9
+        inner = lpsolve._dual_loop
+        repairs = []
+
+        def spy(tab, *args):
+            before = list(tab.basis)
+            feasible = inner(tab, *args)
+            repairs.append(feasible and tab.basis != before)
+            return feasible
+
+        monkeypatch.setattr(lpsolve, "_dual_loop", spy)
+
+        @settings(max_examples=60, deadline=None)
+        @given(rhs=st.lists(st.tuples(*[st.integers(1, 20)] * 4), min_size=2, max_size=6))
+        def check(rhs):
+            lpsolve._last_optimum = None
+            for b1, b2, b3, b4 in rhs:
+                problem = lp([3, 2, 1, -1], "max", [
+                    ([1, 1, 1, 0], LE, b1), ([1, 3, 0, -1], LE, b2),
+                    ([2, 0, 1, 1], LE, b3), ([-1, 1, 1, 0], GE, b4),
+                ], [(0, 3), (0, None), (0, 4), (None, None)])
+                exact = solve(problem)
+                approx = solve(problem, "float", tol)
+                assert approx.status == exact.status
+                if exact.status == "optimal":
+                    assert abs(approx.objective - exact.objective) <= tol * (1 + abs(approx.objective))
+
+        check()
+        assert any(repairs)  # a basis repaired by at least one dual pivot
 
     @pytest.mark.parametrize("change", [
         {"upper_x": 2.5}, {"lower_y": 0.5}, {"cost_x": 3.5}, {"a_22": 2.5},
