@@ -13,7 +13,7 @@ closes stdout early changes neither the exit code nor stderr.
 
 ``min_mass`` in a measure report is the smallest mass of the certificate
 returned, not the largest minimum mass over all measures; ``project
---measure search`` uses the measure search that maximizes the minimum mass.
+--measure search`` projects with the measure that ``ftap`` reports.
 """
 from __future__ import annotations
 
@@ -204,21 +204,20 @@ def _measure_file(path: str, model: MarketModel) -> MeasureCertificate:
 
 
 def cmd_project(args, scenario: Scenario, report: dict) -> None:
-    from .ftap import find_measure, project_prices
+    from .ftap import _measure_or_refuse, project_prices
 
     asset_set = frozenset(args.set.split(","))
     if asset_set not in scenario.model.admissible_sets:
         admissible = "; ".join(",".join(sorted(s)) for s in scenario.model.admissible_sets)
         raise ScenarioError(f"--set {args.set}: not an admissible asset set (admissible: {admissible})")
-    if args.measure == "search":
-        cert = find_measure(scenario.model, "martingale", args.tol)
-        if cert is None:
-            raise UnpricedMarketError("the market admits arbitrage: no martingale measure to project with")
+    searched = args.measure == "search"
+    if searched:
+        cert = _measure_or_refuse(scenario.model, "free", args.tol)
     else:
         cert = _measure_file(args.measure, scenario.model)
     projected = project_prices(scenario.model, cert, asset_set, args.tol)
     report["asset_set"] = sorted(asset_set)
-    report["measure"] = _measure_doc(cert, scenario.model) if cert.verification else {"kind": cert.kind}
+    report["measure"] = _measure_doc(cert, scenario.model) if searched else {"kind": cert.kind}
     report["projections"] = {
         asset: [ _fmt(list(rv)) for rv in path ] for asset, path in projected.items()
     }

@@ -12,19 +12,19 @@ that turns every admissible projection of prices into a
 (super)martingale: the separating measure is the dual of the no-arbitrage
 LP. The verdict checks that measure against the generators on every
 outcome; when the check fails it raises, in exact arithmetic as a broken
-dichotomy and in float as a refusal to answer. ``find_measure`` keeps the
-independent search over the probability simplex, which maximizes the
-minimum mass, with one mass q_c >= |c| eps per class.
+dichotomy and in float as a refusal to answer. ``find_measure`` returns
+that measure, so one LP answers every question about the dichotomy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .errors import FtapInconsistencyError, InvalidModelError, ProjectionError, unverified
-from .lpsolve import EQ, GE, LE, INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .errors import FtapInconsistencyError, InvalidModelError, ProjectionError, UnpricedMarketError, unverified
+from .lpsolve import EQ, GE, LE, OPTIMAL, LinearProgram, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
@@ -65,13 +65,15 @@ def checked_measure(
     """``q`` as a certificate when it is a probability vector under which every
     generator column has expectation 0 (martingale) or at most 0
     (supermartingale), all within ``tol``; None when any of that fails.
-    The expectations are summed by ``_linalg.dots`` in the caller's
-    arithmetic: exact unless ``exact`` is False."""
-    if any(v < -tol for v in q) or abs(sum(q) - 1) > tol:
+    The total mass and the expectations are summed by ``_linalg.dots`` in
+    the caller's arithmetic: exact unless ``exact`` is False."""
+    total, *verification = _linalg.dots([dict.fromkeys(range(len(q)), 1), *cols], q, exact)
+    gap = total - 1
+    if any(v < -tol for v in q) or gap > tol or gap < -tol:
         return None
-    verification = tuple(_linalg.dots(cols, q, exact))
+    verification = tuple(verification)
     if kind == "martingale":
-        ok = all(abs(e) <= tol for e in verification)
+        ok = all(-tol <= e <= tol for e in verification)
     else:
         ok = all(e <= tol for e in verification)
     return MeasureCertificate(tuple(q), kind, min(q), verification) if ok else None
@@ -151,11 +153,16 @@ def _arbitrage_lp(
     if sol.objective <= eff_tol:
         # The solver reports -y for the >= rows of this max problem; the
         # signs cancel in q = y_c / |c| / sum(y).
-        total = sum(sol.duals)
+        total = _linalg.dots([dict.fromkeys(range(m), 1)], sol.duals, exact)[0]
         if not total < 0:
             return None, None
         kind = "martingale" if mode == "free" else "supermartingale"
-        q = per_outcome([d / len(c) / total for d, c in zip(sol.duals, classes)], classes, n)
+        if exact:  # one Fraction per class
+            masses = [Fraction(d.numerator * total.denominator, d.denominator * len(c) * total.numerator)
+                      for d, c in zip(sol.duals, classes)]
+        else:
+            masses = [d / len(c) / total for d, c in zip(sol.duals, classes)]
+        q = per_outcome(masses, classes, n)
         measure = checked_measure(q, cols, kind, eff_tol, exact)
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
@@ -180,52 +187,26 @@ def martingale_polytope_constraints(
 
 
 def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None = None) -> MeasureCertificate | None:
-    """Search for a full-support measure killing (martingale, expectations
-    exactly zero) or dominating (supermartingale, <= 0) every generator.
+    """The verdict's full-support measure killing (martingale, expectations
+    exactly zero) or dominating (supermartingale, <= 0) every generator;
+    None when the market admits an arbitrage for free (martingale) or
+    long-only (supermartingale) trading.
 
-    Strict positivity is decided by maximizing the minimum mass; the optimum
-    is positive iff a full-support measure exists. In float mode a positive
-    optimum below the tolerance cannot be told from zero and raises, asking
-    for an exact rerun. The measure is checked against every generator, as
-    the verdict's is; a failed check raises ``errors.unverified``:
-    ``RuntimeError`` in exact mode and ``FloatModeError`` in float mode.
+    It is the dual of the verdict's LP, not the measure of largest minimum
+    mass, so its ``min_mass`` may lie below the largest one. A measure that
+    fails its check raises as :func:`ftap_verdict` does.
     """
     if kind not in ("martingale", "supermartingale"):
         raise ValueError("kind must be 'martingale' or 'supermartingale'")
-    return _find_measure(model, model.arithmetic, kind, tol)
+    return ftap_verdict(model, "free" if kind == "martingale" else "long_only", tol).measure
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _find_measure(model: MarketModel, arithmetic: str, kind: str, tol: Num | None) -> MeasureCertificate | None:
-    _require_valid(model, tol)
-    lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
-    mode = "free" if kind == "martingale" else "long_only"
-    _gens, cols = generator_matrix(model, mode)
-    classes = outcome_classes(model, mode)
-    n, m = model.n_outcomes, len(classes)
-    constraints = martingale_polytope_constraints(class_columns(cols, classes, n), m, kind)
-    constraints += [({i: 1, m: -len(c)}, GE, 0) for i, c in enumerate(classes)]
-    objective = [0] * m + [1]
-    bounds = [(0, None)] * m + [(0, None)]
-    lp = LinearProgram.build(objective, "max", constraints, bounds)
-    exact = lp_mode == "exact"
-    sol = solve(lp, lp_mode, solver_tol(eff_tol))
-    if sol.status == INFEASIBLE:
-        return None
-    if sol.status != OPTIMAL:  # epsilon is bounded by 1/n
-        raise unverified(f"measure search ended with status {sol.status}", exact)
-    # Zero (numerically zero in float) means no full-support measure; in float
-    # a positive minimum mass below the tolerance cannot be certified either
-    # way. Exact mode has tolerance 0 and eps >= 0: it returns at eps == 0.
-    eps = sol.objective
-    if abs(eps) <= eff_tol * 1e-3:
-        return None
-    if eps <= eff_tol:
-        raise unverified(f"minimum mass {eps} is below the tolerance; boundary case", exact)
-    q = per_outcome([v / len(c) for v, c in zip(sol.x[:m], classes)], classes, n)
-    cert = checked_measure(q, cols, kind, eff_tol, exact)
+def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> MeasureCertificate:
+    """The (cached) verdict's full-support measure; refuses on arbitrage."""
+    cert = ftap_verdict(model, mode, tol).measure
     if cert is None:
-        raise unverified(f"the measure search's optimizer is not a {kind} measure", exact)
+        kind = "martingale" if mode == "free" else "supermartingale"
+        raise UnpricedMarketError(f"the market admits arbitrage: no full-support {kind} measure exists")
     return cert
 
 

@@ -18,12 +18,13 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .errors import DimensionGuardError, UnpricedMarketError, unverified
+from .errors import DimensionGuardError, unverified
+from .errors import UnpricedMarketError  # noqa: F401  re-exported: the pricing functions raise it on arbitrage
 from .ftap import (
     MeasureCertificate,
+    _measure_or_refuse,
     _require_valid,
     checked_measure,
-    ftap_verdict,
     martingale_polytope_constraints,
 )
 from .lpsolve import (
@@ -99,16 +100,6 @@ class PriceInterval:
     @property
     def width(self) -> Num:
         return self.upper - self.lower
-
-
-def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> MeasureCertificate:
-    """The (cached) verdict's full-support measure; refuses on arbitrage."""
-    cert = ftap_verdict(model, mode, tol).measure
-    if cert is None:
-        raise UnpricedMarketError(
-            "the market admits arbitrage; superreplication prices are not defined"
-        )
-    return cert
 
 
 def superhedge_lp(

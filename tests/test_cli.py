@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _factories import random_claim, random_market
-from platonic import lpsolve
+from platonic import as_float_model, find_measure, find_separating_density, ftap_verdict, lpsolve
 from platonic.cli import (
     EXIT_INCONSISTENT,
     EXIT_INVALID,
@@ -242,6 +242,37 @@ class TestProjectCommand:
         )
         assert code == 0
         assert projected["measure"]["kind"] == "martingale"
+
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_project_reports_the_ftap_measure(self, capsys, cold_caches, scenario_path, mode):
+        """One measure per market: on every golden scenario, ``project`` with
+        each admissible set reports the measure that ``ftap`` reports, each
+        asked with empty caches as in a fresh process."""
+        for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
+            cold_caches()
+            lpsolve._last_optimum = None
+            _, verdict = run(capsys, "ftap", str(path), mode)
+            for aset in sorted(",".join(sorted(s)) for s in parse_scenario(str(path)).model.admissible_sets):
+                cold_caches()
+                lpsolve._last_optimum = None
+                code, report = run(capsys, "project", str(path), "--set", aset, mode)
+                assert code == EXIT_OK
+                assert report["measure"] == verdict["measure"], (path.stem, aset)
+
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_measure_of_a_market_without_generators(self, capsys, tmp_path, scenario_path, mode):
+        """Constant prices leave no generator to check the measure against;
+        ``project`` still reports the measure it projected with, as ``ftap``
+        does."""
+        doc = json.loads(Path(scenario_path("binomial")).read_text())
+        doc["assets"]["stock"] = [["1", "1"], ["1", "1"]]
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(doc))
+        _, verdict = run(capsys, "ftap", str(path), mode)
+        code, report = run(capsys, "project", str(path), "--set", "stock", mode)
+        assert code == EXIT_OK
+        assert report["measure"]["generator_expectations"] == []
+        assert report["measure"] == verdict["measure"]
 
     def test_set_not_admissible(self, capsys, scenario_path):
         code = main(["project", scenario_path("binomial"), "--set", "nosuch"])
@@ -534,8 +565,8 @@ class TestNoCertifiedAnswer:
 class TestLpSolvesPerCommand:
     """LP solves per CLI command on every golden scenario, with the
     model-keyed caches empty as in a fresh process: a verdict is one LP, a
-    superhedge one more, an interval two superhedges, a measure search one
-    LP, and ``check-duality`` a verdict plus, per claim, a superhedge and
+    superhedge one more, an interval two superhedges, ``project`` the
+    verdict's LP, and ``check-duality`` a verdict plus, per claim, a superhedge and
     the LPs of ``attainability_set_check``: the lower hedge of its interval
     and two cone tests, since the upper hedge is the cached superhedge. A
     claim equal to an earlier one (``free_lunch_3`` has two) has both
@@ -591,6 +622,22 @@ class TestLpSolvesPerCommand:
             repeats = len(scenario.claims) - len(set(scenario.claims.values()))
             cached = 2 * repeats if name == "check-duality" else 0  # both hedges of a repeat
             assert len(solves) == once + solves_per_claim * len(scenario.claims) - cached, path.stem
+
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_measure_and_density_reuse_the_verdict(self, solves, cold_caches, scenario_path, arithmetic):
+        """``find_measure`` and ``find_separating_density`` return the
+        verdict's measure: the three questions cost one LP in total."""
+        for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
+            model = parse_scenario(str(path)).model
+            if arithmetic == "float":
+                model = as_float_model(model)
+            cold_caches()
+            solves.clear()
+            measure = ftap_verdict(model).measure
+            assert find_measure(model) is measure
+            assert find_separating_density(model).measure is measure
+            assert len(solves) == 1, path.stem
 
 
 def _paths(node, prefix=()):

@@ -295,12 +295,16 @@ class TestFloatMode:
         (True, FloatModeError), (False, ftap.FtapInconsistencyError),
     ])
     def test_refused_measure_raises(self, monkeypatch, binomial, cold_caches, to_float, failure):
-        """A dual measure that fails its check ends the verdict: a float one
-        gives no certified answer, an exact one breaks the dichotomy."""
+        """A dual measure that fails its check ends the verdict, and
+        ``find_measure``, which returns the verdict's measure, raises as it
+        does instead of returning None: a float one gives no certified
+        answer, an exact one breaks the dichotomy."""
         model = as_float_model(binomial) if to_float else binomial
         monkeypatch.setattr(ftap, "checked_measure", lambda *args: None)
-        with pytest.raises(failure):
-            ftap_verdict(model)
+        for ask in (ftap_verdict, find_measure):
+            cold_caches()
+            with pytest.raises(failure):
+                ask(model)
 
 def _measure_holds(q, model, mode, tol, full_support=True):
     """q is a (full-support) probability vector killing (free) or dominating
@@ -310,6 +314,24 @@ def _measure_holds(q, model, mode, tol, full_support=True):
     for g in enumerate_generators(model, mode):
         e = sum(qi * gi for qi, gi in zip(q, g.payoff.values))
         if (abs(e) if mode == "free" else e) > tol:
+            return False
+    return True
+
+
+def _arbitrage_holds(cert, model, mode, tol):
+    """The certificate is an arbitrage, recomputed here from the payoffs: a
+    nonnegative gain, positive somewhere, and a nonnegative consumption add
+    up to the generator combination with coefficients ``lambdas``, which
+    are nonnegative for long-only trading."""
+    gain, consumption = cert.terminal_gain.values, cert.consumption.values
+    if mode == "long_only" and any(lam < -tol for lam in cert.lambdas):
+        return False
+    if any(v < -tol for v in gain + consumption) or not max(gain) > tol:
+        return False
+    gens = enumerate_generators(model, mode)
+    for w in range(model.n_outcomes):
+        terms = [lam * g.payoff.values[w] for lam, g in zip(cert.lambdas, gens)]
+        if abs(gain[w] + consumption[w] - sum(terms)) > tol * (1 + sum(abs(t) for t in terms)):
             return False
     return True
 
@@ -455,7 +477,11 @@ class TestSolvesPerQuestion:
 
 
 class TestVerdictAgainstMeasureSearch:
-    """The one-LP verdict against the old two-search dichotomy as oracle."""
+    """Each side of the one-LP verdict checked from the payoffs alone: the
+    arbitrage against the generators, the measure against every generator.
+    A full-support measure gives every such arbitrage a positive expectation
+    and every generator combination one of at most 0, so no market has both
+    (weak duality): each certified verdict is the right one."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -470,8 +496,12 @@ class TestVerdictAgainstMeasureSearch:
             model, tol = as_float_model(model), 1e-9
         verdict = ftap_verdict(model, mode)
         kind = "martingale" if mode == "free" else "supermartingale"
-        assert (verdict.kind == "NO_ARBITRAGE") == (find_measure(model, kind) is not None)
-        if verdict.measure is not None:
+        assert find_measure(model, kind) is verdict.measure
+        if verdict.kind == "ARBITRAGE":
+            assert verdict.measure is None
+            assert _arbitrage_holds(verdict.arbitrage, model, mode, tol)
+        else:
+            assert verdict.kind == "NO_ARBITRAGE" and verdict.arbitrage is None
             assert verdict.measure.kind == kind
             assert _measure_holds(verdict.measure.q_values, model, mode, tol)
             assert _numbers(verdict.measure.q_values) == ({F} if tol == 0 else {float})
@@ -527,8 +557,8 @@ SIX_STEP_TREES = [("delayed", "free"), ("gridded", "long_only")]
 
 
 class TestFloatSixStepTrees:
-    """Float 6-step trees, delayed and gridded: the verdict and the
-    max-min-mass search both answer with a measure that passes its check."""
+    """Float 6-step trees, delayed and gridded: the verdict answers with a
+    measure that passes its check."""
 
     @pytest.mark.parametrize("trading,mode", SIX_STEP_TREES)
     def test_verdict_answers(self, trading, mode):
@@ -536,14 +566,6 @@ class TestFloatSixStepTrees:
         verdict = ftap_verdict(model, mode)
         assert verdict.kind == "NO_ARBITRAGE"
         assert _measure_holds(verdict.measure.q_values, model, mode, 1e-9)
-
-    @pytest.mark.parametrize("trading,mode", SIX_STEP_TREES)
-    def test_measure_search_answers(self, trading, mode):
-        model = as_float_model(binomial_tree(6, trading))
-        kind = "martingale" if mode == "free" else "supermartingale"
-        cert = find_measure(model, kind)
-        assert cert is not None and cert.kind == kind
-        assert _measure_holds(cert.q_values, model, mode, 1e-9)
 
 
 def _spy_lp_rows(monkeypatch):

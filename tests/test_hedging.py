@@ -464,28 +464,25 @@ def _tampered(field, change):
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
 @pytest.mark.parametrize("question,module,name,replacement,message", [
     ("verdict", ftap, "solve", _unbounded, "arbitrage search ended with status unbounded"),
-    ("measure", ftap, "solve", _unbounded, "measure search ended with status unbounded"),
-    ("measure", ftap, "checked_measure", lambda *args: None, "optimizer is not a martingale measure"),
     ("hedge", hedging, "solve", _unbounded, "primal ended with status unbounded"),
     ("hedge", hedging, "checked_measure", lambda *args: None, "dual multipliers are not"),
     ("hedge", hedging, "solve", _tampered("objective", lambda v: v + 1), "duality gap"),
     ("hedge", hedging, "solve", _tampered("x", lambda x: (x[0], x[1] + 1, *x[2:])),
      "complementary slackness fails"),
-], ids=["verdict-status", "measure-status", "measure-check", "hedge-status", "hedge-measure",
-        "hedge-gap", "hedge-slackness"])
+], ids=["verdict-status", "hedge-status", "hedge-measure", "hedge-gap", "hedge-slackness"])
 def test_a_failed_check_is_a_bug_in_exact_and_a_refusal_in_float(
         monkeypatch, cold_caches, arithmetic, question, module, name, replacement, message):
-    """Each solver and certificate check of the verdict LP, the measure
-    search and the superhedge raises ``errors.unverified``: a
-    ``RuntimeError`` in exact arithmetic, where it would be a bug, and a
-    ``FloatModeError`` in float, a refusal to answer."""
+    """Each solver and certificate check of the verdict LP and the
+    superhedge raises ``errors.unverified``: a ``RuntimeError`` in exact
+    arithmetic, where it would be a bug, and a ``FloatModeError`` in float,
+    a refusal to answer. The verdict's measure check is
+    ``TestFloatMode::test_refused_measure_raises`` in ``test_ftap``."""
     model = binomial_tree(2)
     claim = [max(v - 100, 0) for v in model.price_path("stock")[-1]]
     if arithmetic == "float":
         model, claim = as_float_model(model), [float(v) for v in claim]
     ask = {
         "verdict": lambda: ftap_verdict(model),
-        "measure": lambda: ftap.find_measure(model),
         "hedge": lambda: superreplicate(model, claim),
     }[question]
     monkeypatch.setattr(module, name, replacement)
