@@ -126,17 +126,33 @@ def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = Non
     return _arbitrage_lp(model, model.arithmetic, mode, tol)[0]
 
 
+_Verdict = tuple[ArbitrageCertificate | None, MeasureCertificate | None]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _arbitrage_lp(
-    model: MarketModel, arithmetic: str, mode: str, tol: Num | None
-) -> tuple[ArbitrageCertificate | None, MeasureCertificate | None]:
+def _solved_verdicts(model: MarketModel, arithmetic: str, tol: Num | None) -> dict[str, _Verdict]:
+    """The verdicts solved so far on a valid model, by mode: one cache entry
+    per model, arithmetic and tolerance, filled by :func:`_arbitrage_lp`."""
+    _require_valid(model, tol)
+    return {}
+
+
+def _arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num | None) -> _Verdict:
+    """The verdict of ``mode``, solved on the first question and recorded
+    in :func:`_solved_verdicts`; an exception records nothing."""
+    solved = _solved_verdicts(model, arithmetic, tol)
+    if mode not in solved:
+        solved[mode] = _solve_arbitrage_lp(model, arithmetic, mode, tol)
+    return solved[mode]
+
+
+def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num | None) -> _Verdict:
     """Solve the arbitrage LP once and read both sides of the dichotomy off
     it: the arbitrage at a positive optimum; at a zero optimum the dual
     measure, or None when it fails its check."""
-    _require_valid(model, tol)
     lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     gens, cols = generator_matrix(model, mode)
-    classes = outcome_classes(model, mode)
+    classes = outcome_classes(model)
     n, m, k = model.n_outcomes, len(classes), len(cols)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
     objective = [0] * k + [len(c) for c in classes]
@@ -202,7 +218,21 @@ def find_measure(model: MarketModel, kind: str = "martingale", tol: Num | None =
 
 
 def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> MeasureCertificate:
-    """The (cached) verdict's full-support measure; refuses on arbitrage."""
+    """A full-support measure under which every generator of ``mode`` is a
+    martingale (free) or supermartingale (long-only); refuses on arbitrage.
+
+    It is the verdict's measure of ``mode``, except that a long-only
+    question takes the free verdict's martingale measure once that verdict
+    is solved: long-only trading reaches fewer claims, so a market without
+    a free arbitrage has no long-only one, and a measure killing every
+    generator also dominates it. So no question after a free verdict
+    solves a second verdict LP, and none solves a free verdict it does not
+    need.
+    """
+    if mode == "long_only":
+        free = _solved_verdicts(model, model.arithmetic, tol).get("free")
+        if free is not None and free[1] is not None:
+            return free[1]
     cert = ftap_verdict(model, mode, tol).measure
     if cert is None:
         kind = "martingale" if mode == "free" else "supermartingale"
@@ -213,9 +243,10 @@ def _measure_or_refuse(model: MarketModel, mode: str, tol: Num | None) -> Measur
 def ftap_verdict(model: MarketModel, mode: str = "free", tol: Num | None = None) -> FtapVerdict:
     """Arbitrage or full-support (super)martingale measure, from one LP.
 
-    The arbitrage LP is solved once (and cached per model, arithmetic, mode
-    and tolerance). Without an arbitrage, its dual multipliers give the
-    measure, which is checked against every generator before it is returned.
+    The arbitrage LP is solved once per model, arithmetic, mode and
+    tolerance; the verdicts of both modes share one cache entry. Without an
+    arbitrage, its dual multipliers give the measure, which is checked
+    against every generator before it is returned.
     A failed check raises :class:`FtapInconsistencyError` in exact mode, where
     it means a bug; in float mode, where rounding may spoil the multipliers,
     it raises ``FloatModeError`` (``errors.unverified``): no certified

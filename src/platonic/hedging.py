@@ -102,17 +102,31 @@ class PriceInterval:
         return self.upper - self.lower
 
 
+def superhedge_rows(
+    cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]], n: int,
+) -> tuple[dict[int, Num], ...]:
+    """The claim-free rows of :func:`superhedge_lp`, one per class of
+    ``classes`` in order: the price at column 0 with coefficient 1 and
+    ``cols[j]`` at column ``1 + j``. ``classes`` are
+    :func:`platonic.market.group_outcomes` of ``cols`` on ``n`` outcomes, so
+    every column pays the same on a class and its first outcome stands for
+    it. They depend on the market alone, so one set serves every claim and
+    both modes."""
+    rows = outcome_rows(class_columns(cols, classes, n), len(classes), 1)
+    return tuple({0: 1, **row} for row in rows)
+
+
 def superhedge_lp(
-    cols: Sequence[Mapping[int, Num]], claim: Sequence[Num], mode: str,
+    rows: Sequence[Mapping[int, Num]], k: int, claim: RandomVariable, mode: str,
     classes: Sequence[Sequence[int]],
 ) -> tuple[LinearProgram, Num, list[tuple[int, ...]]]:
-    """Superhedge primal, its price offset ``m = max(claim)``, and per class
-    the outcomes where the claim attains the class maximum.
+    """Superhedge primal over the :func:`superhedge_rows` of ``k`` columns,
+    its price offset ``m = max(claim)``, and per class the outcomes where
+    the claim attains the class maximum.
 
     Minimize x such that x plus the wealth sum_j lambda_j cols[j] dominates
     the claim at every outcome, with lambda >= 0 for long-only trading.
-    ``classes`` are :func:`platonic.market.group_outcomes` of ``cols``:
-    every column pays the same on a class, so the class needs one row, the
+    Every column pays the same on a class, so the class needs one row, the
     one of its largest claim value, which dominates the others. The LP is
     written in the translated price ``x' = x - m``: its rows are
     ``x' + sum_j lambda_j cols[j] >= claim - m``, whose right-hand sides are
@@ -121,19 +135,20 @@ def superhedge_lp(
     keeps the feasible set, the duals and the optimal set of the LP in x;
     a caller adds ``m`` back to the optimal value and to ``x'``. A class
     row's dual mass belongs to the outcomes that attain the class maximum,
-    the only ones where an optimal hedge need not consume."""
-    k = len(cols)
-    offset = max(claim, default=0)
-    tops = [max(claim[w] for w in c) for c in classes]
-    rows = outcome_rows(class_columns(cols, classes, len(claim)), len(classes), 1)
+    the only ones where an optimal hedge need not consume. This step reads
+    the claim only: its right-hand sides, the offset and the attaining
+    outcomes."""
+    values = claim.values
+    offset = max(values, default=0)
+    tops = [max(values[w] for w in c) for c in classes]
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
     lp = LinearProgram.build(
         objective=[1] + [0] * k,
         sense="min",
-        constraints=[({0: 1, **row}, GE, top - offset) for row, top in zip(rows, tops)],
+        constraints=[(row, GE, top - offset) for row, top in zip(rows, tops)],
         bounds=[(None, None)] + [lam_bounds] * k,
     )
-    attaining = [tuple(w for w in c if claim[w] == top) for c, top in zip(classes, tops)]
+    attaining = [tuple(w for w in c if values[w] == top) for c, top in zip(classes, tops)]
     return lp, offset, attaining
 
 
@@ -164,6 +179,11 @@ def superreplicate(
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _superhedge_rows(model: MarketModel, _arithmetic: str) -> tuple[dict[int, Num], ...]:
+    return superhedge_rows(generator_matrix(model)[1], outcome_classes(model), model.n_outcomes)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _superhedge(
     model: MarketModel, claim: RandomVariable, arithmetic: str, mode: str, tol: Num | None
 ) -> tuple[HedgeCertificate, MeasureCertificate]:
@@ -175,8 +195,9 @@ def _superhedge(
     if len(claim) != n:
         raise ValueError("claim lives on a different space")
 
-    classes = outcome_classes(model, mode)
-    lp, offset, attaining = superhedge_lp(cols, claim, mode, classes)
+    classes = outcome_classes(model)
+    rows = _superhedge_rows(model, model.arithmetic)
+    lp, offset, attaining = superhedge_lp(rows, len(cols), claim, mode, classes)
     exact = lp_mode == "exact"
     psol = solve(lp, lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # dual feasibility makes it bounded

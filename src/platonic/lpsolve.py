@@ -94,10 +94,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from . import _linalg
 from .errors import DimensionGuardError, FloatModeError, unverified

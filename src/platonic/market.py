@@ -5,7 +5,7 @@ processes and the elementary one-interval bets that span all terminal wealths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -300,15 +300,19 @@ def _value_key(v: Num) -> Hashable:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Generator, ...]:
+def _generators(
+    model: MarketModel, _arithmetic: str
+) -> tuple[tuple[Generator, ...], tuple[dict[int, Num], ...]]:
+    """The untagged generators and their payoff columns, once per model and
+    arithmetic for both modes: long-only payoffs are the free ones."""
     grid = model.times
     n = model.n_outcomes
-    one_sided = mode == "long_only"
     # each price move once per (asset, step), whatever the sets holding the asset
     moves = {asset: [(path[k + 1] - path[k]).values for k in range(len(grid) - 1)]
              for asset, path in zip(model.assets, model.prices)}
     seen: set[tuple[tuple[int, ...], tuple[Hashable, ...]]] = set()
-    out: list[Generator] = []
+    gens: list[Generator] = []
+    cols: list[dict[int, Num]] = []
     for aset, filt in zip(model.admissible_sets, model.trading_filtrations):
         for asset in sorted(aset):
             for k, diff in enumerate(moves[asset]):
@@ -319,11 +323,14 @@ def _generators(model: MarketModel, _arithmetic: str, mode: str) -> tuple[Genera
                         continue
                     seen.add(key)
                     payoff = tuple(diff[i] if i in block else 0 for i in range(n))
-                    out.append(Generator(
-                        asset, grid[k], grid[k + 1], block,
-                        RandomVariable(payoff), aset, one_sided,
-                    ))
-    return tuple(out)
+                    gens.append(Generator(asset, grid[k], grid[k + 1], block, RandomVariable(payoff), aset))
+                    cols.append({i: diff[i] for i in support})
+    return tuple(gens), tuple(cols)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("free", "long_only"):
+        raise ValueError("mode must be 'free' or 'long_only'")
 
 
 def enumerate_generators(model: MarketModel, mode: str = "free") -> tuple[Generator, ...]:
@@ -331,12 +338,16 @@ def enumerate_generators(model: MarketModel, mode: str = "free") -> tuple[Genera
 
     Bets over longer intervals decompose into adjacent ones with the same
     (still measurable) holding, so adjacent intervals span all terminal
-    wealths. Identically-zero payoffs are dropped; in long-only mode the same
-    payoffs come back tagged one-sided.
+    wealths. Identically-zero payoffs are dropped. The generators are
+    enumerated once per model and arithmetic; in long-only mode each call
+    returns copies of them tagged one-sided, which no LP of the package
+    reads (:func:`generator_matrix` hands out the untagged ones).
     """
-    if mode not in ("free", "long_only"):
-        raise ValueError("mode must be 'free' or 'long_only'")
-    return _generators(model, model.arithmetic, mode)
+    _check_mode(mode)
+    gens = _generators(model, model.arithmetic)[0]
+    if mode == "free":
+        return gens
+    return tuple(replace(g, one_sided=True) for g in gens)
 
 
 def strategy_from_coefficients(
@@ -380,9 +391,16 @@ def strategy_from_coefficients(
 def generator_matrix(model: MarketModel, mode: str = "free") -> tuple[tuple[Generator, ...], list[dict[int, Num]]]:
     """Generators plus their payoff columns for LP assembly. A column maps
     each outcome of the generator's block where the payoff is nonzero to
-    that payoff, in outcome order; every other outcome pays 0."""
-    gens = enumerate_generators(model, mode)
-    return gens, [{i: v for i in sorted(g.block) if (v := g.payoff.values[i])} for g in gens]
+    that payoff, in outcome order; every other outcome pays 0.
+
+    Both modes get the same untagged generators and columns, built once per
+    model and arithmetic: long-only trading only bounds the coefficients,
+    which the LPs do; ``mode`` is checked and does not change the answer.
+    The list is new on every call, so a caller may append its own columns;
+    the column maps are shared and must not be changed."""
+    _check_mode(mode)
+    gens, cols = _generators(model, model.arithmetic)
+    return gens, list(cols)
 
 
 def claim_arithmetic(model: MarketModel, claim: Iterable[Num]) -> str:
@@ -415,15 +433,16 @@ def group_outcomes(cols: Sequence[Mapping[int, Num]], n: int) -> tuple[tuple[int
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _outcome_classes(model: MarketModel, _arithmetic: str, mode: str) -> tuple[tuple[int, ...], ...]:
-    return group_outcomes(generator_matrix(model, mode)[1], model.n_outcomes)
+def _outcome_classes(model: MarketModel, _arithmetic: str) -> tuple[tuple[int, ...], ...]:
+    return group_outcomes(_generators(model, _arithmetic)[1], model.n_outcomes)
 
 
 def outcome_classes(model: MarketModel, mode: str = "free") -> tuple[tuple[int, ...], ...]:
     """:func:`group_outcomes` over the model's generators: the outcomes that
     no strategy can tell apart, one row of every LP on the model. Cached per
-    model, arithmetic and mode, like the generators."""
-    return _outcome_classes(model, model.arithmetic, mode)
+    model and arithmetic, like the generators, and the same for both modes."""
+    _check_mode(mode)
+    return _outcome_classes(model, model.arithmetic)
 
 
 def class_columns(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]],

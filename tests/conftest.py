@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,38 @@ def model_caches():
         found += [obj for obj in vars(module).values()
                   if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
     return found
+
+
+class LpSolves(list):
+    """Every ``lpsolve.solve`` call of a test in call order, each as the
+    pair (name of the ``platonic`` module that called it, the LP)."""
+
+    def modules(self) -> list[str]:
+        return [module for module, _lp in self]
+
+    def of(self, module: str) -> list:
+        """The LPs that ``module`` solved, in call order."""
+        return [lp for name, lp in self if name == module]
+
+
+@pytest.fixture
+def lp_solves(monkeypatch, model_caches):
+    """Records each LP solve of the test: every ``platonic`` submodule that
+    imports ``lpsolve.solve`` (``model_caches`` loads them all) gets a
+    wrapper that appends its own name and the LP."""
+    calls = LpSolves()
+    inner = lpsolve.solve
+
+    def recording(name):
+        def solve(*args, **kwargs):
+            calls.append((name, args[0]))
+            return inner(*args, **kwargs)
+        return solve
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("platonic.") and getattr(module, "solve", None) is inner:
+            monkeypatch.setattr(module, "solve", recording(name))
+    return calls
 
 
 @pytest.fixture

@@ -572,20 +572,6 @@ class TestLpSolvesPerCommand:
     claim equal to an earlier one (``free_lunch_3`` has two) has both
     hedges cached and costs the two cone tests alone."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        inner = lpsolve.solve
-
-        def solve(*args, **kwargs):
-            calls.append(args[0])
-            return inner(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.split(".")[0] == "platonic" and getattr(module, "solve", None) is inner:
-                monkeypatch.setattr(module, "solve", solve)
-        return calls
-
     @pytest.mark.parametrize("command,solves_per_claim,once", [
         ("ftap", 0, 1),
         ("ftap --long-only", 0, 1),
@@ -602,7 +588,7 @@ class TestLpSolvesPerCommand:
         ("project --float", 0, 1),
         ("check-duality --float", 4, 1),
     ])
-    def test_golden_scenarios(self, solves, cold_caches, capsys, scenario_path, command,
+    def test_golden_scenarios(self, lp_solves, cold_caches, capsys, scenario_path, command,
                               solves_per_claim, once):
         name, *flags = command.split()
         for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
@@ -616,16 +602,16 @@ class TestLpSolvesPerCommand:
             else:
                 flags_here = flags
             cold_caches()
-            solves.clear()
+            lp_solves.clear()
             assert main([name, str(path), *flags_here]) == EXIT_OK
             capsys.readouterr()
             repeats = len(scenario.claims) - len(set(scenario.claims.values()))
             cached = 2 * repeats if name == "check-duality" else 0  # both hedges of a repeat
-            assert len(solves) == once + solves_per_claim * len(scenario.claims) - cached, path.stem
+            assert len(lp_solves) == once + solves_per_claim * len(scenario.claims) - cached, path.stem
 
 
     @pytest.mark.parametrize("arithmetic", ["exact", "float"])
-    def test_measure_and_density_reuse_the_verdict(self, solves, cold_caches, scenario_path, arithmetic):
+    def test_measure_and_density_reuse_the_verdict(self, lp_solves, cold_caches, scenario_path, arithmetic):
         """``find_measure`` and ``find_separating_density`` return the
         verdict's measure: the three questions cost one LP in total."""
         for path in sorted(Path(scenario_path("binomial")).parent.glob("*.json")):
@@ -633,11 +619,11 @@ class TestLpSolvesPerCommand:
             if arithmetic == "float":
                 model = as_float_model(model)
             cold_caches()
-            solves.clear()
+            lp_solves.clear()
             measure = ftap_verdict(model).measure
             assert find_measure(model) is measure
             assert find_separating_density(model).measure is measure
-            assert len(solves) == 1, path.stem
+            assert len(lp_solves) == 1, path.stem
 
 
 def _paths(node, prefix=()):

@@ -413,30 +413,10 @@ class TestSolvesPerQuestion:
     """The verdict solves one LP; superreplicate reuses it and solves one more,
     and a price interval is two superhedges, each solved once per process."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch, cold_caches):
-        import platonic.ftap
-        import platonic.hedging
-
-        calls = []
-
-        def counting(module):
-            inner = module.solve
-
-            def solve(*args, **kwargs):
-                calls.append(module.__name__)
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(module, "solve", solve)
-
-        counting(platonic.ftap)
-        counting(platonic.hedging)
-        return calls
-
     @pytest.mark.parametrize("arithmetic", ["exact", "float"])
     @pytest.mark.parametrize("mode", ["free", "long_only"])
     @pytest.mark.parametrize("kind", ["ARBITRAGE", "NO_ARBITRAGE"])
-    def test_verdict_one_solve(self, solves, arithmetic, mode, kind):
+    def test_verdict_one_solve(self, lp_solves, cold_caches, arithmetic, mode, kind):
         # a fresh scale per case keeps every model out of the caches
         s0 = F(3 + ["free", "long_only"].index(mode), 17 + (arithmetic == "float"))
         m = _dyadic_binomial(s0)
@@ -446,34 +426,51 @@ class TestSolvesPerQuestion:
             m = as_float_model(m)
         v = ftap_verdict(m, mode)
         assert v.kind == kind
-        assert solves == ["platonic.ftap"]
+        assert lp_solves.modules() == ["platonic.ftap"]
 
     @pytest.mark.parametrize("arithmetic", ["exact", "float"])
     @pytest.mark.parametrize("mode", ["free", "long_only"])
-    def test_superreplicate_after_verdict_one_solve(self, solves, arithmetic, mode):
+    def test_superreplicate_after_verdict_one_solve(self, lp_solves, cold_caches, arithmetic, mode):
         m = _dyadic_binomial(F(7 + ["free", "long_only"].index(mode), 31))
         if arithmetic == "float":
             m = as_float_model(m)
         ftap_verdict(m, mode)
-        solves.clear()
+        lp_solves.clear()
         hedge, dual = superreplicate(m, (1, 0), mode)
-        assert solves == ["platonic.hedging"]
+        assert lp_solves.modules() == ["platonic.hedging"]
         assert _measure_holds(dual.q_values, m, mode, 1e-9, full_support=False)
 
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_long_only_superreplicate_after_free_verdict_one_solve(self, lp_solves, cold_caches, arithmetic):
+        """Without a free arbitrage there is no long-only one, and the free
+        verdict's martingale measure is a supermartingale measure: the
+        long-only superhedge solves no verdict of its own. After a long-only
+        verdict it solves one LP too (``test_superreplicate_after_verdict_one_solve``)."""
+        m = _dyadic_binomial(F(9, 31))
+        if arithmetic == "float":
+            m = as_float_model(m)
+        ftap_verdict(m, "free")
+        lp_solves.clear()
+        hedge, dual = superreplicate(m, (1, 0), "long_only")
+        assert lp_solves.modules() == ["platonic.hedging"]
+        assert _measure_holds(dual.q_values, m, "long_only", 1e-9, full_support=False)
+        assert ftap_verdict(m, "long_only").kind == "NO_ARBITRAGE"
+        assert lp_solves.modules() == ["platonic.hedging", "platonic.ftap"]
+
     @pytest.mark.parametrize("replicable", [True, False])
-    def test_interval_after_verdict_two_solves(self, solves, replicable):
+    def test_interval_after_verdict_two_solves(self, lp_solves, cold_caches, replicable):
         m = binomial_tree(2, "delayed")
         terminal = m.price_path("stock")[-1]
         claim = terminal if replicable else RandomVariable(tuple(max(v - 100, 0) for v in terminal))
         ftap_verdict(m)
-        solves.clear()
+        lp_solves.clear()
         interval = price_interval(m, claim)
         assert (interval.replication is not None) == replicable
-        assert solves == ["platonic.hedging"] * 2
-        solves.clear()
+        assert lp_solves.modules() == ["platonic.hedging"] * 2
+        lp_solves.clear()
         report = attainability_set_check(m, claim)
         assert report.consistent and report.zero_width == replicable
-        assert solves == ["platonic.hedging"] * 2  # the cone tests; the interval is cached
+        assert lp_solves.modules() == ["platonic.hedging"] * 2  # the cone tests; the interval is cached
 
 
 class TestVerdictAgainstMeasureSearch:

@@ -27,9 +27,9 @@ from platonic import (
     solve,
     superreplicate,
 )
-from platonic import FloatModeError, as_float_model, ftap, hedging, lpsolve
+from platonic import FloatModeError, as_float_model, ftap, hedging, lpsolve, market
 from platonic.ftap import checked_measure, martingale_polytope_constraints
-from platonic.market import generator_matrix
+from platonic.market import generator_matrix, group_outcomes
 from platonic.scenario import parse_scenario
 
 
@@ -153,39 +153,28 @@ class TestAnswerCache:
     answered from the cache, in its own arithmetic, and a refusal is asked
     again every time."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch, cold_caches):
-        calls = []
-        inner = hedging.solve
-
-        def solve(*args, **kwargs):
-            calls.append(args[0])
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(hedging, "solve", solve)
-        return calls
-
-    def test_interval_after_superhedge_solves_one_lp(self, solves, delayed_canonical):
+    def test_interval_after_superhedge_solves_one_lp(self, lp_solves, cold_caches, delayed_canonical):
         claim = (3, 0, 1, 0)
         hedge, _dual = superreplicate(delayed_canonical, claim)
-        assert len(solves) == 1
+        assert len(lp_solves.of("platonic.hedging")) == 1
         interval = price_interval(delayed_canonical, claim)
-        assert len(solves) == 2  # the lower hedge; the upper one is the cached superhedge
+        # the lower hedge; the upper one is the cached superhedge
+        assert len(lp_solves.of("platonic.hedging")) == 2
         assert interval.upper == hedge.price
 
     @pytest.mark.parametrize("float_first", [True, False])
-    def test_equal_claims_keep_their_arithmetic(self, solves, binomial, float_first):
+    def test_equal_claims_keep_their_arithmetic(self, lp_solves, cold_caches, binomial, float_first):
         exact_claim, float_claim = (F(1, 2), F(1, 4)), (0.5, 0.25)
         assert RandomVariable(exact_claim) == RandomVariable(float_claim)
         claims = [float_claim, exact_claim] if float_first else [exact_claim, float_claim]
         answers = [superreplicate(binomial, claim) for claim in claims]
         exact, approx = answers[::-1] if float_first else answers
-        assert len(solves) == 2
+        assert len(lp_solves.of("platonic.hedging")) == 2
         assert float not in {type(v) for v in _numbers(exact)}
         assert F not in {type(v) for v in _numbers(approx)}
         assert type(exact[0].price) is F and type(approx[0].price) is float
 
-    def test_arbitrage_refusal_is_not_cached(self, solves):
+    def test_arbitrage_refusal_is_not_cached(self, lp_solves, cold_caches):
         space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
         big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
         model = build_market(space, big, {"s": [(1, 1), (2, 2)]})
@@ -194,8 +183,125 @@ class TestAnswerCache:
                 superreplicate(model, (1, 0))
             with pytest.raises(UnpricedMarketError):
                 price_interval(model, (1, 0))
-        assert solves == []
+        assert lp_solves.of("platonic.hedging") == []
         assert hedging._superhedge.cache_info().currsize == 0
+
+
+class TestOneMarketManyQuestions:
+    """Questions on one market share its generators, its outcome classes and
+    the claim-free rows of its superhedge LP, in both modes, and a long-only
+    question takes the free verdict's measure once that verdict is solved:
+    each question pays for its own LP only, and no answer depends on the
+    questions asked before it."""
+
+    def test_both_modes_and_three_claims_build_once(self, monkeypatch, cold_caches, delayed_canonical):
+        builds = []
+        inner = hedging.superhedge_rows
+
+        def spy(*args):
+            builds.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(hedging, "superhedge_rows", spy)
+        for claim in ((3, 0, 1, 0), (0, 1, 1, 0), (F(1, 2), 2, 0, 5)):
+            for mode in ("free", "long_only"):
+                superreplicate(delayed_canonical, claim, mode)
+        assert market._generators.cache_info().misses == 1
+        assert market._outcome_classes.cache_info().misses == 1
+        assert len(builds) == 1
+
+    def test_appending_to_the_generator_columns_changes_no_answer(self, cold_caches, delayed_canonical):
+        """``bayes.semistatic_direct_price`` appends option columns to the
+        list ``generator_matrix`` returns; the cached columns stay as they
+        were."""
+        claim = (3, 0, 1, 0)
+        answer = superreplicate(delayed_canonical, claim)
+        cold_caches()
+        _gens, cols = generator_matrix(delayed_canonical)
+        before = list(cols)
+        cols.append({0: 1, 3: -1})
+        del cols[0]
+        assert generator_matrix(delayed_canonical)[1] == before
+        assert superreplicate(delayed_canonical, claim) == answer
+
+    def test_free_arbitrage_refuses_free_prices_only(self, lp_solves, cold_caches):
+        """A strictly falling price: the free verdict finds an arbitrage, so
+        the long-only question asks its own verdict, which finds none."""
+        space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
+        big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
+        model = build_market(space, big, {"s": [(2, 2), (1, F(1, 2))]})
+        assert ftap_verdict(model).kind == "ARBITRAGE"
+        hedge, dual = superreplicate(model, (1, 0), "long_only")
+        assert dual.kind == "supermartingale" and hedge.price == 1
+        with pytest.raises(UnpricedMarketError):
+            superreplicate(model, (1, 0), "free")
+        assert lp_solves.modules() == ["platonic.ftap", "platonic.ftap", "platonic.hedging"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_answers_do_not_depend_on_the_questions_before(self, seed, data, model_caches):
+        """2 to 4 claims in both modes, asked in a random order on a random
+        or tree market in both arithmetics: each answer is the one the same
+        question gets first on cold caches, and its price and coefficients
+        are those of its superhedge LP built and solved from scratch. A
+        float superhedge may start from the basis of the one before it
+        (``lpsolve._warm_float_solve``), which can move its last digits or,
+        at a degenerate optimum, its coefficients; so a float answer is held
+        to the same refusal and to its price within the tolerance."""
+        def cold():
+            for cache in model_caches:
+                cache.cache_clear()
+            lpsolve._last_optimum = None
+
+        rng = random.Random(seed)
+        shape = data.draw(st.sampled_from(["random", "binomial", "trinomial"]))
+        if shape == "random":
+            model = random_market(rng)
+        else:
+            trading = data.draw(st.sampled_from(["full", "delayed", "gridded"]))
+            model = (binomial_tree if shape == "binomial" else trinomial_tree)(2, trading)
+        claims = [random_claim(rng, model.n_outcomes) for _ in range(data.draw(st.integers(2, 4)))]
+        questions = data.draw(st.permutations([(c, mode) for c in claims for mode in ("free", "long_only")]))
+        for m in (model, as_float_model(model)):
+            exact = m is model
+            if not exact:
+                questions = [(RandomVariable(tuple(map(float, c))), mode) for c, mode in questions]
+            cold()
+            answers = [_answer_or_refusal(m, c, mode) for c, mode in questions]
+            for (claim, mode), answer in zip(questions, answers):
+                cold()
+                first = _answer_or_refusal(m, claim, mode)
+                if exact or isinstance(answer, str):
+                    assert first == answer
+                    if isinstance(answer, str):
+                        continue
+                else:
+                    assert _close(first[0].price, answer[0].price)
+                cold()
+                cols = generator_matrix(m)[1]
+                classes = group_outcomes(cols, m.n_outcomes)
+                rows = hedging.superhedge_rows(cols, classes, m.n_outcomes)
+                lp, offset, _attaining = hedging.superhedge_lp(rows, len(cols), claim, mode, classes)
+                sol = solve(lp, "exact" if exact else "float")
+                if exact:
+                    assert (answer[0].price, answer[0].lambdas) == (offset + sol.objective, sol.x[1:])
+                else:
+                    assert _close(answer[0].price, offset + sol.objective)
+
+
+FLOAT_TOL = 1e-9
+
+
+def _close(a, b):
+    return abs(a - b) <= FLOAT_TOL * (1 + abs(b))
+
+
+def _answer_or_refusal(model, claim, mode):
+    """The superhedge answer, or the name of the error refusing it."""
+    try:
+        return superreplicate(model, claim, mode)
+    except (UnpricedMarketError, FloatModeError) as exc:
+        return type(exc).__name__
 
 
 class TestPriceInterval:

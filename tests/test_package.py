@@ -39,7 +39,7 @@ ERRORS = {
     "InvalidModelError": platonic.ftap,
     "FtapInconsistencyError": platonic.ftap,
     "ProjectionError": platonic.ftap,
-    "UnpricedMarketError": platonic.hedging,
+    "UnpricedMarketError": platonic.ftap,
     "FloatModeError": platonic.lpsolve,
     "DimensionGuardError": platonic.lpsolve,
 }
@@ -89,3 +89,11 @@ def test_each_exception_is_one_class(name):
     cls = getattr(platonic.errors, name)
     assert getattr(ERRORS[name], name) is getattr(platonic, name) is cls
     assert cls.__module__ == "platonic.errors"
+
+
+def test_hedging_re_exports_the_arbitrage_refusal():
+    """``ftap._measure_or_refuse`` raises the refusal for every pricing
+    function, yet ``hedging`` keeps the name: code that prices with
+    ``hedging`` catches it from there (``from platonic.hedging import
+    UnpricedMarketError``)."""
+    assert platonic.hedging.UnpricedMarketError is platonic.errors.UnpricedMarketError
