@@ -4,10 +4,10 @@ The cheapest dominating hedge of a claim equals the largest expectation of the
 claim over the polytope of measures under which every admissible projection of
 prices is a (super)martingale; in exact mode the two optimal values coincide
 as rational numbers. A price interval is two superhedges, of the claim and of
-its negative, and the hedges' consumption certifies that an optimizer has no
-full support. The polar-cone identity and the attainability trichotomy are
-verified with the same machinery plus a brute-force vertex oracle on small
-instances.
+its negative (one when the first replicates the claim), and the hedges'
+consumption certifies that an optimizer has no full support. The polar-cone
+identity and the attainability trichotomy are verified with the same
+machinery plus a brute-force vertex oracle on small instances.
 """
 from __future__ import annotations
 
@@ -105,7 +105,7 @@ class PriceInterval:
 def superhedge_rows(
     cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]], n: int,
 ) -> tuple[dict[int, Num], ...]:
-    """The claim-free rows of :func:`superhedge_lp`, one per class of
+    """The claim-free rows of :func:`superhedge_template`, one per class of
     ``classes`` in order: the price at column 0 with coefficient 1 and
     ``cols[j]`` at column ``1 + j``. ``classes`` are
     :func:`platonic.market.group_outcomes` of ``cols`` on ``n`` outcomes, so
@@ -116,40 +116,49 @@ def superhedge_rows(
     return tuple({0: 1, **row} for row in rows)
 
 
+def superhedge_template(rows: Sequence[Mapping[int, Num]], k: int, mode: str) -> LinearProgram:
+    """The superhedge LP of a market in ``mode`` over its
+    :func:`superhedge_rows` of ``k`` columns, with every right-hand side 0:
+    minimize the price column 0 such that each row is >= its right-hand
+    side, with lambda >= 0 for long-only trading. It holds everything of the
+    LP but the claim, so a market builds it once per mode and each claim
+    only sets ``b`` (:func:`superhedge_lp`)."""
+    lam_bounds = (0, None) if mode == "long_only" else (None, None)
+    return LinearProgram.build(
+        objective=[1] + [0] * k,
+        sense="min",
+        constraints=[(row, GE, 0) for row in rows],
+        bounds=[(None, None)] + [lam_bounds] * k,
+    )
+
+
 def superhedge_lp(
-    rows: Sequence[Mapping[int, Num]], k: int, claim: RandomVariable, mode: str,
-    classes: Sequence[Sequence[int]],
+    template: LinearProgram, claim: RandomVariable, classes: Sequence[Sequence[int]],
 ) -> tuple[LinearProgram, Num, list[tuple[int, ...]]]:
-    """Superhedge primal over the :func:`superhedge_rows` of ``k`` columns,
-    its price offset ``m = max(claim)``, and per class the outcomes where
-    the claim attains the class maximum.
+    """The superhedge primal of ``claim`` (:meth:`LinearProgram.with_rhs` of
+    the :func:`superhedge_template` on ``classes``), its price offset ``m =
+    max(claim)``, and per class the outcomes where the claim attains the
+    class maximum.
 
     Minimize x such that x plus the wealth sum_j lambda_j cols[j] dominates
-    the claim at every outcome, with lambda >= 0 for long-only trading.
-    Every column pays the same on a class, so the class needs one row, the
-    one of its largest claim value, which dominates the others. The LP is
-    written in the translated price ``x' = x - m``: its rows are
-    ``x' + sum_j lambda_j cols[j] >= claim - m``, whose right-hand sides are
-    all <= 0, so every row starts on its slack at the cash hedge (hold m,
-    do not trade; x' = 0, lambda = 0) and no phase 1 runs. The translation
-    keeps the feasible set, the duals and the optimal set of the LP in x;
-    a caller adds ``m`` back to the optimal value and to ``x'``. A class
-    row's dual mass belongs to the outcomes that attain the class maximum,
-    the only ones where an optimal hedge need not consume. This step reads
-    the claim only: its right-hand sides, the offset and the attaining
-    outcomes."""
+    the claim at every outcome. Every column pays the same on a class, so
+    the class needs one row, the one of its largest claim value, which
+    dominates the others. The LP is written in the translated price ``x' =
+    x - m``: its rows are ``x' + sum_j lambda_j cols[j] >= claim - m``,
+    whose right-hand sides are all <= 0, so every row starts on its slack
+    at the cash hedge (hold m, do not trade; x' = 0, lambda = 0) and no
+    phase 1 runs. The translation keeps the feasible set, the duals and the
+    optimal set of the LP in x; a caller adds ``m`` back to the optimal
+    value and to ``x'``. A class row's dual mass belongs to the outcomes
+    that attain the class maximum, the only ones where an optimal hedge
+    need not consume. This step reads the claim only: it sets the
+    right-hand sides and shares the rest of the template, whose standard
+    form in each arithmetic is then built once for every claim."""
     values = claim.values
     offset = max(values, default=0)
     tops = [max(values[w] for w in c) for c in classes]
-    lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    lp = LinearProgram.build(
-        objective=[1] + [0] * k,
-        sense="min",
-        constraints=[(row, GE, top - offset) for row, top in zip(rows, tops)],
-        bounds=[(None, None)] + [lam_bounds] * k,
-    )
     attaining = [tuple(w for w in c if values[w] == top) for c, top in zip(classes, tops)]
-    return lp, offset, attaining
+    return template.with_rhs([top - offset for top in tops]), offset, attaining
 
 
 def superreplicate(
@@ -184,6 +193,12 @@ def _superhedge_rows(model: MarketModel, _arithmetic: str) -> tuple[dict[int, Nu
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _superhedge_template(model: MarketModel, arithmetic: str, mode: str) -> LinearProgram:
+    rows = _superhedge_rows(model, arithmetic)
+    return superhedge_template(rows, len(generator_matrix(model)[1]), mode)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _superhedge(
     model: MarketModel, claim: RandomVariable, arithmetic: str, mode: str, tol: Num | None
 ) -> tuple[HedgeCertificate, MeasureCertificate]:
@@ -196,8 +211,8 @@ def _superhedge(
         raise ValueError("claim lives on a different space")
 
     classes = outcome_classes(model)
-    rows = _superhedge_rows(model, model.arithmetic)
-    lp, offset, attaining = superhedge_lp(rows, len(cols), claim, mode, classes)
+    template = _superhedge_template(model, model.arithmetic, mode)
+    lp, offset, attaining = superhedge_lp(template, claim, classes)
     exact = lp_mode == "exact"
     psol = solve(lp, lp_mode, solver_tol(eff_tol))
     if psol.status != OPTIMAL:  # dual feasibility makes it bounded
@@ -260,11 +275,14 @@ def price_interval(
 
     The upper bound is the superreplication price of the claim and the lower
     bound minus that of its negative; each bound's optimizer is its hedge's
-    checked dual measure. Zero width: the claim is replicable and the upper
-    hedge is the exact replication. Positive width: a bound is attained by a
-    full-support measure only if its hedge consumes nowhere, since by
-    complementary slackness every optimizer puts no mass where the hedge
-    consumes; an un-attained bound is approached within ``eta`` by mixing.
+    checked dual measure. When the upper hedge consumes nowhere (within the
+    tolerance), it replicates the claim, and every martingale measure prices
+    a replication at its cost: the interval has zero width, read off that
+    hedge alone, and the negative's hedge is not solved. Otherwise a bound
+    is attained by a full-support measure only if its hedge consumes
+    nowhere, since by complementary slackness every optimizer puts no mass
+    where the hedge consumes; an un-attained bound is approached within
+    ``eta`` by mixing.
     """
     claim = as_random_variable(claim)
     base_cert = _measure_or_refuse(model, "free", tol)
@@ -272,20 +290,21 @@ def price_interval(
     exact = lp_mode == "exact"
     eta = Fraction(eta) if exact else float(eta)  # the hedges' arithmetic
     up_hedge, up_dual = superreplicate(model, claim, "free", tol)
+    upper = up_hedge.price
+    if all(abs(v) <= eff_tol for v in up_hedge.consumption):
+        # an exact replication: every martingale measure prices it at its cost
+        return PriceInterval(upper, upper, True, True, (upper, up_hedge.lambdas), None, None)
     lo_hedge, lo_dual = superreplicate(model, -claim, "free", tol)
-    upper, lower = up_hedge.price, -lo_hedge.price
-    att_up, att_lo = (all(abs(v) <= eff_tol for v in h.consumption) for h in (up_hedge, lo_hedge))
-
+    lower = -lo_hedge.price
+    att_lo = all(abs(v) <= eff_tol for v in lo_hedge.consumption)
     if abs(upper - lower) <= eff_tol * (1 + abs(upper)):
-        if not att_up:  # zero width forces replicability in exact arithmetic only
-            raise unverified("zero-width interval without an exact replication", exact)
-        return PriceInterval(lower, upper, True, True, (upper, up_hedge.lambdas), None, None)
+        # zero width forces replicability in exact arithmetic only
+        raise unverified("zero-width interval without an exact replication", exact)
 
-    up_witness = None if att_up else _mixing_witness(
-        up_dual.q_values, base_cert, claim, upper, eta, eff_tol, exact)
+    up_witness = _mixing_witness(up_dual.q_values, base_cert, claim, upper, eta, eff_tol, exact)
     lo_witness = None if att_lo else _mixing_witness(
         lo_dual.q_values, base_cert, claim, lower, eta, eff_tol, exact)
-    return PriceInterval(lower, upper, att_lo, att_up, None, lo_witness, up_witness)
+    return PriceInterval(lower, upper, att_lo, False, None, lo_witness, up_witness)
 
 
 @dataclass(frozen=True)

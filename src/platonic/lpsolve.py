@@ -66,13 +66,25 @@ within its tolerance); when certification fails, or the pivot budget runs
 out, it raises :class:`FloatModeError` instead of ever returning a wrong
 status (``errors.unverified``: the same failures are bugs in exact mode).
 
+Families. The standard form splits into the part that does not depend on
+``b`` (column maps, bounds, costs, the rows in the LP's arithmetic) and the
+row signs, scales and right-hand sides. The first part is built once per
+arithmetic and kept on the LP that owns the coefficient maps; every LP
+made from it by :meth:`LinearProgram.with_rhs` is of its family and only
+computes the second part, taking the family's rows where its signs and
+scales agree. An LP built any other way is a family of its own.
+
 Warm start (float mode only). The standard form and final tableau of the
 last certified float optimum stay in one module-level slot, by reference.
 When the next float LP's standard form equals that one in everything but
-``b`` (the rows, costs, bounds, start columns, row signs and column
-shifts), its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
+``b``, its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
 read off the tableau into its last column: the start columns held the
-identity, so they now hold ``B^-1``. Reduced costs do not depend on ``b``,
+identity, so they now hold ``B^-1``. Same matrix means same family and
+the same row signs, an O(rows) test; two forms of different families are
+compared entry by entry (the rows, costs, bounds, start columns, row signs
+and column shifts). Each basic value is one C-level sum over its row's
+terms in a fixed order, so a warm answer does not depend on how the test
+was passed. Reduced costs do not depend on ``b``,
 so the basis stays dual feasible, and a basic value outside its bounds is
 repaired by bounded dual simplex pivots (Lemke, Naval Res. Logist. Q. 1,
 1954) on the slot's tableau, none when every value lies within its bounds
@@ -82,8 +94,8 @@ column may enter a row outside its bounds, the pivot budget runs out or
 the certificate refuses, the slot is emptied and the LP is solved from its
 start, the one place that reports infeasible, unbounded or a refusal; its
 certified optimum then takes the slot. This serves a claim after claim on
-one market: the superhedge LPs share their matrix and differ in ``b =
-max(c) - c`` only. Exact mode neither reads nor writes the slot.
+one market: its superhedge LPs are one family and differ in ``b = max(c) -
+c`` only. Exact mode neither reads nor writes the slot.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs in exact mode. When a float LP has several optima,
@@ -95,7 +107,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -168,6 +180,32 @@ class LinearProgram:
         if bounds is None:
             bounds = ((None, None),) * n
         return LinearProgram(tuple(objective), sense, cons, tuple(bounds))
+
+    def with_rhs(self, rhs: Sequence[Num]) -> "LinearProgram":
+        """This LP with the right-hand sides ``rhs``, one per constraint in
+        order. It shares this LP's objective, bounds, relations and
+        coefficient maps, checked when this LP was made, so only the length
+        of ``rhs`` is checked; and it shares the ``b``-free part of their
+        standard form, built once for all LPs derived from this one (see
+        :func:`_standard_form`). The shared maps are never changed."""
+        if len(rhs) != len(self.constraints):
+            raise ValueError("one right-hand side per constraint required")
+        cons = []
+        for con, b in zip(self.constraints, rhs):
+            new = object.__new__(Constraint)
+            new.__dict__.update(coeffs=con.coeffs, relation=con.relation, rhs=b)
+            cons.append(new)
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(objective=self.objective, sense=self.sense, constraints=tuple(cons),
+                           bounds=self.bounds, _families=_families(self))
+        return lp
+
+
+def _families(lp: LinearProgram) -> dict:
+    """The families of the standard form of ``lp`` by arithmetic, kept on
+    the LP that owns its coefficient maps and shared with every LP derived
+    from it by :meth:`LinearProgram.with_rhs`."""
+    return lp.__dict__.setdefault("_families", {})
 
 
 @dataclass(frozen=True)
@@ -386,7 +424,9 @@ class _StandardForm:
     Python ints: row ``r`` (its slack and artificial entries included) and
     its right-hand side times ``scales[r]``, the lcm of their denominators,
     and ``cost`` and ``obj_shift`` times ``cost_scale``. So every column
-    keeps the caller's units. Float mode holds floats, and every scale is 1."""
+    keeps the caller's units. Float mode holds floats, and every scale is 1.
+    ``family`` holds the part that does not depend on ``b``; the lists here
+    may be the family's own and are never changed."""
 
     rows: list[dict[int, Num]]  # A, nonzero entries only
     rhs: list[Num]              # b
@@ -402,6 +442,32 @@ class _StandardForm:
     col_map: list[tuple[int, Num]]  # (sign, shift) per caller column
     signs: list[int]            # -1 where a row was negated (b < 0, or a ">=" row with b = 0)
     obj_shift: Num              # in units of cost_scale
+    family: "_Family | None"
+
+
+@dataclass
+class _Family:
+    """The part of the standard form that does not depend on ``b``, shared
+    by the LPs derived from one LP (:meth:`LinearProgram.with_rhs`), in one
+    arithmetic. Per row: the lcm of its denominators (1 in float), the
+    (coefficient, shift) pairs that move its right-hand side, its slack
+    column (None on an equation), and until the first standard form of the
+    family is built, its shifted and mirrored entries (in exact mode its
+    columns and their integer ratios). ``first`` is that form, without its
+    family."""
+
+    col_map: list[tuple[int, Num]]
+    upper: list[Num | None]
+    free: list[bool]
+    cost: list[Num]
+    cost_scale: int
+    obj_shift: Num
+    n_real: int
+    dens: list[int]
+    shifts: list[Sequence[tuple[Num, Num]]]
+    slacks: list[int | None]
+    base: list | None
+    first: _StandardForm | None = None
 
 
 def _integers(values: Sequence[Num], sign: int) -> tuple[int, list[int]]:
@@ -413,8 +479,9 @@ def _integers(values: Sequence[Num], sign: int) -> tuple[int, list[int]]:
     return scale, [q * (m // d) for q, d in ratios]
 
 
-def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
-    """The standard form of ``lp``; None when an empty box makes it infeasible."""
+def _new_family(lp: LinearProgram, conv) -> _Family | None:
+    """The family of ``lp`` in ``conv``; None when an empty box makes every
+    LP of the family infeasible."""
     exact = conv is Fraction
     col_map: list[tuple[int, Num]] = []
     upper: list[Num | None] = []
@@ -440,54 +507,117 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     obj_shift = sum((v * shift for v, (_, shift) in zip(cost, col_map) if shift), conv(0))
     cost = [v * sign for v, (sign, _) in zip(cost, col_map)]
 
-    # Slack columns, then artificials for the rows whose slack is not +1
-    # once the row is negated to make its rhs nonnegative. A ">=" row with
-    # rhs 0 is negated too, so that its slack starts basic.
-    n_real = len(col_map) + sum(1 for con in lp.constraints if con.relation != EQ)
-    rows: list[dict[int, Num]] = []
+    plain = all(sign > 0 and not shift for sign, shift in col_map)
+    base: list = []
+    dens: list[int] = []
+    shifts: list[Sequence[tuple[Num, Num]]] = []
+    slacks: list[int | None] = []
+    scol = len(col_map)
+    for con in lp.constraints:
+        row, terms = con.coeffs, ()
+        if not plain:
+            row, terms = {}, []
+            for j, v in con.coeffs.items():
+                sign, shift = col_map[j]
+                row[j] = v if sign > 0 else -v
+                if shift:
+                    terms.append((conv(v), shift))
+        if exact:
+            ratios = [v.as_integer_ratio() for v in row.values()]
+            dens.append(math.lcm(*[d for _, d in ratios]))
+            base.append((row, ratios))
+        else:
+            dens.append(1)
+            base.append(row)
+        shifts.append(terms)
+        slacks.append(None if con.relation == EQ else scol)
+        scol += con.relation != EQ
+    return _Family(col_map, upper, free, cost, cost_scale, obj_shift, scol, dens, shifts, slacks, base)
+
+
+def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
+    """The standard form of ``lp``; None when an empty box makes it infeasible.
+
+    Two steps, on one path for every LP: the ``b``-free part, the family of
+    ``lp`` (see "Families" in the module docstring), built once per
+    arithmetic; then each row's right-hand side, sign and scale. A row is
+    negated to make its right-hand side nonnegative, a ">=" row with
+    right-hand side 0 too, so that its slack starts basic; a row whose
+    slack is not +1 then gets an artificial. The family's first form builds
+    the rows. A later form takes each row of the first whose sign and scale
+    agree, when all signs do (so do the artificials), and derives the
+    others from the first's rows: negated, or an exact row rescaled from
+    the first's int row."""
+    families = _families(lp)
+    if conv not in families:
+        families[conv] = _new_family(lp, conv)
+    family = families[conv]
+    if family is None:
+        return None
+    exact = conv is Fraction
     rhs_out: list[Num] = []
-    start: list[int] = []
     signs: list[int] = []
     scales: list[int] = []
-    art_rows: list[int] = []
-    scol = len(col_map)
-    for i, con in enumerate(lp.constraints):
-        row: dict[int, Num] = {}
+    for con, terms, den in zip(lp.constraints, family.shifts, family.dens):
         rhs = con.rhs if exact else float(con.rhs)
-        for j, v in con.coeffs.items():
-            sign, shift = col_map[j]
-            row[j] = v if sign > 0 else -v
-            if shift:
-                rhs = conv(rhs) - conv(v) * shift
-        rel = con.relation
-        negate = rhs < 0 or (rhs == 0 and rel == GE)
-        m = -1 if negate else 1
+        for v, shift in terms:
+            rhs = conv(rhs) - v * shift
+        m = -1 if rhs < 0 or (rhs == 0 and con.relation == GE) else 1
         if exact:
-            scale, (rhs, *values) = _integers((rhs, *row.values()), m)
-            row = dict(zip(row, values))
+            q, d = rhs.as_integer_ratio()
+            scale = math.lcm(den, d)
+            rhs = q * (m * scale // d)
         else:
-            scale, rhs, row = 1, rhs * m, {j: float(v) * m for j, v in row.items()}
-        plus_slack = False
-        if rel != EQ:
-            plus_slack = (rel == LE) != negate
-            row[scol] = scale if plus_slack else -scale
-            if plus_slack:
-                start.append(scol)
-            scol += 1
-        if not plus_slack:
-            acol = n_real + len(art_rows)
-            row[acol] = scale
-            start.append(acol)
-            art_rows.append(i)
-        rows.append(row)
+            scale, rhs = 1, rhs * m
         rhs_out.append(rhs)
         signs.append(m)
         scales.append(scale)
-    extra = n_real + len(art_rows) - len(col_map)
-    return _StandardForm(
-        rows, rhs_out, cost + [0] * extra, upper + [None] * extra, free + [False] * extra,
-        start, n_real, art_rows, scales, cost_scale, col_map, signs, obj_shift,
+
+    first = family.first
+    same_signs = first is not None and first.signs == signs
+    if same_signs and first.scales == scales:
+        return _StandardForm(first.rows, rhs_out, first.cost, first.upper, first.free, first.start,
+                             family.n_real, first.art_rows, scales, family.cost_scale,
+                             family.col_map, signs, family.obj_shift, family)
+    n_cols, n_real = len(family.col_map), family.n_real
+    rows: list[dict[int, Num]] = []
+    start: list[int] = []
+    art_rows: list[int] = []
+    for r, (con, scol, m, scale) in enumerate(zip(lp.constraints, family.slacks, signs, scales)):
+        plus_slack = scol is not None and (con.relation == LE) == (m > 0)
+        acol = -1 if plus_slack else n_real + len(art_rows)
+        start.append(scol if plus_slack else acol)
+        if not plus_slack:
+            art_rows.append(r)
+        if same_signs and scale == first.scales[r]:
+            rows.append(first.rows[r])
+            continue
+        if first is None and exact:
+            keys, ratios = family.base[r]
+            factor = m * scale
+            row = dict(zip(keys, [q * (factor // d) for q, d in ratios]))
+        elif first is None:
+            row = {j: float(v) * m for j, v in family.base[r].items()}
+        elif exact:  # the first's int row at this row's sign and scale
+            factor, old = m * first.signs[r] * scale, first.scales[r]
+            row = {j: v * factor // old for j, v in first.rows[r].items() if j < n_cols}
+        else:
+            factor = m * first.signs[r]
+            row = {j: v * factor for j, v in first.rows[r].items() if j < n_cols}
+        if scol is not None:
+            row[scol] = scale if plus_slack else -scale
+        if not plus_slack:
+            row[acol] = scale
+        rows.append(row)
+    extra = n_real + len(art_rows) - n_cols
+    form = _StandardForm(
+        rows, rhs_out, family.cost + [0] * extra, family.upper + [None] * extra,
+        family.free + [False] * extra, start, n_real, art_rows, scales, family.cost_scale,
+        family.col_map, signs, family.obj_shift, None,
     )
+    if first is None:
+        family.first, family.base = form, None
+    return replace(form, family=family)
 
 
 @dataclass
@@ -690,22 +820,32 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
     if _last_optimum is None:
         return None
     last, tab = _last_optimum
-    if (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) != (
-            form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map):
+    same = last.signs == form.signs if last.family is form.family else _same_matrix(last, form)
+    if not same:
         return None
     # The start columns held the identity, so they now hold B^-1:
-    # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j.
+    # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j,
+    # each row's sum in the order of the terms, in C.
     # The objective entry of tab.reduced goes stale; no answer reads it.
     terms = [(j, b) for j, b in zip(form.start, form.rhs) if b]
     terms += [(j, -tab.upper[j]) for j in tab.at_upper()]
+    columns = [j for j, _ in terms]
+    weights = [w for _, w in terms]
     for row in tab.rows:
-        row[-1] = sum(row[k] * w for k, w in terms)
+        row[-1] = sum(map(operator.mul, map(row.__getitem__, columns), weights))
     if not _dual_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL):
         return None
     try:
         return _float_answer(lp, form, tab, tol)
     except FloatModeError:
         return None
+
+
+def _same_matrix(last: _StandardForm, form: _StandardForm) -> bool:
+    """Whether two float standard forms of different families differ in
+    ``b`` alone, entry by entry. Within a family, equal signs say as much."""
+    return (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) == (
+        form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map)
 
 
 def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:

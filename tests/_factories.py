@@ -25,6 +25,18 @@ from platonic import (
     validate,
 )
 
+# The claims of each golden scenario that its market replicates: each has a
+# zero-width price interval, read off the upper hedge alone.
+GOLDEN_REPLICABLE = {
+    "binomial": {"bond", "call", "stock_gain"},
+    "delayed_binomial": {"first_leg"},
+    "free_lunch_3": {"capped_combo", "combo"},
+    "noisy_price": set(),
+    "semistatic_call": {"call", "digital"},
+    "two_asset_binomial": {"butterfly", "digital"},
+    "two_theta": {"call", "digital"},
+}
+
 TIME_POOL = [
     Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
     Fraction(2, 3), Fraction(3, 4), Fraction(1),

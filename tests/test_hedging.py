@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _factories import binomial_tree, random_claim, random_market, trinomial_tree
 from platonic import (
+    GE,
     FiniteSpace,
     Filtration,
     LinearProgram,
@@ -240,11 +241,15 @@ class TestOneMarketManyQuestions:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_answers_do_not_depend_on_the_questions_before(self, seed, data, model_caches):
-        """2 to 4 claims in both modes, asked in a random order on a random
-        or tree market in both arithmetics: each answer is the one the same
-        question gets first on cold caches, and its price and coefficients
-        are those of its superhedge LP built and solved from scratch. A
-        float superhedge may start from the basis of the one before it
+        """2 to 6 claims, one of them with its negative, in both modes,
+        asked in a random order on a random or tree market in both
+        arithmetics: each answer is the one the same question gets first on
+        cold caches. Each superhedge LP is its market's template with the
+        claim's right-hand sides, equal to the LP ``LinearProgram.build``
+        makes from the same data, and solving that one on cold caches and an
+        empty float slot gives the answer's price and coefficients. No solve
+        changes a coefficient map that the template shares. A float
+        superhedge may start from the basis of the one before it
         (``lpsolve._warm_float_solve``), which can move its last digits or,
         at a degenerate optimum, its coefficients; so a float answer is held
         to the same refusal and to its price within the tolerance."""
@@ -260,14 +265,30 @@ class TestOneMarketManyQuestions:
         else:
             trading = data.draw(st.sampled_from(["full", "delayed", "gridded"]))
             model = (binomial_tree if shape == "binomial" else trinomial_tree)(2, trading)
-        claims = [random_claim(rng, model.n_outcomes) for _ in range(data.draw(st.integers(2, 4)))]
+        n = model.n_outcomes
+        claims = [random_claim(rng, n) for _ in range(data.draw(st.integers(1, 5)))]
+        claims.append(-claims[0])
         questions = data.draw(st.permutations([(c, mode) for c in claims for mode in ("free", "long_only")]))
         for m in (model, as_float_model(model)):
             exact = m is model
             if not exact:
                 questions = [(RandomVariable(tuple(map(float, c))), mode) for c, mode in questions]
             cold()
-            answers = [_answer_or_refusal(m, c, mode) for c, mode in questions]
+            solved = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hedging, "solve", lambda lp, *args: solved.append(lp) or solve(lp, *args))
+                answers = [_answer_or_refusal(m, c, mode) for c, mode in questions]
+            cols = generator_matrix(m)[1]
+            k, classes = len(cols), group_outcomes(cols, n)
+            rows = hedging.superhedge_rows(cols, classes, n)
+            templates = {mode: hedging._superhedge_template(m, m.arithmetic, mode)
+                         for mode in ("free", "long_only")}
+            for template in templates.values():
+                assert [con.coeffs for con in template.constraints] == [
+                    {j: v for j, v in sorted(row.items()) if v != 0} for row in rows]
+            for lp in solved:
+                assert any(all(a.coeffs is b.coeffs for a, b in zip(lp.constraints, t.constraints))
+                           for t in templates.values())
             for (claim, mode), answer in zip(questions, answers):
                 cold()
                 first = _answer_or_refusal(m, claim, mode)
@@ -278,15 +299,94 @@ class TestOneMarketManyQuestions:
                 else:
                     assert _close(first[0].price, answer[0].price)
                 cold()
-                cols = generator_matrix(m)[1]
-                classes = group_outcomes(cols, m.n_outcomes)
-                rows = hedging.superhedge_rows(cols, classes, m.n_outcomes)
-                lp, offset, _attaining = hedging.superhedge_lp(rows, len(cols), claim, mode, classes)
-                sol = solve(lp, "exact" if exact else "float")
+                offset = max(claim.values)
+                b = [max(claim.values[w] for w in c) - offset for c in classes]
+                lam = (0, None) if mode == "long_only" else (None, None)
+                built = LinearProgram.build([1] + [0] * k, "min", [(row, GE, rhs) for row, rhs in zip(rows, b)],
+                                            [(None, None)] + [lam] * k)
+                assert templates[mode].with_rhs(b) == built
+                sol = solve(built, "exact" if exact else "float")
                 if exact:
                     assert (answer[0].price, answer[0].lambdas) == (offset + sol.objective, sol.x[1:])
                 else:
                     assert _close(answer[0].price, offset + sol.objective)
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_later_claims_build_no_lp_and_no_family(self, monkeypatch, lp_solves, cold_caches,
+                                                     arithmetic):
+        """Four claims on one market in one mode: the first builds the
+        market's superhedge template and, on its first solve, the ``b``-free
+        part of its standard form (its family) in the question's
+        arithmetic. The later claims make no ``Constraint`` and no family,
+        their standard forms take the first one's rows, and each claim's LP
+        shares the template's coefficient maps."""
+        model = binomial_tree(3, "delayed")
+        conv = F if arithmetic == "exact" else float
+        if arithmetic == "float":
+            model = as_float_model(model)
+        claims = [tuple(conv((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
+        families, forms, made = [], [], [0]
+        new_family, post_init = lpsolve._new_family, lpsolve.Constraint.__post_init__
+        standard_form = lpsolve._standard_form
+
+        def family_spy(lp, arith):
+            families.append((lp.sense, arith))
+            return new_family(lp, arith)
+
+        def form_spy(lp, arith):
+            forms.append(standard_form(lp, arith))
+            return forms[-1]
+
+        def post_init_spy(con):
+            made[0] += 1
+            post_init(con)
+
+        monkeypatch.setattr(lpsolve, "_new_family", family_spy)
+        monkeypatch.setattr(lpsolve, "_standard_form", form_spy)
+        monkeypatch.setattr(lpsolve.Constraint, "__post_init__", post_init_spy)
+        ftap_verdict(model)
+        superreplicate(model, claims[0])
+        assert families == [("max", conv), ("min", conv)]  # the verdict's, the superhedges'
+        made[0] = 0
+        for claim in claims[1:]:
+            superreplicate(model, claim)
+        assert made == [0] and len(families) == 2
+        _verdict, first_claim, *later_claims = forms
+        assert len(later_claims) == 3 and all(f.rows is first_claim.rows for f in later_claims)
+        first, *later = lp_solves.of("platonic.hedging")
+        assert len(later) == 3
+        for lp in later:
+            assert all(a.coeffs is b.coeffs for a, b in zip(lp.constraints, first.constraints))
+
+    def test_float_same_matrix_is_read_off_the_family(self, monkeypatch, cold_caches):
+        """On one float market, the superhedges after the first start warm
+        from the float slot: their LP is of the slot's family with the same
+        row signs, which takes no entry-by-entry comparison of two standard
+        forms and no cold start. The first superhedge follows the verdict,
+        an LP of another family, whose forms are compared and differ."""
+        model = as_float_model(binomial_tree(3, "delayed"))
+        claims = [tuple(float((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
+        compared, cold = [], []
+        same_matrix, cold_solve = lpsolve._same_matrix, lpsolve._cold_float_solve
+
+        def same_spy(*args):
+            compared.append(same_matrix(*args))
+            return compared[-1]
+
+        def cold_spy(*args):
+            cold.append(args)
+            return cold_solve(*args)
+
+        monkeypatch.setattr(lpsolve, "_same_matrix", same_spy)
+        monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
+        ftap_verdict(model)
+        superreplicate(model, claims[0])
+        assert compared == [False] and len(cold) == 2
+        compared.clear()
+        cold.clear()
+        for claim in claims[1:]:
+            superreplicate(model, claim)
+        assert compared == [] and cold == []
 
 
 FLOAT_TOL = 1e-9
@@ -305,6 +405,22 @@ def _answer_or_refusal(model, claim, mode):
 
 
 class TestPriceInterval:
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_replicable_claim_solves_its_upper_hedge_only(self, lp_solves, cold_caches,
+                                                          delayed_canonical, arithmetic):
+        """A hedge that consumes nowhere replicates the claim: the interval
+        is that hedge's price at both ends, and the negative's hedge is not
+        solved."""
+        model = delayed_canonical if arithmetic == "exact" else as_float_model(delayed_canonical)
+        payoff = enumerate_generators(delayed_canonical)[0].payoff.values
+        claim = tuple((2 + v) if arithmetic == "exact" else float(2 + v) for v in payoff)
+        ftap_verdict(model)
+        lp_solves.clear()
+        interval = price_interval(model, claim)
+        assert interval.lower == interval.upper == 2 and interval.replication is not None
+        assert interval.attained_lower and interval.attained_upper
+        assert len(lp_solves) == 1
+
     def test_attainable_wealth_has_degenerate_interval(self, delayed_canonical):
         gens = enumerate_generators(delayed_canonical)
         g0 = gens[0].payoff

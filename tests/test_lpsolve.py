@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _factories import binomial_tree
+from _factories import GOLDEN_REPLICABLE, binomial_tree
 from platonic import _linalg, ftap, lpsolve
 from platonic.market import generator_matrix
 from platonic import (
@@ -525,8 +526,8 @@ def test_golden_verdicts_take_the_float_basis(stages, path, cold_caches):
     """Every exact solve of a golden scenario certifies its float basis and
     pivots in no rational: the verdicts, each claim's superhedges (free and
     long-only) and its price interval, two superhedges of which the upper
-    one is the cached free superhedge. A claim equal to an earlier one is
-    answered from the cache."""
+    one is the cached free superhedge, or that one alone for a replicable
+    claim. A claim equal to an earlier one is answered from the cache."""
     scenario = parse_scenario(str(path))
     model = scenario.model
     for mode in ("free", "long_only"):
@@ -535,7 +536,9 @@ def test_golden_verdicts_take_the_float_basis(stages, path, cold_caches):
             superreplicate(model, claim, mode)
     for claim in scenario.claims.values():
         price_interval(model, claim)
-    assert stages == [("float", True)] * (2 + 3 * len(set(scenario.claims.values())))  # no exact pivot
+    claims = set(scenario.claims.values())
+    replicable = {scenario.claims[c] for c in GOLDEN_REPLICABLE[path.stem]}
+    assert stages == [("float", True)] * (2 + 3 * len(claims) - len(replicable))  # no exact pivot
 
 
 @pytest.fixture
@@ -573,6 +576,53 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
     assert pivots == {"_do_pivot": {"exact": 152, "float": 105}[arithmetic], "_flip": 0}
+
+
+class TestWithRhs:
+    """``LinearProgram.with_rhs`` shares everything of an LP but its
+    right-hand sides, and the ``b``-free part of its standard form."""
+
+    def test_one_right_hand_side_per_constraint(self):
+        with pytest.raises(ValueError, match="one right-hand side per constraint"):
+            _hedge_like().with_rhs([1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=boxed_lps(), data=st.data())
+    def test_derived_lps_are_lps_built_afresh(self, problem, data):
+        """A sequence of right-hand sides on one LP: each derived LP equals
+        the LP built afresh with them, and so do its standard form in both
+        arithmetics (the rows of the family's first form, reused, negated
+        or rescaled) and its exact and float answers, each float one solved
+        with an empty float slot. No solve changes the shared maps."""
+        value = st.sampled_from(VALUES) | st.integers(-4, 4).map(F)
+        maps = [dict(con.coeffs) for con in problem.constraints]
+        for _ in range(data.draw(st.integers(1, 4))):
+            rhs = [data.draw(value) for _ in problem.constraints]
+            derived = problem.with_rhs(rhs)
+            fresh = lp(problem.objective, problem.sense,
+                       [(con.coeffs, con.relation, b) for con, b in zip(problem.constraints, rhs)],
+                       problem.bounds)
+            assert derived == fresh
+            assert all(a.coeffs is b.coeffs for a, b in zip(derived.constraints, problem.constraints))
+            for conv in (F, float):
+                forms = [lpsolve._standard_form(p, conv) for p in (derived, fresh)]
+                derived_form, fresh_form = (f and dataclasses.replace(f, family=None) for f in forms)
+                assert derived_form == fresh_form
+                first = derived_form and forms[0].family.first
+                if first and first.signs == derived_form.signs:  # a row that agrees is the first's
+                    assert all(row is old for row, old, scale, old_scale in zip(
+                        derived_form.rows, first.rows, derived_form.scales, first.scales)
+                        if scale == old_scale)
+            assert solve(derived) == solve(fresh)
+            answers = []
+            for p in (derived, fresh):
+                lpsolve._last_optimum = None
+                try:
+                    answers.append(solve(p, "float"))
+                except FloatModeError as exc:
+                    answers.append(str(exc))
+            assert answers[0] == answers[1]
+        assert [con.coeffs for con in problem.constraints] == maps
 
 
 def _hedge_like(b1=4, b2=9, upper_x=3, lower_y=0, cost_x=3, a_22=3):
@@ -1001,8 +1051,9 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
     and starts with a tableau in rationals: a deterministic counter of such
     starts. No exact solve of a verdict (free and long-only), a superhedge
     (free and long-only) or a price interval falls back, on every golden
-    scenario and the 200-market acceptance suite with 5 claims each: 2,114
-    exact solves, all on their float basis."""
+    scenario and the 200-market acceptance suite with 5 claims each: 2,012
+    exact solves, all on their float basis (a replicable claim's interval
+    solves no lower hedge)."""
     starts = {float: 0, F: 0}
     inner = lpsolve._start_tableau
 
@@ -1021,14 +1072,14 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
                     superreplicate(model, claim, mode)
                     if mode == "free":
                         price_interval(model, claim)
-    assert starts == {float: 2114, F: 0}
+    assert starts == {float: 2012, F: 0}
 
 
 def test_one_elimination_per_certified_basis(monkeypatch, suite, cold_caches):
     """A certified exact basis costs one fraction-free elimination: its
     record gives x_B and, transposed, the duals. On the questions of
-    :func:`test_exact_fallback_count` that is 2,114 eliminations and 2,114
-    transposed solves for 2,114 certified bases."""
+    :func:`test_exact_fallback_count` that is 2,012 eliminations and 2,012
+    transposed solves for 2,012 certified bases."""
     counts = {"eliminations": 0, "transposed": 0, "certified": 0}
     solve_sparse, transposed, certified = (
         _linalg.solve_sparse, _linalg.SparseSolution.transposed, lpsolve._certified)
@@ -1057,4 +1108,4 @@ def test_one_elimination_per_certified_basis(monkeypatch, suite, cold_caches):
                     superreplicate(model, claim, mode)
                     if mode == "free":
                         price_interval(model, claim)
-    assert counts == {"eliminations": 2114, "transposed": 2114, "certified": 2114}
+    assert counts == {"eliminations": 2012, "transposed": 2012, "certified": 2012}
