@@ -77,18 +77,19 @@ scales agree. An LP built any other way is a family of its own.
 Warm start (float mode only). The standard form and final tableau of the
 last certified float optimum stay in one module-level slot, by reference.
 When the next float LP's standard form equals that one in everything but
-``b``, its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
+``b`` (the rows, costs, bounds, start columns, row signs and column
+shifts), its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
 read off the tableau into its last column: the start columns held the
-identity, so they now hold ``B^-1``. Same matrix means same family and
-the same row signs, an O(rows) test; two forms of different families are
-compared entry by entry (the rows, costs, bounds, start columns, row signs
-and column shifts). Each basic value is one C-level sum over its row's
-terms in a fixed order, so a warm answer does not depend on how the test
-was passed. Reduced costs do not depend on ``b``,
-so the basis stays dual feasible, and a basic value outside its bounds is
-repaired by bounded dual simplex pivots (Lemke, Naval Res. Logist. Q. 1,
-1954) on the slot's tableau, none when every value lies within its bounds
-up to ``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
+identity, so they now hold ``B^-1``. Two float forms of one family with
+the same row signs hold the very same row, cost, bound and start lists,
+and a tuple comparison takes an item that is the same object as equal
+without reading it, so there the test reads the signs alone, O(rows).
+Each basic value is one C-level sum over its row's terms in a fixed
+order. Reduced costs do not depend on ``b``, so the basis stays dual
+feasible, and a basic value outside its bounds is repaired by bounded
+dual simplex pivots (Lemke, Naval Res. Logist. Q. 1, 1954) on the slot's
+tableau, none when every value lies within its bounds up to
+``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
 through the same extraction and certificate as a cold solve. When no
 column may enter a row outside its bounds, the pivot budget runs out or
 the certificate refuses, the slot is emptied and the LP is solved from its
@@ -107,7 +108,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -147,10 +148,18 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """An LP. ``_families`` holds the ``b``-free part of its standard form
+    by arithmetic (see "Families" above), shared with every LP derived from
+    it by :meth:`with_rhs`; it takes no part in equality or repr.
+    :meth:`with_rhs` fills the ``__dict__`` of its new objects directly to
+    skip checks already made, so this class and :class:`Constraint` keep a
+    ``__dict__`` (no ``slots``) and it sets every field of both."""
+
     objective: tuple[Num, ...]
     sense: str
     constraints: tuple[Constraint, ...]
     bounds: tuple[Bounds, ...]
+    _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", tuple(self.objective))
@@ -197,15 +206,8 @@ class LinearProgram:
             cons.append(new)
         lp = object.__new__(LinearProgram)
         lp.__dict__.update(objective=self.objective, sense=self.sense, constraints=tuple(cons),
-                           bounds=self.bounds, _families=_families(self))
+                           bounds=self.bounds, _families=self._families)
         return lp
-
-
-def _families(lp: LinearProgram) -> dict:
-    """The families of the standard form of ``lp`` by arithmetic, kept on
-    the LP that owns its coefficient maps and shared with every LP derived
-    from it by :meth:`LinearProgram.with_rhs`."""
-    return lp.__dict__.setdefault("_families", {})
 
 
 @dataclass(frozen=True)
@@ -451,10 +453,10 @@ class _Family:
     by the LPs derived from one LP (:meth:`LinearProgram.with_rhs`), in one
     arithmetic. Per row: the lcm of its denominators (1 in float), the
     (coefficient, shift) pairs that move its right-hand side, its slack
-    column (None on an equation), and until the first standard form of the
-    family is built, its shifted and mirrored entries (in exact mode its
-    columns and their integer ratios). ``first`` is that form, without its
-    family."""
+    column (None on an equation), and its shifted and mirrored entries (in
+    exact mode its columns and their integer ratios), from which a row is
+    built at any sign and scale. ``first`` is the family's first standard
+    form, without its family."""
 
     col_map: list[tuple[int, Num]]
     upper: list[Num | None]
@@ -466,7 +468,7 @@ class _Family:
     dens: list[int]
     shifts: list[Sequence[tuple[Num, Num]]]
     slacks: list[int | None]
-    base: list | None
+    base: list
     first: _StandardForm | None = None
 
 
@@ -507,21 +509,18 @@ def _new_family(lp: LinearProgram, conv) -> _Family | None:
     obj_shift = sum((v * shift for v, (_, shift) in zip(cost, col_map) if shift), conv(0))
     cost = [v * sign for v, (sign, _) in zip(cost, col_map)]
 
-    plain = all(sign > 0 and not shift for sign, shift in col_map)
     base: list = []
     dens: list[int] = []
     shifts: list[Sequence[tuple[Num, Num]]] = []
     slacks: list[int | None] = []
     scol = len(col_map)
     for con in lp.constraints:
-        row, terms = con.coeffs, ()
-        if not plain:
-            row, terms = {}, []
-            for j, v in con.coeffs.items():
-                sign, shift = col_map[j]
-                row[j] = v if sign > 0 else -v
-                if shift:
-                    terms.append((conv(v), shift))
+        row, terms = {}, []
+        for j, v in con.coeffs.items():
+            sign, shift = col_map[j]
+            row[j] = v if sign > 0 else -v
+            if shift:
+                terms.append((conv(v), shift))
         if exact:
             ratios = [v.as_integer_ratio() for v in row.values()]
             dens.append(math.lcm(*[d for _, d in ratios]))
@@ -543,12 +542,11 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     arithmetic; then each row's right-hand side, sign and scale. A row is
     negated to make its right-hand side nonnegative, a ">=" row with
     right-hand side 0 too, so that its slack starts basic; a row whose
-    slack is not +1 then gets an artificial. The family's first form builds
-    the rows. A later form takes each row of the first whose sign and scale
-    agree, when all signs do (so do the artificials), and derives the
-    others from the first's rows: negated, or an exact row rescaled from
-    the first's int row."""
-    families = _families(lp)
+    slack is not +1 then gets an artificial. A row is built from the
+    family's entries at its sign and scale, except that a later form takes
+    each row of the family's first form whose scale agrees, when all signs
+    do (so do the artificials)."""
+    families = lp._families
     if conv not in families:
         families[conv] = _new_family(lp, conv)
     family = families[conv]
@@ -592,18 +590,12 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         if same_signs and scale == first.scales[r]:
             rows.append(first.rows[r])
             continue
-        if first is None and exact:
+        if exact:
             keys, ratios = family.base[r]
             factor = m * scale
             row = dict(zip(keys, [q * (factor // d) for q, d in ratios]))
-        elif first is None:
-            row = {j: float(v) * m for j, v in family.base[r].items()}
-        elif exact:  # the first's int row at this row's sign and scale
-            factor, old = m * first.signs[r] * scale, first.scales[r]
-            row = {j: v * factor // old for j, v in first.rows[r].items() if j < n_cols}
         else:
-            factor = m * first.signs[r]
-            row = {j: v * factor for j, v in first.rows[r].items() if j < n_cols}
+            row = {j: float(v) * m for j, v in family.base[r].items()}
         if scol is not None:
             row[scol] = scale if plus_slack else -scale
         if not plus_slack:
@@ -616,7 +608,7 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         family.col_map, signs, family.obj_shift, None,
     )
     if first is None:
-        family.first, family.base = form, None
+        family.first = form
     return replace(form, family=family)
 
 
@@ -820,8 +812,8 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
     if _last_optimum is None:
         return None
     last, tab = _last_optimum
-    same = last.signs == form.signs if last.family is form.family else _same_matrix(last, form)
-    if not same:
+    if (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) != (
+            form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map):
         return None
     # The start columns held the identity, so they now hold B^-1:
     # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j,
@@ -839,13 +831,6 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
         return _float_answer(lp, form, tab, tol)
     except FloatModeError:
         return None
-
-
-def _same_matrix(last: _StandardForm, form: _StandardForm) -> bool:
-    """Whether two float standard forms of different families differ in
-    ``b`` alone, entry by entry. Within a family, equal signs say as much."""
-    return (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) == (
-        form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map)
 
 
 def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:

@@ -360,34 +360,33 @@ class TestOneMarketManyQuestions:
 
     def test_float_same_matrix_is_read_off_the_family(self, monkeypatch, cold_caches):
         """On one float market, the superhedges after the first start warm
-        from the float slot: their LP is of the slot's family with the same
-        row signs, which takes no entry-by-entry comparison of two standard
-        forms and no cold start. The first superhedge follows the verdict,
-        an LP of another family, whose forms are compared and differ."""
+        from the float slot and never cold. Their standard form holds the
+        very rows of the slot's form, so the same-matrix test reads no row
+        map. The first superhedge follows the verdict, an LP of another
+        family, and solves cold."""
         model = as_float_model(binomial_tree(3, "delayed"))
         claims = [tuple(float((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
-        compared, cold = [], []
-        same_matrix, cold_solve = lpsolve._same_matrix, lpsolve._cold_float_solve
+        shared, cold = [], []
+        warm_solve, cold_solve = lpsolve._warm_float_solve, lpsolve._cold_float_solve
 
-        def same_spy(*args):
-            compared.append(same_matrix(*args))
-            return compared[-1]
+        def warm_spy(lp, form, tol):
+            shared.append(lpsolve._last_optimum is not None and lpsolve._last_optimum[0].rows is form.rows)
+            return warm_solve(lp, form, tol)
 
         def cold_spy(*args):
             cold.append(args)
             return cold_solve(*args)
 
-        monkeypatch.setattr(lpsolve, "_same_matrix", same_spy)
+        monkeypatch.setattr(lpsolve, "_warm_float_solve", warm_spy)
         monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
         ftap_verdict(model)
         superreplicate(model, claims[0])
-        assert compared == [False] and len(cold) == 2
-        compared.clear()
+        assert len(cold) == 2
+        shared.clear()
         cold.clear()
         for claim in claims[1:]:
             superreplicate(model, claim)
-        assert compared == [] and cold == []
-
+        assert shared == [True] * 3 and cold == []
 
 FLOAT_TOL = 1e-9
 

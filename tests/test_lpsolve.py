@@ -591,9 +591,10 @@ class TestWithRhs:
     def test_derived_lps_are_lps_built_afresh(self, problem, data):
         """A sequence of right-hand sides on one LP: each derived LP equals
         the LP built afresh with them, and so do its standard form in both
-        arithmetics (the rows of the family's first form, reused, negated
-        or rescaled) and its exact and float answers, each float one solved
-        with an empty float slot. No solve changes the shared maps."""
+        arithmetics (each row reused from the family's first form or built
+        from the family's entries) and its exact and float answers, each
+        float one solved with an empty float slot. No solve changes the
+        shared maps."""
         value = st.sampled_from(VALUES) | st.integers(-4, 4).map(F)
         maps = [dict(con.coeffs) for con in problem.constraints]
         for _ in range(data.draw(st.integers(1, 4))):
