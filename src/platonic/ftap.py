@@ -1,19 +1,22 @@
 """Both sides of the fundamental theorem on a finite space, read off one LP.
 
-The arbitrage LP maximizes the mass of a nonnegative terminal gain dominated
-by a zero-cost wealth. Its rows are the classes of outcomes on which every
-generator pays the same (``market.outcome_classes``): no strategy tells
-the outcomes of a class apart, so they share one gain, weighted by the
-class size in the objective. A positive optimum is an arbitrage. At a zero
-optimum the multipliers y of the class rows satisfy G^T y = 0 (<= 0 for
-long-only trading) and y_c >= |c| on each class c, so spreading each y_c
-evenly over its class and dividing by sum(y) gives a full-support measure
-that turns every admissible projection of prices into a
-(super)martingale: the separating measure is the dual of the no-arbitrage
-LP. The verdict checks that measure against the generators on every
-outcome; when the check fails it raises, in exact arithmetic as a broken
-dichotomy and in float as a refusal to answer. ``find_measure`` returns
-that measure, so one LP answers every question about the dichotomy.
+The arbitrage LP maximizes the mass of a nonnegative terminal gain that a
+zero-cost wealth reaches exactly. Its rows are the equations ``G_c lambda -
+g_c = 0``, one per class c of outcomes on which every generator pays the
+same (``market.outcome_classes``): no strategy tells the outcomes of a
+class apart, so they share one gain, weighted by the class size in the
+objective. Each row starts the simplex on its own gain at 0, with no slack
+and no phase 1. A positive optimum is an arbitrage. At a zero optimum the
+class rows' multipliers, negated, are a y with G^T y = 0 (<= 0 for
+long-only trading) and, by the reduced costs of the gains, y_c >= |c| on
+each class c. So spreading each y_c evenly over its class and dividing by
+sum(y) gives a full-support measure that turns every admissible projection
+of prices into a (super)martingale: the separating measure is the dual of
+the no-arbitrage LP. The verdict checks that measure against the
+generators on every outcome; when the check fails it raises, in exact
+arithmetic as a broken dichotomy and in float as a refusal to answer.
+``find_measure`` returns that measure, so one LP answers every question
+about the dichotomy.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 
 from . import _linalg
 from .errors import FtapInconsistencyError, InvalidModelError, ProjectionError, UnpricedMarketError, unverified
-from .lpsolve import EQ, GE, LE, OPTIMAL, LinearProgram, solve
+from .lpsolve import EQ, LE, OPTIMAL, LinearProgram, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
@@ -84,7 +87,9 @@ class ArbitrageCertificate:
     """A nonnegative, somewhere-positive terminal gain reachable from zero cost.
 
     ``terminal_gain + consumption`` equals the generator combination with
-    coefficients ``lambdas`` outcome by outcome.
+    coefficients ``lambdas`` outcome by outcome. The arbitrage LP makes the
+    gain that combination itself, so ``consumption`` is 0 in exact mode; in
+    float mode it holds the rounding residual of the LP's equations.
     """
 
     strategy: Strategy
@@ -116,8 +121,8 @@ def _require_valid(model: MarketModel, tol: Num | None) -> None:
 
 
 def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = None) -> ArbitrageCertificate | None:
-    """Maximize the mass of a nonnegative terminal gain dominated by a
-    zero-cost wealth; a positive optimum is an arbitrage and zero decides
+    """Maximize the mass of a nonnegative terminal gain equal to a zero-cost
+    wealth; a positive optimum is an arbitrage and zero decides
     that none exists (the claim cone is closed here, nothing is lost).
 
     The gain is capped by 1 outcome-wise: the cone is scale-invariant, so the
@@ -161,14 +166,14 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
     rows = outcome_rows(class_cols, m, 0)
     for i, row in enumerate(rows):
         row[k + i] = -1
-    lp = LinearProgram.build(objective, "max", [(row, GE, 0) for row in rows], bounds)
+    lp = LinearProgram.build(objective, "max", [(row, EQ, 0) for row in rows], bounds)
     exact = lp_mode == "exact"
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # always feasible and bounded
         raise unverified(f"arbitrage search ended with status {sol.status}", exact)
     if sol.objective <= eff_tol:
-        # The solver reports -y for the >= rows of this max problem; the
-        # signs cancel in q = y_c / |c| / sum(y).
+        # The gain's reduced cost makes each class row's dual at most -|c|
+        # in this max problem; the signs cancel in q = y_c / |c| / sum(y).
         total = _linalg.dots([dict.fromkeys(range(m), 1)], sol.duals, exact)[0]
         if not total < 0:
             return None, None
@@ -183,7 +188,7 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
         return None, (measure if measure is not None and measure.full_support else None)
     lam = sol.x[:k]
     gain = sol.x[k:]
-    # row i of the LP is the wealth on class i minus its gain
+    # row i of the LP is the wealth on class i minus its gain: 0 in exact mode
     consumption = _linalg.dots([con.coeffs for con in lp.constraints], sol.x, exact)
     return ArbitrageCertificate(
         strategy=strategy_from_coefficients(model, gens, lam, mode),

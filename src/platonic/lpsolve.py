@@ -15,13 +15,18 @@ stops a basic column at 0 or at its upper bound, and stops the entering one
 at its own other bound, where it only flips (Dantzig's upper-bounding
 technique, Econometrica 23, 1955).
 
-Start. Every row starts on a +1 slack when it has one after the row is
-negated to make its right-hand side nonnegative; a ``>=`` row with
-right-hand side 0 is negated too, so its slack starts basic. The other rows
-(equations, and inequalities whose slack is -1 after the negation) get an
-artificial, and phase 1 runs only while one is basic. Every row of the
-arbitrage LP ``G lambda - g >= 0`` starts feasible this way; its gains
-``0 <= g <= 1`` start at 0.
+Start. A row starts on a column of its own: a column in no other row,
+with entry +1 after the row's sign, whose value there, the row's
+right-hand side, lies within its bounds. The candidates are the row's slack,
+then its lowest-index caller column that is in no other row and has entry
++-1; the row's sign makes its right-hand side nonnegative, and at
+right-hand side 0 it makes the first candidate's entry +1 (so a ``>=`` row
+with right-hand side 0 is negated, and its slack starts basic). A row with
+no such column gets an artificial, and phase 1 runs only while one is
+basic. Every class row of the arbitrage LP ``G_c lambda - g_c = 0`` starts
+on its own gain ``0 <= g_c <= 1`` at 0, every superhedge row on its slack,
+and neither runs phase 1. The start tableau's phase-2 cost row is built
+from the sparse rows of the standard form.
 
 Pricing. The entering column improves the objective most per unit move
 (Dantzig), ties to the lowest index; the step stops at the minimum ratio,
@@ -50,29 +55,31 @@ column, summed in ints over the common denominator of ``y``. A positive row
 scale scales that row's dual and no sign, so those checks prove the basis
 optimal, and ``y`` unscaled once is its dual vector. When a check fails, or
 the float stage refuses or ends elsewhere than at an optimum, exact
-pivoting takes over from the slack and artificial start. So every status
+pivoting takes over from the start. So every status
 exact mode reports is proved in rationals: an optimum by the basis checks
 and a zero duality gap with complementary slackness (its row sums one int
 sum each, ``_linalg.dots``), infeasibility and unboundedness by exact
 pivoting.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
-off the final phase-2 cost row: each row's start column is a unit column of
-cost 0, never bounded above, so its reduced cost is minus that row's dual,
-also for a row dropped as redundant. Both backends add ``sum_{j in U} u_j
-d_j`` to the dual objective, the bounds' share of it. The float backend
+off the final phase-2 cost row: row r's start column j is the unit column
+e_r, so its reduced cost is ``d_j = c_j - y_r`` and ``y_r = c_j - d_j``
+(``-d_j`` on a slack or artificial), also for a row dropped as redundant.
+Both backends add ``sum_{j in U} u_j d_j`` to the dual objective, the bounds' share of it. The float backend
 then certifies the result (feasibility, gap and complementary slackness
 within its tolerance); when certification fails, or the pivot budget runs
 out, it raises :class:`FloatModeError` instead of ever returning a wrong
 status (``errors.unverified``: the same failures are bugs in exact mode).
 
 Families. The standard form splits into the part that does not depend on
-``b`` (column maps, bounds, costs, the rows in the LP's arithmetic) and the
-row signs, scales and right-hand sides. The first part is built once per
-arithmetic and kept on the LP that owns the coefficient maps; every LP
-made from it by :meth:`LinearProgram.with_rhs` is of its family and only
-computes the second part, taking the family's rows where its signs and
-scales agree. An LP built any other way is a family of its own.
+``b`` (column maps, bounds, costs, the rows in the LP's arithmetic, each
+row's candidate start columns) and the row signs, scales, start columns and
+right-hand sides. The first part is built once per arithmetic and kept on
+the LP that owns the coefficient maps; every LP made from it by
+:meth:`LinearProgram.with_rhs` is of its family and only computes the second
+part, taking the family's rows where its signs, start columns and scales
+agree: a start column may move with ``b`` alone, where a value leaves its
+column's bounds. An LP built any other way is a family of its own.
 
 Warm start (float mode only). The standard form and final tableau of the
 last certified float optimum stay in one module-level slot, by reference.
@@ -107,10 +114,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import _linalg
 from .errors import DimensionGuardError, FloatModeError, unverified
@@ -225,9 +233,12 @@ class LpSolution:
     dual_objective: Num | None
 
 
-def _reduced_cost_row(c: list[Num], tab: "_Tableau") -> list[Num]:
+def _reduced_cost_row(c: list[Num], tab: "_Tableau", form: "_StandardForm | None" = None) -> list[Num]:
     """Cost row ``[reduced costs | -objective]`` of the tableau's basis, with
-    the columns at their upper bound counted in the objective."""
+    the columns at their upper bound counted in the objective. Given the
+    ``form`` whose start the tableau still is, row i is read only on the
+    columns of ``form.rows[i]`` and its value, the only entries that may be
+    nonzero; otherwise every entry is read."""
     cost = list(c) + [0]
     for j, s in enumerate(tab.state):
         if s < 0:
@@ -236,7 +247,8 @@ def _reduced_cost_row(c: list[Num], tab: "_Tableau") -> list[Num]:
         factor = cost[bc]
         if factor != 0:
             row = tab.rows[i]
-            for j, v in enumerate(row):
+            for j in range(len(row)) if form is None else [*form.rows[i], -1]:
+                v = row[j]
                 if v != 0:
                     cost[j] -= factor * v
     return cost
@@ -419,16 +431,17 @@ class _StandardForm:
     ``[0, oo)``), a column bounded only above is mirrored at its bound
     (``sign`` -1, ``x'`` in ``[0, oo)``), and a free column stays free. Rows
     are the caller's constraints, in order. After the caller's columns come
-    a slack per inequality row, then an artificial per row whose slack cannot
-    start basic (``n_real`` counts the columns before the artificials).
-    ``start`` picks each row's positive slack or artificial, a basis on
-    which ``A`` is diagonal. In exact mode ``A``, ``b`` and ``cost`` are
-    Python ints: row ``r`` (its slack and artificial entries included) and
-    its right-hand side times ``scales[r]``, the lcm of their denominators,
-    and ``cost`` and ``obj_shift`` times ``cost_scale``. So every column
-    keeps the caller's units. Float mode holds floats, and every scale is 1.
-    ``family`` holds the part that does not depend on ``b``; the lists here
-    may be the family's own and are never changed."""
+    a slack per inequality row, then an artificial per row that has no
+    column of its own to start on (``n_real`` counts the columns before the
+    artificials). ``start`` picks each row's start column (see "Start" in
+    the module docstring), a basis on which ``A`` is the identity. In exact
+    mode ``A``, ``b`` and ``cost`` are Python ints: row ``r`` (its slack and
+    artificial entries included) and its right-hand side times
+    ``scales[r]``, the lcm of their denominators, and ``cost`` and
+    ``obj_shift`` times ``cost_scale``. So every column keeps the caller's
+    units. Float mode holds floats, and every scale is 1. ``family`` holds
+    the part that does not depend on ``b``; the lists here may be the
+    family's own and are never changed."""
 
     rows: list[dict[int, Num]]  # A, nonzero entries only
     rhs: list[Num]              # b
@@ -442,7 +455,7 @@ class _StandardForm:
     scales: list[int]           # per row, positive
     cost_scale: int             # positive
     col_map: list[tuple[int, Num]]  # (sign, shift) per caller column
-    signs: list[int]            # -1 where a row was negated (b < 0, or a ">=" row with b = 0)
+    signs: list[int]            # -1 where a row was negated (b < 0, or b = 0 and a -1 first unit column)
     obj_shift: Num              # in units of cost_scale
     family: "_Family | None"
 
@@ -452,11 +465,13 @@ class _Family:
     """The part of the standard form that does not depend on ``b``, shared
     by the LPs derived from one LP (:meth:`LinearProgram.with_rhs`), in one
     arithmetic. Per row: the lcm of its denominators (1 in float), the
-    (coefficient, shift) pairs that move its right-hand side, its slack
-    column (None on an equation), and its shifted and mirrored entries (in
-    exact mode its columns and their integer ratios), from which a row is
-    built at any sign and scale. ``first`` is the family's first standard
-    form, without its family."""
+    (coefficient, shift) pairs that move its right-hand side, its unit
+    columns, and its mirrored entries (in exact mode its columns and their
+    integer ratios), from which a row is built at any sign and scale. A
+    row's unit columns are the columns it may start on, as (column, sign of
+    its entry, upper bound): its slack (an inequality's first), then its
+    lowest caller column that is in no other row and has entry +-1.
+    ``first`` is the family's first standard form, without its family."""
 
     col_map: list[tuple[int, Num]]
     upper: list[Num | None]
@@ -467,7 +482,7 @@ class _Family:
     n_real: int
     dens: list[int]
     shifts: list[Sequence[tuple[Num, Num]]]
-    slacks: list[int | None]
+    units: list[list[tuple[int, int, Num | None]]]
     base: list
     first: _StandardForm | None = None
 
@@ -483,11 +498,12 @@ def _integers(values: Sequence[Num], sign: int) -> tuple[int, list[int]]:
 
 def _new_family(lp: LinearProgram, conv) -> _Family | None:
     """The family of ``lp`` in ``conv``; None when an empty box makes every
-    LP of the family infeasible."""
+    LP of the family infeasible. A row's entries are the caller's map
+    itself, or in exact mode its keys and integer ratios, with the sign of
+    a mirrored column folded in."""
     exact = conv is Fraction
-    col_map: list[tuple[int, Num]] = []
-    upper: list[Num | None] = []
-    for lo, hi in lp.bounds:
+    boxes = {}  # each distinct bound pair once
+    for lo, hi in dict.fromkeys(lp.bounds):
         if lo is None and hi is not None:  # mirrored at its upper bound
             sign, shift, u = -1, conv(hi), None
         elif exact and not lo:  # a zero shift costs no arithmetic, here or in _solution
@@ -497,9 +513,12 @@ def _new_family(lp: LinearProgram, conv) -> _Family | None:
             u = None if hi is None else conv(hi) - shift
         if u is not None and u < 0:
             return None
-        col_map.append((sign, shift))
-        upper.append(u)
+        boxes[lo, hi] = (sign, shift), u
+    col_map: list[tuple[int, Num]] = [boxes[pair][0] for pair in lp.bounds]
+    upper: list[Num | None] = [boxes[pair][1] for pair in lp.bounds]
     free = [lo is None and hi is None for lo, hi in lp.bounds]
+    mirrored = {j for j, (sign, _) in enumerate(col_map) if sign < 0}
+    shifted = {j for j, (_, shift) in enumerate(col_map) if shift}
 
     flip = -1 if lp.sense == "max" else 1
     if exact:
@@ -509,29 +528,34 @@ def _new_family(lp: LinearProgram, conv) -> _Family | None:
     obj_shift = sum((v * shift for v, (_, shift) in zip(cost, col_map) if shift), conv(0))
     cost = [v * sign for v, (sign, _) in zip(cost, col_map)]
 
+    rows_of = Counter(chain.from_iterable(con.coeffs for con in lp.constraints))
     base: list = []
     dens: list[int] = []
     shifts: list[Sequence[tuple[Num, Num]]] = []
-    slacks: list[int | None] = []
+    units: list[list[tuple[int, int, Num | None]]] = []
     scol = len(col_map)
     for con in lp.constraints:
-        row, terms = {}, []
-        for j, v in con.coeffs.items():
-            sign, shift = col_map[j]
-            row[j] = v if sign > 0 else -v
-            if shift:
-                terms.append((conv(v), shift))
+        coeffs = con.coeffs
         if exact:
-            ratios = [v.as_integer_ratio() for v in row.values()]
+            ratios = [v.as_integer_ratio() for v in coeffs.values()]
+            if mirrored:
+                ratios = [(-q, d) if j in mirrored else (q, d) for j, (q, d) in zip(coeffs, ratios)]
             dens.append(math.lcm(*[d for _, d in ratios]))
-            base.append((row, ratios))
+            base.append((coeffs.keys(), ratios))
         else:
             dens.append(1)
-            base.append(row)
-        shifts.append(terms)
-        slacks.append(None if con.relation == EQ else scol)
+            base.append({j: -v if j in mirrored else v for j, v in coeffs.items()} if mirrored else coeffs)
+        shifts.append([(conv(v), col_map[j][1]) for j, v in coeffs.items() if j in shifted] if shifted else ())
+        unit = []
+        if con.relation != EQ:
+            unit.append((scol, 1 if con.relation == LE else -1, None))
+        for j, v in coeffs.items():
+            if rows_of[j] == 1 and (v == 1 or v == -1):
+                unit.append((j, 1 if (v > 0) == (col_map[j][0] > 0) else -1, upper[j]))
+                break
+        units.append(unit)
         scol += con.relation != EQ
-    return _Family(col_map, upper, free, cost, cost_scale, obj_shift, scol, dens, shifts, slacks, base)
+    return _Family(col_map, upper, free, cost, cost_scale, obj_shift, scol, dens, shifts, units, base)
 
 
 def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
@@ -539,13 +563,11 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
 
     Two steps, on one path for every LP: the ``b``-free part, the family of
     ``lp`` (see "Families" in the module docstring), built once per
-    arithmetic; then each row's right-hand side, sign and scale. A row is
-    negated to make its right-hand side nonnegative, a ">=" row with
-    right-hand side 0 too, so that its slack starts basic; a row whose
-    slack is not +1 then gets an artificial. A row is built from the
-    family's entries at its sign and scale, except that a later form takes
-    each row of the family's first form whose scale agrees, when all signs
-    do (so do the artificials)."""
+    arithmetic; then each row's right-hand side, sign, scale and start
+    column (see "Start"). A row is built from the family's entries at its
+    sign and scale, except that a later form takes each row of the family's
+    first form whose scale agrees, when all signs and start columns do (so
+    do the artificials)."""
     families = lp._families
     if conv not in families:
         families[conv] = _new_family(lp, conv)
@@ -553,14 +575,24 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     if family is None:
         return None
     exact = conv is Fraction
+    n_cols, n_real = len(family.col_map), family.n_real
     rhs_out: list[Num] = []
     signs: list[int] = []
     scales: list[int] = []
-    for con, terms, den in zip(lp.constraints, family.shifts, family.dens):
+    start: list[int] = []
+    art_rows: list[int] = []
+    for r, (con, terms, den, unit) in enumerate(zip(lp.constraints, family.shifts, family.dens, family.units)):
         rhs = con.rhs if exact else float(con.rhs)
         for v, shift in terms:
             rhs = conv(rhs) - v * shift
-        m = -1 if rhs < 0 or (rhs == 0 and con.relation == GE) else 1
+        m = -1 if rhs < 0 or (rhs == 0 and unit and unit[0][1] < 0) else 1
+        for j, e, u in unit:  # at rhs 0 the value 0 lies within [0, u]
+            if e == m and (u is None or not rhs or m * rhs <= u):
+                start.append(j)
+                break
+        else:
+            start.append(n_real + len(art_rows))
+            art_rows.append(r)
         if exact:
             q, d = rhs.as_integer_ratio()
             scale = math.lcm(den, d)
@@ -572,22 +604,14 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         scales.append(scale)
 
     first = family.first
-    same_signs = first is not None and first.signs == signs
-    if same_signs and first.scales == scales:
+    same = first is not None and first.signs == signs and first.start == start
+    if same and first.scales == scales:
         return _StandardForm(first.rows, rhs_out, first.cost, first.upper, first.free, first.start,
-                             family.n_real, first.art_rows, scales, family.cost_scale,
+                             n_real, first.art_rows, scales, family.cost_scale,
                              family.col_map, signs, family.obj_shift, family)
-    n_cols, n_real = len(family.col_map), family.n_real
     rows: list[dict[int, Num]] = []
-    start: list[int] = []
-    art_rows: list[int] = []
-    for r, (con, scol, m, scale) in enumerate(zip(lp.constraints, family.slacks, signs, scales)):
-        plus_slack = scol is not None and (con.relation == LE) == (m > 0)
-        acol = -1 if plus_slack else n_real + len(art_rows)
-        start.append(scol if plus_slack else acol)
-        if not plus_slack:
-            art_rows.append(r)
-        if same_signs and scale == first.scales[r]:
+    for r, (con, unit, m, scale, col) in enumerate(zip(lp.constraints, family.units, signs, scales, start)):
+        if same and scale == first.scales[r]:
             rows.append(first.rows[r])
             continue
         if exact:
@@ -596,10 +620,11 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
             row = dict(zip(keys, [q * (factor // d) for q, d in ratios]))
         else:
             row = {j: float(v) * m for j, v in family.base[r].items()}
-        if scol is not None:
-            row[scol] = scale if plus_slack else -scale
-        if not plus_slack:
-            row[acol] = scale
+        if con.relation != EQ:
+            slack, e, _ = unit[0]
+            row[slack] = e * m * scale
+        if col >= n_real:
+            row[col] = scale
         rows.append(row)
     extra = n_real + len(art_rows) - n_cols
     form = _StandardForm(
@@ -636,9 +661,9 @@ class _Tableau:
 
 
 def _start_tableau(form: _StandardForm, conv) -> _Tableau:
-    """The tableau of ``form`` on its slack and artificial basis, every
-    other column at 0, in ``conv``, with each entry, right-hand side and
-    cost divided back by its scale. Int true division is correctly rounded:
+    """The tableau of ``form`` on its start basis, every other column at 0,
+    in ``conv``, with each entry, right-hand side and cost divided back by
+    its scale. Int true division is correctly rounded:
     a float tableau holds ``float()`` of the caller's numbers, bit for bit."""
     unscale = Fraction if conv is Fraction else operator.truediv
     ncols = len(form.cost)
@@ -656,13 +681,14 @@ def _start_tableau(form: _StandardForm, conv) -> _Tableau:
 
 
 def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mode: str) -> str:
-    """Two-phase simplex from the tableau's basis, in place; returns a
-    status. Phase 1 runs while an artificial is basic."""
+    """Two-phase simplex from the start tableau of ``form``, in place;
+    returns a status. Phase 1 runs while an artificial is basic."""
     n_real = form.n_real
     ncols = len(tab.cost)
     rows, basis = tab.rows, tab.basis
-    if any(j >= n_real for j in basis):
-        cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), tab)
+    phase_1 = any(j >= n_real for j in basis)
+    if phase_1:
+        cost1 = _reduced_cost_row([0] * n_real + [1] * (ncols - n_real), tab, form)
         status = _pivot_loop(tab, cost1, ncols, tol_piv)
         if status != OPTIMAL:
             raise unverified("phase 1 cannot be unbounded", mode == "exact")
@@ -687,7 +713,7 @@ def _simplex(form: _StandardForm, tab: _Tableau, tol_piv: Num, tol_cert: Num, mo
         for i in reversed(drop):
             tab.kept.remove(form.art_rows[basis[i] - n_real])
             del rows[i], basis[i]
-    tab.reduced = _reduced_cost_row(tab.cost, tab)
+    tab.reduced = _reduced_cost_row(tab.cost, tab, None if phase_1 else form)
     return _pivot_loop(tab, tab.reduced, n_real, tol_piv)
 
 
@@ -758,9 +784,8 @@ def _exact_optimum(form: _StandardForm):
 
     A float simplex picks the basis and the columns at their upper bound;
     one exact solve of its basis system certifies them. Otherwise exact
-    pivoting runs from the slack and artificial start: when the float stage
-    refused, ended elsewhere than at an optimum, or left a basis that fails
-    a check."""
+    pivoting runs from the start: when the float stage refused, ended
+    elsewhere than at an optimum, or left a basis that fails a check."""
     tab = _start_tableau(form, float)
     try:
         guided = _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL
@@ -834,8 +859,8 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
 
 
 def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:
-    """Float pivoting from the slack and artificial start; a certified
-    optimum's tableau takes the slot of :data:`_last_optimum`."""
+    """Float pivoting from the start; a certified optimum's tableau takes
+    the slot of :data:`_last_optimum`."""
     global _last_optimum
     _last_optimum = None
     tab = _start_tableau(form, float)
@@ -850,10 +875,10 @@ def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
 def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, tol: float) -> LpSolution:
     """The certified answer of an optimal float tableau."""
     at_upper = tab.at_upper()
-    # Row r's start column is the unit column e_r of cost 0, never bounded
-    # above, so its final reduced cost is -y_r; dropped rows included.
-    # 0.0 - d is a float, never -0.0, also where a pivot left an int 0.
-    y_full = [0.0 - tab.reduced[j] for j in form.start]
+    # Row r's start column j is the unit column e_r, so its final reduced
+    # cost is d_j = c_j - y_r; dropped rows included. 0.0 + c_j - d_j is a
+    # float, never -0.0, also where c_j is -0.0 or a pivot left an int 0.
+    y_full = [0.0 + tab.cost[j] - tab.reduced[j] for j in form.start]
     bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
     x_b = [row[-1] for row in tab.rows]
     return _solution(lp, form, tab.basis, x_b, at_upper, y_full, bound_value, tol, "float")

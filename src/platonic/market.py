@@ -197,10 +197,10 @@ def validate(model: MarketModel, tol: Num | None = None) -> list[str]:
 def _validate(model: MarketModel, arithmetic: str, tol: Num | None) -> tuple[str, ...]:
     tol = pick_tol(arithmetic, tol)
     violations: list[str] = []
-    grid = model.times
+    big = model.big_filtration  # the grid is its times
     for asset, path in zip(model.assets, model.prices):
-        for t, rv in zip(grid, path):
-            if not rv.is_constant_on(model.big_filtration.at(t), tol):
+        for t, rv, part in zip(big.times, path, big.partitions):
+            if not rv.is_constant_on(part, tol):
                 violations.append(f"adaptedness: asset {asset} at t={t}")
     family = set(model.admissible_sets)
     for i, a1 in enumerate(model.admissible_sets):
@@ -314,9 +314,10 @@ def _generators(
     gens: list[Generator] = []
     cols: list[dict[int, Num]] = []
     for aset, filt in zip(model.admissible_sets, model.trading_filtrations):
+        parts = filt.on(grid)
         for asset in sorted(aset):
             for k, diff in enumerate(moves[asset]):
-                for block in filt.at(grid[k]).blocks:
+                for block in parts[k].blocks:
                     support = tuple(i for i in sorted(block) if diff[i])
                     key = (support, tuple(_value_key(diff[i]) for i in support))
                     if not support or key in seen:

@@ -55,6 +55,8 @@ def parse_number(raw: object) -> Fraction:
     Accepts ints, Fractions, ``"a/b"`` or decimal strings; floats are read
     through their shortest decimal representation, so ``0.1`` parses as 1/10.
     """
+    if type(raw) is Fraction:  # immutable: equal time stamps stay one object
+        return raw
     if isinstance(raw, bool):
         raise TypeError(f"booleans are not numbers: {raw!r}")
     if isinstance(raw, (int, Fraction)):

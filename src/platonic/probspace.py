@@ -171,7 +171,7 @@ class Partition:
             groups.setdefault(key, []).append(i)
         return cls(tuple(frozenset(g) for g in groups.values()))
 
-    @property
+    @cached_property
     def n_outcomes(self) -> int:
         return sum(len(b) for b in self.blocks)
 
@@ -193,16 +193,13 @@ class Partition:
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of ``fine`` is contained in some block of ``coarse``."""
+    """True iff every block of ``fine`` is contained in some block of
+    ``coarse``: iff each block of ``fine`` meets one block of ``coarse``, so
+    that the outcomes show as many distinct pairs of blocks as ``fine`` has
+    blocks."""
     if fine.n_outcomes != coarse.n_outcomes:
         raise ValueError("partitions live on different spaces")
-    coarse_idx = coarse.block_index
-    for block in fine.blocks:
-        it = iter(block)
-        ref = coarse_idx[next(it)]
-        if any(coarse_idx[i] != ref for i in it):
-            return False
-    return True
+    return len(set(zip(fine.block_index, coarse.block_index))) == len(fine.blocks)
 
 
 @dataclass(frozen=True)
@@ -270,15 +267,19 @@ class Filtration:
             return Partition.trivial(self.n_outcomes)
         return self.partitions[pos - 1]
 
+    def on(self, times: Sequence[Fraction]) -> Sequence[Partition]:
+        """The partition at each of ``times``, as :meth:`at` finds it; its own
+        partitions, without a search, when ``times`` are its time stamps."""
+        if times == self.times:
+            return self.partitions
+        return [self.at(t) for t in times]
+
 
 def is_sub_filtration(small: Filtration, big: Filtration) -> bool:
     """True iff ``big`` carries at least the information of ``small`` at all times."""
     if small.n_outcomes != big.n_outcomes:
         raise ValueError("filtrations live on different spaces")
-    for t, part in zip(small.times, small.partitions):
-        if not refines(big.at(t), part):
-            return False
-    return True
+    return all(map(refines, big.on(small.times), small.partitions))
 
 
 def conditional_expectation(

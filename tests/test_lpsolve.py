@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _factories import GOLDEN_REPLICABLE, binomial_tree
 from platonic import _linalg, ftap, lpsolve
 from platonic.market import generator_matrix
+from platonic.numeric import pick_tol
 from platonic import (
     EQ,
     GE,
@@ -567,7 +568,8 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     where it left its bounds. ``free_lunch_3``'s second claim equals its
     first, so both of its superhedges come from the cache and pivot none
     (4 exact pivots each when solved). ``two_theta``'s 8 outcomes are 4 classes that no
-    generator tells apart, so each of its verdicts pivots 4 times, not 8."""
+    generator tells apart, so each of its verdict LPs has 4 rows, not 8, and
+    pivots 3 times."""
     for path in GOLDEN:
         scenario = parse_scenario(str(path))
         model = scenario.model if arithmetic == "exact" else as_float_model(scenario.model)
@@ -575,7 +577,7 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"_do_pivot": {"exact": 152, "float": 105}[arithmetic], "_flip": 0}
+    assert pivots == {"_do_pivot": {"exact": 127, "float": 80}[arithmetic], "_flip": 0}
 
 
 class TestWithRhs:
@@ -610,7 +612,8 @@ class TestWithRhs:
                 derived_form, fresh_form = (f and dataclasses.replace(f, family=None) for f in forms)
                 assert derived_form == fresh_form
                 first = derived_form and forms[0].family.first
-                if first and first.signs == derived_form.signs:  # a row that agrees is the first's
+                if first and (first.signs, first.start) == (derived_form.signs, derived_form.start):
+                    # a row that agrees is the first's
                     assert all(row is old for row, old, scale, old_scale in zip(
                         derived_form.rows, first.rows, derived_form.scales, first.scales)
                         if scale == old_scale)
@@ -624,6 +627,25 @@ class TestWithRhs:
                     answers.append(str(exc))
             assert answers[0] == answers[1]
         assert [con.coeffs for con in problem.constraints] == maps
+
+    @pytest.mark.parametrize("conv", [F, float])
+    def test_a_start_that_moves_with_b_is_not_reused(self, conv):
+        """x + 2y = b with x in [0, 4]: x is in no other row and has entry
+        1, so the row starts on x while x = b lies within its bounds, and on
+        an artificial past them, at the same row sign. A later form of the
+        family takes the first form's rows only where its start columns
+        agree too."""
+        def problem(b):
+            return lp([1, 1], "max", [([1, 2], EQ, b)], [(0, 4), (0, 10)])
+
+        template = problem(1)
+        assert lpsolve._standard_form(template, conv).start == [0]
+        for b in (6, 3):
+            derived = lpsolve._standard_form(template.with_rhs([b]), conv)
+            fresh = lpsolve._standard_form(problem(b), conv)
+            assert derived.start == fresh.start == ([2] if b > 4 else [0])
+            assert dataclasses.replace(derived, family=None) == dataclasses.replace(fresh, family=None)
+            assert solve(template.with_rhs([b])) == solve(problem(b))
 
 
 def _hedge_like(b1=4, b2=9, upper_x=3, lower_y=0, cost_x=3, a_22=3):
@@ -668,9 +690,12 @@ class TestWarmFloatBasis:
         assert sol.x == (3, 2) and sol.objective == solve(_hedge_like(b1=7)).objective == 13
 
     def test_infeasible_right_hand_side_hands_back_to_a_cold_solve(self, stages, monkeypatch):
-        """x + 2y >= b on [0, 3]^2 holds for b <= 9 only. At b = 10 the
+        """2x + 3y >= b on [0, 3]^2 holds for b <= 15 only. At b = 16 the
         surplus row has no column to enter, so the dual loop gives up and
-        the cold solve reports the LP infeasible."""
+        the cold solve reports the LP infeasible. The row starts on an
+        artificial at both right-hand sides: a column of entry 1, such as
+        x in x + 2y >= b, would start the row at b <= 3 only, and a form
+        with another start is solved cold without the dual loop."""
         inner = lpsolve._dual_loop
         repaired = []
 
@@ -681,12 +706,12 @@ class TestWarmFloatBasis:
         monkeypatch.setattr(lpsolve, "_dual_loop", spy)
 
         def problem(b):
-            return lp([1, 1], "max", [([1, 2], GE, b)], [(0, 3), (0, 3)])
+            return lp([1, 1], "max", [([2, 3], GE, b)], [(0, 3), (0, 3)])
 
         assert solve(problem(1), "float").objective == 6
-        sol = solve(problem(10), "float")
+        sol = solve(problem(16), "float")
         assert repaired == [False] and stages == [("float", True)] * 2
-        assert sol.status == solve(problem(10)).status == "infeasible"
+        assert sol.status == solve(problem(16)).status == "infeasible"
         assert lpsolve._last_optimum is None
 
     def test_a_sequence_of_right_hand_sides_on_one_matrix(self, monkeypatch):
@@ -778,12 +803,46 @@ def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch, cold_caches):
     assert count[0] == 215
 
 
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+@pytest.mark.parametrize("steps, trading, steps_taken", [(7, "delayed", 147), (8, "gridded", 347)])
+def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arithmetic, steps, trading,
+                                                       steps_taken, cold_caches):
+    """The long-only arbitrage LPs of the 7-step delayed and the 8-step
+    gridded tree, whose verdicts took 4,617 and 1,036 degenerate steps from
+    a start on consumption slacks, and which float mode refused. Each class
+    row now starts on its own gain, so the standard form has no artificial,
+    and Dantzig pricing ends in 147 and 347 steps, no bound flip among them.
+    Each verdict is NO_ARBITRAGE with a full-support measure that passes
+    its check again here, at tolerance 0 in exact mode."""
+    forms = []
+    inner = lpsolve._standard_form
+
+    def spy(problem, conv):
+        forms.append(inner(problem, conv))
+        return forms[-1]
+
+    monkeypatch.setattr(lpsolve, "_standard_form", spy)
+    model = binomial_tree(steps, trading)
+    exact = arithmetic == "exact"
+    if not exact:
+        model = as_float_model(model)
+    verdict = ftap_verdict(model, "long_only")
+    assert verdict.kind == "NO_ARBITRAGE" and verdict.measure.full_support
+    [form] = forms
+    assert form.art_rows == [] and form.n_real == len(form.cost)
+    assert pivots == {"_do_pivot": steps_taken, "_flip": 0}
+    cols = generator_matrix(model, "long_only")[1]
+    tol = pick_tol(model.arithmetic, None)
+    assert ftap.checked_measure(verdict.measure.q_values, cols, "supermartingale", tol, exact) == verdict.measure
+
+
 @pytest.mark.parametrize("mode", ["free", "long_only"])
 def test_standard_form_shape(monkeypatch, mode, cold_caches):
     """Columns stay whole and bounds take no row. On an n-outcome model with
-    k generators, the arbitrage LP has n rows and k + n caller columns plus
-    a slack per row and no artificial; the superhedge LP has n rows and
-    1 + k caller columns plus a slack per row and no artificial either."""
+    k generators, the arbitrage LP has n rows and k + n caller columns, no
+    slack (its rows are equations) and no artificial: each row starts on
+    its own gain. The superhedge LP has n rows and 1 + k caller columns plus
+    a slack per row and no artificial either."""
     forms = []
     inner = lpsolve._standard_form
 
@@ -798,7 +857,8 @@ def test_standard_form_shape(monkeypatch, mode, cold_caches):
     superreplicate(model, [F(w) for w in range(n)], mode)
     arbitrage, hedge = forms
     assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, k + n)
-    assert arbitrage.n_real == len(arbitrage.cost) == k + 2 * n
+    assert arbitrage.n_real == len(arbitrage.cost) == k + n
+    assert arbitrage.start == list(range(k, k + n))
     assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k)
     assert hedge.n_real == len(hedge.cost) == 1 + k + n
 
