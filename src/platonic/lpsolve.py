@@ -97,13 +97,24 @@ feasible, and a basic value outside its bounds is repaired by bounded
 dual simplex pivots (Lemke, Naval Res. Logist. Q. 1, 1954) on the slot's
 tableau, none when every value lies within its bounds up to
 ``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
-through the same extraction and certificate as a cold solve. When no
-column may enter a row outside its bounds, the pivot budget runs out or
-the certificate refuses, the slot is emptied and the LP is solved from its
-start, the one place that reports infeasible, unbounded or a refusal; its
-certified optimum then takes the slot. This serves a claim after claim on
-one market: its superhedge LPs are one family and differ in ``b = max(c) -
-c`` only. Exact mode neither reads nor writes the slot.
+through the same extraction and certificate as a cold solve. This serves
+claim after claim on one market: its superhedge LPs are one family and
+differ in ``b = max(c) - c`` only.
+
+Anchored start (float mode only). When the slot cannot serve an LP with a
+nonzero right-hand side, or its repair fails, the LP's own ``b = 0``
+member (``lp.with_rhs``, of its family) is solved from its start into the
+emptied slot, when its row signs and start columns are the LP's: then it
+differs from the LP in ``b`` alone, and the warm start above carries its
+optimum, neither extracted nor certified, to the LP's. So a market's first
+claim pivots from the hedge of the zero claim, a sparse tableau, not from
+the cash hedge, whose price column in every row fills the tableau in.
+Whether an LP may be anchored depends on its data alone. When no warm
+start succeeds (no column may enter a row outside its bounds, the pivot
+budget runs out or the certificate refuses), the slot is emptied and the
+LP is solved from its start, the one place that reports infeasible,
+unbounded or a refusal; its certified optimum then takes the slot. Exact
+mode neither reads nor writes the slot.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs in exact mode. When a float LP has several optima,
@@ -813,7 +824,8 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     if form is None:
         return LpSolution(INFEASIBLE, None, None, None, None)
     if not exact:
-        return _warm_float_solve(lp, form, tol) or _cold_float_solve(lp, form, tol)
+        return (_warm_float_solve(lp, form, tol) or _anchored_float_solve(lp, form, tol)
+                or _cold_float_solve(lp, form, tol))
     status, optimum = _exact_optimum(form)
     if status != OPTIMAL:
         return LpSolution(status, None, None, None, None)
@@ -824,9 +836,11 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     return _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, 0, mode)
 
 
-# The standard form and final tableau of the last certified float optimum,
-# held by reference (see "Warm start" in the module docstring); emptied
-# before a cold float solve, so that two tableaus are never alive at once.
+# The standard form and final tableau of the last float optimum, held by
+# reference (see "Warm start" in the module docstring): a certified answer's,
+# or, while an anchored solve runs, its b = 0 member's, from which no answer
+# is read. Emptied before an anchored or a cold float solve, so that two
+# tableaus are never alive at once.
 _last_optimum: tuple[_StandardForm, _Tableau] | None = None
 
 
@@ -856,6 +870,29 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
         return _float_answer(lp, form, tab, tol)
     except FloatModeError:
         return None
+
+
+def _anchored_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
+    """The answer warm from the optimum of the LP's own ``b = 0`` member,
+    solved from its start into the slot of :data:`_last_optimum`, when
+    ``lp`` has a nonzero right-hand side and that member's standard form
+    has the same row signs and start columns; None when that solve ends
+    elsewhere than at an optimum or the warm answer fails."""
+    global _last_optimum
+    if not any(con.rhs for con in lp.constraints):
+        return None
+    zero = _standard_form(lp.with_rhs([0] * len(lp.constraints)), float)
+    if (zero.signs, zero.start) != (form.signs, form.start):
+        return None
+    _last_optimum = None
+    tab = _start_tableau(zero, float)
+    try:
+        if _simplex(zero, tab, _PIVOT_TOL, tol, "float") != OPTIMAL:
+            return None
+    except FloatModeError:
+        return None
+    _last_optimum = zero, tab
+    return _warm_float_solve(lp, form, tol)
 
 
 def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:

@@ -236,6 +236,19 @@ def binomial_tree(steps: int, trading: str = "full") -> MarketModel:
     return tree_market(steps, "ud", trading)
 
 
+def tree_claim_price(steps: int, payoff) -> Fraction:
+    """E_Q[c], exactly, for the claim ``payoff`` (one value per outcome of
+    :func:`binomial_tree` ``(steps)``, in its order) under the tree's unique
+    martingale measure: each step moves up with q = (1 - d) / (u - d) = 1/3.
+    The full tree is a complete market, so this is the superhedge price of
+    the claim; a test oracle where ``enumerate_vertices`` cannot go."""
+    u, d = _MOVES["u"], _MOVES["d"]
+    q = {"u": (1 - d) / (u - d), "d": (u - 1) / (u - d)}
+    paths = itertools.product("ud", repeat=steps)
+    return sum((math.prod((q[m] for m in p), start=Fraction(1)) * Fraction(c)
+                for p, c in zip(paths, payoff, strict=True)), Fraction(0))
+
+
 def trinomial_tree(steps: int, trading: str = "full") -> MarketModel:
     """:func:`binomial_tree` with a third move, 1: incomplete, still
     arbitrage-free under every ``trading``."""

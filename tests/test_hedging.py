@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import binomial_tree, random_claim, random_market, trinomial_tree
+from _factories import binomial_tree, random_claim, random_market, tree_claim_price, trinomial_tree
 from platonic import (
     GE,
     FiniteSpace,
@@ -352,6 +352,10 @@ class TestOneMarketManyQuestions:
             superreplicate(model, claim)
         assert made == [0] and len(families) == 2
         _verdict, first_claim, *later_claims = forms
+        if arithmetic == "float":  # the first claim's b = 0 member, its anchor
+            anchor = later_claims.pop(0)
+            assert anchor.family is first_claim.family and anchor.rows is first_claim.rows
+            assert not any(anchor.rhs)
         assert len(later_claims) == 3 and all(f.rows is first_claim.rows for f in later_claims)
         first, *later = lp_solves.of("platonic.hedging")
         assert len(later) == 3
@@ -363,11 +367,14 @@ class TestOneMarketManyQuestions:
         from the float slot and never cold. Their standard form holds the
         very rows of the slot's form, so the same-matrix test reads no row
         map. The first superhedge follows the verdict, an LP of another
-        family, and solves cold."""
+        family: it starts from the optimum of its own ``b = 0`` member,
+        solved into the slot (anchored), and not cold either. The verdict
+        alone solves cold."""
         model = as_float_model(binomial_tree(3, "delayed"))
         claims = [tuple(float((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
-        shared, cold = [], []
+        shared, cold, anchored = [], [], []
         warm_solve, cold_solve = lpsolve._warm_float_solve, lpsolve._cold_float_solve
+        anchored_solve = lpsolve._anchored_float_solve
 
         def warm_spy(lp, form, tol):
             shared.append(lpsolve._last_optimum is not None and lpsolve._last_optimum[0].rows is form.rows)
@@ -377,16 +384,23 @@ class TestOneMarketManyQuestions:
             cold.append(args)
             return cold_solve(*args)
 
+        def anchored_spy(*args):
+            anchored.append(anchored_solve(*args))
+            return anchored[-1]
+
         monkeypatch.setattr(lpsolve, "_warm_float_solve", warm_spy)
         monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
+        monkeypatch.setattr(lpsolve, "_anchored_float_solve", anchored_spy)
         ftap_verdict(model)
         superreplicate(model, claims[0])
-        assert len(cold) == 2
+        assert len(cold) == 1 and len(anchored) == 2 and anchored[0] is None  # the verdict's
+        assert shared[-1]  # the anchor's form holds the claim's rows
         shared.clear()
         cold.clear()
+        anchored.clear()
         for claim in claims[1:]:
             superreplicate(model, claim)
-        assert shared == [True] * 3 and cold == []
+        assert shared == [True] * 3 and cold == [] and anchored == []
 
 FLOAT_TOL = 1e-9
 
@@ -668,6 +682,43 @@ def test_tree_prices_agree_across_arithmetics_and_the_measure_lp(monkeypatch):
             solved = solved or len(warm) > start
 
     check()
+
+
+def _calls(model, strikes):
+    """The calls (S_T - K)+ on the model's stock, one per strike, in the
+    model's arithmetic."""
+    stock = model.prices[0][-1].values
+    zero = stock[0] * 0
+    return [[max(s - strike, zero) for s in stock] for strike in strikes]
+
+
+def test_full_tree_call_prices_are_the_closed_form(cold_caches):
+    """The full tree is a complete market: a claim's superhedge price is
+    E_Q[c] under its unique measure (``tree_claim_price``). Exact
+    superhedges of three calls on the full 6-step tree equal it exactly."""
+    model = binomial_tree(6)
+    for call in _calls(model, (60, 100, 140)):
+        assert superreplicate(model, call)[0].price == tree_claim_price(6, call)
+
+
+@pytest.mark.parametrize("trading", ["full", "gridded"])
+def test_float_calls_on_the_8_step_tree_solve_no_lp_cold(monkeypatch, cold_caches, trading):
+    """Float superhedges of three calls on the 8-step tree (256 outcomes),
+    after the verdict: the first starts from the optimum of its LP at b =
+    0, the later ones from the claim before, and none is solved from the
+    cash hedge. On the full tree each price is the closed form within
+    tol (1 + |price|)."""
+    tol = 1e-9
+    model = as_float_model(binomial_tree(8, trading))
+    ftap_verdict(model, tol=tol)
+    cold = []
+    inner = lpsolve._cold_float_solve
+    monkeypatch.setattr(lpsolve, "_cold_float_solve", lambda *args: cold.append(args) or inner(*args))
+    for call in _calls(model, (60, 100, 140)):
+        price = superreplicate(model, call, tol=tol)[0].price
+        if trading == "full":
+            assert abs(price - tree_claim_price(8, call)) <= tol * (1 + abs(price))
+    assert cold == []
 
 
 def _unbounded(*args, **kwargs):

@@ -565,9 +565,11 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     the start basis and the bound handling. Exact answers take the float
     basis here. Float mode pivots less: a superhedge that follows one of
     the same matrix starts from its optimal basis, repaired by dual pivots
-    where it left its bounds. ``free_lunch_3``'s second claim equals its
-    first, so both of its superhedges come from the cache and pivot none
-    (4 exact pivots each when solved). ``two_theta``'s 8 outcomes are 4 classes that no
+    where it left its bounds, and the first superhedge of a market starts
+    the same way from the optimum of its own LP at b = 0.
+    ``free_lunch_3``'s second claim equals its first, so both of its
+    superhedges come from the cache and pivot none (4 exact pivots each
+    when solved). ``two_theta``'s 8 outcomes are 4 classes that no
     generator tells apart, so each of its verdict LPs has 4 rows, not 8, and
     pivots 3 times."""
     for path in GOLDEN:
@@ -577,7 +579,7 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"_do_pivot": {"exact": 127, "float": 80}[arithmetic], "_flip": 0}
+    assert pivots == {"_do_pivot": {"exact": 127, "float": 89}[arithmetic], "_flip": 0}
 
 
 class TestWithRhs:
@@ -661,11 +663,14 @@ class TestWarmFloatBasis:
     right-hand side alone starts from that optimum's basis."""
 
     def test_feasible_old_basis_is_reused_without_a_pivot(self, stages, pivots):
+        # the first solve is anchored: one pivot solves its b = 0 member from
+        # the start (x enters at 0), and one dual pivot takes that basis to
+        # b1 = 4, where x leaves at its upper bound 3 and y enters
         solve(_hedge_like(), "float")
         assert stages == [("float", True)]
         warm = solve(_hedge_like(b1=4.5), "float")
         assert stages == [("float", True)]  # no pivot stage ran
-        assert pivots == {"_do_pivot": 1, "_flip": 1}  # the first solve's only
+        assert pivots == {"_do_pivot": 2, "_flip": 0}  # the first solve's only
         assert warm.x == (3, 1.5)
         lpsolve._last_optimum = None
         cold = solve(_hedge_like(b1=4.5), "float")
@@ -686,7 +691,7 @@ class TestWarmFloatBasis:
         # one dual pivot, where that slack leaves at 0 and the first row's enters
         sol = solve(_hedge_like(b1=7), "float")
         assert tableaus == [float] and stages == [("float", True)]  # no second start
-        assert pivots == {"_do_pivot": 2, "_flip": 1}
+        assert pivots == {"_do_pivot": 3, "_flip": 0}  # the first solve's two, anchored
         assert sol.x == (3, 2) and sol.objective == solve(_hedge_like(b1=7)).objective == 13
 
     def test_infeasible_right_hand_side_hands_back_to_a_cold_solve(self, stages, monkeypatch):
@@ -751,12 +756,29 @@ class TestWarmFloatBasis:
     @pytest.mark.parametrize("change", [
         {"upper_x": 2.5}, {"lower_y": 0.5}, {"cost_x": 3.5}, {"a_22": 2.5},
     ], ids=lambda change: next(iter(change)))
-    def test_any_other_change_solves_cold(self, stages, change):
+    def test_any_other_change_solves_cold(self, stages, monkeypatch, change):
+        """An LP whose matrix, costs or bounds differ from the slot's is not
+        served from the slot's basis: it is solved from a start. That is the
+        start of its own ``b = 0`` member (the anchored route) when the two
+        share row signs and start columns, else its own (``_cold_float_solve``):
+        y >= 0.5 shifts the member's right-hand sides below 0, which flips its
+        row signs."""
         solve(_hedge_like(), "float")
+        cold = []
+        inner = lpsolve._cold_float_solve
+        monkeypatch.setattr(lpsolve, "_cold_float_solve", lambda *args: cold.append(args) or inner(*args))
         sol = solve(_hedge_like(**change), "float")
-        assert stages == [("float", True)] * 2
+        assert stages == [("float", True)] * 2 and len(cold) == ("lower_y" in change)
         exact = solve(_hedge_like(**{k: F(v) for k, v in change.items()}))
         assert abs(sol.objective - float(exact.objective)) <= 1e-9 * (1 + abs(sol.objective))
+
+    def test_unbounded_anchor_hands_back_to_a_cold_solve(self, stages):
+        """max x on x - y <= 1, x, y >= 0: the anchor, the LP at b = 0, is
+        unbounded, so the LP is solved from its start and reported
+        unbounded there, with the slot left empty."""
+        sol = solve(lp([1, 0], "max", [([1, -1], LE, 1)], [(0, None), (0, None)]), "float")
+        assert sol.status == "unbounded" and stages == [("float", True)] * 2
+        assert lpsolve._last_optimum is None
 
     def test_exact_mode_never_reuses(self, stages):
         solve(_hedge_like(), "float")
@@ -765,22 +787,46 @@ class TestWarmFloatBasis:
         assert stages == [("float", True)] * 4  # every exact solve from its start
         assert sol.x == (3, F(3, 2)) and all(type(v) is F for v in sol.x)
 
-    def test_refused_warm_answer_solves_cold(self, stages, monkeypatch):
-        """A warm answer that fails its certificate is not handed out: the
-        LP is solved cold."""
-        solve(_hedge_like(), "float")
-        inner = lpsolve._certify
-        calls = []
+    @staticmethod
+    def _refuse_first(monkeypatch, refusals):
+        """Spies on ``_certify``, which refuses its first ``refusals`` calls,
+        and on ``_cold_float_solve``; returns both call lists."""
+        certify, cold = lpsolve._certify, lpsolve._cold_float_solve
+        calls = {"certify": [], "cold": []}
 
-        def spy(*args):
-            calls.append(args)
-            if len(calls) == 1:
+        def certify_spy(*args):
+            calls["certify"].append(args)
+            if len(calls["certify"]) <= refusals:
                 raise FloatModeError("refused; retry exact")
-            return inner(*args)
+            return certify(*args)
 
-        monkeypatch.setattr(lpsolve, "_certify", spy)
+        def cold_spy(*args):
+            calls["cold"].append(args)
+            return cold(*args)
+
+        monkeypatch.setattr(lpsolve, "_certify", certify_spy)
+        monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
+        return calls
+
+    def test_refused_warm_answer_is_served_anchored(self, stages, monkeypatch):
+        """A warm answer that fails its certificate is not handed out: the
+        LP is solved again from the start of its ``b = 0`` member, whose
+        optimum the dual pivots take to the LP's own."""
+        solve(_hedge_like(), "float")
+        calls = self._refuse_first(monkeypatch, 1)
         sol = solve(_hedge_like(b1=4.5), "float")
-        assert len(calls) == 2 and stages == [("float", True)] * 2
+        assert len(calls["certify"]) == 2 and stages == [("float", True)] * 2
+        assert calls["cold"] == []
+        assert sol.x == (3, 1.5)
+
+    def test_refused_warm_answer_solves_cold(self, stages, monkeypatch):
+        """When the anchored answer is refused too, the LP is solved from its
+        own start, and that answer is certified and handed out."""
+        solve(_hedge_like(), "float")
+        calls = self._refuse_first(monkeypatch, 2)
+        sol = solve(_hedge_like(b1=4.5), "float")
+        assert len(calls["certify"]) == 3 and stages == [("float", True)] * 3
+        assert len(calls["cold"]) == 1
         assert sol.x == (3, 1.5)
 
 
