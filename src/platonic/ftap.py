@@ -1,22 +1,27 @@
 """Both sides of the fundamental theorem on a finite space, read off one LP.
 
 The arbitrage LP maximizes the mass of a nonnegative terminal gain that a
-zero-cost wealth reaches exactly. Its rows are the equations ``G_c lambda -
-g_c = 0``, one per class c of outcomes on which every generator pays the
-same (``market.outcome_classes``): no strategy tells the outcomes of a
-class apart, so they share one gain, weighted by the class size in the
-objective. Each row starts the simplex on its own gain at 0, with no slack
-and no phase 1. A positive optimum is an arbitrage. At a zero optimum the
-class rows' multipliers, negated, are a y with G^T y = 0 (<= 0 for
-long-only trading) and, by the reduced costs of the gains, y_c >= |c| on
-each class c. So spreading each y_c evenly over its class and dividing by
-sum(y) gives a full-support measure that turns every admissible projection
-of prices into a (super)martingale: the separating measure is the dual of
-the no-arbitrage LP. The verdict checks that measure against the
-generators on every outcome; when the check fails it raises, in exact
-arithmetic as a broken dichotomy and in float as a refusal to answer.
-``find_measure`` returns that measure, so one LP answers every question
-about the dichotomy.
+zero-cost wealth reaches exactly. Its rows are the equations ``x + G_c
+lambda - g_c = 0`` with the price ``x`` fixed at 0, one per class c of
+outcomes on which every generator pays the same
+(``market.outcome_classes``): no strategy tells the outcomes of a class
+apart, so they share one gain, weighted by the class size in the
+objective. They are the market's superhedge rows ``x + G_c lambda``
+(``market.class_rows``) with the gain where a superhedge row has its
+slack, so both questions on a market solve LPs on one constraint matrix,
+and in float mode each starts from the optimum of the one before
+(``lpsolve``'s warm start). Each row starts the simplex on its own gain at
+0, with no slack and no phase 1. A positive optimum is an arbitrage. At a
+zero optimum the class rows' multipliers, negated, are a y with G^T y = 0
+(<= 0 for long-only trading) and, by the reduced costs of the gains, y_c
+>= |c| on each class c. So spreading each y_c evenly over its class and
+dividing by sum(y) gives a full-support measure that turns every
+admissible projection of prices into a (super)martingale: the separating
+measure is the dual of the no-arbitrage LP. The verdict checks that
+measure against the generators on every outcome; when the check fails it
+raises, in exact arithmetic as a broken dichotomy and in float as a
+refusal to answer. ``find_measure`` returns that measure, so one LP
+answers every question about the dichotomy.
 """
 from __future__ import annotations
 
@@ -32,10 +37,9 @@ from .market import (
     CACHE_SIZE,
     MarketModel,
     Strategy,
-    class_columns,
+    class_rows,
     generator_matrix,
     outcome_classes,
-    outcome_rows,
     per_outcome,
     strategy_from_coefficients,
     validate,
@@ -160,12 +164,11 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
     classes = outcome_classes(model)
     n, m, k = model.n_outcomes, len(classes), len(cols)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    objective = [0] * k + [len(c) for c in classes]
-    bounds = [lam_bounds] * k + [(0, 1)] * m
-    class_cols = class_columns(cols, classes, n)
-    rows = outcome_rows(class_cols, m, 0)
-    for i, row in enumerate(rows):
-        row[k + i] = -1
+    # the superhedge template's columns: the price x fixed at 0, the lambdas,
+    # then the gains where the template's slacks sit in standard form
+    objective = [0] * (1 + k) + [len(c) for c in classes]
+    bounds = [(0, 0)] + [lam_bounds] * k + [(0, 1)] * m
+    rows = [{**row, k + 1 + i: -1} for i, row in enumerate(class_rows(cols, classes, n))]
     lp = LinearProgram.build(objective, "max", [(row, EQ, 0) for row in rows], bounds)
     exact = lp_mode == "exact"
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
@@ -186,8 +189,8 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
         q = per_outcome(masses, classes, n)
         measure = checked_measure(q, cols, kind, eff_tol, exact)
         return None, (measure if measure is not None and measure.full_support else None)
-    lam = sol.x[:k]
-    gain = sol.x[k:]
+    lam = sol.x[1:k + 1]
+    gain = sol.x[k + 1:]
     # row i of the LP is the wealth on class i minus its gain: 0 in exact mode
     consumption = _linalg.dots([con.coeffs for con in lp.constraints], sol.x, exact)
     return ArbitrageCertificate(

@@ -38,7 +38,7 @@ from .lpsolve import (
     solve,
 )
 from .market import (
-    CACHE_SIZE, MarketModel, claim_arithmetic, class_columns, generator_matrix, outcome_classes,
+    CACHE_SIZE, MarketModel, claim_arithmetic, class_rows, generator_matrix, outcome_classes,
     outcome_rows, per_outcome,
 )
 from .numeric import Num, lp_mode_and_tol, solver_tol
@@ -105,15 +105,11 @@ class PriceInterval:
 def superhedge_rows(
     cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]], n: int,
 ) -> tuple[dict[int, Num], ...]:
-    """The claim-free rows of :func:`superhedge_template`, one per class of
-    ``classes`` in order: the price at column 0 with coefficient 1 and
-    ``cols[j]`` at column ``1 + j``. ``classes`` are
-    :func:`platonic.market.group_outcomes` of ``cols`` on ``n`` outcomes, so
-    every column pays the same on a class and its first outcome stands for
-    it. They depend on the market alone, so one set serves every claim and
-    both modes."""
-    rows = outcome_rows(class_columns(cols, classes, n), len(classes), 1)
-    return tuple({0: 1, **row} for row in rows)
+    """The claim-free rows of :func:`superhedge_template`: the
+    :func:`platonic.market.class_rows` of ``cols`` on ``classes``, which the
+    verdict's LP shares. They depend on the market alone, so one set serves
+    every claim and both modes."""
+    return tuple(class_rows(cols, classes, n))
 
 
 def superhedge_template(rows: Sequence[Mapping[int, Num]], k: int, mode: str) -> LinearProgram:

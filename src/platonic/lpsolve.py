@@ -18,15 +18,18 @@ technique, Econometrica 23, 1955).
 Start. A row starts on a column of its own: a column in no other row,
 with entry +1 after the row's sign, whose value there, the row's
 right-hand side, lies within its bounds. The candidates are the row's slack,
-then its lowest-index caller column that is in no other row and has entry
-+-1; the row's sign makes its right-hand side nonnegative, and at
-right-hand side 0 it makes the first candidate's entry +1 (so a ``>=`` row
-with right-hand side 0 is negated, and its slack starts basic). A row with
-no such column gets an artificial, and phase 1 runs only while one is
-basic. Every class row of the arbitrage LP ``G_c lambda - g_c = 0`` starts
-on its own gain ``0 <= g_c <= 1`` at 0, every superhedge row on its slack,
-and neither runs phase 1. The start tableau's phase-2 cost row is built
-from the sparse rows of the standard form.
+then its highest-index caller column that is in no other row and has entry
++-1 (a column of its own comes after the shared ones, as a slack does); the
+row's sign makes its right-hand side nonnegative, and at right-hand side 0
+it makes the first candidate's entry +1 (so a ``>=`` row with right-hand
+side 0 is negated, and its slack starts basic). A row with no such column
+gets an artificial, and phase 1 runs only while one is basic. A market's
+superhedge rows ``x + G_c lambda >= b_c`` start on their slacks, and the
+class rows of its arbitrage LP ``x + G_c lambda - g_c = 0``, with the price
+``x`` fixed at 0, on their own gains ``0 <= g_c <= 1`` at 0, which sit
+where the slacks do: in standard form the two LPs have the same rows,
+start columns and row signs, and neither runs phase 1. The start tableau's
+phase-2 cost row is built from the sparse rows of the standard form.
 
 Pricing. The entering column improves the objective most per unit move
 (Dantzig), ties to the lowest index; the step stops at the minimum ratio,
@@ -83,23 +86,46 @@ column's bounds. An LP built any other way is a family of its own.
 
 Warm start (float mode only). The standard form and final tableau of the
 last certified float optimum stay in one module-level slot, by reference.
-When the next float LP's standard form equals that one in everything but
-``b`` (the rows, costs, bounds, start columns, row signs and column
-shifts), its basic values are ``x_B = B^-1 (b - sum_{j in U} u_j A_j)``,
-read off the tableau into its last column: the start columns held the
-identity, so they now hold ``B^-1``. Two float forms of one family with
-the same row signs hold the very same row, cost, bound and start lists,
-and a tuple comparison takes an item that is the same object as equal
-without reading it, so there the test reads the signs alone, O(rows).
-Each basic value is one C-level sum over its row's terms in a fixed
-order. Reduced costs do not depend on ``b``, so the basis stays dual
-feasible, and a basic value outside its bounds is repaired by bounded
-dual simplex pivots (Lemke, Naval Res. Logist. Q. 1, 1954) on the slot's
-tableau, none when every value lies within its bounds up to
-``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
-through the same extraction and certificate as a cold solve. This serves
-claim after claim on one market: its superhedge LPs are one family and
-differ in ``b = max(c) - c`` only.
+The slot serves the next float LP when its standard form has the slot's
+rows, start columns and row signs (and column count); its costs, bounds,
+column shifts and ``b`` may differ. Two float forms of one family with
+the same row signs hold the very same row and start lists, and a tuple
+comparison takes an item that is the same object as equal without reading
+it, so there the test reads the signs alone, O(rows); the forms of two
+LPs on equal rows, such as a market's verdict and its superhedges, are
+compared entry by entry. The slot is emptied while it works and takes
+the new optimum once its answer is certified, so it only ever holds an
+optimal tableau.
+
+Where the costs or bounds differ, the tableau takes the LP's: every
+nonbasic column at its lower bound, a free one at 0, and every basic value
+0, the values at ``b = 0``, where the basis is primal feasible. Its
+reduced-cost row is rebuilt, and primal pivots take the basis to the
+optimum of the LP at ``b = 0``; a run longer than a quarter of the rows
+(plus two) gives up, as a near basis is what makes the start pay: each
+such pivot runs on a dense tableau, where a cold solve pivots on a sparse
+one. Then, as for an LP that differs in ``b`` alone, its basic values move
+from those at the slot's ``b'`` (0 after a change of costs or bounds) by
+``B^-1 (b - b')``, read off the tableau into its last column: the start
+columns held the identity, so they now hold ``B^-1``. Each move is one
+C-level sum over its row's terms in a fixed order, and its round-off grows
+with ``b - b'``, not with ``b``. Reduced costs do not depend on ``b``, so
+the basis stays dual feasible, and a basic value outside its bounds is
+repaired by bounded dual simplex pivots (Lemke, Naval Res. Logist. Q. 1,
+1954) on the slot's tableau, none when every value lies within its bounds
+up to ``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
+through the same extraction and certificate as a cold solve; after a
+change of costs or bounds its duals are also checked against every reduced
+cost summed afresh from the rows of the standard form (the gap alone holds
+for any duals where ``b = 0``). The round-off of the pivots since the last
+cold start reaches ``x_B`` through ``B^-1``: where the certificate refuses
+an answer, one step of iterative refinement adds ``B^-1`` times the rows'
+residuals beyond ``tol / 16``, summed afresh from the standard form, to
+``x_B``, and a second certificate decides. The refined values are the ones
+the next LP's move starts from. This serves claim after claim on one
+market, whose superhedge LPs are one family and differ in ``b = max(c) -
+c`` only; the first claim after the verdict, whose LP has the verdict's
+rows; and a verdict after the other mode's.
 
 Anchored start (float mode only). When the slot cannot serve an LP with a
 nonzero right-hand side, or its repair fails, the LP's own ``b = 0``
@@ -107,14 +133,14 @@ member (``lp.with_rhs``, of its family) is solved from its start into the
 emptied slot, when its row signs and start columns are the LP's: then it
 differs from the LP in ``b`` alone, and the warm start above carries its
 optimum, neither extracted nor certified, to the LP's. So a market's first
-claim pivots from the hedge of the zero claim, a sparse tableau, not from
-the cash hedge, whose price column in every row fills the tableau in.
-Whether an LP may be anchored depends on its data alone. When no warm
-start succeeds (no column may enter a row outside its bounds, the pivot
-budget runs out or the certificate refuses), the slot is emptied and the
-LP is solved from its start, the one place that reports infeasible,
-unbounded or a refusal; its certified optimum then takes the slot. Exact
-mode neither reads nor writes the slot.
+claim without a verdict before it pivots from the hedge of the zero claim,
+a sparse tableau, not from the cash hedge, whose price column in every row
+fills the tableau in. Whether an LP may be anchored depends on its data
+alone. When no warm start succeeds (a primal run gives up, no column may
+enter a row outside its bounds, the pivot budget runs out or a check
+refuses), the slot is emptied and the LP is solved from its start, the
+one place that reports infeasible, unbounded or a refusal; its certified
+optimum then takes the slot. Exact mode neither reads nor writes the slot.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs in exact mode. When a float LP has several optima,
@@ -319,9 +345,11 @@ def _exchange(tab: "_Tableau", cost: list[Num], r: int, enter: int, to_upper: bo
         state[enter] = 1
 
 
-def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> str:
+def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num,
+                budget: int = _MAX_PIVOTS) -> str:
     """Bounded-variable simplex on a feasible canonical tableau, where only
-    the first ``n_enter`` columns may enter the basis; returns a status.
+    the first ``n_enter`` columns may enter the basis; returns a status,
+    and raises ``errors.unverified`` after ``budget`` steps.
 
     A nonbasic column at its lower bound may enter upward, one at its upper
     bound downward, a free one either way: whichever way its reduced cost
@@ -339,7 +367,7 @@ def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> str
     columns = range(n_enter)
     patience = len(rows) + sum(u is not None for u in upper)
     degenerate = 0
-    for _ in range(_MAX_PIVOTS):
+    for _ in range(budget):
         # minus the improvement per unit move in the improving direction
         score = [d if s > 0 else -d if s < 0 else -abs(d) for d, s in zip(cost, state)]
         if degenerate < patience:
@@ -481,7 +509,7 @@ class _Family:
     integer ratios), from which a row is built at any sign and scale. A
     row's unit columns are the columns it may start on, as (column, sign of
     its entry, upper bound): its slack (an inequality's first), then its
-    lowest caller column that is in no other row and has entry +-1.
+    last caller column that is in no other row and has entry +-1.
     ``first`` is the family's first standard form, without its family."""
 
     col_map: list[tuple[int, Num]]
@@ -560,7 +588,7 @@ def _new_family(lp: LinearProgram, conv) -> _Family | None:
         unit = []
         if con.relation != EQ:
             unit.append((scol, 1 if con.relation == LE else -1, None))
-        for j, v in coeffs.items():
+        for j, v in reversed(coeffs.items()):
             if rows_of[j] == 1 and (v == 1 or v == -1):
                 unit.append((j, 1 if (v > 0) == (col_map[j][0] > 0) else -1, upper[j]))
                 break
@@ -738,7 +766,8 @@ def _primal(form: _StandardForm, basis: list[int], kept: list[int],
     if any(j >= form.n_real for j in basis):
         return None
     position = {col: k for k, col in enumerate(basis)}
-    value = {j: form.upper[j] for j in at_upper}
+    # a column at an upper bound of 0 (the verdict's fixed price) adds nothing
+    value = {j: form.upper[j] for j in at_upper if form.upper[j]}
     eqs = [{position[j]: v for j, v in form.rows[r].items() if j in position} for r in kept]
     rhs = [form.rhs[r] - sum(v * value[j] for j, v in form.rows[r].items() if j in value)
            for r in kept]
@@ -777,7 +806,7 @@ def _dual(form: _StandardForm, solved: _linalg.SparseSolution, basis: list[int],
     if any((d < 0 and j not in up) or (d > 0 and (j in up or form.free[j]))
            for j, d in enumerate(reduced)):
         return None
-    return y, Fraction(sum(form.upper[j] * reduced[j] for j in at_upper), den)
+    return y, Fraction(sum(form.upper[j] * reduced[j] for j in at_upper if form.upper[j]), den)
 
 
 def _certified(form: _StandardForm, tab: _Tableau):
@@ -839,37 +868,120 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
 # The standard form and final tableau of the last float optimum, held by
 # reference (see "Warm start" in the module docstring): a certified answer's,
 # or, while an anchored solve runs, its b = 0 member's, from which no answer
-# is read. Emptied before an anchored or a cold float solve, so that two
-# tableaus are never alive at once.
+# is read. Emptied while a warm start works on its tableau and before an
+# anchored or a cold float solve, so that it holds an optimal tableau only
+# and two tableaus are never alive at once.
 _last_optimum: tuple[_StandardForm, _Tableau] | None = None
 
 
 def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
-    """The answer on the basis of :data:`_last_optimum`, repaired by dual
-    pivots, when ``form`` differs from its standard form in ``b`` alone and
-    the repaired basis is certified; None otherwise."""
+    """The answer on the basis of :data:`_last_optimum`, when ``form`` has
+    its standard form's rows, start columns and row signs and the basis,
+    carried to the optimum of ``form`` at ``b = 0`` by primal pivots where
+    the costs or bounds differ and then repaired by dual pivots, is
+    certified; None otherwise. The slot is emptied while it works and holds
+    the new optimum after a certified answer."""
+    global _last_optimum
     if _last_optimum is None:
         return None
     last, tab = _last_optimum
-    if (last.rows, last.cost, last.upper, last.free, last.start, last.signs, last.col_map) != (
-            form.rows, form.cost, form.upper, form.free, form.start, form.signs, form.col_map):
+    if (last.rows, last.start, last.signs, last.n_real, len(last.cost)) != (
+            form.rows, form.start, form.signs, form.n_real, len(form.cost)):
         return None
-    # The start columns held the identity, so they now hold B^-1:
-    # x_B = B^-1 b - sum over the columns at their upper bound of u_j B^-1 A_j,
-    # each row's sum in the order of the terms, in C.
+    _last_optimum = None
+    crossed = (last.cost, last.upper, last.free) != (form.cost, form.upper, form.free)
+    if crossed:
+        # Every nonbasic column at its lower bound (a free one at 0) and b = 0
+        # make every basic value 0: a feasible basis of the form at b = 0,
+        # which primal pivots take to its optimum under the form's costs.
+        tab.cost, tab.upper = list(form.cost), list(form.upper)
+        tab.state = [0 if f else 1 for f in form.free]
+        for row in tab.rows:
+            row[-1] = 0.0
+        tab.reduced = _reduced_cost_row(tab.cost, tab)
+        budget = 2 + len(tab.rows) // 4  # a near basis is what pays (see "Warm start")
+        try:
+            if _pivot_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL, budget) != OPTIMAL:
+                return None
+        except FloatModeError:
+            return None
+    # The last column holds x_B at the slot's b, or at b = 0 after a crossing.
     # The objective entry of tab.reduced goes stale; no answer reads it.
-    terms = [(j, b) for j, b in zip(form.start, form.rhs) if b]
-    terms += [(j, -tab.upper[j]) for j in tab.at_upper()]
-    columns = [j for j, _ in terms]
-    weights = [w for _, w in terms]
-    for row in tab.rows:
-        row[-1] = sum(map(operator.mul, map(row.__getitem__, columns), weights))
+    old = [0] * len(form.rhs) if crossed else last.rhs
+    _move_values(tab, zip(form.start, map(operator.sub, form.rhs, old)))
     if not _dual_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL):
         return None
-    try:
-        return _float_answer(lp, form, tab, tol)
-    except FloatModeError:
+    if crossed and not _reduced_costs_hold(form, tab, tol):
         return None
+    try:
+        answer = _float_answer(lp, form, tab, tol)
+    except FloatModeError:
+        # a refused answer gets one refinement of x_B and a second certificate
+        _refine(form, tab, tol)
+        try:
+            answer = _float_answer(lp, form, tab, tol)
+        except FloatModeError:
+            return None
+    _last_optimum = form, tab
+    return answer
+
+
+def _move_values(tab: _Tableau, terms) -> None:
+    """``x_B += B^-1 r`` for ``terms``, the pairs (start column of row i,
+    ``r_i``): the start columns held the identity, so they now hold
+    ``B^-1``. Each row's sum runs over the nonzero ``r_i`` in order, in C."""
+    columns, weights = [], []
+    for j, r in terms:
+        if r:
+            columns.append(j)
+            weights.append(r)
+    for row in tab.rows:
+        row[-1] += sum(map(operator.mul, map(row.__getitem__, columns), weights))
+
+
+def _refine(form: _StandardForm, tab: _Tableau, tol: float) -> None:
+    """One step of iterative refinement of the basic values: ``B^-1``
+    times the residuals ``b_r - A_r x`` of the kept rows, summed afresh
+    over the standard form, is added to ``x_B``. It undoes the round-off
+    that the pivots since the last cold start left in ``x_B``; the basis
+    and the reduced costs stay as they are. A residual within ``tol / 16``
+    passes the certificate as it is and is left out, so the step reads a
+    few columns of ``B^-1``, not all of them."""
+    x = [0.0] * len(tab.state)
+    for j in tab.at_upper():
+        x[j] = tab.upper[j]
+    for j, row in zip(tab.basis, tab.rows):
+        x[j] = row[-1]
+    terms = []
+    for r in tab.kept:
+        row = form.rows[r]
+        residual = form.rhs[r] - sum(map(operator.mul, row.values(), map(x.__getitem__, row)))
+        if abs(residual) > tol / 16:
+            terms.append((form.start[r], residual))
+    _move_values(tab, terms)
+
+
+def _reduced_costs_hold(form: _StandardForm, tab: _Tableau, tol: float) -> bool:
+    """Whether the tableau's duals ``y_r = c_j - d_j`` on the start columns
+    keep every reduced cost ``c_j - y.A_j``, summed afresh over the rows of
+    ``form``, on its side within ``tol`` times ``1 + |c_j| + sum |y_r
+    a_rj|``: >= 0 at the lower bound, <= 0 at the upper bound, 0 on a free
+    column. The certificate of an answer checks its gap, which holds for any
+    ``y`` where ``b = 0``; this is the check of ``y`` itself."""
+    cost = tab.cost
+    reduced = list(cost)
+    size = [1 + abs(c) for c in cost]
+    for j, row in zip(form.start, form.rows):
+        y_r = cost[j] - tab.reduced[j]
+        if y_r:
+            for col, v in row.items():
+                term = y_r * v
+                reduced[col] -= term
+                size[col] += abs(term)
+    return not any(
+        (d < -tol * z if s > 0 else d > tol * z if s < 0 else abs(d) > tol * z)
+        for d, z, s in zip(reduced[:form.n_real], size, tab.state)
+    )
 
 
 def _anchored_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:

@@ -456,6 +456,19 @@ def class_columns(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[
     return [{first[w]: v for w, v in col.items() if w in first} for col in cols]
 
 
+def class_rows(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]],
+               n: int) -> list[dict[int, Num]]:
+    """Per class of ``classes`` in order, the map of a row ``x + sum_j
+    lambda_j cols[j]``: the price ``x`` at column 0 with coefficient 1 and
+    ``cols[j]`` at column ``1 + j``. ``classes`` are :func:`group_outcomes`
+    of ``cols`` on ``n`` outcomes, so every column pays the same on a class
+    and its first outcome stands for it. Both questions on a market put
+    their LPs on these rows: the superhedge (``>=`` the claim) and the
+    verdict (``=`` the class's gain, with the price fixed at 0). The maps
+    are new on every call."""
+    return [{0: 1, **row} for row in outcome_rows(class_columns(cols, classes, n), len(classes), 1)]
+
+
 def per_outcome(values: Sequence[Num], groups: Sequence[Sequence[int]], n: int, fill: Num = 0) -> list[Num]:
     """The outcome vector giving every outcome of ``groups[i]`` the value
     ``values[i]`` and every outcome in no group ``fill``."""

@@ -249,6 +249,66 @@ def tree_claim_price(steps: int, payoff) -> Fraction:
                 for p, c in zip(paths, payoff, strict=True)), Fraction(0))
 
 
+def gridded_tree_claim_price(steps: int, payoff) -> Fraction:
+    """The superhedge price, exactly, of the claim ``payoff`` (one value per
+    outcome of :func:`binomial_tree` ``(steps, "gridded")``, in its order),
+    by backward induction over the coarse grid 0, 2, 4, ... A trader there
+    knows the whole path at each coarse time and picks both positions of
+    the next two steps then, so the price at a coarse node is the largest
+    expectation of the node's values two steps on (one at an odd last
+    step) over the node's martingale measures: the measures on its
+    continuations under which each of those steps' gains has mean 0. That
+    small polytope is the same at every node, as the moves are; its
+    vertices are found by brute force over their supports. A test oracle
+    where ``enumerate_vertices`` cannot go."""
+    values = dict(zip(itertools.product("ud", repeat=steps), map(Fraction, payoff), strict=True))
+    for start in reversed(range(0, steps, 2)):
+        paths = list(itertools.product("ud", repeat=min(2, steps - start)))
+        vertices = _martingale_vertices(paths)
+        values = {node: max(sum(q * values[node + path] for q, path in zip(vertex, paths))
+                            for vertex in vertices)
+                  for node in itertools.product("ud", repeat=start)}
+    return values[()]
+
+
+def _martingale_vertices(paths) -> list[tuple[Fraction, ...]]:
+    """The vertices of the measures q on ``paths`` (move sequences of one
+    length h, from a price of 1) under which the gain of each of the h
+    steps has mean 0: the points q >= 0 of ``sum q = 1`` and the h step
+    equations that are unique on their support of h + 1 paths."""
+    rows = [[Fraction(1)] * len(paths)]
+    for step in range(len(paths[0])):
+        rows.append([math.prod((_MOVES[m] for m in path[:step]), start=Fraction(1)) * (_MOVES[path[step]] - 1)
+                     for path in paths])
+    rhs = [Fraction(1)] + [Fraction(0)] * (len(rows) - 1)
+    vertices = set()
+    for support in itertools.combinations(range(len(paths)), len(rows)):
+        solved = _solve_square([[row[j] for j in support] for row in rows], rhs)
+        if solved is not None and min(solved) >= 0:
+            q = [Fraction(0)] * len(paths)
+            for j, v in zip(support, solved):
+                q[j] = v
+            vertices.add(tuple(q))
+    return sorted(vertices)
+
+
+def _solve_square(a, b):
+    """The unique solution of the square system ``a x = b`` by Gaussian
+    elimination in Fractions; None when ``a`` is singular."""
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] / m[r][r] for r in range(n)]
+
+
 def trinomial_tree(steps: int, trading: str = "full") -> MarketModel:
     """:func:`binomial_tree` with a third move, 1: incomplete, still
     arbitrage-free under every ``trading``."""

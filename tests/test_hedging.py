@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import binomial_tree, random_claim, random_market, tree_claim_price, trinomial_tree
+from _factories import (
+    binomial_tree, gridded_tree_claim_price, random_claim, random_market, tree_claim_price, trinomial_tree,
+)
 from platonic import (
     GE,
     FiniteSpace,
@@ -31,6 +33,7 @@ from platonic import (
 from platonic import FloatModeError, as_float_model, ftap, hedging, lpsolve, market
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix, group_outcomes
+from platonic.numeric import DEFAULT_FLOAT_TOL
 from platonic.scenario import parse_scenario
 
 
@@ -319,7 +322,9 @@ class TestOneMarketManyQuestions:
         part of its standard form (its family) in the question's
         arithmetic. The later claims make no ``Constraint`` and no family,
         their standard forms take the first one's rows, and each claim's LP
-        shares the template's coefficient maps."""
+        shares the template's coefficient maps. The verdict's form has the
+        same rows, and in float mode the first claim starts from its
+        optimum, so it solves no ``b = 0`` member of its own."""
         model = binomial_tree(3, "delayed")
         conv = F if arithmetic == "exact" else float
         if arithmetic == "float":
@@ -351,11 +356,8 @@ class TestOneMarketManyQuestions:
         for claim in claims[1:]:
             superreplicate(model, claim)
         assert made == [0] and len(families) == 2
-        _verdict, first_claim, *later_claims = forms
-        if arithmetic == "float":  # the first claim's b = 0 member, its anchor
-            anchor = later_claims.pop(0)
-            assert anchor.family is first_claim.family and anchor.rows is first_claim.rows
-            assert not any(anchor.rhs)
+        verdict, first_claim, *later_claims = forms
+        assert verdict.rows == first_claim.rows and verdict.family is not first_claim.family
         assert len(later_claims) == 3 and all(f.rows is first_claim.rows for f in later_claims)
         first, *later = lp_solves.of("platonic.hedging")
         assert len(later) == 3
@@ -367,9 +369,8 @@ class TestOneMarketManyQuestions:
         from the float slot and never cold. Their standard form holds the
         very rows of the slot's form, so the same-matrix test reads no row
         map. The first superhedge follows the verdict, an LP of another
-        family: it starts from the optimum of its own ``b = 0`` member,
-        solved into the slot (anchored), and not cold either. The verdict
-        alone solves cold."""
+        family on equal rows: it starts warm from the verdict's optimum,
+        neither anchored nor cold. The verdict alone solves cold."""
         model = as_float_model(binomial_tree(3, "delayed"))
         claims = [tuple(float((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
         shared, cold, anchored = [], [], []
@@ -393,8 +394,8 @@ class TestOneMarketManyQuestions:
         monkeypatch.setattr(lpsolve, "_anchored_float_solve", anchored_spy)
         ftap_verdict(model)
         superreplicate(model, claims[0])
-        assert len(cold) == 1 and len(anchored) == 2 and anchored[0] is None  # the verdict's
-        assert shared[-1]  # the anchor's form holds the claim's rows
+        assert len(cold) == 1 and anchored == [None]  # the verdict's; its b = 0 has no anchor
+        assert shared == [False, False]  # an empty slot, then the verdict's equal rows
         shared.clear()
         cold.clear()
         anchored.clear()
@@ -701,24 +702,177 @@ def test_full_tree_call_prices_are_the_closed_form(cold_caches):
         assert superreplicate(model, call)[0].price == tree_claim_price(6, call)
 
 
-@pytest.mark.parametrize("trading", ["full", "gridded"])
-def test_float_calls_on_the_8_step_tree_solve_no_lp_cold(monkeypatch, cold_caches, trading):
-    """Float superhedges of three calls on the 8-step tree (256 outcomes),
-    after the verdict: the first starts from the optimum of its LP at b =
-    0, the later ones from the claim before, and none is solved from the
-    cash hedge. On the full tree each price is the closed form within
-    tol (1 + |price|)."""
+def test_gridded_tree_call_prices_are_the_backward_induction(cold_caches):
+    """The gridded tree is a full-information market on its coarse grid:
+    a claim's superhedge price is the backward induction over the coarse
+    nodes of ``gridded_tree_claim_price``. Exact superhedges of three calls
+    on the gridded 6-step tree equal it exactly."""
+    model = binomial_tree(6, "gridded")
+    for call in _calls(model, (60, 100, 140)):
+        assert superreplicate(model, call)[0].price == gridded_tree_claim_price(6, call)
+
+
+def _float_calls_after_the_verdict(monkeypatch, steps, trading, oracle):
+    """Float superhedges of three calls after the verdict, none solved
+    from the cash hedge, each priced within tol (1 + |price|) of
+    ``oracle``."""
     tol = 1e-9
-    model = as_float_model(binomial_tree(8, trading))
+    model = as_float_model(binomial_tree(steps, trading))
     ftap_verdict(model, tol=tol)
     cold = []
     inner = lpsolve._cold_float_solve
     monkeypatch.setattr(lpsolve, "_cold_float_solve", lambda *args: cold.append(args) or inner(*args))
     for call in _calls(model, (60, 100, 140)):
         price = superreplicate(model, call, tol=tol)[0].price
-        if trading == "full":
-            assert abs(price - tree_claim_price(8, call)) <= tol * (1 + abs(price))
+        assert abs(price - oracle(steps, call)) <= tol * (1 + abs(price))
     assert cold == []
+
+
+@pytest.mark.parametrize("trading", ["full", "gridded"])
+def test_float_calls_on_the_8_step_tree_solve_no_lp_cold(monkeypatch, cold_caches, trading):
+    """Float superhedges of three calls on the 8-step tree (256 outcomes),
+    after the verdict: the first starts from the verdict's optimum (or,
+    where that start is refused, from its own LP's at b = 0), the later
+    ones from the claim before, and none is solved from the cash hedge.
+    Each price is the oracle's: the closed form on the full tree, the
+    coarse backward induction on the gridded one."""
+    oracle = tree_claim_price if trading == "full" else gridded_tree_claim_price
+    _float_calls_after_the_verdict(monkeypatch, 8, trading, oracle)
+
+
+def test_float_calls_on_the_gridded_7_step_tree_are_the_backward_induction(monkeypatch, cold_caches):
+    """As on the 8-step tree, on the gridded 7-step tree, whose last coarse
+    node has one step to go."""
+    _float_calls_after_the_verdict(monkeypatch, 7, "gridded", gridded_tree_claim_price)
+
+
+def _verdict_lp(model, mode):
+    """The arbitrage LP of the verdict of ``mode`` on ``model``, as
+    ``ftap`` hands it to the solver (a float refusal of it is dropped)."""
+    built = []
+    inner = ftap.solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ftap, "solve", lambda lp, *args: built.append(lp) or inner(lp, *args))
+        try:
+            ftap._solve_arbitrage_lp(model, model.arithmetic, mode, None)
+        except FloatModeError:
+            pass
+    return built[0]
+
+
+class TestOneMatrixPerMarket:
+    """The verdict's LP sits on its market's superhedge template: the same
+    rows in standard form, so the float slot carries one question's optimum
+    to the next, across costs and bounds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["random", "binomial", "trinomial"]),
+           trading=st.sampled_from(["full", "delayed", "gridded"]))
+    def test_the_verdict_and_the_template_share_their_standard_form(self, seed, shape, trading, model_caches):
+        """On random and tree markets, in both modes and both arithmetics,
+        the standard forms of the verdict's LP and of the superhedge
+        template at b = 0 have equal rows, start columns, row signs and
+        column counts: each gain sits where its row's slack does."""
+        for cache in model_caches:
+            cache.cache_clear()
+        if shape == "random":
+            model = random_market(random.Random(seed))
+        else:
+            model = (binomial_tree if shape == "binomial" else trinomial_tree)(2 + seed % 2, trading)
+        for m, conv in ((model, F), (as_float_model(model), float)):
+            for mode in ("free", "long_only"):
+                verdict = lpsolve._standard_form(_verdict_lp(m, mode), conv)
+                template = lpsolve._standard_form(hedging._superhedge_template(m, m.arithmetic, mode), conv)
+                assert (verdict.rows, verdict.start, verdict.signs) == (
+                    template.rows, template.start, template.signs)
+                assert (verdict.n_real, len(verdict.cost)) == (template.n_real, len(template.cost))
+
+    @staticmethod
+    def _routes(monkeypatch):
+        """Counts of basis changes and of anchored and cold float solves."""
+        counts = {"_do_pivot": 0, "_anchored_float_solve": 0, "_cold_float_solve": 0}
+        for name in counts:
+            inner = getattr(lpsolve, name)
+
+            def spy(*args, _name=name, _inner=inner):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(lpsolve, name, spy)
+        return counts
+
+    def test_the_first_call_starts_from_the_verdict(self, monkeypatch, cold_caches):
+        """After the free verdict of the float 6-step tree, the call at K =
+        100 is one or two pivots from the verdict's optimum: no anchored and
+        no cold solve runs."""
+        model = as_float_model(binomial_tree(6))
+        ftap_verdict(model)
+        counts = self._routes(monkeypatch)
+        [call] = _calls(model, (100,))
+        assert abs(superreplicate(model, call)[0].price - tree_claim_price(6, call)) <= 1e-9 * 60
+        assert counts["_do_pivot"] <= 2
+        assert counts["_anchored_float_solve"] == counts["_cold_float_solve"] == 0
+
+    def test_the_free_verdict_starts_from_the_long_only_one(self, monkeypatch, cold_caches):
+        """After the long-only verdict of the float 6-step tree, the free
+        verdict starts from its optimum and solves nothing cold."""
+        model = as_float_model(binomial_tree(6))
+        ftap_verdict(model, "long_only")
+        counts = self._routes(monkeypatch)
+        assert ftap_verdict(model).kind == "NO_ARBITRAGE"
+        assert counts["_cold_float_solve"] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_float_questions_in_any_order_answer_as_exact(self, seed, data, model_caches):
+        """Verdicts and superhedges in both modes, asked in a random order on
+        a float random market with or without an arbitrage, each from the
+        slot the question before left: each verdict has the exact verdict's
+        kind, each price lies within tol (1 + |price|) of the exact one, a
+        question the exact market refuses is refused, and every answer
+        passes its own checks again. A float refusal is never a wrong
+        answer, so one is let through."""
+        for cache in model_caches:
+            cache.cache_clear()
+        lpsolve._last_optimum = None
+        rng = random.Random(seed)
+        model = random_market(rng)
+        fmodel = as_float_model(model)
+        n, tol = model.n_outcomes, DEFAULT_FLOAT_TOL
+        claims = [random_claim(rng, n) for _ in range(3)]
+        cols = generator_matrix(fmodel)[1]
+        mode = st.sampled_from(["free", "long_only"])
+        questions = data.draw(st.lists(st.tuples(st.sampled_from([None, 0, 1, 2]), mode), min_size=2, max_size=8))
+        for claim, m in questions:
+            kind = "martingale" if m == "free" else "supermartingale"
+            if claim is None:
+                exact = ftap_verdict(model, m)
+                try:
+                    answer = ftap_verdict(fmodel, m)
+                except FloatModeError:
+                    continue
+                assert answer.kind == exact.kind
+                if answer.measure is not None:
+                    assert checked_measure(answer.measure.q_values, cols, kind, tol, False) == answer.measure
+                    assert answer.measure.full_support
+                else:
+                    gain = answer.arbitrage.terminal_gain.values
+                    assert min(gain) >= -tol and max(gain) > tol
+                continue
+            values = claims[claim].values
+            exact, answer = _answer_or_refusal(model, claims[claim], m), _answer_or_refusal(
+                fmodel, RandomVariable(tuple(map(float, values))), m)
+            if answer == "FloatModeError":
+                continue
+            if isinstance(exact, str):
+                assert answer == exact
+                continue
+            hedge, dual = answer
+            assert _close(hedge.price, exact[0].price)
+            assert checked_measure(dual.q_values, cols, kind, tol, False) == dual
+            bound = tol * (1 + max(abs(v) for v in values))
+            assert min(hedge.consumption) >= -bound
 
 
 def _unbounded(*args, **kwargs):

@@ -563,10 +563,12 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     and long-only: basis changes (``_do_pivot``) plus bound flips
     (``_flip``), a deterministic counter that moves with the pricing rule,
     the start basis and the bound handling. Exact answers take the float
-    basis here. Float mode pivots less: a superhedge that follows one of
-    the same matrix starts from its optimal basis, repaired by dual pivots
-    where it left its bounds, and the first superhedge of a market starts
-    the same way from the optimum of its own LP at b = 0.
+    basis here. Each cold verdict flips its fixed price column once: the
+    column enters first and stops at its own other bound, 0. Float mode
+    pivots less: every LP of a market has the same rows, so each LP starts
+    from the optimal basis of the one before, carried by primal pivots to
+    its own optimum at b = 0 where its costs or bounds differ, then repaired
+    by dual pivots where it left its bounds.
     ``free_lunch_3``'s second claim equals its first, so both of its
     superhedges come from the cache and pivot none (4 exact pivots each
     when solved). ``two_theta``'s 8 outcomes are 4 classes that no
@@ -579,7 +581,8 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"_do_pivot": {"exact": 127, "float": 89}[arithmetic], "_flip": 0}
+    assert pivots == {"exact": {"_do_pivot": 127, "_flip": 14},
+                      "float": {"_do_pivot": 54, "_flip": 7}}[arithmetic]
 
 
 class TestWithRhs:
@@ -753,22 +756,42 @@ class TestWarmFloatBasis:
         check()
         assert any(repairs)  # a basis repaired by at least one dual pivot
 
-    @pytest.mark.parametrize("change", [
-        {"upper_x": 2.5}, {"lower_y": 0.5}, {"cost_x": 3.5}, {"a_22": 2.5},
-    ], ids=lambda change: next(iter(change)))
+    @pytest.mark.parametrize("change", [{"upper_x": 2.5}, {"lower_y": 0.5}, {"cost_x": 3.5}],
+                             ids=lambda change: next(iter(change)))
+    def test_a_cost_or_bound_change_is_served_warm(self, stages, pivots, monkeypatch, change):
+        """An LP on the slot's rows, start columns and row signs is served
+        from the slot's basis, whatever its costs and bounds: a new upper
+        bound or cost is taken into the tableau, whose basis primal pivots
+        carry to the optimum at b = 0 and dual pivots to the LP's ``b``; a
+        new lower bound only shifts ``b``. No other start runs, and the
+        answer is certified, its reduced costs included."""
+        solve(_hedge_like(), "float")
+        pivots.update(_do_pivot=0, _flip=0)
+        checked = []
+        inner = lpsolve._reduced_costs_hold
+        monkeypatch.setattr(lpsolve, "_reduced_costs_hold", lambda *args: checked.append(inner(*args)) or
+                            checked[-1])
+        sol = solve(_hedge_like(**change), "float")
+        assert stages == [("float", True)]  # the first solve's start only
+        assert checked == ([] if "lower_y" in change else [True])
+        assert pivots == {"_do_pivot": 0 if "lower_y" in change else 2, "_flip": 0}
+        exact = solve(_hedge_like(**{k: F(v) for k, v in change.items()}))
+        assert abs(sol.objective - float(exact.objective)) <= 1e-9 * (1 + abs(sol.objective))
+        last, form = lpsolve._last_optimum[0], lpsolve._standard_form(_hedge_like(**change), float)
+        assert (last.cost, last.upper, last.rhs) == (form.cost, form.upper, form.rhs)  # the new optimum's
+
+    @pytest.mark.parametrize("change", [{"a_22": 2.5}], ids=lambda change: next(iter(change)))
     def test_any_other_change_solves_cold(self, stages, monkeypatch, change):
-        """An LP whose matrix, costs or bounds differ from the slot's is not
-        served from the slot's basis: it is solved from a start. That is the
-        start of its own ``b = 0`` member (the anchored route) when the two
-        share row signs and start columns, else its own (``_cold_float_solve``):
-        y >= 0.5 shifts the member's right-hand sides below 0, which flips its
-        row signs."""
+        """An LP whose rows differ from the slot's is not served from the
+        slot's basis: it is solved from a start, that of its own ``b = 0``
+        member (the anchored route), as the two share row signs and start
+        columns."""
         solve(_hedge_like(), "float")
         cold = []
         inner = lpsolve._cold_float_solve
         monkeypatch.setattr(lpsolve, "_cold_float_solve", lambda *args: cold.append(args) or inner(*args))
         sol = solve(_hedge_like(**change), "float")
-        assert stages == [("float", True)] * 2 and len(cold) == ("lower_y" in change)
+        assert stages == [("float", True)] * 2 and cold == []
         exact = solve(_hedge_like(**{k: F(v) for k, v in change.items()}))
         assert abs(sol.objective - float(exact.objective)) <= 1e-9 * (1 + abs(sol.objective))
 
@@ -808,24 +831,46 @@ class TestWarmFloatBasis:
         monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
         return calls
 
-    def test_refused_warm_answer_is_served_anchored(self, stages, monkeypatch):
-        """A warm answer that fails its certificate is not handed out: the
-        LP is solved again from the start of its ``b = 0`` member, whose
-        optimum the dual pivots take to the LP's own."""
+    def test_drifted_basic_values_are_refined(self, stages, monkeypatch):
+        """Round-off in ``x_B`` that the certificate refuses (here 1e-6 added
+        to every basic value after the dual pivots) is undone by one step of
+        iterative refinement: the answer is served warm from the slot's
+        basis, on its second certificate, and no start runs."""
         solve(_hedge_like(), "float")
-        calls = self._refuse_first(monkeypatch, 1)
+        inner = lpsolve._dual_loop
+
+        def drift(tab, *args):
+            done = inner(tab, *args)
+            for row in tab.rows:
+                row[-1] += 1e-6
+            return done
+
+        monkeypatch.setattr(lpsolve, "_dual_loop", drift)
+        calls = self._refuse_first(monkeypatch, 0)
         sol = solve(_hedge_like(b1=4.5), "float")
-        assert len(calls["certify"]) == 2 and stages == [("float", True)] * 2
+        assert len(calls["certify"]) == 2 and stages == [("float", True)]
+        assert calls["cold"] == []
+        assert sol.x == pytest.approx((3, 1.5), abs=1e-12)
+
+    def test_refused_warm_answer_is_served_anchored(self, stages, monkeypatch):
+        """A warm answer that fails its certificate, refined or not, is not
+        handed out: the LP is solved again from the start of its ``b = 0``
+        member, whose optimum the dual pivots take to the LP's own."""
+        solve(_hedge_like(), "float")
+        calls = self._refuse_first(monkeypatch, 2)
+        sol = solve(_hedge_like(b1=4.5), "float")
+        assert len(calls["certify"]) == 3 and stages == [("float", True)] * 2
         assert calls["cold"] == []
         assert sol.x == (3, 1.5)
 
     def test_refused_warm_answer_solves_cold(self, stages, monkeypatch):
-        """When the anchored answer is refused too, the LP is solved from its
-        own start, and that answer is certified and handed out."""
+        """When the anchored answer is refused too, refined or not, the LP is
+        solved from its own start, and that answer is certified and handed
+        out."""
         solve(_hedge_like(), "float")
-        calls = self._refuse_first(monkeypatch, 2)
+        calls = self._refuse_first(monkeypatch, 4)
         sol = solve(_hedge_like(b1=4.5), "float")
-        assert len(calls["certify"]) == 3 and stages == [("float", True)] * 3
+        assert len(calls["certify"]) == 5 and stages == [("float", True)] * 3
         assert len(calls["cold"]) == 1
         assert sol.x == (3, 1.5)
 
@@ -857,7 +902,8 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
     gridded tree, whose verdicts took 4,617 and 1,036 degenerate steps from
     a start on consumption slacks, and which float mode refused. Each class
     row now starts on its own gain, so the standard form has no artificial,
-    and Dantzig pricing ends in 147 and 347 steps, no bound flip among them.
+    and Dantzig pricing ends in 147 and 347 basis changes and one bound
+    flip: the price column, fixed at 0, enters first and stops at once.
     Each verdict is NO_ARBITRAGE with a full-support measure that passes
     its check again here, at tolerance 0 in exact mode."""
     forms = []
@@ -876,7 +922,7 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
     assert verdict.kind == "NO_ARBITRAGE" and verdict.measure.full_support
     [form] = forms
     assert form.art_rows == [] and form.n_real == len(form.cost)
-    assert pivots == {"_do_pivot": steps_taken, "_flip": 0}
+    assert pivots == {"_do_pivot": steps_taken, "_flip": 1}
     cols = generator_matrix(model, "long_only")[1]
     tol = pick_tol(model.arithmetic, None)
     assert ftap.checked_measure(verdict.measure.q_values, cols, "supermartingale", tol, exact) == verdict.measure
@@ -885,10 +931,12 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
 @pytest.mark.parametrize("mode", ["free", "long_only"])
 def test_standard_form_shape(monkeypatch, mode, cold_caches):
     """Columns stay whole and bounds take no row. On an n-outcome model with
-    k generators, the arbitrage LP has n rows and k + n caller columns, no
-    slack (its rows are equations) and no artificial: each row starts on
-    its own gain. The superhedge LP has n rows and 1 + k caller columns plus
-    a slack per row and no artificial either."""
+    k generators, the arbitrage LP has n rows and 1 + k + n caller columns
+    (the price fixed at 0, the lambdas, the gains), no slack (its rows are
+    equations) and no artificial: each row starts on its own gain. The
+    superhedge LP has n rows and 1 + k caller columns plus a slack per row
+    and no artificial either. Both have the same standard-form rows, start
+    columns and row signs: each gain sits where its row's slack does."""
     forms = []
     inner = lpsolve._standard_form
 
@@ -902,11 +950,12 @@ def test_standard_form_shape(monkeypatch, mode, cold_caches):
     ftap_verdict(model, mode)
     superreplicate(model, [F(w) for w in range(n)], mode)
     arbitrage, hedge = forms
-    assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, k + n)
-    assert arbitrage.n_real == len(arbitrage.cost) == k + n
-    assert arbitrage.start == list(range(k, k + n))
+    assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, 1 + k + n)
+    assert arbitrage.n_real == len(arbitrage.cost) == 1 + k + n
+    assert arbitrage.start == list(range(1 + k, 1 + k + n))
     assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k)
     assert hedge.n_real == len(hedge.cost) == 1 + k + n
+    assert (hedge.rows, hedge.start, hedge.signs) == (arbitrage.rows, arbitrage.start, arbitrage.signs)
 
 
 def test_build_reads_dense_and_map_rows():
@@ -928,8 +977,8 @@ def test_column_outside_the_objective_is_rejected(row):
 
 def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch, cold_caches):
     """The arbitrage LP of the 8-step tree (256 outcomes, 255 generators)
-    stores 2,304 coefficients: 8 generator entries and the gain's -1 per
-    outcome row, not 256 dense rows of 511 entries."""
+    stores 2,560 coefficients: the price's 1, 8 generator entries and the
+    gain's -1 per outcome row, not 256 dense rows of 512 entries."""
     stored = []
     inner = ftap.solve
 
@@ -939,7 +988,7 @@ def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch, cold_caches):
 
     monkeypatch.setattr(ftap, "solve", spy)
     assert ftap_verdict(binomial_tree(8)).kind == "NO_ARBITRAGE"
-    assert stored == [2304]
+    assert stored == [2560]
 
 
 @pytest.mark.parametrize("arithmetic", ["exact", "float"])
@@ -954,10 +1003,10 @@ def test_superhedges_run_no_phase_1(monkeypatch, arithmetic, cold_caches):
         forms.append(inner_form(problem, conv))
         return forms[-1]
 
-    def loop_spy(tab, cost, n_enter, tol):
+    def loop_spy(tab, cost, n_enter, *args):
         if tab.reduced is None:
             phase_1.append(n_enter)
-        return inner_loop(tab, cost, n_enter, tol)
+        return inner_loop(tab, cost, n_enter, *args)
 
     for path in GOLDEN:
         scenario = parse_scenario(str(path))

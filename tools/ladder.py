@@ -4,15 +4,18 @@
 
 A rung is one market: ``tests/_factories.binomial_tree(steps, trading)``
 (2**steps outcomes), exact or passed through ``as_float_model``. On each
-rung a fresh interpreter builds the market, asks its free verdict, then
-the free superhedges of the calls (S_T - K)+ at K = 60, 100 and 140, one
-after another as a user would, and reports the wall time of each question
-and its answer: the verdict's kind, or the price, or the type and message
-of the error that refused it. The rungs run one after another, each in its
-own child process, so no cache or float basis carries from one rung to the
-next. A rung still running after ``CUTOFF`` (60) seconds is stopped; each
-question it had not answered then is reported as ``"> cutoff"`` with the
-cutoff in seconds, not as a failure. A rung whose child fails on its own
+rung a fresh interpreter builds the market, asks its long-only verdict and
+its free verdict, then the free superhedges of the calls (S_T - K)+ at K =
+60, 100 and 140, one after another as a user would, and reports the wall
+time of each question and its answer: the verdict's kind, or the price, or
+the type and message of the error that refused it. The rungs run one after
+another, each in its own child process, so no cache or float basis carries
+from one rung to the next. The long-only verdict has ``CUTOFF`` (60)
+seconds of its own: past them it is stopped (by ``SIGALRM``, so on POSIX
+only), reported as ``"> cutoff"``, and the rung goes on. The rest of the
+rung has another ``CUTOFF`` seconds; a rung still running then is stopped,
+and each question it had not answered is reported as ``"> cutoff"`` with
+the cutoff in seconds, not as a failure. A rung whose child fails on its own
 (a nonzero exit status before the cutoff) reports each question it had not
 answered as an error carrying the end of the child's stderr.
 
@@ -37,15 +40,23 @@ STEPS = (6, 7, 8, 9)
 TRADINGS = ("full", "delayed", "gridded")
 ARITHMETICS = ("exact", "float")
 STRIKES = (60, 100, 140)
-CUTOFF = 60.0  # seconds per rung
+CUTOFF = 60.0  # seconds for the long-only verdict, and again for the rest of a rung
 
 # Run in the child: one JSON line per question, flushed as it is answered.
 _RUNG = """
-import json, sys, time
+import json, signal, sys, time
 from _factories import binomial_tree
 from platonic import as_float_model, ftap_verdict, superreplicate
-steps, trading, arithmetic = int(sys.argv[1]), sys.argv[2], sys.argv[3]
-strikes = [int(k) for k in sys.argv[4:]]
+steps, trading, arithmetic, cutoff = int(sys.argv[1]), sys.argv[2], sys.argv[3], float(sys.argv[4])
+strikes = [int(k) for k in sys.argv[5:]]
+
+
+class Stopped(BaseException):
+    pass
+
+
+def stop(signum, frame):
+    raise Stopped
 
 
 def timed(question, ask, show):
@@ -53,6 +64,9 @@ def timed(question, ask, show):
     try:
         value = ask()
         answer = show(value)
+    except Stopped:
+        print(json.dumps({"question": question, "s": "> cutoff"}), flush=True)
+        raise
     except Exception as exc:
         value, answer = None, {"error": f"{type(exc).__name__}: {exc}"}
     print(json.dumps({"question": question, "s": round(time.perf_counter() - start, 4), **answer}),
@@ -65,34 +79,53 @@ def build():
     return model if arithmetic == "exact" else as_float_model(model)
 
 
+def calls():
+    stock = model.prices[0][-1].values
+    zero = stock[0] * 0
+    for strike in strikes:
+        call = [max(s - strike, zero) for s in stock]
+        timed(f"call {strike}", lambda: superreplicate(model, call), lambda h: {"price": str(h[0].price)})
+
+
 model = timed("build", build, lambda m: {"outcomes": m.n_outcomes})
-timed("verdict", lambda: ftap_verdict(model), lambda v: {"verdict": v.kind})
-stock = model.prices[0][-1].values
-zero = stock[0] * 0
-for strike in strikes:
-    call = [max(s - strike, zero) for s in stock]
-    timed(f"call {strike}", lambda: superreplicate(model, call), lambda h: {"price": str(h[0].price)})
+signal.signal(signal.SIGALRM, stop)
+# the long-only verdict's cutoff, then the rest's: past the second, the rung stops
+for phase in (lambda: timed("long-only verdict", lambda: ftap_verdict(model, "long_only"),
+                            lambda v: {"verdict": v.kind}),
+              lambda: (timed("verdict", lambda: ftap_verdict(model), lambda v: {"verdict": v.kind}),
+                       calls())):
+    signal.setitimer(signal.ITIMER_REAL, cutoff)
+    try:
+        phase()
+    except Stopped:
+        pass
+signal.setitimer(signal.ITIMER_REAL, 0)
 """
 
 
 def rung(root: Path, steps: int, trading: str, arithmetic: str, cutoff: float) -> dict:
     """One rung's report: its questions in order, each with its wall time
-    in seconds and its answer, or ``"> cutoff"`` when the rung was stopped
-    first, or the child's error when it failed first."""
+    in seconds and its answer, or ``"> cutoff"`` when it or the rung was
+    stopped first, or the child's error when it failed first. ``stopped``
+    tells whether the rung was stopped: past the cutoff of the questions
+    after the long-only verdict, or past both cutoffs in all."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
-    args = [sys.executable, "-c", _RUNG, str(steps), trading, arithmetic, *map(str, STRIKES)]
+    args = [sys.executable, "-c", _RUNG, str(steps), trading, arithmetic, str(cutoff), *map(str, STRIKES)]
     try:
-        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=cutoff)
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=2 * cutoff)
         out, stopped = done.stdout, False
         unanswered = {"s": None, "error": f"child exited with status {done.returncode}: "
                                           f"{done.stderr.strip()[-500:]}"}
     except subprocess.TimeoutExpired as exc:
         out = exc.stdout or ""
         out = out.decode() if isinstance(out, bytes) else out
-        stopped, unanswered = True, {"s": "> cutoff"}
+        stopped = True
     answered = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-    asked = ["build", "verdict", *(f"call {k}" for k in STRIKES)]
+    stopped = stopped or any(q["s"] == "> cutoff" and q["question"] != "long-only verdict" for q in answered)
+    if stopped:
+        unanswered = {"s": "> cutoff"}
+    asked = ["build", "long-only verdict", "verdict", *(f"call {k}" for k in STRIKES)]
     questions = answered + [{"question": q, **unanswered} for q in asked[len(answered):]]
     return {"rung": f"bin {steps} {trading} {arithmetic}", "steps": steps, "trading": trading,
             "arithmetic": arithmetic, "cutoff_s": cutoff, "stopped": stopped, "questions": questions}
