@@ -22,6 +22,17 @@ measure against the generators on every outcome; when the check fails it
 raises, in exact arithmetic as a broken dichotomy and in float as a
 refusal to answer. ``find_measure`` returns that measure, so one LP
 answers every question about the dichotomy.
+
+In exact arithmetic each side of the dichotomy is its own proof, so the
+verdict proves its answer, not the LP's optimum. ``lpsolve.float_basis``
+gives the float simplex's basis with x exactly and, from the same
+elimination transposed, the duals. Where no gain is positive, the measure
+from those duals, checked as above with full support, is the certificate.
+Otherwise the gain is: x's price is 0, every gain lies in [0, 1] and one is
+positive, long-only multipliers are >= 0, and every row ``x + G_c lambda -
+g_c`` is 0 exactly, so the consumption is 0. Where that check fails, or the
+float stage gives no basis, ``lpsolve.solve`` proves the LP's optimum and
+the answer is read off it as in float mode.
 """
 from __future__ import annotations
 
@@ -32,7 +43,7 @@ from typing import Mapping, Sequence
 
 from . import _linalg
 from .errors import FtapInconsistencyError, InvalidModelError, ProjectionError, UnpricedMarketError, unverified
-from .lpsolve import EQ, LE, OPTIMAL, LinearProgram, solve
+from .lpsolve import EQ, LE, OPTIMAL, LinearProgram, float_basis, solve
 from .market import (
     CACHE_SIZE,
     MarketModel,
@@ -130,7 +141,11 @@ def find_arbitrage(model: MarketModel, mode: str = "free", tol: Num | None = Non
     that none exists (the claim cone is closed here, nothing is lost).
 
     The gain is capped by 1 outcome-wise: the cone is scale-invariant, so the
-    cap only makes the search bounded.
+    cap only makes the search bounded. An exact certificate is checked as
+    an answer: its gain lies in [0, 1] and is positive somewhere, and the
+    zero-cost wealth of ``lambdas`` equals it on every row exactly, so its
+    consumption is 0. The LP's optimality is proved only where that check
+    fails and ``lpsolve.solve`` solves the LP (see the module docstring).
     """
     return _arbitrage_lp(model, model.arithmetic, mode, tol)[0]
 
@@ -158,7 +173,10 @@ def _arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num | Non
 def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num | None) -> _Verdict:
     """Solve the arbitrage LP once and read both sides of the dichotomy off
     it: the arbitrage at a positive optimum; at a zero optimum the dual
-    measure, or None when it fails its check."""
+    measure, or None when it fails its check. In exact arithmetic the
+    answer of the float basis comes first, and it stands when it passes its
+    own check (see the module docstring); only otherwise does ``solve``
+    prove the LP's optimum."""
     lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     gens, cols = generator_matrix(model, mode)
     classes = outcome_classes(model)
@@ -171,34 +189,48 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
     rows = [{**row, k + 1 + i: -1} for i, row in enumerate(class_rows(cols, classes, n))]
     lp = LinearProgram.build(objective, "max", [(row, EQ, 0) for row in rows], bounds)
     exact = lp_mode == "exact"
+    kind = "martingale" if mode == "free" else "supermartingale"
+
+    def measure(duals) -> MeasureCertificate | None:
+        # The gain's reduced cost makes each class row's dual at most -|c|
+        # in this max problem; the signs cancel in q = y_c / |c| / sum(y).
+        total = _linalg.dots([dict.fromkeys(range(m), 1)], duals, exact)[0]
+        if not total < 0:
+            return None
+        if exact:  # one Fraction per class
+            masses = [Fraction(d.numerator * total.denominator, d.denominator * len(c) * total.numerator)
+                      for d, c in zip(duals, classes)]
+        else:
+            masses = [d / len(c) / total for d, c in zip(duals, classes)]
+        cert = checked_measure(per_outcome(masses, classes, n), cols, kind, eff_tol, exact)
+        return cert if cert is not None and cert.full_support else None
+
+    def arbitrage(x) -> ArbitrageCertificate:
+        # row i of the LP is the wealth on class i minus its gain: 0 in exact mode
+        consumption = _linalg.dots([con.coeffs for con in lp.constraints], x, exact)
+        return ArbitrageCertificate(
+            strategy=strategy_from_coefficients(model, gens, x[1:k + 1], mode),
+            terminal_gain=RandomVariable(tuple(per_outcome(x[k + 1:], classes, n))),
+            consumption=RandomVariable(tuple(per_outcome(consumption, classes, n))),
+            lambdas=tuple(x[1:k + 1]),
+        )
+
+    basis = float_basis(lp) if exact else None
+    if basis is not None and not any(basis.x[k + 1:]):  # no gain: the measure proves the verdict
+        found = measure(basis.duals())
+        if found is not None:
+            return None, found
+    elif basis is not None:  # a gain not all 0, proved by a zero-cost wealth equal to it in [0, 1]
+        cert = arbitrage(basis.x)
+        if (basis.x[0] == 0 and not any(cert.consumption) and all(0 <= g <= 1 for g in cert.terminal_gain)
+                and (mode == "free" or all(v >= 0 for v in cert.lambdas))):
+            return cert, None
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:  # always feasible and bounded
         raise unverified(f"arbitrage search ended with status {sol.status}", exact)
     if sol.objective <= eff_tol:
-        # The gain's reduced cost makes each class row's dual at most -|c|
-        # in this max problem; the signs cancel in q = y_c / |c| / sum(y).
-        total = _linalg.dots([dict.fromkeys(range(m), 1)], sol.duals, exact)[0]
-        if not total < 0:
-            return None, None
-        kind = "martingale" if mode == "free" else "supermartingale"
-        if exact:  # one Fraction per class
-            masses = [Fraction(d.numerator * total.denominator, d.denominator * len(c) * total.numerator)
-                      for d, c in zip(sol.duals, classes)]
-        else:
-            masses = [d / len(c) / total for d, c in zip(sol.duals, classes)]
-        q = per_outcome(masses, classes, n)
-        measure = checked_measure(q, cols, kind, eff_tol, exact)
-        return None, (measure if measure is not None and measure.full_support else None)
-    lam = sol.x[1:k + 1]
-    gain = sol.x[k + 1:]
-    # row i of the LP is the wealth on class i minus its gain: 0 in exact mode
-    consumption = _linalg.dots([con.coeffs for con in lp.constraints], sol.x, exact)
-    return ArbitrageCertificate(
-        strategy=strategy_from_coefficients(model, gens, lam, mode),
-        terminal_gain=RandomVariable(tuple(per_outcome(gain, classes, n))),
-        consumption=RandomVariable(tuple(per_outcome(consumption, classes, n))),
-        lambdas=tuple(lam),
-    ), None
+        return None, measure(sol.duals)
+    return arbitrage(sol.x), None
 
 
 def martingale_polytope_constraints(

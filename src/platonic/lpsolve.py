@@ -13,7 +13,9 @@ and the last tableau column holds the values of the basic columns. A free
 column may enter in either direction and never leaves again; the ratio test
 stops a basic column at 0 or at its upper bound, and stops the entering one
 at its own other bound, where it only flips (Dantzig's upper-bounding
-technique, Econometrica 23, 1955).
+technique, Econometrica 23, 1955). A column fixed at 0, with bounds
+``(0, 0)`` after the shift, never enters, and its reduced cost may take
+either sign at an optimum.
 
 Start. A row starts on a column of its own: a column in no other row,
 with entry +1 after the row's sign, whose value there, the row's
@@ -54,7 +56,8 @@ and replayed. Fractions appear only in the substitutions. The checks are
 ``x_B`` within its bounds, every equation dropped as redundant holding at
 ``x``, and every non-artificial column's reduced cost ``c_j - y.A_j`` >= 0
 at its lower bound, <= 0 at its upper bound and 0 on a free nonbasic
-column, summed in ints over the common denominator of ``y``. A positive row
+column (a column fixed at 0 takes any), summed in ints over the common
+denominator of ``y``. A positive row
 scale scales that row's dual and no sign, so those checks prove the basis
 optimal, and ``y`` unscaled once is its dual vector. When a check fails, or
 the float stage refuses or ends elsewhere than at an optimum, exact
@@ -63,6 +66,16 @@ exact mode reports is proved in rationals: an optimum by the basis checks
 and a zero duality gap with complementary slackness (its row sums one int
 sum each, ``_linalg.dots``), infeasibility and unboundedness by exact
 pivoting.
+
+The halves of a basis. A :class:`Basis` holds the exact ``x`` of a
+feasible basis (the elimination above) and, on first use, its duals (the
+record transposed); :func:`_certified` proves it optimal by adding the
+sign check of the reduced costs. :func:`float_basis` returns the two
+halves of the float stage's optimal basis without that check, for a
+caller that checks its answer itself: the exact verdict (``ftap``), whose
+measure or arbitrage is a certificate on its own, pays for the elimination
+and the half it reads, and solves its LP with :func:`solve` only where its
+check fails.
 
 The float backend runs the same pivoting with tolerances. It reads its duals
 off the final phase-2 cost row: row r's start column j is the unit column
@@ -362,9 +375,10 @@ def _pivot_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num,
     Bland's rule reads as on the problem with every upper bound a row. After
     as many degenerate steps (length 0, flips included) in a row as that
     problem has rows, Bland's first-improving rule takes over until the next
-    nondegenerate step, so the loop cannot cycle."""
+    nondegenerate step, so the loop cannot cycle. A column fixed at 0 (upper
+    bound 0), as the verdict's price, never enters: it could only flip."""
     rows, basis, upper, state = tab.rows, tab.basis, tab.upper, tab.state
-    columns = range(n_enter)
+    columns = [j for j in range(n_enter) if upper[j] != 0]
     patience = len(rows) + sum(u is not None for u in upper)
     degenerate = 0
     for _ in range(budget):
@@ -421,7 +435,7 @@ def _dual_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> bool
     sign, ties to the lowest index. After as many degenerate steps (``d_j``
     = 0) in a row as :func:`_pivot_loop` waits, the leaving column is the
     lowest-index one outside its bounds until the next nondegenerate step
-    (Bland's rule on the dual)."""
+    (Bland's rule on the dual). A column fixed at 0 never enters."""
     rows, basis, upper, state = tab.rows, tab.basis, tab.upper, tab.state
     patience = len(rows) + sum(u is not None for u in upper)
     degenerate = 0
@@ -448,7 +462,7 @@ def _dual_loop(tab: "_Tableau", cost: list[Num], n_enter: int, tol: Num) -> bool
             # a move up of column j pushes the leaving value towards its bound when a > 0
             a = row[j] if to_upper else -row[j]
             s = state[j]
-            if j == leave or not (a > tol if s > 0 else a < -tol if s < 0 else abs(a) > tol):
+            if j == leave or not (a > tol if s > 0 else a < -tol if s < 0 else abs(a) > tol) or upper[j] == 0:
                 continue
             ratio = abs(cost[j] / a)
             if best is None or ratio < best:
@@ -766,8 +780,7 @@ def _primal(form: _StandardForm, basis: list[int], kept: list[int],
     if any(j >= form.n_real for j in basis):
         return None
     position = {col: k for k, col in enumerate(basis)}
-    # a column at an upper bound of 0 (the verdict's fixed price) adds nothing
-    value = {j: form.upper[j] for j in at_upper if form.upper[j]}
+    value = {j: form.upper[j] for j in at_upper}
     eqs = [{position[j]: v for j, v in form.rows[r].items() if j in position} for r in kept]
     rhs = [form.rhs[r] - sum(v * value[j] for j, v in form.rows[r].items() if j in value)
            for r in kept]
@@ -785,60 +798,111 @@ def _primal(form: _StandardForm, basis: list[int], kept: list[int],
     return solved
 
 
-def _dual(form: _StandardForm, solved: _linalg.SparseSolution, basis: list[int], kept: list[int],
-          at_upper: list[int]):
-    """The basis duals y (``B^T y = c_B``, from the record of the primal
-    solve) of the form exactly, with ``sum u_j d_j`` over the columns at
-    their upper bound, when every non-artificial reduced cost ``d_j = c_j -
-    y.A_j`` has its sign: >= 0 at the lower bound, <= 0 at the upper bound,
-    0 on a free column; None otherwise. The reduced costs are summed in
-    ints, as ``den * d_j`` over the common denominator ``den`` of y."""
-    y = solved.transposed([form.cost[j] for j in basis])
-    den = math.lcm(*[y_i.denominator for y_i in y])
+def _dual(form: _StandardForm, y: list[Fraction], at_upper: list[int]) -> Fraction | None:
+    """``sum u_j d_j`` over the columns at their upper bound, when every
+    non-artificial reduced cost ``d_j = c_j - y.A_j`` of the row duals
+    ``y`` has its sign: >= 0 at the lower bound, <= 0 at the upper bound, 0
+    on a free column, any on a column fixed at 0; None otherwise. The
+    reduced costs are summed in ints, as ``den * d_j`` over the common
+    denominator ``den`` of y."""
+    den = math.lcm(*[y_r.denominator for y_r in y])
     reduced = [den * c for c in form.cost[:form.n_real]]
-    for y_i, r in zip(y, kept):
-        if y_i:
-            q = y_i.numerator * (den // y_i.denominator)
-            for j, v in form.rows[r].items():
+    for y_r, row in zip(y, form.rows):
+        if y_r:
+            q = y_r.numerator * (den // y_r.denominator)
+            for j, v in row.items():
                 if j < form.n_real:
                     reduced[j] -= q * v
     up = set(at_upper)
-    if any((d < 0 and j not in up) or (d > 0 and (j in up or form.free[j]))
+    if any(((d < 0 and j not in up) or (d > 0 and (j in up or form.free[j]))) and form.upper[j] != 0
            for j, d in enumerate(reduced)):
         return None
-    return y, Fraction(sum(form.upper[j] * reduced[j] for j in at_upper if form.upper[j]), den)
+    return Fraction(sum(form.upper[j] * reduced[j] for j in at_upper), den)
 
 
-def _certified(form: _StandardForm, tab: _Tableau):
-    """(basis, kept, at_upper, x_B, y, sum u_j d_j over at_upper) of the
-    tableau's basis when the exact checks prove it optimal; None otherwise.
-    One elimination of the basis matrix gives both x_B and y."""
+class Basis:
+    """A basis of the exact standard form of an LP whose basic solution is
+    feasible, and its two halves from one elimination of the basis matrix
+    (:func:`_primal`): ``x``, the caller's point of the basis, exactly, and
+    :meth:`duals`, the caller's dual per constraint, from the elimination's
+    record transposed (BTRAN) on first use. Nothing here proves the basis
+    optimal; :func:`_certified` adds the sign check of its reduced costs."""
+
+    def __init__(self, lp: LinearProgram, form: _StandardForm, tab: _Tableau,
+                 at_upper: list[int], solved: _linalg.SparseSolution):
+        self.lp, self.form, self.at_upper = lp, form, at_upper
+        self._basis, self._kept, self._solved, self._y = tab.basis, tab.kept, solved, None
+        self.x = _caller_x(form, tab.basis, solved.x, at_upper, True)
+
+    def y(self) -> list[Fraction]:
+        """The dual of every standard-form row: ``B^T y = c_B`` on the kept
+        rows, 0 on a row dropped as redundant."""
+        if self._y is None:
+            self._y = [Fraction(0)] * len(self.form.rows)
+            for r, y_r in zip(self._kept, self._solved.transposed([self.form.cost[j] for j in self._basis])):
+                self._y[r] = y_r
+        return self._y
+
+    def duals(self) -> tuple[Fraction, ...]:
+        """The caller's dual of each constraint."""
+        return _caller_duals(self.lp, self.form, self.y(), True)
+
+
+def _basis(lp: LinearProgram, form: _StandardForm, tab: _Tableau) -> Basis | None:
+    """The tableau's basis with its exact halves; None unless :func:`_primal`
+    finds its basic solution feasible."""
     at_upper = tab.at_upper()
     solved = _primal(form, tab.basis, tab.kept, at_upper)
-    dual = None if solved is None else _dual(form, solved, tab.basis, tab.kept, at_upper)
-    return None if dual is None else (tab.basis, tab.kept, at_upper, solved.x, *dual)
+    return None if solved is None else Basis(lp, form, tab, at_upper, solved)
 
 
-def _exact_optimum(form: _StandardForm):
+def _certified(lp: LinearProgram, form: _StandardForm, tab: _Tableau) -> tuple[Basis, Fraction] | None:
+    """The tableau's basis and ``sum u_j d_j`` over its columns at their
+    upper bound, when the exact checks prove it optimal; None otherwise."""
+    basis = _basis(lp, form, tab)
+    bound_value = None if basis is None else _dual(form, basis.y(), basis.at_upper)
+    return None if bound_value is None else (basis, bound_value)
+
+
+def _float_stage(form: _StandardForm) -> _Tableau | None:
+    """The float simplex from the start of the exact ``form``: its tableau at
+    an optimum; None when it refuses or ends elsewhere."""
+    tab = _start_tableau(form, float)
+    try:
+        return tab if _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL else None
+    except FloatModeError:
+        return None
+
+
+def float_basis(lp: LinearProgram) -> Basis | None:
+    """The optimal basis of the float simplex on the exact standard form of
+    ``lp``, with its exact halves (:class:`Basis`); None when the float stage
+    refuses or ends elsewhere than at an optimum, or the basis holds an
+    artificial, is singular, or has a basic value outside its bounds. Its
+    optimality is not proved: a caller that checks the answer itself, as the
+    verdict does, pays for no more, and one whose check fails solves ``lp``
+    with :func:`solve`."""
+    form = _standard_form(lp, Fraction)
+    tab = None if form is None else _float_stage(form)
+    return None if tab is None else _basis(lp, form, tab)
+
+
+def _exact_optimum(lp: LinearProgram, form: _StandardForm):
     """Status and, at an optimum, the certified basis of :func:`_certified`.
 
     A float simplex picks the basis and the columns at their upper bound;
     one exact solve of its basis system certifies them. Otherwise exact
     pivoting runs from the start: when the float stage refused, ended
     elsewhere than at an optimum, or left a basis that fails a check."""
-    tab = _start_tableau(form, float)
-    try:
-        guided = _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL
-    except FloatModeError:
-        guided = False
-    optimum = _certified(form, tab) if guided else None
+    tab = _float_stage(form)
+    optimum = None if tab is None else _certified(lp, form, tab)
     if optimum is not None:
         return OPTIMAL, optimum
     tab = _start_tableau(form, Fraction)
     status = _simplex(form, tab, 0, 0, "exact")
     if status != OPTIMAL:
         return status, None
-    optimum = _certified(form, tab)
+    optimum = _certified(lp, form, tab)
     if optimum is None:  # pragma: no cover - exact pivoting ends on a certified basis
         raise RuntimeError("exact simplex ended on a basis that fails its check")
     return OPTIMAL, optimum
@@ -855,14 +919,11 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     if not exact:
         return (_warm_float_solve(lp, form, tol) or _anchored_float_solve(lp, form, tol)
                 or _cold_float_solve(lp, form, tol))
-    status, optimum = _exact_optimum(form)
+    status, optimum = _exact_optimum(lp, form)
     if status != OPTIMAL:
         return LpSolution(status, None, None, None, None)
-    basis, kept, at_upper, x_b, y, bound_value = optimum
-    y_full = [Fraction(0)] * len(form.rows)
-    for r, y_r in zip(kept, y):
-        y_full[r] = y_r
-    return _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, 0, mode)
+    basis, bound_value = optimum
+    return _solution(lp, form, basis.x, basis.y(), bound_value, 0, mode)
 
 
 # The standard form and final tableau of the last float optimum, held by
@@ -966,8 +1027,9 @@ def _reduced_costs_hold(form: _StandardForm, tab: _Tableau, tol: float) -> bool:
     keep every reduced cost ``c_j - y.A_j``, summed afresh over the rows of
     ``form``, on its side within ``tol`` times ``1 + |c_j| + sum |y_r
     a_rj|``: >= 0 at the lower bound, <= 0 at the upper bound, 0 on a free
-    column. The certificate of an answer checks its gap, which holds for any
-    ``y`` where ``b = 0``; this is the check of ``y`` itself."""
+    column, any on a column fixed at 0. The certificate of an answer checks
+    its gap, which holds for any ``y`` where ``b = 0``; this is the check of
+    ``y`` itself."""
     cost = tab.cost
     reduced = list(cost)
     size = [1 + abs(c) for c in cost]
@@ -979,8 +1041,8 @@ def _reduced_costs_hold(form: _StandardForm, tab: _Tableau, tol: float) -> bool:
                 reduced[col] -= term
                 size[col] += abs(term)
     return not any(
-        (d < -tol * z if s > 0 else d > tol * z if s < 0 else abs(d) > tol * z)
-        for d, z, s in zip(reduced[:form.n_real], size, tab.state)
+        (d < -tol * z if s > 0 else d > tol * z if s < 0 else abs(d) > tol * z) and tab.upper[j] != 0
+        for j, (d, z, s) in enumerate(zip(reduced[:form.n_real], size, tab.state))
     )
 
 
@@ -1029,42 +1091,52 @@ def _float_answer(lp: LinearProgram, form: _StandardForm, tab: _Tableau, tol: fl
     # float, never -0.0, also where c_j is -0.0 or a pivot left an int 0.
     y_full = [0.0 + tab.cost[j] - tab.reduced[j] for j in form.start]
     bound_value = sum(tab.upper[j] * tab.reduced[j] for j in at_upper)
-    x_b = [row[-1] for row in tab.rows]
-    return _solution(lp, form, tab.basis, x_b, at_upper, y_full, bound_value, tol, "float")
+    x_user = _caller_x(form, tab.basis, [row[-1] for row in tab.rows], at_upper, False)
+    return _solution(lp, form, x_user, y_full, bound_value, tol, "float")
 
 
-def _solution(lp, form, basis, x_b, at_upper, y_full, bound_value, tol, mode) -> LpSolution:
-    """The caller's x, duals and objectives from a basic solution, the
-    columns at their upper bound, the duals of every standard-form row and
-    ``sum u_j d_j`` over those columns (both of the form as scaled),
-    certified."""
-    exact = mode == "exact"
-    conv = Fraction if exact else float
-    zero = conv(0)
+def _caller_x(form: _StandardForm, basis: list[int], x_b: Sequence[Num], at_upper: list[int],
+              exact: bool) -> tuple[Num, ...]:
+    """The caller's x of a basic solution: the basic values ``x_b``, each
+    column of ``at_upper`` at its upper bound and every other at 0, shifted
+    and mirrored back."""
+    zero = Fraction(0) if exact else 0.0
     value = {j: form.upper[j] for j in at_upper}
     value.update(zip(basis, x_b))
     x_user = [value.get(j, zero) for j in range(len(form.col_map))]
     # exact mode skips a zero shift; float adds it too, as 0 + -0.0 is 0.0
-    x_user = [shift - v if sign < 0 else shift + v if shift or not exact else v
-              for (sign, shift), v in zip(form.col_map, x_user)]
-    objective = _linalg.dots([dict(enumerate(lp.objective))], x_user, exact)[0]
+    return tuple(shift - v if sign < 0 else shift + v if shift or not exact else v
+                 for (sign, shift), v in zip(form.col_map, x_user))
 
-    # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at
-    # upper. Row r is sign_r * scale_r times the caller's row, and the cost
-    # flip * cost_scale times the caller's objective (flip -1 for "max"): the
-    # caller's dual of row r is flip * sign_r * scale_r * y_r / cost_scale.
+
+def _caller_duals(lp: LinearProgram, form: _StandardForm, y_full: Sequence[Num],
+                  exact: bool) -> tuple[Num, ...]:
+    """The caller's dual of each constraint from the duals of the
+    standard-form rows. Row r is sign_r * scale_r times the caller's row,
+    and the cost flip * cost_scale times the caller's objective (flip -1 for
+    "max"): the caller's dual of row r is flip * sign_r * scale_r * y_r /
+    cost_scale."""
     flip = -1 if lp.sense == "max" else 1
+    if exact:
+        return tuple(Fraction(y.numerator * flip * sign * scale, y.denominator * form.cost_scale)
+                     for y, sign, scale in zip(y_full, form.signs, form.scales))
+    # every scale is 1; + 0.0 makes the zero dual of a negated row 0.0, not -0.0
+    return tuple(y * (flip * sign) + 0.0 for y, sign in zip(y_full, form.signs))
+
+
+def _solution(lp, form, x_user, y_full, bound_value, tol, mode) -> LpSolution:
+    """The caller's answer from its x, the duals of every standard-form row
+    and ``sum u_j d_j`` over the columns at their upper bound (both of the
+    form as scaled), certified."""
+    exact = mode == "exact"
+    objective = _linalg.dots([dict(enumerate(lp.objective))], x_user, exact)[0]
+    # min cost.x' over the bounds has the dual value y.b + sum u_j d_j at upper
     dual_obj_min = _linalg.dots([{0: 1, 1: 1, **dict(enumerate(form.rhs, 2))}],
                                 [form.obj_shift, bound_value, *y_full], exact)[0]
-    dual_objective = dual_obj_min / (flip * form.cost_scale)
-    if exact:
-        duals_user = tuple(Fraction(y.numerator * flip * sign * scale, y.denominator * form.cost_scale)
-                           for y, sign, scale in zip(y_full, form.signs, form.scales))
-    else:  # every scale is 1; + 0.0 makes the zero dual of a negated row 0.0, not -0.0
-        duals_user = tuple(y * (flip * sign) + 0.0 for y, sign in zip(y_full, form.signs))
-
+    dual_objective = dual_obj_min / ((-1 if lp.sense == "max" else 1) * form.cost_scale)
+    duals_user = _caller_duals(lp, form, y_full, exact)
     _certify(lp, x_user, duals_user, objective, dual_objective, tol, mode)
-    return LpSolution(OPTIMAL, tuple(x_user), duals_user, objective, dual_objective)
+    return LpSolution(OPTIMAL, x_user, duals_user, objective, dual_objective)
 
 
 def _certify(lp, x, duals, objective, dual_objective, tol, mode) -> None:

@@ -38,8 +38,10 @@ def model_caches():
 
 
 class LpSolves(list):
-    """Every ``lpsolve.solve`` call of a test in call order, each as the
-    pair (name of the ``platonic`` module that called it, the LP)."""
+    """Every LP solve of a test in call order, each as the pair (name of
+    the ``platonic`` module that called it, the LP): a call of
+    ``lpsolve.solve``, or of ``lpsolve.float_basis``, which an exact verdict
+    solves its LP with when the answer passes its own check."""
 
     def modules(self) -> list[str]:
         return [module for module, _lp in self]
@@ -52,20 +54,21 @@ class LpSolves(list):
 @pytest.fixture
 def lp_solves(monkeypatch, model_caches):
     """Records each LP solve of the test: every ``platonic`` submodule that
-    imports ``lpsolve.solve`` (``model_caches`` loads them all) gets a
-    wrapper that appends its own name and the LP."""
+    imports ``lpsolve.solve`` or ``lpsolve.float_basis`` (``model_caches``
+    loads them all) gets a wrapper that appends its own name and the LP."""
     calls = LpSolves()
-    inner = lpsolve.solve
 
-    def recording(name):
+    def recording(name, inner):
         def solve(*args, **kwargs):
             calls.append((name, args[0]))
             return inner(*args, **kwargs)
         return solve
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("platonic.") and getattr(module, "solve", None) is inner:
-            monkeypatch.setattr(module, "solve", recording(name))
+    for entry in ("solve", "float_basis"):
+        inner = getattr(lpsolve, entry)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("platonic.") and getattr(module, entry, None) is inner:
+                monkeypatch.setattr(module, entry, recording(name, inner))
     return calls
 
 

@@ -35,7 +35,7 @@ from platonic import (
     superreplicate,
     wealth_process,
 )
-from platonic import ftap, hedging, numeric
+from platonic import ftap, hedging, lpsolve, numeric
 from platonic.ftap import checked_measure, martingale_polytope_constraints
 from platonic.market import generator_matrix
 from platonic.probspace import conditional_expectation
@@ -474,6 +474,81 @@ class TestSolvesPerQuestion:
         assert lp_solves.modules() == ["platonic.hedging"] * 2  # the cone tests; the interval is cached
 
 
+def _verdict_answer(verdict):
+    """An arbitrage LP's answer, ``(arbitrage, measure)``, as comparable data."""
+    arbitrage, measure = verdict
+    if arbitrage is not None:
+        return "ARBITRAGE", arbitrage.lambdas, arbitrage.terminal_gain, arbitrage.consumption
+    return "NO_ARBITRAGE", measure and measure.q_values
+
+
+def _full_route(model, mode):
+    """The exact verdict as ``solve(lp, "exact")`` gives it: the float basis
+    refused, so the LP's optimum is certified before the answer is read."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ftap, "float_basis", lambda lp: None)
+        return ftap._solve_arbitrage_lp(model, "exact", mode, None)
+
+
+def _tampered_basis(change):
+    """A ``float_basis`` whose basis ``change`` alters before it is read."""
+    inner = ftap.float_basis
+
+    def tampered(lp):
+        basis = inner(lp)
+        change(basis)
+        return basis
+    return tampered
+
+
+def _perturb_dual(basis):
+    y = basis.y()  # the BTRAN's duals of the standard-form rows; the measure stays positive
+    basis.y = lambda: [2 * y[0], *y[1:]]
+
+
+def _perturb_lambda(basis):
+    x = basis.x  # the FTRAN's point: the price, then the lambdas
+    basis.x = (x[0], x[1] + 1, *x[2:])
+
+
+class TestAnswersCheckThemselves:
+    """An exact verdict reads its answer off the float basis and checks that
+    answer alone: the measure, or the gain with its rows. It is the answer
+    of the full route, which certifies the LP's optimum first, and where its
+    check fails the full route answers; where that fails too, the verdict
+    raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), na_bias=st.sampled_from([0.0, 1.0]))
+    def test_the_answer_is_the_full_routes(self, seed, na_bias):
+        model = random_market(random.Random(seed), na_bias=na_bias)
+        for mode in ("free", "long_only"):
+            answer = ftap._solve_arbitrage_lp(model, "exact", mode, None)
+            assert _verdict_answer(answer) == _verdict_answer(_full_route(model, mode))
+            assert answer[0] is not None or answer[1] is not None
+
+    @pytest.mark.parametrize("kind,change", [
+        ("NO_ARBITRAGE", _perturb_dual), ("ARBITRAGE", _perturb_lambda)], ids=["dual", "lambda"])
+    def test_a_tampered_half_is_rejected_and_the_full_route_answers(
+            self, monkeypatch, cold_caches, kind, change):
+        model = binomial_tree(2) if kind == "NO_ARBITRAGE" else build_market(*two_outcome([(1, 1), (2, 3)]))
+        solved = []
+        inner = ftap.solve
+        monkeypatch.setattr(ftap, "solve", lambda lp, *args: solved.append(lp) or inner(lp, *args))
+        untampered = ftap_verdict(model)
+        assert untampered.kind == kind and solved == []
+        cold_caches()
+        monkeypatch.setattr(ftap, "float_basis", _tampered_basis(change))
+        assert ftap_verdict(model) == untampered
+        assert len(solved) == 1
+        # when the full route fails too, the verdict raises instead of answering
+        cold_caches()
+        monkeypatch.setattr(ftap, "solve", lambda *args: lpsolve.LpSolution(lpsolve.UNBOUNDED, None, None, None, None))
+        with pytest.raises(RuntimeError, match="arbitrage search ended with status unbounded") as caught:
+            ftap_verdict(model)
+        assert type(caught.value) is RuntimeError
+
+
 class TestVerdictAgainstMeasureSearch:
     """Each side of the one-LP verdict checked from the payoffs alone: the
     arbitrage against the generators, the measure against every generator.
@@ -567,14 +642,15 @@ class TestFloatSixStepTrees:
 
 
 def _spy_lp_rows(monkeypatch):
-    """The constraint count of every LP that ``ftap`` and ``hedging`` solve."""
+    """The constraint count of every LP that ``ftap`` and ``hedging`` solve,
+    with ``solve`` or, for an exact verdict, ``float_basis``."""
     rows = []
-    for module in (ftap, hedging):
-        def spy(lp, *args, _inner=module.solve):
+    for module, entry in ((ftap, "float_basis"), (ftap, "solve"), (hedging, "solve")):
+        def spy(lp, *args, _inner=getattr(module, entry)):
             rows.append(len(lp.constraints))
             return _inner(lp, *args)
 
-        monkeypatch.setattr(module, "solve", spy)
+        monkeypatch.setattr(module, entry, spy)
     return rows
 
 

@@ -748,11 +748,13 @@ def test_float_calls_on_the_gridded_7_step_tree_are_the_backward_induction(monke
 
 def _verdict_lp(model, mode):
     """The arbitrage LP of the verdict of ``mode`` on ``model``, as
-    ``ftap`` hands it to the solver (a float refusal of it is dropped)."""
+    ``ftap`` hands it to the solver, ``solve`` or, in exact arithmetic,
+    ``float_basis`` first (a float refusal of it is dropped)."""
     built = []
-    inner = ftap.solve
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ftap, "solve", lambda lp, *args: built.append(lp) or inner(lp, *args))
+        for entry in ("solve", "float_basis"):
+            inner = getattr(ftap, entry)
+            patch.setattr(ftap, entry, lambda lp, *args, _inner=inner: built.append(lp) or _inner(lp, *args))
         try:
             ftap._solve_arbitrage_lp(model, model.arithmetic, mode, None)
         except FloatModeError:
@@ -901,7 +903,9 @@ def test_a_failed_check_is_a_bug_in_exact_and_a_refusal_in_float(
     """Each solver and certificate check of the verdict LP and the
     superhedge raises ``errors.unverified``: a ``RuntimeError`` in exact
     arithmetic, where it would be a bug, and a ``FloatModeError`` in float,
-    a refusal to answer. The verdict's measure check is
+    a refusal to answer. An exact verdict reaches ``solve`` only where its
+    float basis gives no answer that passes its check, so here it gives
+    none at all. The verdict's measure check is
     ``TestFloatMode::test_refused_measure_raises`` in ``test_ftap``."""
     model = binomial_tree(2)
     claim = [max(v - 100, 0) for v in model.price_path("stock")[-1]]
@@ -912,6 +916,8 @@ def test_a_failed_check_is_a_bug_in_exact_and_a_refusal_in_float(
         "hedge": lambda: superreplicate(model, claim),
     }[question]
     monkeypatch.setattr(module, name, replacement)
+    if question == "verdict":
+        monkeypatch.setattr(ftap, "float_basis", lambda lp: None)
     with pytest.raises(RuntimeError) as caught:
         ask()
     assert type(caught.value) is (RuntimeError if arithmetic == "exact" else FloatModeError)

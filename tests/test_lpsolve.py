@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -563,8 +564,8 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
     and long-only: basis changes (``_do_pivot``) plus bound flips
     (``_flip``), a deterministic counter that moves with the pricing rule,
     the start basis and the bound handling. Exact answers take the float
-    basis here. Each cold verdict flips its fixed price column once: the
-    column enters first and stops at its own other bound, 0. Float mode
+    basis here. No verdict flips its fixed price column: a column with
+    bounds (0, 0) never enters, so no LP here flips at all. Float mode
     pivots less: every LP of a market has the same rows, so each LP starts
     from the optimal basis of the one before, carried by primal pivots to
     its own optimum at b = 0 where its costs or bounds differ, then repaired
@@ -581,8 +582,8 @@ def test_golden_pivot_counts(pivots, arithmetic, cold_caches):
             ftap_verdict(model, mode)
             for claim in scenario.claims.values():
                 superreplicate(model, claim, mode)
-    assert pivots == {"exact": {"_do_pivot": 127, "_flip": 14},
-                      "float": {"_do_pivot": 54, "_flip": 7}}[arithmetic]
+    assert pivots == {"exact": {"_do_pivot": 127, "_flip": 0},
+                      "float": {"_do_pivot": 54, "_flip": 0}}[arithmetic]
 
 
 class TestWithRhs:
@@ -902,9 +903,8 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
     gridded tree, whose verdicts took 4,617 and 1,036 degenerate steps from
     a start on consumption slacks, and which float mode refused. Each class
     row now starts on its own gain, so the standard form has no artificial,
-    and Dantzig pricing ends in 147 and 347 basis changes and one bound
-    flip: the price column, fixed at 0, enters first and stops at once.
-    Each verdict is NO_ARBITRAGE with a full-support measure that passes
+    and Dantzig pricing ends in 147 and 347 basis changes and no bound
+    flip: the price column, fixed at 0, never enters. Each verdict is NO_ARBITRAGE with a full-support measure that passes
     its check again here, at tolerance 0 in exact mode."""
     forms = []
     inner = lpsolve._standard_form
@@ -922,7 +922,7 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
     assert verdict.kind == "NO_ARBITRAGE" and verdict.measure.full_support
     [form] = forms
     assert form.art_rows == [] and form.n_real == len(form.cost)
-    assert pivots == {"_do_pivot": steps_taken, "_flip": 1}
+    assert pivots == {"_do_pivot": steps_taken, "_flip": 0}
     cols = generator_matrix(model, "long_only")[1]
     tol = pick_tol(model.arithmetic, None)
     assert ftap.checked_measure(verdict.measure.q_values, cols, "supermartingale", tol, exact) == verdict.measure
@@ -978,15 +978,18 @@ def test_column_outside_the_objective_is_rejected(row):
 def test_arbitrage_lp_stores_its_nonzeros_only(monkeypatch, cold_caches):
     """The arbitrage LP of the 8-step tree (256 outcomes, 255 generators)
     stores 2,560 coefficients: the price's 1, 8 generator entries and the
-    gain's -1 per outcome row, not 256 dense rows of 512 entries."""
+    gain's -1 per outcome row, not 256 dense rows of 512 entries. The exact
+    verdict hands it to ``float_basis`` and, as its measure passes its
+    check, not to ``solve``."""
     stored = []
-    inner = ftap.solve
+    inner = ftap.float_basis
 
     def spy(problem, *args):
         stored.append(sum(len(con.coeffs) for con in problem.constraints))
         return inner(problem, *args)
 
-    monkeypatch.setattr(ftap, "solve", spy)
+    monkeypatch.setattr(ftap, "float_basis", spy)
+    monkeypatch.setattr(ftap, "solve", None)
     assert ftap_verdict(binomial_tree(8)).kind == "NO_ARBITRAGE"
     assert stored == [2560]
 
@@ -1209,7 +1212,9 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
     (free and long-only) or a price interval falls back, on every golden
     scenario and the 200-market acceptance suite with 5 claims each: 2,012
     exact solves, all on their float basis (a replicable claim's interval
-    solves no lower hedge)."""
+    solves no lower hedge). Each of the 414 verdicts among them takes the
+    answer of its float basis, which passes its own check: none falls back
+    to ``solve``, which would certify the LP's optimum first."""
     starts = {float: 0, F: 0}
     inner = lpsolve._start_tableau
 
@@ -1218,6 +1223,13 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
         return inner(form, conv)
 
     monkeypatch.setattr(lpsolve, "_start_tableau", spy)
+    verdicts = {"float_basis": 0, "solve": 0}
+    for entry in verdicts:
+        def entry_spy(*args, _entry=entry, _inner=getattr(ftap, entry)):
+            verdicts[_entry] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(ftap, entry, entry_spy)
     models = [(scenario.model, list(scenario.claims.values()))
               for scenario in map(parse_scenario, map(str, GOLDEN))]
     models += list(zip(suite["instances"], suite["claims"]))
@@ -1229,13 +1241,18 @@ def test_exact_fallback_count(monkeypatch, suite, cold_caches):
                     if mode == "free":
                         price_interval(model, claim)
     assert starts == {float: 2012, F: 0}
+    assert verdicts == {"float_basis": 414, "solve": 0}
 
 
 def test_one_elimination_per_certified_basis(monkeypatch, suite, cold_caches):
-    """A certified exact basis costs one fraction-free elimination: its
-    record gives x_B and, transposed, the duals. On the questions of
-    :func:`test_exact_fallback_count` that is 2,012 eliminations and 2,012
-    transposed solves for 2,012 certified bases."""
+    """An exact basis costs one fraction-free elimination: its record gives
+    x_B and, transposed, the duals. A superhedge's or an interval's basis is
+    certified optimal by both. A verdict's is not: without arbitrage it
+    needs the duals for its measure, with one only x for its gain, and either
+    answer passes its own check. On the questions of
+    :func:`test_exact_fallback_count`, 1,598 superhedges and intervals and
+    414 verdicts (173 with an arbitrage), that is 2,012 eliminations, 1,839
+    transposed solves and 1,598 certified bases."""
     counts = {"eliminations": 0, "transposed": 0, "certified": 0}
     solve_sparse, transposed, certified = (
         _linalg.solve_sparse, _linalg.SparseSolution.transposed, lpsolve._certified)
@@ -1257,11 +1274,15 @@ def test_one_elimination_per_certified_basis(monkeypatch, suite, cold_caches):
     models = [(scenario.model, list(scenario.claims.values()))
               for scenario in map(parse_scenario, map(str, GOLDEN))]
     models += list(zip(suite["instances"], suite["claims"]))
+    verdicts = Counter()
     for model, claims in models:
         for mode in ("free", "long_only"):
-            if ftap_verdict(model, mode).kind == "NO_ARBITRAGE":
+            kind = ftap_verdict(model, mode).kind
+            verdicts[kind] += 1
+            if kind == "NO_ARBITRAGE":
                 for claim in claims:
                     superreplicate(model, claim, mode)
                     if mode == "free":
                         price_interval(model, claim)
-    assert counts == {"eliminations": 2012, "transposed": 2012, "certified": 2012}
+    assert verdicts == {"NO_ARBITRAGE": 241, "ARBITRAGE": 173}
+    assert counts == {"eliminations": 2012, "transposed": 1839, "certified": 1598}

@@ -14,13 +14,15 @@ _spec.loader.exec_module(ladder)
 def test_ladder_smallest_rung():
     """Exact bin 6 on the full tree: its long-only and free verdicts find no
     arbitrage and its three call prices are the closed form, each question
-    with its wall time."""
+    with its wall time and its answer checked by ``perfbench/check.py``."""
     rung = ladder.rung(ROOT, 6, "full", "exact", ladder.CUTOFF)
     assert rung["rung"] == "bin 6 full exact" and not rung["stopped"]
     build, long_only, verdict, *calls = rung["questions"]
     assert build["outcomes"] == 64
     assert long_only["question"] == "long-only verdict" and long_only["verdict"] == "NO_ARBITRAGE"
     assert verdict["question"] == "verdict" and verdict["verdict"] == "NO_ARBITRAGE"
+    assert "checked" not in build
+    assert all(q["checked"] is True and "error" not in q for q in rung["questions"][1:])
     stock = binomial_tree(6).prices[0][-1].values
     for call, strike in zip(calls, (60, 100, 140), strict=True):
         assert call["question"] == f"call {strike}" and isinstance(call["s"], float)
@@ -56,3 +58,4 @@ def test_ladder_goes_on_past_a_stopped_long_only_verdict():
     for call, strike in zip(calls, (60, 100, 140), strict=True):
         price = tree_claim_price(8, [max(s - strike, 0) for s in stock])
         assert abs(float(call["price"]) - price) <= 1e-9 * (1 + price)
+        assert call["checked"] is True

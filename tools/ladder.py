@@ -8,7 +8,10 @@ rung a fresh interpreter builds the market, asks its long-only verdict and
 its free verdict, then the free superhedges of the calls (S_T - K)+ at K =
 60, 100 and 140, one after another as a user would, and reports the wall
 time of each question and its answer: the verdict's kind, or the price, or
-the type and message of the error that refused it. The rungs run one after
+the type and message of the error that refused it. Once a question's timer
+stops, ``check`` of ``perfbench/check.py`` checks its answer from the model
+(with the cutoff's timer paused); the question reports ``"checked": true``,
+or an error naming the failed check. The rungs run one after
 another, each in its own child process, so no cache or float basis carries
 from one rung to the next. The long-only verdict has ``CUTOFF`` (60)
 seconds of its own: past them it is stopped (by ``SIGALRM``, so on POSIX
@@ -22,9 +25,9 @@ answered as an error carrying the end of the child's stderr.
 Prints one JSON line with the commit of the checkout and the interpreter,
 then one JSON line per rung. The rungs are steps 6 to 9 under full,
 delayed and gridded trading in both arithmetics. ``--root`` names the
-checkout whose ``src/`` and ``tests/`` are used (default: the one holding
-this script), so one copy of this script can measure an older checkout
-too. Stdlib only.
+checkout whose ``src/``, ``tests/`` and ``perfbench/`` are used (default:
+the one holding this script), so one copy of this script can measure an
+older checkout too. Stdlib only.
 """
 from __future__ import annotations
 
@@ -46,9 +49,12 @@ CUTOFF = 60.0  # seconds for the long-only verdict, and again for the rest of a 
 _RUNG = """
 import json, signal, sys, time
 from _factories import binomial_tree
+from check import check
 from platonic import as_float_model, ftap_verdict, superreplicate
+from platonic.numeric import DEFAULT_FLOAT_TOL
 steps, trading, arithmetic, cutoff = int(sys.argv[1]), sys.argv[2], sys.argv[3], float(sys.argv[4])
 strikes = [int(k) for k in sys.argv[5:]]
+tol = None if arithmetic == "exact" else DEFAULT_FLOAT_TOL  # the tolerance each question is answered at
 
 
 class Stopped(BaseException):
@@ -59,18 +65,27 @@ def stop(signum, frame):
     raise Stopped
 
 
-def timed(question, ask, show):
+# ask, time and show one question; then check its answer as query (op, mode,
+# claim) with the cutoff's timer paused
+def timed(question, ask, show, query=None):
     start = time.perf_counter()
     try:
         value = ask()
         answer = show(value)
+        seconds = round(time.perf_counter() - start, 4)
+        if query is not None:
+            left = signal.setitimer(signal.ITIMER_REAL, 0)[0]
+            cause = check({**query, "model": model, "tol": tol}, value)
+            if left:
+                signal.setitimer(signal.ITIMER_REAL, left)
+            answer.update({"error": f"check: {cause}"} if cause else {"checked": True})
     except Stopped:
         print(json.dumps({"question": question, "s": "> cutoff"}), flush=True)
         raise
     except Exception as exc:
         value, answer = None, {"error": f"{type(exc).__name__}: {exc}"}
-    print(json.dumps({"question": question, "s": round(time.perf_counter() - start, 4), **answer}),
-          flush=True)
+        seconds = round(time.perf_counter() - start, 4)
+    print(json.dumps({"question": question, "s": seconds, **answer}), flush=True)
     return value
 
 
@@ -84,15 +99,17 @@ def calls():
     zero = stock[0] * 0
     for strike in strikes:
         call = [max(s - strike, zero) for s in stock]
-        timed(f"call {strike}", lambda: superreplicate(model, call), lambda h: {"price": str(h[0].price)})
+        timed(f"call {strike}", lambda: superreplicate(model, call), lambda h: {"price": str(h[0].price)},
+              {"op": "superreplicate", "mode": "free", "claim": call})
 
 
 model = timed("build", build, lambda m: {"outcomes": m.n_outcomes})
 signal.signal(signal.SIGALRM, stop)
 # the long-only verdict's cutoff, then the rest's: past the second, the rung stops
 for phase in (lambda: timed("long-only verdict", lambda: ftap_verdict(model, "long_only"),
-                            lambda v: {"verdict": v.kind}),
-              lambda: (timed("verdict", lambda: ftap_verdict(model), lambda v: {"verdict": v.kind}),
+                            lambda v: {"verdict": v.kind}, {"op": "verdict", "mode": "long_only"}),
+              lambda: (timed("verdict", lambda: ftap_verdict(model), lambda v: {"verdict": v.kind},
+                             {"op": "verdict", "mode": "free"}),
                        calls())):
     signal.setitimer(signal.ITIMER_REAL, cutoff)
     try:
@@ -110,7 +127,7 @@ def rung(root: Path, steps: int, trading: str, arithmetic: str, cutoff: float) -
     tells whether the rung was stopped: past the cutoff of the questions
     after the long-only verdict, or past both cutoffs in all."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests"), str(root / "perfbench")]))
     args = [sys.executable, "-c", _RUNG, str(steps), trading, arithmetic, str(cutoff), *map(str, STRIKES)]
     try:
         done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=2 * cutoff)
