@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ftap import _require_valid, ftap_verdict
-from .hedging import superhedge_lp, superhedge_rows, superhedge_template
+from .hedging import superhedge_lp, superhedge_template
 from .lpsolve import OPTIMAL, solve
 from .market import (
-    MarketModel, build_market, claim_arithmetic, generator_matrix, group_outcomes, validate,
+    MarketModel, build_market, claim_arithmetic, class_rows, generator_matrix, group_outcomes, validate,
 )
 from .numeric import Num, lp_mode_and_tol, parse_number, solver_tol
 from .probspace import (
@@ -404,7 +404,7 @@ def semistatic_direct_price(
     quote difference to the next trading time (or the payoff after the last).
     These columns join the model's generators in the shared superhedge
     primal, :func:`platonic.hedging.superhedge_template` of its
-    :func:`~platonic.hedging.superhedge_rows` then
+    :func:`~platonic.market.class_rows` then
     :func:`~platonic.hedging.superhedge_lp`, on the classes of outcomes
     that all of them pay alike: an option column can tell apart outcomes
     that the generators cannot.
@@ -427,7 +427,7 @@ def semistatic_direct_price(
                     cols.append(col)
     lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
     classes = group_outcomes(cols, model.n_outcomes)
-    template = superhedge_template(superhedge_rows(cols, classes, model.n_outcomes), len(cols), mode)
+    template = superhedge_template(class_rows(cols, classes, model.n_outcomes), len(cols), mode)
     lp, offset, _attaining = superhedge_lp(template, claim, classes)
     sol = solve(lp, lp_mode, solver_tol(eff_tol))
     if sol.status != OPTIMAL:

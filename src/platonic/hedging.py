@@ -102,19 +102,10 @@ class PriceInterval:
         return self.upper - self.lower
 
 
-def superhedge_rows(
-    cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]], n: int,
-) -> tuple[dict[int, Num], ...]:
-    """The claim-free rows of :func:`superhedge_template`: the
-    :func:`platonic.market.class_rows` of ``cols`` on ``classes``, which the
-    verdict's LP shares. They depend on the market alone, so one set serves
-    every claim and both modes."""
-    return tuple(class_rows(cols, classes, n))
-
-
 def superhedge_template(rows: Sequence[Mapping[int, Num]], k: int, mode: str) -> LinearProgram:
-    """The superhedge LP of a market in ``mode`` over its
-    :func:`superhedge_rows` of ``k`` columns, with every right-hand side 0:
+    """The superhedge LP of a market in ``mode`` over its claim-free rows,
+    the :func:`platonic.market.class_rows` of ``k`` columns, which the
+    verdict's LP shares, with every right-hand side 0:
     minimize the price column 0 such that each row is >= its right-hand
     side, with lambda >= 0 for long-only trading. It holds everything of the
     LP but the claim, so a market builds it once per mode and each claim
@@ -185,7 +176,7 @@ def superreplicate(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _superhedge_rows(model: MarketModel, _arithmetic: str) -> tuple[dict[int, Num], ...]:
-    return superhedge_rows(generator_matrix(model)[1], outcome_classes(model), model.n_outcomes)
+    return tuple(class_rows(generator_matrix(model)[1], outcome_classes(model), model.n_outcomes))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -203,9 +194,6 @@ def _superhedge(
     lp_mode, eff_tol = lp_mode_and_tol(arithmetic, tol)
     _gens, cols = generator_matrix(model, mode)
     n = model.n_outcomes
-    if len(claim) != n:
-        raise ValueError("claim lives on a different space")
-
     classes = outcome_classes(model)
     template = _superhedge_template(model, model.arithmetic, mode)
     lp, offset, attaining = superhedge_lp(template, claim, classes)
@@ -281,8 +269,8 @@ def price_interval(
     ``eta`` by mixing.
     """
     claim = as_random_variable(claim)
-    base_cert = _measure_or_refuse(model, "free", tol)
     lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
+    base_cert = _measure_or_refuse(model, "free", tol)
     exact = lp_mode == "exact"
     eta = Fraction(eta) if exact else float(eta)  # the hedges' arithmetic
     up_hedge, up_dual = superreplicate(model, claim, "free", tol)

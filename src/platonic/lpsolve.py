@@ -97,68 +97,67 @@ part, taking the family's rows where its signs, start columns and scales
 agree: a start column may move with ``b`` alone, where a value leaves its
 column's bounds. An LP built any other way is a family of its own.
 
-Warm start (float mode only). The standard form and final tableau of the
-last certified float optimum stay in one module-level slot, by reference.
-The slot serves the next float LP when its standard form has the slot's
-rows, start columns and row signs (and column count); its costs, bounds,
-column shifts and ``b`` may differ. Two float forms of one family with
-the same row signs hold the very same row and start lists, and a tuple
-comparison takes an item that is the same object as equal without reading
-it, so there the test reads the signs alone, O(rows); the forms of two
-LPs on equal rows, such as a market's verdict and its superhedges, are
-compared entry by entry. The slot is emptied while it works and takes
-the new optimum once its answer is certified, so it only ever holds an
-optimal tableau.
+Warm start (float mode only). A float LP is first solved from a basis
+optimal at another right-hand side ``b'``, from one of two sources. The
+first is a module-level slot, which holds the standard form and final
+tableau of the last certified float optimum by reference. It serves the
+next float LP when its standard form has the slot's rows, start columns
+and row signs (and column count); its costs, bounds, column shifts and
+``b`` may differ. Two float forms of one family with the same row signs
+hold the very same row and start lists, and a tuple comparison takes an
+item that is the same object as equal without reading it, so there the
+test reads the signs alone, O(rows); the forms of two LPs on equal rows,
+such as a market's verdict and its superhedges, are compared entry by
+entry. Where the costs and bounds are the slot's, ``b'`` is the slot's
+``b``. Where they differ, the tableau takes the LP's: every nonbasic
+column at its lower bound, a free one at 0, and every basic value 0, the
+values at ``b' = 0``, where the basis is primal feasible. Its reduced-cost
+row is rebuilt, and primal pivots take the basis to the optimum of the LP
+at ``b = 0``; a run longer than a quarter of the rows (plus two) gives up,
+as a near basis is what makes the start pay: each such pivot runs on a
+dense tableau, where a cold solve pivots on a sparse one.
 
-Where the costs or bounds differ, the tableau takes the LP's: every
-nonbasic column at its lower bound, a free one at 0, and every basic value
-0, the values at ``b = 0``, where the basis is primal feasible. Its
-reduced-cost row is rebuilt, and primal pivots take the basis to the
-optimum of the LP at ``b = 0``; a run longer than a quarter of the rows
-(plus two) gives up, as a near basis is what makes the start pay: each
-such pivot runs on a dense tableau, where a cold solve pivots on a sparse
-one. Then, as for an LP that differs in ``b`` alone, its basic values move
-from those at the slot's ``b'`` (0 after a change of costs or bounds) by
+The second source is the LP's own start, when the slot cannot serve an LP
+with a nonzero right-hand side, or its answer fails, and the start holds
+no artificial: every start column at 0 is feasible at ``b' = 0``, whatever
+the row signs, and the simplex takes it to the optimum there. So a claim
+asked after another market's LPs pivots from the hedge of the zero claim,
+a sparse tableau, not from the cash hedge, whose price column in every
+row fills the tableau in.
+
+From either source the basic values then move from those at ``b'`` by
 ``B^-1 (b - b')``, read off the tableau into its last column: the start
 columns held the identity, so they now hold ``B^-1``. Each move is one
 C-level sum over its row's terms in a fixed order, and its round-off grows
 with ``b - b'``, not with ``b``. Reduced costs do not depend on ``b``, so
 the basis stays dual feasible, and a basic value outside its bounds is
 repaired by bounded dual simplex pivots (Lemke, Naval Res. Logist. Q. 1,
-1954) on the slot's tableau, none when every value lies within its bounds
-up to ``_PIVOT_TOL``. The repaired basis is optimal, and its answer goes
-through the same extraction and certificate as a cold solve; after a
-change of costs or bounds its duals are also checked against every reduced
-cost summed afresh from the rows of the standard form (the gap alone holds
-for any duals where ``b = 0``). The round-off of the pivots since the last
-cold start reaches ``x_B`` through ``B^-1``: where the certificate refuses
-an answer, one step of iterative refinement adds ``B^-1`` times the rows'
-residuals beyond ``tol / 16``, summed afresh from the standard form, to
-``x_B``, and a second certificate decides. The refined values are the ones
-the next LP's move starts from. This serves claim after claim on one
+1954), none when every value lies within its bounds up to ``_PIVOT_TOL``.
+The repaired basis is optimal, and its answer goes through the same
+extraction and certificate as a cold solve; after a change of costs or
+bounds its duals are also checked against every reduced cost summed afresh
+from the rows of the standard form (the gap alone holds for any duals
+where ``b = 0``). The round-off of the pivots since the last cold start
+reaches ``x_B`` through ``B^-1``: where the certificate refuses an answer,
+one step of iterative refinement adds ``B^-1`` times the rows' residuals
+beyond ``tol / 16``, summed afresh from the standard form, to ``x_B``, and
+a second certificate decides. The refined values are the ones the next
+LP's move starts from. The slot is emptied while a warm start works on its
+tableau and takes the new optimum once its answer is certified, so it only
+ever holds a certified optimum. It serves claim after claim on one
 market, whose superhedge LPs are one family and differ in ``b = max(c) -
 c`` only; the first claim after the verdict, whose LP has the verdict's
-rows; and a verdict after the other mode's.
-
-Anchored start (float mode only). When the slot cannot serve an LP with a
-nonzero right-hand side, or its repair fails, the LP's own ``b = 0``
-member (``lp.with_rhs``, of its family) is solved from its start into the
-emptied slot, when its row signs and start columns are the LP's: then it
-differs from the LP in ``b`` alone, and the warm start above carries its
-optimum, neither extracted nor certified, to the LP's. So a market's first
-claim without a verdict before it pivots from the hedge of the zero claim,
-a sparse tableau, not from the cash hedge, whose price column in every row
-fills the tableau in. Whether an LP may be anchored depends on its data
-alone. When no warm start succeeds (a primal run gives up, no column may
-enter a row outside its bounds, the pivot budget runs out or a check
-refuses), the slot is emptied and the LP is solved from its start, the
-one place that reports infeasible, unbounded or a refusal; its certified
-optimum then takes the slot. Exact mode neither reads nor writes the slot.
+rows; and a verdict after the other mode's. When neither source serves
+(a primal run gives up, no column may enter a row outside its bounds, the
+pivot budget runs out or a check refuses), the slot is emptied and the LP
+is solved from its start, the one place that reports infeasible,
+unbounded or a refusal; its certified optimum then takes the slot. Exact
+mode neither reads nor writes the slot.
 
 Determinism: ties are broken by lowest index, so identical inputs always
 produce identical outputs in exact mode. When a float LP has several optima,
-its x and duals may depend on the previous float solve, through the warm
-start; its objective agrees within tol.
+its x and duals may depend on the previous float solves, through the slot,
+and on the source of its warm start; its objective agrees within tol.
 """
 from __future__ import annotations
 
@@ -865,8 +864,8 @@ def _certified(lp: LinearProgram, form: _StandardForm, tab: _Tableau) -> tuple[B
 
 
 def _float_stage(form: _StandardForm) -> _Tableau | None:
-    """The float simplex from the start of the exact ``form``: its tableau at
-    an optimum; None when it refuses or ends elsewhere."""
+    """The float simplex from the start of ``form``, exact or float: its
+    tableau at an optimum; None when it refuses or ends elsewhere."""
     tab = _start_tableau(form, float)
     try:
         return tab if _simplex(form, tab, _PIVOT_TOL, DEFAULT_FLOAT_TOL, "float") == OPTIMAL else None
@@ -917,7 +916,8 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     if form is None:
         return LpSolution(INFEASIBLE, None, None, None, None)
     if not exact:
-        return (_warm_float_solve(lp, form, tol) or _anchored_float_solve(lp, form, tol)
+        return (_warm_float_solve(lp, form, tol, _slot_start(form))
+                or _warm_float_solve(lp, form, tol, _own_start(form))
                 or _cold_float_solve(lp, form, tol))
     status, optimum = _exact_optimum(lp, form)
     if status != OPTIMAL:
@@ -926,22 +926,20 @@ def solve(lp: LinearProgram, mode: str = "exact", tol: float = DEFAULT_FLOAT_TOL
     return _solution(lp, form, basis.x, basis.y(), bound_value, 0, mode)
 
 
-# The standard form and final tableau of the last float optimum, held by
-# reference (see "Warm start" in the module docstring): a certified answer's,
-# or, while an anchored solve runs, its b = 0 member's, from which no answer
-# is read. Emptied while a warm start works on its tableau and before an
-# anchored or a cold float solve, so that it holds an optimal tableau only
-# and two tableaus are never alive at once.
+# The standard form and final tableau of the last certified float optimum,
+# held by reference (see "Warm start" in the module docstring). Emptied
+# while a warm start works on its tableau and before a float LP's own start
+# tableau is built, so that it holds a certified optimum only and two
+# tableaus are never alive at once.
 _last_optimum: tuple[_StandardForm, _Tableau] | None = None
 
 
-def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
-    """The answer on the basis of :data:`_last_optimum`, when ``form`` has
-    its standard form's rows, start columns and row signs and the basis,
-    carried to the optimum of ``form`` at ``b = 0`` by primal pivots where
-    the costs or bounds differ and then repaired by dual pivots, is
-    certified; None otherwise. The slot is emptied while it works and holds
-    the new optimum after a certified answer."""
+def _slot_start(form: _StandardForm) -> tuple[_Tableau, list, bool] | None:
+    """The tableau of :data:`_last_optimum`, taken out of the slot, when
+    ``form`` has its standard form's rows, start columns and row signs,
+    with the ``b'`` of its basic values and whether the costs or bounds
+    crossed: then primal pivots first carry its basis to the optimum of
+    ``form`` at ``b' = 0``. None otherwise, or when those pivots give up."""
     global _last_optimum
     if _last_optimum is None:
         return None
@@ -950,25 +948,50 @@ def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpS
             form.rows, form.start, form.signs, form.n_real, len(form.cost)):
         return None
     _last_optimum = None
-    crossed = (last.cost, last.upper, last.free) != (form.cost, form.upper, form.free)
-    if crossed:
-        # Every nonbasic column at its lower bound (a free one at 0) and b = 0
-        # make every basic value 0: a feasible basis of the form at b = 0,
-        # which primal pivots take to its optimum under the form's costs.
-        tab.cost, tab.upper = list(form.cost), list(form.upper)
-        tab.state = [0 if f else 1 for f in form.free]
-        for row in tab.rows:
-            row[-1] = 0.0
-        tab.reduced = _reduced_cost_row(tab.cost, tab)
-        budget = 2 + len(tab.rows) // 4  # a near basis is what pays (see "Warm start")
-        try:
-            if _pivot_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL, budget) != OPTIMAL:
-                return None
-        except FloatModeError:
+    if (last.cost, last.upper, last.free) == (form.cost, form.upper, form.free):
+        return tab, last.rhs, False
+    # Every nonbasic column at its lower bound (a free one at 0) and b = 0
+    # make every basic value 0: a feasible basis of the form at b = 0,
+    # which primal pivots take to its optimum under the form's costs.
+    tab.cost, tab.upper = list(form.cost), list(form.upper)
+    tab.state = [0 if f else 1 for f in form.free]
+    for row in tab.rows:
+        row[-1] = 0.0
+    tab.reduced = _reduced_cost_row(tab.cost, tab)
+    budget = 2 + len(tab.rows) // 4  # a near basis is what pays (see "Warm start")
+    try:
+        if _pivot_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL, budget) != OPTIMAL:
             return None
-    # The last column holds x_B at the slot's b, or at b = 0 after a crossing.
+    except FloatModeError:
+        return None
+    return tab, [0] * len(form.rhs), True
+
+
+def _own_start(form: _StandardForm) -> tuple[_Tableau, list, bool] | None:
+    """The start tableau of ``form`` at ``b' = 0``, where a start with no
+    artificial is feasible, carried to its optimum there by the simplex,
+    when ``form`` has a nonzero right-hand side and starts on no
+    artificial; None otherwise, or when the simplex ends elsewhere."""
+    global _last_optimum
+    if form.art_rows or not any(form.rhs):
+        return None
+    _last_optimum = None
+    tab = _float_stage(replace(form, rhs=[0.0] * len(form.rhs)))
+    return None if tab is None else (tab, [0] * len(form.rhs), False)
+
+
+def _warm_float_solve(lp: LinearProgram, form: _StandardForm, tol: float,
+                      start: tuple[_Tableau, list, bool] | None) -> LpSolution | None:
+    """The answer on the basis of ``start`` (:func:`_slot_start` or
+    :func:`_own_start`), its basic values moved from ``b'`` to the LP's
+    ``b`` and repaired by dual pivots, when it is certified; None when there
+    is no start or the repair or the certificate fails. The certified
+    tableau takes the slot of :data:`_last_optimum`."""
+    global _last_optimum
+    if start is None:
+        return None
+    tab, old, crossed = start
     # The objective entry of tab.reduced goes stale; no answer reads it.
-    old = [0] * len(form.rhs) if crossed else last.rhs
     _move_values(tab, zip(form.start, map(operator.sub, form.rhs, old)))
     if not _dual_loop(tab, tab.reduced, form.n_real, _PIVOT_TOL):
         return None
@@ -1044,29 +1067,6 @@ def _reduced_costs_hold(form: _StandardForm, tab: _Tableau, tol: float) -> bool:
         (d < -tol * z if s > 0 else d > tol * z if s < 0 else abs(d) > tol * z) and tab.upper[j] != 0
         for j, (d, z, s) in enumerate(zip(reduced[:form.n_real], size, tab.state))
     )
-
-
-def _anchored_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution | None:
-    """The answer warm from the optimum of the LP's own ``b = 0`` member,
-    solved from its start into the slot of :data:`_last_optimum`, when
-    ``lp`` has a nonzero right-hand side and that member's standard form
-    has the same row signs and start columns; None when that solve ends
-    elsewhere than at an optimum or the warm answer fails."""
-    global _last_optimum
-    if not any(con.rhs for con in lp.constraints):
-        return None
-    zero = _standard_form(lp.with_rhs([0] * len(lp.constraints)), float)
-    if (zero.signs, zero.start) != (form.signs, form.start):
-        return None
-    _last_optimum = None
-    tab = _start_tableau(zero, float)
-    try:
-        if _simplex(zero, tab, _PIVOT_TOL, tol, "float") != OPTIMAL:
-            return None
-    except FloatModeError:
-        return None
-    _last_optimum = zero, tab
-    return _warm_float_solve(lp, form, tol)
 
 
 def _cold_float_solve(lp: LinearProgram, form: _StandardForm, tol: float) -> LpSolution:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .numeric import Num, all_exact, pick_tol
 from .probspace import (
@@ -404,9 +404,13 @@ def generator_matrix(model: MarketModel, mode: str = "free") -> tuple[tuple[Gene
     return gens, list(cols)
 
 
-def claim_arithmetic(model: MarketModel, claim: Iterable[Num]) -> str:
+def claim_arithmetic(model: MarketModel, claim: Sequence[Num]) -> str:
     """The arithmetic of a question about ``claim`` in ``model``: ``"exact"``
-    when the model and every value of the claim are exact."""
+    when the model and every value of the claim are exact. A claim without
+    one value per outcome raises ``ValueError``: a question asks this before
+    its first verdict or LP."""
+    if len(claim) != model.n_outcomes:
+        raise ValueError("claim lives on a different space")
     return "exact" if model.arithmetic == "exact" and all_exact(claim) else "float"
 
 

@@ -257,6 +257,14 @@ class TestSemiStatic:
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
         assert narrow.lower == narrow.upper == F(1, 4)
 
+    @pytest.mark.parametrize("claim", [(1, 1, 1, 0, 9), (1, 1, 1)])
+    def test_a_claim_of_the_wrong_length_is_refused(self, delayed_base, claim):
+        """A claim with one value too many is not priced on its first four
+        values, and one with a value too few is refused the same way."""
+        spec = OptionGridSpec("opt", RandomVariable((3, 0, 0, 0)), (F(0),), (RandomVariable((F(1, 4),) * 4),))
+        with pytest.raises(ValueError, match="claim lives on a different space"):
+            semistatic_direct_price(delayed_base, [spec], claim)
+
     def test_option_separates_outcomes_the_stock_cannot(self):
         """The stock pays alike on outcomes 1 and 2, so they are one class of
         the model's LPs; a quoted option on outcome 1 tells them apart, and

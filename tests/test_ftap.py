@@ -506,9 +506,29 @@ def _perturb_dual(basis):
     basis.y = lambda: [2 * y[0], *y[1:]]
 
 
+def _negate_duals(basis):
+    y = basis.y()  # the class rows' duals then sum to a positive total, which no measure has
+    basis.y = lambda: [-v for v in y]
+
+
 def _perturb_lambda(basis):
     x = basis.x  # the FTRAN's point: the price, then the lambdas
     basis.x = (x[0], x[1] + 1, *x[2:])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_checked_measure_refuses_a_negative_mass_or_another_total(exact):
+    """On two outcomes with one generator (1, -1), (1/2, 1/2) kills it;
+    (3/2, -1/2) has a negative mass and (1/4, 1/4) a total of 1/2, so
+    neither is a measure, also where the generator's expectation would
+    pass."""
+    conv = F if exact else float
+    cols, tol = [{0: conv(1), 1: conv(-1)}], 0 if exact else 1e-9
+    half = [conv(1) / 2] * 2
+    assert checked_measure(half, cols, "martingale", tol, exact).q_values == tuple(half)
+    for q in ([conv(3) / 2, conv(-1) / 2], [conv(1) / 4] * 2):
+        assert checked_measure(q, [{}], "supermartingale", tol, exact) is None
+        assert checked_measure(q, cols, "martingale", tol, exact) is None
 
 
 class TestAnswersCheckThemselves:
@@ -528,7 +548,8 @@ class TestAnswersCheckThemselves:
             assert answer[0] is not None or answer[1] is not None
 
     @pytest.mark.parametrize("kind,change", [
-        ("NO_ARBITRAGE", _perturb_dual), ("ARBITRAGE", _perturb_lambda)], ids=["dual", "lambda"])
+        ("NO_ARBITRAGE", _perturb_dual), ("NO_ARBITRAGE", _negate_duals), ("ARBITRAGE", _perturb_lambda)],
+        ids=["dual", "dual_total", "lambda"])
     def test_a_tampered_half_is_rejected_and_the_full_route_answers(
             self, monkeypatch, cold_caches, kind, change):
         model = binomial_tree(2) if kind == "NO_ARBITRAGE" else build_market(*two_outcome([(1, 1), (2, 3)]))

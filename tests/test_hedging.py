@@ -32,7 +32,7 @@ from platonic import (
 )
 from platonic import FloatModeError, as_float_model, ftap, hedging, lpsolve, market
 from platonic.ftap import checked_measure, martingale_polytope_constraints
-from platonic.market import generator_matrix, group_outcomes
+from platonic.market import class_rows, generator_matrix, group_outcomes
 from platonic.numeric import DEFAULT_FLOAT_TOL
 from platonic.scenario import parse_scenario
 
@@ -190,6 +190,22 @@ class TestAnswerCache:
         assert lp_solves.of("platonic.hedging") == []
         assert hedging._superhedge.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("question", [superreplicate, price_interval, attainability_set_check],
+                             ids=lambda question: question.__name__)
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_a_claim_of_the_wrong_length_is_refused_before_any_lp(self, lp_solves, cold_caches, question,
+                                                                   extra):
+        """A claim with one value too many or too few is refused as a claim
+        on another space before any verdict or LP: also on a market with an
+        arbitrage, whose verdict would refuse every price."""
+        space = FiniteSpace(("u", "d"), (F(1, 2), F(1, 2)))
+        big = Filtration((0, 1), (part({0, 1}), part({0}, {1})))
+        rising = build_market(space, big, {"s": [(1, 1), (2, 2)]})
+        for model in (rising, binomial_tree(3)):
+            with pytest.raises(ValueError, match="claim lives on a different space"):
+                question(model, [1] * (model.n_outcomes + extra))
+        assert lp_solves == []
+
 
 class TestOneMarketManyQuestions:
     """Questions on one market share its generators, its outcome classes and
@@ -200,13 +216,13 @@ class TestOneMarketManyQuestions:
 
     def test_both_modes_and_three_claims_build_once(self, monkeypatch, cold_caches, delayed_canonical):
         builds = []
-        inner = hedging.superhedge_rows
+        inner = hedging.class_rows
 
         def spy(*args):
             builds.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(hedging, "superhedge_rows", spy)
+        monkeypatch.setattr(hedging, "class_rows", spy)
         for claim in ((3, 0, 1, 0), (0, 1, 1, 0), (F(1, 2), 2, 0, 5)):
             for mode in ("free", "long_only"):
                 superreplicate(delayed_canonical, claim, mode)
@@ -283,7 +299,7 @@ class TestOneMarketManyQuestions:
                 answers = [_answer_or_refusal(m, c, mode) for c, mode in questions]
             cols = generator_matrix(m)[1]
             k, classes = len(cols), group_outcomes(cols, n)
-            rows = hedging.superhedge_rows(cols, classes, n)
+            rows = class_rows(cols, classes, n)
             templates = {mode: hedging._superhedge_template(m, m.arithmetic, mode)
                          for mode in ("free", "long_only")}
             for template in templates.values():
@@ -370,38 +386,38 @@ class TestOneMarketManyQuestions:
         very rows of the slot's form, so the same-matrix test reads no row
         map. The first superhedge follows the verdict, an LP of another
         family on equal rows: it starts warm from the verdict's optimum,
-        neither anchored nor cold. The verdict alone solves cold."""
+        neither from its own start nor cold. The verdict alone solves
+        cold."""
         model = as_float_model(binomial_tree(3, "delayed"))
         claims = [tuple(float((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
-        shared, cold, anchored = [], [], []
-        warm_solve, cold_solve = lpsolve._warm_float_solve, lpsolve._cold_float_solve
-        anchored_solve = lpsolve._anchored_float_solve
+        shared, cold, own = [], [], []
+        slot_start, cold_solve, own_start = lpsolve._slot_start, lpsolve._cold_float_solve, lpsolve._own_start
 
-        def warm_spy(lp, form, tol):
+        def slot_spy(form):
             shared.append(lpsolve._last_optimum is not None and lpsolve._last_optimum[0].rows is form.rows)
-            return warm_solve(lp, form, tol)
+            return slot_start(form)
 
         def cold_spy(*args):
             cold.append(args)
             return cold_solve(*args)
 
-        def anchored_spy(*args):
-            anchored.append(anchored_solve(*args))
-            return anchored[-1]
+        def own_spy(*args):
+            own.append(own_start(*args))
+            return own[-1]
 
-        monkeypatch.setattr(lpsolve, "_warm_float_solve", warm_spy)
+        monkeypatch.setattr(lpsolve, "_slot_start", slot_spy)
         monkeypatch.setattr(lpsolve, "_cold_float_solve", cold_spy)
-        monkeypatch.setattr(lpsolve, "_anchored_float_solve", anchored_spy)
+        monkeypatch.setattr(lpsolve, "_own_start", own_spy)
         ftap_verdict(model)
         superreplicate(model, claims[0])
-        assert len(cold) == 1 and anchored == [None]  # the verdict's; its b = 0 has no anchor
+        assert len(cold) == 1 and own == [None]  # the verdict's; at b = 0 its own start serves nothing
         assert shared == [False, False]  # an empty slot, then the verdict's equal rows
         shared.clear()
         cold.clear()
-        anchored.clear()
+        own.clear()
         for claim in claims[1:]:
             superreplicate(model, claim)
-        assert shared == [True] * 3 and cold == [] and anchored == []
+        assert shared == [True] * 3 and cold == [] and own == []
 
 FLOAT_TOL = 1e-9
 
@@ -792,8 +808,9 @@ class TestOneMatrixPerMarket:
 
     @staticmethod
     def _routes(monkeypatch):
-        """Counts of basis changes and of anchored and cold float solves."""
-        counts = {"_do_pivot": 0, "_anchored_float_solve": 0, "_cold_float_solve": 0}
+        """Counts of basis changes, of warm starts from the LP's own start
+        and of cold float solves."""
+        counts = {"_do_pivot": 0, "_own_start": 0, "_cold_float_solve": 0}
         for name in counts:
             inner = getattr(lpsolve, name)
 
@@ -806,15 +823,36 @@ class TestOneMatrixPerMarket:
 
     def test_the_first_call_starts_from_the_verdict(self, monkeypatch, cold_caches):
         """After the free verdict of the float 6-step tree, the call at K =
-        100 is one or two pivots from the verdict's optimum: no anchored and
-        no cold solve runs."""
+        100 is one or two pivots from the verdict's optimum: neither its own
+        start nor a cold solve runs."""
         model = as_float_model(binomial_tree(6))
         ftap_verdict(model)
         counts = self._routes(monkeypatch)
         [call] = _calls(model, (100,))
         assert abs(superreplicate(model, call)[0].price - tree_claim_price(6, call)) <= 1e-9 * 60
         assert counts["_do_pivot"] <= 2
-        assert counts["_anchored_float_solve"] == counts["_cold_float_solve"] == 0
+        assert counts["_own_start"] == counts["_cold_float_solve"] == 0
+
+    @pytest.mark.parametrize("trading", ["full", "gridded"])
+    def test_a_call_after_another_market_starts_from_its_own_lp(self, monkeypatch, cold_caches, trading):
+        """On the float 6-step tree, the call at K = 100 asked after the
+        verdict and a claim of another market (the delayed tree) finds the
+        slot on other rows: it is served warm from its own LP's start at b
+        = 0, with no cold solve, and its price is the one asked right after
+        its own verdict, within tol (1 + |price|)."""
+        tol = 1e-9
+        model, other = (as_float_model(binomial_tree(6, t)) for t in (trading, "delayed"))
+        [call] = _calls(model, (100,))
+        ftap_verdict(model, tol=tol)
+        alone = superreplicate(model, call, tol=tol)[0].price
+        cold_caches()
+        ftap_verdict(model, tol=tol)
+        ftap_verdict(other, tol=tol)
+        superreplicate(other, _calls(other, (100,))[0], tol=tol)
+        counts = self._routes(monkeypatch)
+        price = superreplicate(model, call, tol=tol)[0].price
+        assert counts["_own_start"] == 1 and counts["_cold_float_solve"] == 0
+        assert abs(price - alone) <= tol * (1 + abs(alone))
 
     def test_the_free_verdict_starts_from_the_long_only_one(self, monkeypatch, cold_caches):
         """After the long-only verdict of the float 6-step tree, the free

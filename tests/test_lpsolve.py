@@ -667,9 +667,9 @@ class TestWarmFloatBasis:
     right-hand side alone starts from that optimum's basis."""
 
     def test_feasible_old_basis_is_reused_without_a_pivot(self, stages, pivots):
-        # the first solve is anchored: one pivot solves its b = 0 member from
-        # the start (x enters at 0), and one dual pivot takes that basis to
-        # b1 = 4, where x leaves at its upper bound 3 and y enters
+        # the first solve starts from its own start at b = 0: one pivot
+        # solves that LP (x enters at 0), and one dual pivot takes its basis
+        # to b1 = 4, where x leaves at its upper bound 3 and y enters
         solve(_hedge_like(), "float")
         assert stages == [("float", True)]
         warm = solve(_hedge_like(b1=4.5), "float")
@@ -695,7 +695,7 @@ class TestWarmFloatBasis:
         # one dual pivot, where that slack leaves at 0 and the first row's enters
         sol = solve(_hedge_like(b1=7), "float")
         assert tableaus == [float] and stages == [("float", True)]  # no second start
-        assert pivots == {"_do_pivot": 3, "_flip": 0}  # the first solve's two, anchored
+        assert pivots == {"_do_pivot": 3, "_flip": 0}  # the first solve's two, from its own start
         assert sol.x == (3, 2) and sol.objective == solve(_hedge_like(b1=7)).objective == 13
 
     def test_infeasible_right_hand_side_hands_back_to_a_cold_solve(self, stages, monkeypatch):
@@ -784,9 +784,8 @@ class TestWarmFloatBasis:
     @pytest.mark.parametrize("change", [{"a_22": 2.5}], ids=lambda change: next(iter(change)))
     def test_any_other_change_solves_cold(self, stages, monkeypatch, change):
         """An LP whose rows differ from the slot's is not served from the
-        slot's basis: it is solved from a start, that of its own ``b = 0``
-        member (the anchored route), as the two share row signs and start
-        columns."""
+        slot's basis: it is solved from its own start, at ``b = 0``, and
+        the warm start carries that optimum to its ``b``."""
         solve(_hedge_like(), "float")
         cold = []
         inner = lpsolve._cold_float_solve
@@ -796,8 +795,8 @@ class TestWarmFloatBasis:
         exact = solve(_hedge_like(**{k: F(v) for k, v in change.items()}))
         assert abs(sol.objective - float(exact.objective)) <= 1e-9 * (1 + abs(sol.objective))
 
-    def test_unbounded_anchor_hands_back_to_a_cold_solve(self, stages):
-        """max x on x - y <= 1, x, y >= 0: the anchor, the LP at b = 0, is
+    def test_unbounded_own_start_hands_back_to_a_cold_solve(self, stages):
+        """max x on x - y <= 1, x, y >= 0: the LP's own start at b = 0 is
         unbounded, so the LP is solved from its start and reported
         unbounded there, with the slot left empty."""
         sol = solve(lp([1, 0], "max", [([1, -1], LE, 1)], [(0, None), (0, None)]), "float")
@@ -853,10 +852,10 @@ class TestWarmFloatBasis:
         assert calls["cold"] == []
         assert sol.x == pytest.approx((3, 1.5), abs=1e-12)
 
-    def test_refused_warm_answer_is_served_anchored(self, stages, monkeypatch):
+    def test_refused_warm_answer_is_served_from_its_own_start(self, stages, monkeypatch):
         """A warm answer that fails its certificate, refined or not, is not
-        handed out: the LP is solved again from the start of its ``b = 0``
-        member, whose optimum the dual pivots take to the LP's own."""
+        handed out: the LP is solved again from its own start at ``b = 0``,
+        whose optimum the dual pivots take to the LP's ``b``."""
         solve(_hedge_like(), "float")
         calls = self._refuse_first(monkeypatch, 2)
         sol = solve(_hedge_like(b1=4.5), "float")
@@ -865,15 +864,83 @@ class TestWarmFloatBasis:
         assert sol.x == (3, 1.5)
 
     def test_refused_warm_answer_solves_cold(self, stages, monkeypatch):
-        """When the anchored answer is refused too, refined or not, the LP is
-        solved from its own start, and that answer is certified and handed
-        out."""
+        """When the answer from its own start is refused too, refined or
+        not, the LP is solved cold from its start, and that answer is
+        certified and handed out."""
         solve(_hedge_like(), "float")
         calls = self._refuse_first(monkeypatch, 4)
         sol = solve(_hedge_like(b1=4.5), "float")
         assert len(calls["certify"]) == 5 and stages == [("float", True)] * 3
         assert len(calls["cold"]) == 1
         assert sol.x == (3, 1.5)
+
+    def test_a_crossed_answer_with_wrong_duals_is_not_handed_out(self, stages, monkeypatch):
+        """After a change of costs, the duals of the slot's basis are checked
+        against every reduced cost summed afresh. Here the first row's dual
+        is moved by 10 after the dual pivots: the check refuses it before
+        any certificate, and the LP is served from its own start."""
+        solve(_hedge_like(), "float")
+        inner_loop, inner_check = lpsolve._dual_loop, lpsolve._reduced_costs_hold
+        checked = []
+
+        def tamper(tab, *args):
+            done = inner_loop(tab, *args)
+            if not checked:
+                tab.reduced[2] -= 10  # the first row's slack: y_0 = -d_2
+            return done
+
+        monkeypatch.setattr(lpsolve, "_dual_loop", tamper)
+        monkeypatch.setattr(lpsolve, "_reduced_costs_hold", lambda *args: checked.append(inner_check(*args)) or
+                            checked[-1])
+        calls = self._refuse_first(monkeypatch, 0)
+        sol = solve(_hedge_like(cost_x=3.5), "float")
+        assert checked == [False] and len(calls["certify"]) == 1  # the own start's answer only
+        assert stages == [("float", True)] * 2 and calls["cold"] == []
+        assert sol.objective == pytest.approx(float(solve(_hedge_like(cost_x=F(7, 2))).objective), abs=1e-12)
+
+    def test_a_row_negated_at_its_b_is_served_from_its_own_start(self, stages, monkeypatch):
+        """min x + z on x - z <= b, x, z >= 0: at b = -1 the row is negated
+        and starts on z, while at b = 0 it would start on its slack. The
+        sign does not change the row's solutions at b = 0, where the start
+        is feasible, so the LP is served warm from its own start there,
+        with no cold solve."""
+        cold = []
+        inner = lpsolve._cold_float_solve
+        monkeypatch.setattr(lpsolve, "_cold_float_solve", lambda *args: cold.append(args) or inner(*args))
+        problem = lp([1, 1], "min", [([1, -1], LE, -1)], [(0, None), (0, None)])
+        form = lpsolve._standard_form(problem, float)
+        assert (form.signs, form.start) == ([-1], [1])
+        sol = solve(problem, "float")
+        assert stages == [("float", True)] and cold == []
+        assert sol.x == (0, 1) and sol.objective == solve(problem).objective == 1
+
+
+def test_a_degenerate_dual_run_hands_over_to_the_lowest_index(monkeypatch):
+    """Every reduced cost is 0, so every dual step is degenerate. After as
+    many in a row as the tableau has rows (no column has an upper bound),
+    the leaving row is the one whose basic column has the lowest index
+    among those outside their bounds, not the farthest outside: the fourth
+    step on this exact three-row tableau leaves column 3 at -7/13, not
+    column 5 at -9/13. The loop then ends on a feasible basis."""
+    rows = [[1, 0, 0, 1, 2, -2, -2, -1], [0, 1, 0, -1, 0, 1, -2, -2], [0, 0, 1, 1, -2, 2, 1, -1]]
+    tab = lpsolve._Tableau([[F(v) for v in row] for row in rows], [F(0)] * 7, [0, 1, 2], [0, 1, 2],
+                           [None] * 7, [1] * 7)
+    left = []
+    inner = lpsolve._exchange
+
+    def spy(tab, cost, r, enter, to_upper):
+        outside = {tab.basis[i]: row[-1] for i, row in enumerate(tab.rows) if row[-1] < 0}
+        left.append((tab.basis[r], outside))
+        return inner(tab, cost, r, enter, to_upper)
+
+    monkeypatch.setattr(lpsolve, "_exchange", spy)
+    assert lpsolve._dual_loop(tab, [F(0)] * 8, 7, 0)
+    assert [leave for leave, _outside in left] == [1, 0, 2, 3, 5]
+    assert left[3][1] == {5: F(-9, 13), 3: F(-7, 13)}
+    assert tab.basis == [4, 1, 6] and [row[-1] for row in tab.rows] == [F(3, 2), 2, 2]
+    # the basic solution solves the rows as given
+    x = dict.fromkeys(range(7), 0) | dict(zip(tab.basis, (row[-1] for row in tab.rows)))
+    assert [sum(v * x[j] for j, v in enumerate(row[:-1])) for row in rows] == [row[-1] for row in rows]
 
 
 def test_long_only_degenerate_run_stays_on_dantzig(monkeypatch, cold_caches):

@@ -4,11 +4,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from _factories import binomial_tree, tree_claim_price
+from platonic import ftap_verdict, price_interval, superreplicate
+from platonic.market import Strategy
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ladder", ROOT / "tools" / "ladder.py")
 ladder = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ladder)
+_spec = importlib.util.spec_from_file_location("answer_digest", ROOT / "tools" / "answer_digest.py")
+answer_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(answer_digest)
 
 
 def test_ladder_smallest_rung():
@@ -59,3 +64,18 @@ def test_ladder_goes_on_past_a_stopped_long_only_verdict():
         price = tree_claim_price(8, [max(s - strike, 0) for s in stock])
         assert abs(float(call["price"]) - price) <= 1e-9 * (1 + price)
         assert call["checked"] is True
+
+
+def test_answer_digest_renders_sets_sorted_and_the_rest_as_repr():
+    """A frozenset lists its items sorted, inside a tuple or dataclass too,
+    so that its rendering does not depend on string hashing; an answer
+    holding no frozenset of two or more items renders as its ``repr``."""
+    render = answer_digest.render
+    assert render(frozenset({"stock", "bond", "fx"})) == "frozenset({'bond', 'fx', 'stock'})"
+    assert render((frozenset({2, 1}), frozenset())) == "(frozenset({1, 2}), frozenset())"
+    strategy = Strategy(frozenset({"s2", "s1"}), ())
+    assert render(strategy) == "Strategy(asset_set=frozenset({'s1', 's2'}), legs=(), sign_constraint='free')"
+    model = binomial_tree(2)
+    for answer in (ftap_verdict(model), superreplicate(model, (1, 0, 0, Fraction(1, 2))),
+                   ((0.5,), price_interval(model, (1, 0, 2, 0)))):
+        assert render(answer) == repr(answer)
