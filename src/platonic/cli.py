@@ -305,7 +305,7 @@ def cmd_bayes_build(args, scenario: Scenario, report: dict) -> None:
             raise ScenarioError(f"--out {args.out}: {exc}") from None
         report["written"] = str(args.out)
     else:
-        report["scenario"] = doc
+        report["built"] = doc
     report["outcomes"] = len(scenario.model.space.outcomes)
 
 

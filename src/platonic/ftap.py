@@ -6,22 +6,22 @@ lambda - g_c = 0`` with the price ``x`` fixed at 0, one per class c of
 outcomes on which every generator pays the same
 (``market.outcome_classes``): no strategy tells the outcomes of a class
 apart, so they share one gain, weighted by the class size in the
-objective. They are the market's superhedge rows ``x + G_c lambda``
-(``market.class_rows``) with the gain where a superhedge row has its
-slack, so both questions on a market solve LPs on one constraint matrix,
-and in float mode each starts from the optimum of the one before
-(``lpsolve``'s warm start). Each row starts the simplex on its own gain at
-0, with no slack and no phase 1. A positive optimum is an arbitrage. At a
-zero optimum the class rows' multipliers, negated, are a y with G^T y = 0
-(<= 0 for long-only trading) and, by the reduced costs of the gains, y_c
->= |c| on each class c. So spreading each y_c evenly over its class and
-dividing by sum(y) gives a full-support measure that turns every
-admissible projection of prices into a (super)martingale: the separating
-measure is the dual of the no-arbitrage LP. The verdict checks that
-measure against the generators on every outcome; when the check fails it
-raises, in exact arithmetic as a broken dichotomy and in float as a
-refusal to answer. ``find_measure`` returns that measure, so one LP
-answers every question about the dichotomy.
+objective. They are the market's class rows (``market.class_rows``) as
+they are, with g_c in the class's own column: a superhedge takes the same
+rows with that column as its consumption, so both questions on a market
+solve LPs on one constraint matrix, and in float mode each starts from the
+optimum of the one before (``lpsolve``'s warm start). Each row starts the
+simplex on its own gain at 0, with no slack and no phase 1. A positive
+optimum is an arbitrage. At a zero optimum the class rows' multipliers,
+negated, are a y with G^T y = 0 (<= 0 for long-only trading) and, by the
+reduced costs of the gains, y_c >= |c| on each class c. So spreading each
+y_c evenly over its class and dividing by sum(y) gives a full-support
+measure that turns every admissible projection of prices into a
+(super)martingale: the separating measure is the dual of the no-arbitrage
+LP. The verdict checks that measure against the generators on every
+outcome; when the check fails it raises, in exact arithmetic as a broken
+dichotomy and in float as a refusal to answer. ``find_measure`` returns
+that measure, so one LP answers every question about the dichotomy.
 
 In exact arithmetic each side of the dichotomy is its own proof, so the
 verdict proves its answer, not the LP's optimum. ``lpsolve.float_basis``
@@ -182,12 +182,10 @@ def _solve_arbitrage_lp(model: MarketModel, arithmetic: str, mode: str, tol: Num
     classes = outcome_classes(model)
     n, m, k = model.n_outcomes, len(classes), len(cols)
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    # the superhedge template's columns: the price x fixed at 0, the lambdas,
-    # then the gains where the template's slacks sit in standard form
+    # the class rows' columns: the price x fixed at 0, the lambdas, the gains
     objective = [0] * (1 + k) + [len(c) for c in classes]
     bounds = [(0, 0)] + [lam_bounds] * k + [(0, 1)] * m
-    rows = [{**row, k + 1 + i: -1} for i, row in enumerate(class_rows(cols, classes, n))]
-    lp = LinearProgram.build(objective, "max", [(row, EQ, 0) for row in rows], bounds)
+    lp = LinearProgram.build(objective, "max", [(row, EQ, 0) for row in class_rows(cols, classes, n)], bounds)
     exact = lp_mode == "exact"
     kind = "martingale" if mode == "free" else "supermartingale"
 

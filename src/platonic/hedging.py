@@ -11,6 +11,7 @@ machinery plus a brute-force vertex oracle on small instances.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,18 +106,15 @@ class PriceInterval:
 def superhedge_template(rows: Sequence[Mapping[int, Num]], k: int, mode: str) -> LinearProgram:
     """The superhedge LP of a market in ``mode`` over its claim-free rows,
     the :func:`platonic.market.class_rows` of ``k`` columns, which the
-    verdict's LP shares, with every right-hand side 0:
-    minimize the price column 0 such that each row is >= its right-hand
-    side, with lambda >= 0 for long-only trading. It holds everything of the
-    LP but the claim, so a market builds it once per mode and each claim
-    only sets ``b`` (:func:`superhedge_lp`)."""
+    verdict's LP shares, with every right-hand side 0: minimize the price
+    column 0 such that each row ``x + G_c lambda - z_c`` equals its
+    right-hand side, with each class's consumption z_c >= 0 at cost 0 and
+    lambda >= 0 for long-only trading. It holds everything of the LP but the
+    claim, so a market builds it once per mode and each claim only sets
+    ``b`` (:func:`superhedge_lp`)."""
     lam_bounds = (0, None) if mode == "long_only" else (None, None)
-    return LinearProgram.build(
-        objective=[1] + [0] * k,
-        sense="min",
-        constraints=[(row, GE, 0) for row in rows],
-        bounds=[(None, None)] + [lam_bounds] * k,
-    )
+    return LinearProgram.build([1] + [0] * (k + len(rows)), "min", [(row, EQ, 0) for row in rows],
+                               [(None, None)] + [lam_bounds] * k + [(0, None)] * len(rows))
 
 
 def superhedge_lp(
@@ -131,14 +129,14 @@ def superhedge_lp(
     the claim at every outcome. Every column pays the same on a class, so
     the class needs one row, the one of its largest claim value, which
     dominates the others. The LP is written in the translated price ``x' =
-    x - m``: its rows are ``x' + sum_j lambda_j cols[j] >= claim - m``,
-    whose right-hand sides are all <= 0, so every row starts on its slack
-    at the cash hedge (hold m, do not trade; x' = 0, lambda = 0) and no
-    phase 1 runs. The translation keeps the feasible set, the duals and the
-    optimal set of the LP in x; a caller adds ``m`` back to the optimal
-    value and to ``x'``. A class row's dual mass belongs to the outcomes
-    that attain the class maximum, the only ones where an optimal hedge
-    need not consume. This step reads the claim only: it sets the
+    x - m``: its rows are ``x' + sum_j lambda_j cols[j] - z_c = claim - m``,
+    whose right-hand sides are all <= 0, so every row starts on its
+    consumption z_c at the cash hedge (hold m, do not trade; x' = 0, lambda
+    = 0) and no phase 1 runs. The translation keeps the feasible set, the
+    duals and the optimal set of the LP in x; a caller adds ``m`` back to
+    the optimal value and to ``x'``. A class row's dual mass belongs to the
+    outcomes that attain the class maximum, the only ones where an optimal
+    hedge need not consume. This step reads the claim only: it sets the
     right-hand sides and shares the rest of the template, whose standard
     form in each arithmetic is then built once for every claim."""
     values = claim.values
@@ -202,11 +200,11 @@ def _superhedge(
     if psol.status != OPTIMAL:  # dual feasibility makes it bounded
         raise unverified(f"superreplication primal ended with status {psol.status}", exact)
     price = offset + psol.objective
-    lambdas = tuple(psol.x[1:])
+    lambdas = tuple(psol.x[1:len(cols) + 1])
     # price plus wealth, one sum per class: the LP's class rows at (price,
-    # lambdas), column 0 taking the price; constant on a class, the claim need not be
-    value = per_outcome(_linalg.dots([con.coeffs for con in lp.constraints], (price, *lambdas), exact),
-                        classes, n)
+    # lambdas) and no consumption; constant on a class, the claim need not be
+    point = (price, *lambdas, *[0] * len(classes))
+    value = per_outcome(_linalg.dots([con.coeffs for con in lp.constraints], point, exact), classes, n)
     consumption = RandomVariable(tuple(hv - cv for hv, cv in zip(value, claim)))
 
     # The solver certifies the gap but not dual feasibility: check the measure.
@@ -266,10 +264,12 @@ def price_interval(
     is attained by a full-support measure only if its hedge consumes
     nowhere, since by complementary slackness every optimizer puts no mass
     where the hedge consumes; an un-attained bound is approached within
-    ``eta`` by mixing.
+    ``eta`` (a finite number > 0, else ``ValueError``) by mixing.
     """
     claim = as_random_variable(claim)
     lp_mode, eff_tol = lp_mode_and_tol(claim_arithmetic(model, claim), tol)
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta!r}")
     base_cert = _measure_or_refuse(model, "free", tol)
     exact = lp_mode == "exact"
     eta = Fraction(eta) if exact else float(eta)  # the hedges' arithmetic
@@ -343,8 +343,6 @@ def polar_cone_check(
             if con.relation == EQ and lhs != rhs:
                 return False
             if con.relation == LE and lhs > rhs:
-                return False
-            if con.relation == GE and lhs < rhs:
                 return False
         return all(v >= 0 for v in point)
 

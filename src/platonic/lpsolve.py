@@ -26,10 +26,10 @@ row's sign makes its right-hand side nonnegative, and at right-hand side 0
 it makes the first candidate's entry +1 (so a ``>=`` row with right-hand
 side 0 is negated, and its slack starts basic). A row with no such column
 gets an artificial, and phase 1 runs only while one is basic. A market's
-superhedge rows ``x + G_c lambda >= b_c`` start on their slacks, and the
-class rows of its arbitrage LP ``x + G_c lambda - g_c = 0``, with the price
-``x`` fixed at 0, on their own gains ``0 <= g_c <= 1`` at 0, which sit
-where the slacks do: in standard form the two LPs have the same rows,
+LPs hold its class rows ``x + G_c lambda - z_c`` as equations
+(``market.class_rows``): its superhedges' rows start on their consumptions
+``z_c >= 0``, and its arbitrage LP's, with ``x`` fixed at 0, on their gains
+``0 <= z_c <= 1`` at 0. In standard form the two LPs have the same rows,
 start columns and row signs, and neither runs phase 1. The start tableau's
 phase-2 cost row is built from the sparse rows of the standard form.
 
@@ -93,9 +93,11 @@ row's candidate start columns) and the row signs, scales, start columns and
 right-hand sides. The first part is built once per arithmetic and kept on
 the LP that owns the coefficient maps; every LP made from it by
 :meth:`LinearProgram.with_rhs` is of its family and only computes the second
-part, taking the family's rows where its signs, start columns and scales
-agree: a start column may move with ``b`` alone, where a value leaves its
-column's bounds. An LP built any other way is a family of its own.
+part. It takes all of the rows and lists of the family's first form when
+its signs, start columns and scales all agree with that form's, and else
+builds every row: a start column may move with ``b`` alone, where a value
+leaves its column's bounds, and an exact scale with the denominators of
+``b``. An LP built any other way is a family of its own.
 
 Warm start (float mode only). A float LP is first solved from a basis
 optimal at another right-hand side ``b'``, from one of two sources. The
@@ -104,7 +106,7 @@ tableau of the last certified float optimum by reference. It serves the
 next float LP when its standard form has the slot's rows, start columns
 and row signs (and column count); its costs, bounds, column shifts and
 ``b`` may differ. Two float forms of one family with the same row signs
-hold the very same row and start lists, and a tuple comparison takes an
+and start columns hold the very same row and start lists, and a tuple comparison takes an
 item that is the same object as equal without reading it, so there the
 test reads the signs alone, O(rows); the forms of two LPs on equal rows,
 such as a market's verdict and its superhedges, are compared entry by
@@ -491,9 +493,9 @@ class _StandardForm:
     artificial entries included) and its right-hand side times
     ``scales[r]``, the lcm of their denominators, and ``cost`` and
     ``obj_shift`` times ``cost_scale``. So every column keeps the caller's
-    units. Float mode holds floats, and every scale is 1. ``family`` holds
-    the part that does not depend on ``b``; the lists here may be the
-    family's own and are never changed."""
+    units. Float mode holds floats, and every scale is 1. The lists here
+    may be shared with the other forms of the LP's family (see "Families"
+    in the module docstring) and are never changed."""
 
     rows: list[dict[int, Num]]  # A, nonzero entries only
     rhs: list[Num]              # b
@@ -509,7 +511,6 @@ class _StandardForm:
     col_map: list[tuple[int, Num]]  # (sign, shift) per caller column
     signs: list[int]            # -1 where a row was negated (b < 0, or b = 0 and a -1 first unit column)
     obj_shift: Num              # in units of cost_scale
-    family: "_Family | None"
 
 
 @dataclass
@@ -523,7 +524,7 @@ class _Family:
     row's unit columns are the columns it may start on, as (column, sign of
     its entry, upper bound): its slack (an inequality's first), then its
     last caller column that is in no other row and has entry +-1.
-    ``first`` is the family's first standard form, without its family."""
+    ``first`` is the family's first standard form."""
 
     col_map: list[tuple[int, Num]]
     upper: list[Num | None]
@@ -616,10 +617,10 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     Two steps, on one path for every LP: the ``b``-free part, the family of
     ``lp`` (see "Families" in the module docstring), built once per
     arithmetic; then each row's right-hand side, sign, scale and start
-    column (see "Start"). A row is built from the family's entries at its
-    sign and scale, except that a later form takes each row of the family's
-    first form whose scale agrees, when all signs and start columns do (so
-    do the artificials)."""
+    column (see "Start"). A later form whose signs, start columns and
+    scales all agree with the family's first form takes all of that form's
+    rows and lists (the artificials agree too); otherwise every row is
+    built from the family's entries at its sign and scale."""
     families = lp._families
     if conv not in families:
         families[conv] = _new_family(lp, conv)
@@ -656,22 +657,16 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
         scales.append(scale)
 
     first = family.first
-    same = first is not None and first.signs == signs and first.start == start
-    if same and first.scales == scales:
-        return _StandardForm(first.rows, rhs_out, first.cost, first.upper, first.free, first.start,
-                             n_real, first.art_rows, scales, family.cost_scale,
-                             family.col_map, signs, family.obj_shift, family)
+    if first is not None and (first.signs, first.start, first.scales) == (signs, start, scales):
+        return replace(first, rhs=rhs_out)
     rows: list[dict[int, Num]] = []
-    for r, (con, unit, m, scale, col) in enumerate(zip(lp.constraints, family.units, signs, scales, start)):
-        if same and scale == first.scales[r]:
-            rows.append(first.rows[r])
-            continue
+    for con, unit, base, m, scale, col in zip(lp.constraints, family.units, family.base, signs, scales, start):
         if exact:
-            keys, ratios = family.base[r]
+            keys, ratios = base
             factor = m * scale
             row = dict(zip(keys, [q * (factor // d) for q, d in ratios]))
         else:
-            row = {j: float(v) * m for j, v in family.base[r].items()}
+            row = {j: float(v) * m for j, v in base.items()}
         if con.relation != EQ:
             slack, e, _ = unit[0]
             row[slack] = e * m * scale
@@ -682,11 +677,11 @@ def _standard_form(lp: LinearProgram, conv) -> _StandardForm | None:
     form = _StandardForm(
         rows, rhs_out, family.cost + [0] * extra, family.upper + [None] * extra,
         family.free + [False] * extra, start, n_real, art_rows, scales, family.cost_scale,
-        family.col_map, signs, family.obj_shift, None,
+        family.col_map, signs, family.obj_shift,
     )
     if first is None:
         family.first = form
-    return replace(form, family=family)
+    return form
 
 
 @dataclass

@@ -5,12 +5,13 @@ processes and the elementary one-interval bets that span all terminal wealths.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Hashable, Mapping, Sequence
 
-from .numeric import Num, all_exact, pick_tol
+from .numeric import Num, all_exact, is_exact, pick_tol
 from .probspace import (
     FiniteSpace,
     Filtration,
@@ -407,11 +408,14 @@ def generator_matrix(model: MarketModel, mode: str = "free") -> tuple[tuple[Gene
 def claim_arithmetic(model: MarketModel, claim: Sequence[Num]) -> str:
     """The arithmetic of a question about ``claim`` in ``model``: ``"exact"``
     when the model and every value of the claim are exact. A claim without
-    one value per outcome raises ``ValueError``: a question asks this before
-    its first verdict or LP."""
+    one value per outcome, or with a value that is not finite, raises
+    ``ValueError``: a question asks this before its first verdict or LP."""
     if len(claim) != model.n_outcomes:
         raise ValueError("claim lives on a different space")
-    return "exact" if model.arithmetic == "exact" and all_exact(claim) else "float"
+    inexact = [v for v in claim if not is_exact(v)]  # an int or Fraction is finite
+    if not all(map(math.isfinite, inexact)):
+        raise ValueError("claim values must be finite")
+    return "exact" if model.arithmetic == "exact" and not inexact else "float"
 
 
 def outcome_rows(cols: Sequence[Mapping[int, Num]], n: int, first: int) -> list[dict[int, Num]]:
@@ -462,15 +466,18 @@ def class_columns(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[
 
 def class_rows(cols: Sequence[Mapping[int, Num]], classes: Sequence[Sequence[int]],
                n: int) -> list[dict[int, Num]]:
-    """Per class of ``classes`` in order, the map of a row ``x + sum_j
-    lambda_j cols[j]``: the price ``x`` at column 0 with coefficient 1 and
-    ``cols[j]`` at column ``1 + j``. ``classes`` are :func:`group_outcomes`
-    of ``cols`` on ``n`` outcomes, so every column pays the same on a class
-    and its first outcome stands for it. Both questions on a market put
-    their LPs on these rows: the superhedge (``>=`` the claim) and the
-    verdict (``=`` the class's gain, with the price fixed at 0). The maps
+    """Per class ``c`` of ``classes`` in order, the map of the row ``x +
+    sum_j lambda_j cols[j] - z_c``: the one column layout of every LP on a
+    market. The price ``x`` is column 0, ``cols[j]`` column ``1 + j`` and
+    z_c, with coefficient -1, column ``1 + k + i`` for class i, ``k =
+    len(cols)``. ``classes`` are :func:`group_outcomes` of ``cols`` on
+    ``n`` outcomes, so every column pays the same on a class and its first
+    outcome stands for it. The verdict holds the rows ``= 0`` with ``x``
+    fixed at 0 and z_c in [0, 1] the class's gain; a superhedge ``=`` the
+    class's largest claim value, with z_c >= 0 its consumption. The maps
     are new on every call."""
-    return [{0: 1, **row} for row in outcome_rows(class_columns(cols, classes, n), len(classes), 1)]
+    rows = outcome_rows(class_columns(cols, classes, n), len(classes), 1)
+    return [{0: 1, **row, 1 + len(cols) + i: -1} for i, row in enumerate(rows)]
 
 
 def per_outcome(values: Sequence[Num], groups: Sequence[Sequence[int]], n: int, fill: Num = 0) -> list[Num]:

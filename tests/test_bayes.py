@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -264,6 +265,12 @@ class TestSemiStatic:
         spec = OptionGridSpec("opt", RandomVariable((3, 0, 0, 0)), (F(0),), (RandomVariable((F(1, 4),) * 4),))
         with pytest.raises(ValueError, match="claim lives on a different space"):
             semistatic_direct_price(delayed_base, [spec], claim)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_claim_with_a_value_that_is_not_finite_is_refused(self, delayed_base, value):
+        spec = OptionGridSpec("opt", RandomVariable((3, 0, 0, 0)), (F(0),), (RandomVariable((F(1, 4),) * 4),))
+        with pytest.raises(ValueError, match="claim values must be finite"):
+            semistatic_direct_price(delayed_base, [spec], (1.0, value, 1.0, 0.0))
 
     def test_option_separates_outcomes_the_stock_cannot(self):
         """The stock pays alike on outcomes 1 and 2, so they are one class of

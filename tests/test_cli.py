@@ -204,6 +204,20 @@ def test_file_level_inputs_end_in_one_line(tmp_path, scenario_path, case):
     assert proc.stdout == ""
 
 
+def test_a_broken_verdict_ends_in_exit_3_and_one_line(capsys, monkeypatch, cold_caches, scenario_path):
+    """An exact verdict whose LP comes back with neither an arbitrage nor a
+    measure that passes its check is a bug (``FtapInconsistencyError``):
+    exit 3, one ``internal inconsistency:`` line on stderr and no report."""
+    from platonic import ftap
+
+    monkeypatch.setattr(ftap, "_solve_arbitrage_lp", lambda *args: (None, None))
+    code = main(["ftap", scenario_path("binomial")])
+    captured = capsys.readouterr()
+    assert code == EXIT_INCONSISTENT and captured.out == ""
+    assert captured.err == (
+        "internal inconsistency: no arbitrage found, yet no full-support measure passed its check\n")
+
+
 MEASURE = {"kind": "martingale", "q": {"up": "1/3", "down": "2/3"}}
 
 # ``project binomial.json --measure FILE`` inputs: the file's JSON (None for
@@ -340,6 +354,20 @@ class TestBuilders:
         assert "call" in built.claims and "bull_swap" in built.claims
         code, verdict = run(capsys, "ftap", str(out))
         assert verdict["verdict"] == "NO_ARBITRAGE"
+
+    def test_build_without_out_keeps_the_report_header(self, capsys, tmp_path, scenario_path):
+        """Without ``--out`` the built document is the report's ``built``,
+        as ``--out`` puts its file under ``written``: ``scenario`` stays the
+        scenario's name, as in every other report, and the document is the
+        one ``--out`` writes."""
+        code, report = run(capsys, "bayes", "build", scenario_path("two_theta"))
+        out = tmp_path / "built.json"
+        _, written = run(capsys, "bayes", "build", scenario_path("two_theta"), "--out", str(out))
+        assert code == EXIT_OK and report["scenario"] == written["scenario"] == parse_scenario(
+            scenario_path("two_theta")).name
+        assert report["built"] == json.loads(out.read_text())
+        header = {k: v for k, v in without_timing(report).items() if k != "built"}
+        assert header == {k: v for k, v in without_timing(written).items() if k != "written"}
 
     def test_noisy_scenario(self, capsys, scenario_path):
         code, report = run(capsys, "ftap", scenario_path("noisy_price"))

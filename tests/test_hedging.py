@@ -12,7 +12,7 @@ from _factories import (
     binomial_tree, gridded_tree_claim_price, random_claim, random_market, tree_claim_price, trinomial_tree,
 )
 from platonic import (
-    GE,
+    EQ,
     FiniteSpace,
     Filtration,
     LinearProgram,
@@ -206,6 +206,22 @@ class TestAnswerCache:
                 question(model, [1] * (model.n_outcomes + extra))
         assert lp_solves == []
 
+    @pytest.mark.parametrize("question", [superreplicate, price_interval, attainability_set_check],
+                             ids=lambda question: question.__name__)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_claim_with_a_value_that_is_not_finite_is_refused_before_any_lp(
+            self, lp_solves, cold_caches, question, value):
+        """A NaN or infinite claim value makes the checks' comparisons pass
+        or fail alike, so no answer on it could be checked (a NaN price, or
+        a division by zero): on the float delayed 2-step tree such a claim
+        is refused as a claim before any verdict or LP."""
+        model = as_float_model(binomial_tree(2, "delayed"))
+        claim = [1.0] * model.n_outcomes
+        claim[1] = value
+        with pytest.raises(ValueError, match="claim values must be finite"):
+            question(model, claim)
+        assert lp_solves == []
+
 
 class TestOneMarketManyQuestions:
     """Questions on one market share its generators, its outcome classes and
@@ -321,12 +337,14 @@ class TestOneMarketManyQuestions:
                 offset = max(claim.values)
                 b = [max(claim.values[w] for w in c) - offset for c in classes]
                 lam = (0, None) if mode == "long_only" else (None, None)
-                built = LinearProgram.build([1] + [0] * k, "min", [(row, GE, rhs) for row, rhs in zip(rows, b)],
-                                            [(None, None)] + [lam] * k)
+                m_rows = len(classes)
+                built = LinearProgram.build([1] + [0] * (k + m_rows), "min",
+                                            [(row, EQ, rhs) for row, rhs in zip(rows, b)],
+                                            [(None, None)] + [lam] * k + [(0, None)] * m_rows)
                 assert templates[mode].with_rhs(b) == built
                 sol = solve(built, "exact" if exact else "float")
                 if exact:
-                    assert (answer[0].price, answer[0].lambdas) == (offset + sol.objective, sol.x[1:])
+                    assert (answer[0].price, answer[0].lambdas) == (offset + sol.objective, sol.x[1:k + 1])
                 else:
                     assert _close(answer[0].price, offset + sol.objective)
 
@@ -346,7 +364,7 @@ class TestOneMarketManyQuestions:
         if arithmetic == "float":
             model = as_float_model(model)
         claims = [tuple(conv((w * k) % 5 - 2) for w in range(model.n_outcomes)) for k in (1, 2, 3, 4)]
-        families, forms, made = [], [], [0]
+        families, forms, owners, made = [], [], [], [0]
         new_family, post_init = lpsolve._new_family, lpsolve.Constraint.__post_init__
         standard_form = lpsolve._standard_form
 
@@ -356,6 +374,7 @@ class TestOneMarketManyQuestions:
 
         def form_spy(lp, arith):
             forms.append(standard_form(lp, arith))
+            owners.append(lp._families[arith])
             return forms[-1]
 
         def post_init_spy(con):
@@ -373,8 +392,9 @@ class TestOneMarketManyQuestions:
             superreplicate(model, claim)
         assert made == [0] and len(families) == 2
         verdict, first_claim, *later_claims = forms
-        assert verdict.rows == first_claim.rows and verdict.family is not first_claim.family
+        assert verdict.rows == first_claim.rows and owners[0] is not owners[1]
         assert len(later_claims) == 3 and all(f.rows is first_claim.rows for f in later_claims)
+        assert all(family is owners[1] for family in owners[2:])
         first, *later = lp_solves.of("platonic.hedging")
         assert len(later) == 3
         for lp in later:
@@ -435,6 +455,20 @@ def _answer_or_refusal(model, claim, mode):
 
 
 class TestPriceInterval:
+    @pytest.mark.parametrize("eta", [0, -1, F(-1, 75), math.nan, math.inf])
+    def test_an_eta_that_is_not_a_finite_number_above_0_is_refused(self, lp_solves, cold_caches, eta):
+        """``eta`` is how close a witness's full-support mixture comes to
+        its bound: at 0 the mixture is the optimizer itself, with no mass
+        where it has none, and below 0 its masses are negative. The call at
+        100 on the exact delayed 2-step tree, which is not replicable, is
+        refused with such an ``eta`` before any LP."""
+        model = binomial_tree(2, "delayed")
+        [call] = _calls(model, (100,))
+        with pytest.raises(ValueError, match="eta must be finite and > 0"):
+            price_interval(model, call, eta=eta)
+        assert lp_solves == []
+        assert not price_interval(model, call, eta=F(1, 10)).attained_upper
+
     @pytest.mark.parametrize("arithmetic", ["exact", "float"])
     def test_replicable_claim_solves_its_upper_hedge_only(self, lp_solves, cold_caches,
                                                           delayed_canonical, arithmetic):
@@ -551,6 +585,37 @@ class TestPolarCone:
     def test_long_only_variant(self, delayed_canonical):
         report = polar_cone_check(delayed_canonical, mode="long_only", seed=12)
         assert report.match and report.cone_inequality_samples_ok
+
+    @pytest.mark.parametrize("tamper", ["polar mass", "measure gains", "polar negated"])
+    def test_a_tampered_vertex_list_fails_the_check(self, monkeypatch, delayed_canonical, tamper):
+        """The check holds what it enumerates against both descriptions, as
+        a verdict holds tampered duals against the generators: a polar
+        vertex list with a point of mass 2 is not in the measure polytope
+        (its mass equation), a measure vertex list with all mass on the
+        first outcome, where a generator pays, is not in the polar (a
+        generator inequality), and a negated polar vertex pairs positively
+        with the cone's samples. Each fails ``match`` and its own flag."""
+        inner, calls = hedging.enumerate_vertices, []
+
+        def tampered(lp):
+            calls.append(lp)
+            vertices = inner(lp)
+            if tamper == "polar mass" and len(calls) == 1:
+                return vertices + [tuple(2 * v for v in vertices[0])]
+            if tamper == "measure gains" and len(calls) == 2:
+                return vertices + [(1, 0, 0, 0)]
+            if tamper == "polar negated" and len(calls) == 1:
+                return [tuple(-v for v in vertices[0]), *vertices[1:]]
+            return vertices
+
+        monkeypatch.setattr(hedging, "enumerate_vertices", tampered)
+        report = polar_cone_check(delayed_canonical, seed=11)
+        assert not report.match
+        assert (report.polar_in_dual, report.dual_in_polar, report.cone_inequality_samples_ok) == {
+            "polar mass": (False, True, True),
+            "measure gains": (True, False, True),
+            "polar negated": (False, True, False),
+        }[tamper]
 
 
 class TestAttainability:
@@ -805,6 +870,25 @@ class TestOneMatrixPerMarket:
                 assert (verdict.rows, verdict.start, verdict.signs) == (
                     template.rows, template.start, template.signs)
                 assert (verdict.n_real, len(verdict.cost)) == (template.n_real, len(template.cost))
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    @pytest.mark.parametrize("trading", ["full", "delayed", "gridded"])
+    def test_every_lp_on_a_market_holds_its_class_rows(self, cold_caches, trading, arithmetic):
+        """The free and long-only verdict LPs and superhedge templates of a
+        market hold the same constraint maps, row by row: its
+        ``market.class_rows``, which alone place each class's column.
+        The verdicts' rows and the templates' rows are all equations."""
+        model = binomial_tree(3, trading)
+        if arithmetic == "float":
+            model = as_float_model(model)
+        cols = generator_matrix(model)[1]
+        n = model.n_outcomes
+        rows = class_rows(cols, group_outcomes(cols, n), n)
+        lps = [_verdict_lp(model, mode) for mode in ("free", "long_only")] + [
+            hedging._superhedge_template(model, model.arithmetic, mode) for mode in ("free", "long_only")]
+        for lp in lps:
+            assert [con.coeffs for con in lp.constraints] == rows
+            assert all(con.relation == EQ for con in lp.constraints)
 
     @staticmethod
     def _routes(monkeypatch):

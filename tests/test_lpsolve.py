@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -599,7 +598,8 @@ class TestWithRhs:
     def test_derived_lps_are_lps_built_afresh(self, problem, data):
         """A sequence of right-hand sides on one LP: each derived LP equals
         the LP built afresh with them, and so do its standard form in both
-        arithmetics (each row reused from the family's first form or built
+        arithmetics (every row the family's first form's where its signs,
+        start columns and scales all agree, and otherwise every row built
         from the family's entries) and its exact and float answers, each
         float one solved with an empty float slot. No solve changes the
         shared maps."""
@@ -614,15 +614,15 @@ class TestWithRhs:
             assert derived == fresh
             assert all(a.coeffs is b.coeffs for a, b in zip(derived.constraints, problem.constraints))
             for conv in (F, float):
-                forms = [lpsolve._standard_form(p, conv) for p in (derived, fresh)]
-                derived_form, fresh_form = (f and dataclasses.replace(f, family=None) for f in forms)
+                derived_form, fresh_form = (lpsolve._standard_form(p, conv) for p in (derived, fresh))
                 assert derived_form == fresh_form
-                first = derived_form and forms[0].family.first
-                if first and (first.signs, first.start) == (derived_form.signs, derived_form.start):
-                    # a row that agrees is the first's
-                    assert all(row is old for row, old, scale, old_scale in zip(
-                        derived_form.rows, first.rows, derived_form.scales, first.scales)
-                        if scale == old_scale)
+                first = derived_form and problem._families[conv].first
+                if first:
+                    # all of the first form's rows or none
+                    agree = (first.signs, first.start, first.scales) == (
+                        derived_form.signs, derived_form.start, derived_form.scales)
+                    shared = [row is old for row, old in zip(derived_form.rows, first.rows)]
+                    assert shared == [agree] * len(shared)
             assert solve(derived) == solve(fresh)
             answers = []
             for p in (derived, fresh):
@@ -639,18 +639,20 @@ class TestWithRhs:
         """x + 2y = b with x in [0, 4]: x is in no other row and has entry
         1, so the row starts on x while x = b lies within its bounds, and on
         an artificial past them, at the same row sign. A later form of the
-        family takes the first form's rows only where its start columns
-        agree too."""
+        family takes all of the first form's rows where its start columns
+        agree too, and none where they do not."""
         def problem(b):
             return lp([1, 1], "max", [([1, 2], EQ, b)], [(0, 4), (0, 10)])
 
         template = problem(1)
-        assert lpsolve._standard_form(template, conv).start == [0]
+        first = lpsolve._standard_form(template, conv)
+        assert first.start == [0]
         for b in (6, 3):
             derived = lpsolve._standard_form(template.with_rhs([b]), conv)
             fresh = lpsolve._standard_form(problem(b), conv)
             assert derived.start == fresh.start == ([2] if b > 4 else [0])
-            assert dataclasses.replace(derived, family=None) == dataclasses.replace(fresh, family=None)
+            assert derived == fresh
+            assert (derived.rows is first.rows) == (b <= 4)
             assert solve(template.with_rhs([b])) == solve(problem(b))
 
 
@@ -998,12 +1000,12 @@ def test_delayed_and_gridded_long_only_verdicts_answer(monkeypatch, pivots, arit
 @pytest.mark.parametrize("mode", ["free", "long_only"])
 def test_standard_form_shape(monkeypatch, mode, cold_caches):
     """Columns stay whole and bounds take no row. On an n-outcome model with
-    k generators, the arbitrage LP has n rows and 1 + k + n caller columns
-    (the price fixed at 0, the lambdas, the gains), no slack (its rows are
-    equations) and no artificial: each row starts on its own gain. The
-    superhedge LP has n rows and 1 + k caller columns plus a slack per row
-    and no artificial either. Both have the same standard-form rows, start
-    columns and row signs: each gain sits where its row's slack does."""
+    k generators, the arbitrage LP and the superhedge LP each have n rows
+    and 1 + k + n caller columns (the price, the lambdas, then one column
+    per class: the verdict's gain, the superhedge's consumption), no slack
+    (their rows are equations) and no artificial: each row starts on its
+    class's column. Both have the same standard-form rows, start columns
+    and row signs."""
     forms = []
     inner = lpsolve._standard_form
 
@@ -1020,7 +1022,7 @@ def test_standard_form_shape(monkeypatch, mode, cold_caches):
     assert (len(arbitrage.rows), len(arbitrage.col_map)) == (n, 1 + k + n)
     assert arbitrage.n_real == len(arbitrage.cost) == 1 + k + n
     assert arbitrage.start == list(range(1 + k, 1 + k + n))
-    assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k)
+    assert (len(hedge.rows), len(hedge.col_map)) == (n, 1 + k + n)
     assert hedge.n_real == len(hedge.cost) == 1 + k + n
     assert (hedge.rows, hedge.start, hedge.signs) == (arbitrage.rows, arbitrage.start, arbitrage.signs)
 

@@ -3,6 +3,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from _factories import binomial_tree, tree_claim_price
 from platonic import ftap_verdict, price_interval, superreplicate
 from platonic.market import Strategy
@@ -79,3 +81,20 @@ def test_answer_digest_renders_sets_sorted_and_the_rest_as_repr():
     for answer in (ftap_verdict(model), superreplicate(model, (1, 0, 0, Fraction(1, 2))),
                    ((0.5,), price_interval(model, (1, 0, 2, 0)))):
         assert render(answer) == repr(answer)
+
+
+# sha256 of the answers of the exact plans at seed 1, the same on Python 3.10
+# to 3.13. A change that moves an exact answer updates its pin and says why.
+EXACT_DIGESTS = {
+    "exact-verdict": "e4142deaa77b134d6bcfe9825fe77dd1a82eb62b638fe87890fd3941c28e7ba9",
+    "exact-pricing": "ea46dac1404827982b3f47baea65ca02b313454b4ea9d73fab7f329a59cd5f86",
+}
+
+
+@pytest.mark.parametrize("plan", sorted(EXACT_DIGESTS))
+def test_the_exact_plans_give_their_pinned_answers(plan):
+    """Every answer of the exact benchmark plans at seed 1, asked in a
+    fresh interpreter as a benchmark pass asks them, is the pinned one.
+    ``float-screen`` is not pinned: its answers differ between Python 3.11
+    and 3.12 (ROADMAP item 15)."""
+    assert answer_digest.digest(answer_digest.answers(ROOT, plan, 1)) == EXACT_DIGESTS[plan]
